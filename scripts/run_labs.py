@@ -9,13 +9,12 @@ external plotting.
 """
 
 import argparse
-import csv
 import json
 import pathlib
 import sys
 import time
 
-from galois_solve.lab import EXPERIMENTS, run_experiment
+from galois_solve.lab import EXPERIMENTS, run_experiment, write_curves_csv
 
 
 def main(argv=None) -> int:
@@ -35,17 +34,7 @@ def main(argv=None) -> int:
         if args.csv_dir and result.curves:
             out = pathlib.Path(args.csv_dir)
             out.mkdir(parents=True, exist_ok=True)
-            path = out / f"{name.replace('-', '_')}.csv"
-            with open(path, "w", newline="") as fh:
-                writer = csv.writer(fh)
-                keys = list(result.curves)
-                writer.writerow(keys)
-                n = max(len(result.curves[k]) for k in keys)
-                for i in range(n):
-                    writer.writerow([
-                        result.curves[k][i] if i < len(result.curves[k]) else ""
-                        for k in keys
-                    ])
+            write_curves_csv(out / f"{name.replace('-', '_')}.csv", result.curves)
 
     if args.json:
         print(json.dumps(

@@ -12,14 +12,13 @@ ran but failed its tolerance.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 
 from . import extreal
 from .engine import apply_adjoint, apply_forward
 from .errors import ValidationError
-from .lab import EXPERIMENTS, run_experiment
+from .lab import EXPERIMENTS, run_experiment, write_curves_csv
 from .serialize import (
     load_problem,
     parse_function_arg,
@@ -134,7 +133,7 @@ def cmd_lab(args) -> int:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     if args.csv and result.curves:
-        _dump_csv(args.csv, result.curves)
+        write_curves_csv(args.csv, result.curves)
     if args.json:
         print(json.dumps(result.to_dict(), indent=2, sort_keys=True))
     else:
@@ -145,18 +144,6 @@ def cmd_lab(args) -> int:
             print(f"  {k}: {v}")
         print("PASS" if result.passed else "FAIL")
     return EXIT_OK if result.passed else EXIT_FAIL
-
-
-def _dump_csv(path: str, curves) -> None:
-    keys = list(curves)
-    n = max(len(curves[k]) for k in keys)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(keys)
-        for i in range(n):
-            writer.writerow(
-                [curves[k][i] if i < len(curves[k]) else "" for k in keys]
-            )
 
 
 def build_parser() -> argparse.ArgumentParser:

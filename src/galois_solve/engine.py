@@ -1,12 +1,14 @@
 """Core transforms of a kernel: the forward map, its adjoint, the
 projector, subdifferentials and their inverse maps, and domain taxonomy.
 
-All operations are pure functions of immutable inputs.  Coupling-table
-kernels take a vectorised path (the inner supremum runs as one numpy
-reduction per output block), otherwise a plain double loop over the
-support evaluates the scalar slices.  Reductions are order-independent,
-so optional data-parallel evaluation across output indices (capped by
-the GALOIS_SOLVE_THREADS environment variable) is deterministic.
+All operations are pure functions of immutable inputs.  Every transform
+and argmax set comes from one blocked max-plus reduction: a block holds
+the slices evaluated at one output index per row (a coupling table minus
+the input, or a loop over the support of a table of scalar forms), and
+its rows are reduced to their maxima and, on request, near-maximisers.
+Maxima are order-independent, so optional data-parallel evaluation of
+the blocks (capped by the GALOIS_SOLVE_THREADS environment variable) is
+deterministic.
 """
 
 from __future__ import annotations
@@ -14,8 +16,8 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from typing import Dict, Iterable, Mapping, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Callable, Dict, Iterable, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -140,11 +142,16 @@ class DomainReport:
 
 @dataclass(frozen=True)
 class SubdiffMap:
-    """A set-valued map from one side's labels into subsets of the other."""
+    """A set-valued map from one side's labels into subsets of the other.
+
+    ``sup`` holds, per source label, the supremum whose near-maximisers
+    make up the sets, when the map was built from one.
+    """
 
     source_labels: Tuple[str, ...]
     target_labels: Tuple[str, ...]
     sets: Dict[str, frozenset]
+    sup: Optional[np.ndarray] = field(default=None, compare=False, repr=False)
 
     def get(self, label: str) -> frozenset:
         return self.sets[label]
@@ -169,76 +176,97 @@ class SubdiffMap:
 # the sup-of-slices transforms
 
 
-def _moreau_block(bbar: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """Elementwise bbar(x,y) - lam(y) with -inf absorbing.
+def _coupling_blocks(kernel: Kernel, lam: np.ndarray, by_rows: bool):
+    """Blocks of bbar - lam, with -inf absorbing.
 
-    ``bbar`` has one row per output point and never contains +inf;
-    ``lam`` may contain either infinity.
+    bbar never holds +inf, so a +inf in ``lam`` already yields -inf; only
+    -inf - (-inf) needs mending, in the columns where ``lam`` is -inf.
     """
-    with np.errstate(invalid="ignore"):
-        out = bbar - lam
-    pos = np.isposinf(lam)
-    if pos.any():
-        out[:, pos] = -np.inf
-    neg = np.isneginf(lam)
-    if neg.any():
-        out[:, neg] = np.where(np.isneginf(bbar[:, neg]), -np.inf, np.inf)
-    return out
+    fetch = kernel.bbar_row if by_rows else kernel.bbar_col
+    neg = np.flatnonzero(np.isneginf(lam))
+
+    def block(lo: int, hi: int) -> np.ndarray:
+        src = fetch(slice(lo, hi))
+        out = src if src.flags.writeable else np.empty(src.shape)
+        with np.errstate(invalid="ignore"):
+            np.subtract(src, lam, out=out)
+        if neg.size:
+            sub = out[:, neg]
+            sub[np.isnan(sub)] = -math.inf
+            out[:, neg] = sub
+        return out
+
+    return block
 
 
-def _moreau_sup(kernel: Kernel, lam: np.ndarray, by_rows: bool) -> np.ndarray:
-    rows = kernel.bbar_row if by_rows else kernel.bbar_col
-    n_out = len(kernel.x_labels) if by_rows else len(kernel.y_labels)
+def _table_blocks(kernel: Kernel, lam: np.ndarray, by_rows: bool):
+    """Blocks of the scalar slices evaluated at ``lam``, -inf off the support."""
+    n_in = kernel.shape[1 if by_rows else 0]
+    entry = kernel.entry if by_rows else kernel.adjoint_entry
+    support = kernel.support_row if by_rows else kernel.support_col
 
-    def run(lo: int, hi: int) -> np.ndarray:
-        block = np.vstack([rows(i) for i in range(lo, hi)])
-        return _moreau_block(block, lam).max(axis=1)
+    def block(lo: int, hi: int) -> np.ndarray:
+        out = np.full((hi - lo, n_in), -math.inf)
+        for r, k in enumerate(range(lo, hi)):
+            idx = support(k)
+            out[r, list(idx)] = [entry(k, m).eval_float(lam[m]) for m in idx]
+        return out
 
-    threads = _thread_count()
-    if threads <= 1 or n_out <= _BLOCK:
-        return np.concatenate(
-            [run(lo, min(lo + _BLOCK, n_out)) for lo in range(0, n_out, _BLOCK)]
-        )
+    return block
+
+
+def _sup_pass(kernel: Kernel, lam: np.ndarray, by_rows: bool,
+              near: Optional[Callable] = None):
+    """The one max-plus reduction behind both transforms.
+
+    For each output index (x for the forward map, y for the adjoint) it
+    returns the supremum over the other side of the slices evaluated at
+    ``lam``.  With ``near(vals, sup)``, a mask of the entries that count
+    as attaining their row's finite or +inf supremum, it also returns
+    their indices per output; a supremum of -inf is attained by the
+    whole support.
+    """
+    n_out = kernel.shape[0 if by_rows else 1]
+    make = _coupling_blocks if kernel.is_moreau else _table_blocks
+    block = make(kernel, lam, by_rows)
+    support = kernel.support_row if by_rows else kernel.support_col
+
+    def run(span: Tuple[int, int]):
+        lo, hi = span
+        vals = block(lo, hi)
+        top = vals.max(axis=1)
+        if near is None:
+            return top, []
+        hit = near(vals, top)
+        for r in np.flatnonzero(np.isneginf(top)):
+            hit[r] = False
+            hit[r, list(support(lo + r))] = True
+        rows, cols = np.nonzero(hit)
+        return top, np.split(cols, np.searchsorted(rows, np.arange(1, hi - lo)))
+
     spans = [(lo, min(lo + _BLOCK, n_out)) for lo in range(0, n_out, _BLOCK)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = list(pool.map(lambda s: run(*s), spans))
-    return np.concatenate(parts)
+    threads = _thread_count()
+    if threads <= 1 or len(spans) <= 1:
+        parts = [run(s) for s in spans]
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            parts = list(pool.map(run, spans))
+    return (np.concatenate([top for top, _ in parts]),
+            [t for _, part in parts for t in part])
 
 
 def apply_forward(kernel: Kernel, f: FunctionOnSpace) -> FunctionOnSpace:
     """The connection itself: (Bf)(x) = sup_y b(x, y, f(y))."""
     if f.labels != kernel.y_labels:
         raise ValidationError("function labels do not match the kernel's y side")
-    if kernel.is_moreau:
-        return FunctionOnSpace(kernel.x_labels, _moreau_sup(kernel, f.values, True))
-    out = np.empty(len(kernel.x_labels))
-    fv = f.values
-    for i in range(len(kernel.x_labels)):
-        best = -math.inf
-        for j in kernel.support_row(i):
-            v = kernel.entry(i, j).eval_float(fv[j])
-            if v > best:
-                best = v
-        out[i] = best
-    return FunctionOnSpace(kernel.x_labels, out)
+    return FunctionOnSpace(kernel.x_labels, _sup_pass(kernel, f.values, True)[0])
 
 
 def apply_adjoint(kernel: Kernel, g: FunctionOnSpace) -> FunctionOnSpace:
     """The adjoint connection: (B°g)(y) = sup_x b°(y, x, g(x))."""
     if g.labels != kernel.x_labels:
         raise ValidationError("function labels do not match the kernel's x side")
-    if kernel.is_moreau:
-        return FunctionOnSpace(kernel.y_labels, _moreau_sup(kernel, g.values, False))
-    out = np.empty(len(kernel.y_labels))
-    gv = g.values
-    for j in range(len(kernel.y_labels)):
-        best = -math.inf
-        for i in kernel.support_col(j):
-            v = kernel.adjoint_entry(j, i).eval_float(gv[i])
-            if v > best:
-                best = v
-        out[j] = best
-    return FunctionOnSpace(kernel.y_labels, out)
+    return FunctionOnSpace(kernel.y_labels, _sup_pass(kernel, g.values, False)[0])
 
 
 def projector(kernel: Kernel, g: FunctionOnSpace) -> FunctionOnSpace:
@@ -251,84 +279,41 @@ def projector(kernel: Kernel, g: FunctionOnSpace) -> FunctionOnSpace:
 # argmax machinery
 
 
-def _members(vals: np.ndarray, support: np.ndarray, tol: float) -> np.ndarray:
-    """Indices in ``support`` attaining the supremum of ``vals`` there,
-    within an absolute tie tolerance on finite suprema.
-
-    A supremum of -inf is attained by the whole support; +inf only by
-    the entries that are exactly +inf.
-    """
-    sv = vals[support]
-    m = sv.max()
-    if m == -math.inf:
-        return support
-    if m == math.inf:
-        return support[sv == math.inf]
-    return support[sv >= m - tol]
-
-
 def subdiff_inverse(kernel: Kernel, g: FunctionOnSpace,
                     tol: float = DEFAULT_TOL) -> SubdiffMap:
     """For each y, the set of x in the column support attaining
     sup_x b°(y, x, g(x)); these are the covering sets of the existence
-    criterion.  All near-maximisers within ``tol`` are included."""
+    criterion.  All near-maximisers within ``tol`` of a finite supremum
+    are included; +inf is attained only by the entries equal to it.
+    The map's ``sup`` is the adjoint transform of g."""
     if g.labels != kernel.x_labels:
         raise ValidationError("function labels do not match the kernel's x side")
-    gv = g.values
-    sets = {}
-    for j, yl in enumerate(kernel.y_labels):
-        support = np.asarray(kernel.support_col(j), dtype=int)
-        if kernel.is_moreau:
-            col = kernel.bbar_col(j).reshape(1, -1)
-            vals = _moreau_block(col, gv)[0]
-        else:
-            vals = np.full(len(kernel.x_labels), -math.inf)
-            for i in support:
-                vals[i] = kernel.adjoint_entry(j, int(i)).eval_float(gv[i])
-        idx = _members(vals, support, tol)
-        sets[yl] = frozenset(kernel.x_labels[int(i)] for i in idx)
-    return SubdiffMap(kernel.y_labels, kernel.x_labels, sets)
+    top, ties = _sup_pass(kernel, g.values, False,
+                          lambda vals, top: vals >= (top - tol)[:, None])
+    xl = kernel.x_labels
+    sets = {yl: frozenset(xl[i] for i in idx.tolist())
+            for yl, idx in zip(kernel.y_labels, ties)}
+    return SubdiffMap(kernel.y_labels, kernel.x_labels, sets, sup=top)
 
 
 def subdiff(kernel: Kernel, f: FunctionOnSpace,
             tol: float = DEFAULT_TOL) -> SubdiffMap:
     """For each y, the set of x in the support where the supremum
-    defining the forward transform is attained at y."""
+    defining the forward transform is attained at y: equal to it, or
+    within ``tol`` when both are finite."""
     if f.labels != kernel.y_labels:
         raise ValidationError("function labels do not match the kernel's y side")
-    bf = apply_forward(kernel, f).values
-    fv = f.values
-    sets = {}
-    for j, yl in enumerate(kernel.y_labels):
-        support = np.asarray(kernel.support_col(j), dtype=int)
-        if kernel.is_moreau:
-            col = kernel.bbar_col(j)
-            vals = _eval_moreau_col(col, fv[j])
-        else:
-            vals = np.full(len(kernel.x_labels), -math.inf)
-            for i in support:
-                vals[i] = kernel.entry(int(i), j).eval_float(fv[j])
-        members = [
-            int(i) for i in support if _matches(vals[int(i)], bf[int(i)], tol)
-        ]
-        sets[yl] = frozenset(kernel.x_labels[i] for i in members)
-    return SubdiffMap(kernel.y_labels, kernel.x_labels, sets)
 
+    def near(vals: np.ndarray, top: np.ndarray) -> np.ndarray:
+        with np.errstate(invalid="ignore"):
+            return (vals == top[:, None]) | (np.abs(vals - top[:, None]) <= tol)
 
-def _eval_moreau_col(col: np.ndarray, lam: float) -> np.ndarray:
-    if lam == math.inf:
-        return np.full(col.shape, -math.inf)
-    if lam == -math.inf:
-        return np.where(np.isneginf(col), -math.inf, math.inf)
-    return col - lam
-
-
-def _matches(val: float, target: float, tol: float) -> bool:
-    if val == target:
-        return True
-    if math.isinf(val) or math.isinf(target):
-        return False
-    return abs(val - target) <= tol
+    _, ties = _sup_pass(kernel, f.values, True, near)
+    by_x = SubdiffMap(kernel.x_labels, kernel.y_labels, {
+        xl: frozenset(kernel.y_labels[j] for j in idx.tolist())
+        for xl, idx in zip(kernel.x_labels, ties)
+    })
+    return by_x.invert()
 
 
 def domain_report(h: FunctionOnSpace) -> DomainReport:
@@ -339,14 +324,3 @@ def domain_report(h: FunctionOnSpace) -> DomainReport:
     both = set(ldom) & set(udom)
     dom = tuple(l for l in h.labels if l in both)
     return DomainReport(ldom=ldom, udom=udom, dom=dom, idom=dom)
-
-
-def compactness_conditions_hold(kernel: Kernel) -> bool:
-    """Whether the compactness side conditions of the existence theory hold.
-
-    For the finite index sets this engine works with they are vacuous
-    (finite sets are compact, every function has relatively compact
-    sublevel sets), so this is identically True.  It exists so callers
-    can document the hypothesis they rely on.
-    """
-    return True

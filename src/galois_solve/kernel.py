@@ -8,7 +8,8 @@ slices off the support are Off.
 
 Max-plus style kernels derived from a coupling table bbar(x, y) get a
 dense or lazy float backing so the transforms can run vectorised; the
-slice view (affine with unit slope) is materialised on demand.
+slice view (affine with unit slope) is materialised on demand.  Lazy
+tables build whole blocks of rows or columns at a time, in place.
 """
 
 from __future__ import annotations
@@ -171,11 +172,13 @@ class Kernel:
         *,
         entries: Optional[Sequence[Sequence[ScalarConnection]]] = None,
         bbar: Optional[np.ndarray] = None,
-        row_fn: Optional[Callable[[int], np.ndarray]] = None,
-        col_fn: Optional[Callable[[int], np.ndarray]] = None,
+        block_fn: Optional[Callable[[object, bool], np.ndarray]] = None,
         is_grid: bool = False,
         check: bool = True,
     ):
+        """``block_fn(index, by_rows)`` backs a lazy coupling table: for a
+        slice or an integer array of row (``by_rows``) or column indices
+        it returns a fresh 2-D array with one row per index."""
         self.x_labels = tuple(str(l) for l in x_labels)
         self.y_labels = tuple(str(l) for l in y_labels)
         if not self.x_labels or not self.y_labels:
@@ -190,8 +193,7 @@ class Kernel:
 
         self._entries = None
         self._bbar = None
-        self._row_fn = row_fn
-        self._col_fn = col_fn
+        self._block_fn = block_fn
 
         nx, ny = len(self.x_labels), len(self.y_labels)
         if entries is not None:
@@ -222,8 +224,8 @@ class Kernel:
             arr = arr.copy()
             arr.flags.writeable = False
             self._bbar = arr
-        elif row_fn is None or col_fn is None:
-            raise ValidationError("kernel needs entries, a coupling table, or row/col functions")
+        elif block_fn is None:
+            raise ValidationError("kernel needs entries, a coupling table, or a block function")
 
         if check:
             self._check_support()
@@ -251,19 +253,26 @@ class Kernel:
             raise ValidationError(f"unknown y label: {label!r}") from None
 
     # ------------------------------------------------------------------
-    def bbar_row(self, i: int) -> np.ndarray:
+    def bbar_row(self, i) -> np.ndarray:
+        """Row i of the coupling table; a slice gives those rows as one
+        2-D block (read-only when the table is stored densely)."""
         if self._bbar is not None:
             return self._bbar[i]
-        if self._row_fn is not None:
-            return self._row_fn(i)
-        raise ValidationError("kernel has no coupling-table backing")
+        return self._lazy(i, True)
 
-    def bbar_col(self, j: int) -> np.ndarray:
+    def bbar_col(self, j) -> np.ndarray:
+        """Column j of the coupling table; a slice gives those columns as
+        one 2-D block with one row per column."""
         if self._bbar is not None:
-            return self._bbar[:, j]
-        if self._col_fn is not None:
-            return self._col_fn(j)
-        raise ValidationError("kernel has no coupling-table backing")
+            return self._bbar[:, j].T
+        return self._lazy(j, False)
+
+    def _lazy(self, k, by_rows: bool) -> np.ndarray:
+        if self._block_fn is None:
+            raise ValidationError("kernel has no coupling-table backing")
+        if isinstance(k, slice):
+            return self._block_fn(k, by_rows)
+        return self._block_fn(slice(k, k + 1), by_rows)[0]
 
     def entry(self, i: int, j: int) -> ScalarConnection:
         """Slice at (x_i, y_j): lam -> b(x_i, y_j, lam)."""
@@ -297,20 +306,20 @@ class Kernel:
 
     # ------------------------------------------------------------------
     def _check_support(self):
-        if self._row_fn is not None and self._bbar is None and self._entries is None:
+        if self._block_fn is not None:
             # lazy family kernels are finite-valued by construction
             return
-        nx, ny = self.shape
-        for i in range(nx):
-            if not self.support_row(i):
+        if self._bbar is not None:
+            finite = np.isfinite(self._bbar)
+            rows, cols = finite.any(axis=1), finite.any(axis=0)
+        else:
+            rows = np.array([bool(r) for r in self._support_rows])
+            cols = np.array([bool(c) for c in self._support_cols])
+        for ok, labels, what in ((rows, self.x_labels, "A1 violated: row"),
+                                 (cols, self.y_labels, "A2 violated: column")):
+            if not ok.all():
                 raise ValidationError(
-                    f"A1 violated: row {self.x_labels[i]!r} has empty support"
-                )
-        for j in range(ny):
-            if not self.support_col(j):
-                raise ValidationError(
-                    f"A2 violated: column {self.y_labels[j]!r} has empty support"
-                )
+                    f"{what} {labels[int(np.argmin(ok))]!r} has empty support")
         if self._entries is not None:
             for i, row in enumerate(self._entries):
                 for j, e in enumerate(row):
@@ -341,20 +350,16 @@ class Kernel:
         if self._bbar is not None:
             return Kernel(self.x_labels, new_y, bbar=self._bbar[:, keep],
                           is_grid=self.is_grid)
+        # lazy family tables are finite, so every row keeps its support
         keep_arr = np.asarray(keep)
-        row_fn, col_fn = self._row_fn, self._col_fn
-        new = Kernel(
+        block = self._block_fn
+        return Kernel(
             self.x_labels, new_y,
-            row_fn=lambda i: row_fn(i)[keep_arr],
-            col_fn=lambda jj: col_fn(int(keep_arr[jj])),
+            block_fn=lambda k, by_rows: (
+                block(k, True)[:, keep_arr] if by_rows else block(keep_arr[k], False)
+            ),
             is_grid=self.is_grid, check=False,
         )
-        for i in range(len(self.x_labels)):
-            if not new.support_row(i):
-                raise ValidationError(
-                    f"A1 violated after restriction: row {self.x_labels[i]!r}"
-                )
-        return new
 
 
 # ----------------------------------------------------------------------
@@ -432,63 +437,78 @@ def build_grid_kernel(family, x_grid: GridSpec, y_grid: GridSpec) -> Kernel:
 
     xp = x_grid.points()
     yp = y_grid.points()
-    row = _family_row_fn(family, xp, yp)
-    col = _family_col_fn(family, xp, yp)
+    block = _family_block(family, xp, yp)
     nx, ny = x_grid.size(), y_grid.size()
 
     if isinstance(family, OmegaLipschitz):
         _spot_check_subadditive(family, yp)
 
     if nx * ny <= DENSE_LIMIT:
-        dense = np.vstack([row(i) for i in range(nx)])
-        return Kernel(x_grid.labels(), y_grid.labels(), bbar=dense, is_grid=True)
-    return Kernel(x_grid.labels(), y_grid.labels(), row_fn=row, col_fn=col,
-                  is_grid=True)
+        return Kernel(x_grid.labels(), y_grid.labels(),
+                      bbar=block(slice(None), True), is_grid=True)
+    return Kernel(x_grid.labels(), y_grid.labels(), block_fn=block, is_grid=True)
 
 
-def _family_row_fn(family, xp, yp):
-    if isinstance(family, FenchelDot):
+def _family_block(family, xp, yp):
+    """The family's coupling table as ``block(index, by_rows)``.
+
+    Rows pair the x points ``xp[index]`` with every y point; columns pair
+    ``yp[index]`` with every x point, one row per column.  One broadcast
+    formula per family builds either orientation as a fresh array,
+    updated in place, with the same per-entry operations in both.
+    """
+    def pair(k, by_rows):
+        # the block's outer points vary along axis 0, the others along axis 1
+        if by_rows:
+            return xp[k][:, None], yp[None, :]
+        return xp[None, :], yp[k][:, None]
+
+    def dot(k, by_rows):
         if xp.ndim == 1:
-            return lambda i: xp[i] * yp
-        return lambda i: yp @ xp[i]
+            return np.multiply(*pair(k, by_rows))
+        # one matrix-vector product per outer point, as a stacked matmul
+        outer, inner = (xp, yp) if by_rows else (yp, xp)
+        return np.matmul(inner, outer[k][:, :, None])[..., 0]
+
+    if isinstance(family, FenchelDot):
+        return dot
     if isinstance(family, Quadratic):
         half = 0.5 * family.a
-        if xp.ndim == 1:
-            q = half * yp * yp
-            return lambda i: xp[i] * yp - q
-        q = half * np.sum(yp * yp, axis=1)
-        return lambda i: yp @ xp[i] - q
+        pen = half * yp * yp if yp.ndim == 1 else half * np.sum(yp * yp, axis=1)
+
+        def quadratic(k, by_rows):
+            out = dot(k, by_rows)
+            out -= pen[None, :] if by_rows else pen[k][:, None]
+            return out
+        return quadratic
     if isinstance(family, OmegaLipschitz):
-        if xp.ndim == 1:
-            return lambda i: -family.omega(yp - xp[i])
-        return lambda i: -family.omega(
-            np.sqrt(np.sum((yp - xp[i]) ** 2, axis=1))
-        )
+        a, q = family.a, family.q
+
+        def lipschitz(k, by_rows):
+            x, y = pair(k, by_rows)
+            out = np.subtract(y, x)
+            if xp.ndim > 1:
+                np.square(out, out=out)
+                out = out.sum(axis=-1)
+                np.sqrt(out, out=out)
+            np.abs(out, out=out)
+            if q != 1:
+                np.power(out, q, out=out)
+            if a != 1:
+                np.multiply(out, a, out=out)
+            return np.negative(out, out=out)
+        return lipschitz
     if isinstance(family, WeightedPower):
         p = family.p
-        return lambda i: -xp[i, 1] * np.abs(yp - xp[i, 0]) ** p
-    raise ValidationError(f"unknown kernel family: {family!r}")
 
-
-def _family_col_fn(family, xp, yp):
-    if isinstance(family, FenchelDot):
-        if xp.ndim == 1:
-            return lambda j: xp * yp[j]
-        return lambda j: xp @ yp[j]
-    if isinstance(family, Quadratic):
-        half = 0.5 * family.a
-        if xp.ndim == 1:
-            return lambda j: xp * yp[j] - half * yp[j] * yp[j]
-        return lambda j: xp @ yp[j] - half * float(yp[j] @ yp[j])
-    if isinstance(family, OmegaLipschitz):
-        if xp.ndim == 1:
-            return lambda j: -family.omega(yp[j] - xp)
-        return lambda j: -family.omega(
-            np.sqrt(np.sum((yp[j] - xp) ** 2, axis=1))
-        )
-    if isinstance(family, WeightedPower):
-        p = family.p
-        return lambda j: -xp[:, 1] * np.abs(yp[j] - xp[:, 0]) ** p
+        def weighted(k, by_rows):
+            x, y = pair(k, by_rows)
+            out = np.subtract(y, x[..., 0])
+            np.abs(out, out=out)
+            if p != 1:
+                np.power(out, p, out=out)
+            return np.multiply(out, -x[..., 1], out=out)
+        return weighted
     raise ValidationError(f"unknown kernel family: {family!r}")
 
 

@@ -15,6 +15,7 @@ never as free-floating magic numbers.
 
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -27,7 +28,9 @@ from .errors import NotLipschitzError, ValidationError
 from .kernel import GridSpec, Kernel, OmegaLipschitz, Quadratic, build_grid_kernel
 from .solver import Problem, Status, solve
 
-_BLOCK = 256
+#: Rows per block: 16 rows of the 14001-point exgeom grid (1.8 MB) stay in
+#: a per-core L2 cache while the block is updated in place.
+_BLOCK = 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,6 +89,19 @@ class LabResult:
         }
 
 
+def write_curves_csv(path, curves: Dict[str, np.ndarray]) -> None:
+    """One column per sampled curve; shorter curves end in empty cells."""
+    keys = list(curves)
+    n = max(len(curves[k]) for k in keys)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(keys)
+        for i in range(n):
+            writer.writerow(
+                [curves[k][i] if i < len(curves[k]) else "" for k in keys]
+            )
+
+
 def _jsonable(obj):
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
@@ -123,25 +139,31 @@ def _conjugate_detail(ypts: np.ndarray, fvals: np.ndarray, xpts: np.ndarray):
     gvals = np.empty(n_out)
     argmax = np.empty(n_out, dtype=int)
     boundary = np.empty(n_out, dtype=bool)
-    fpos = np.isposinf(fvals)
-    fneg = np.isneginf(fvals)
     edge = _edge_mask(ypts)
     for lo in range(0, n_out, _BLOCK):
         hi = min(lo + _BLOCK, n_out)
-        t = _pairing_rows(xpts[lo:hi], ypts)
-        t -= np.where(np.isfinite(fvals), fvals, 0.0)[None, :]
-        if fpos.any():
-            t[:, fpos] = -np.inf
-        if fneg.any():
-            t[:, fneg] = np.inf
-        m = t.max(axis=1)
-        gvals[lo:hi] = m
+        t = _minus_f(_pairing_rows(xpts[lo:hi], ypts), fvals)
+        gvals[lo:hi], tie = _max_ties(t)
         argmax[lo:hi] = t.argmax(axis=1)
-        with np.errstate(invalid="ignore"):
-            tie = t == m[:, None]
-        tie[np.isneginf(m)] = True
         boundary[lo:hi] = (tie & edge[None, :]).any(axis=1)
     return gvals, argmax, boundary
+
+
+def _minus_f(t: np.ndarray, fvals: np.ndarray) -> np.ndarray:
+    """t(x, y) - f(y) in place: f = +inf gives -inf, f = -inf gives +inf."""
+    t -= np.where(np.isfinite(fvals), fvals, 0.0)
+    t[:, np.isposinf(fvals)] = -np.inf
+    t[:, np.isneginf(fvals)] = np.inf
+    return t
+
+
+def _max_ties(t: np.ndarray):
+    """Row maxima, and the entries attaining them (all, where -inf)."""
+    m = t.max(axis=1)
+    with np.errstate(invalid="ignore"):
+        tie = t == m[:, None]
+    tie[np.isneginf(m)] = True
+    return m, tie
 
 
 def _edge_mask(ypts: np.ndarray) -> np.ndarray:
@@ -256,10 +278,7 @@ def quadratic_reduction_check(f: GridFunction, a: float,
     arg_a = np.empty(len(xpts), dtype=int)
     for lo in range(0, len(xpts), _BLOCK):
         hi = min(lo + _BLOCK, len(xpts))
-        rows = np.vstack([kernel.bbar_row(i) for i in range(lo, hi)])
-        t = rows - np.where(np.isfinite(fv), fv, 0.0)[None, :]
-        t[:, np.isposinf(fv)] = -np.inf
-        t[:, np.isneginf(fv)] = np.inf
+        t = _minus_f(np.array(kernel.bbar_row(slice(lo, hi))), fv)
         arg_a[lo:hi] = t.argmax(axis=1)
 
     if y_grid.ndim == 1:
@@ -426,20 +445,10 @@ def weighted_power_domain(f: GridFunction, p: float,
     if levels[0] <= 0:
         raise ValidationError("weight levels must be positive")
 
-    fpos = np.isposinf(fv)
-    fneg = np.isneginf(fv)
     per_level = []
     for w in levels:
-        t = -w * np.abs(ypts[None, :] - xp[:, None]) ** p
-        t -= np.where(np.isfinite(fv), fv, 0.0)[None, :]
-        if fpos.any():
-            t[:, fpos] = -np.inf
-        if fneg.any():
-            t[:, fneg] = np.inf
-        m = t.max(axis=1)
-        with np.errstate(invalid="ignore"):
-            tie = t == m[:, None]
-        tie[np.isneginf(m)] = True
+        t = _minus_f(-w * np.abs(ypts[None, :] - xp[:, None]) ** p, fv)
+        m, tie = _max_ties(t)
         at_edge = tie[:, 0] | tie[:, -1]
         finite = bool(np.all(np.isfinite(m)))
         per_level.append({
@@ -544,13 +553,17 @@ def exgeom_experiment(step: float = 1e-3) -> LabResult:
     err_mid = float(np.max(np.abs((proj - (3.0 - pts))[mid])))
 
     # nonempty-subdifferential set, computed from the membership
-    # predicate directly (blocked over x)
+    # predicate av <= -|x - y| - g(x) + tol directly, blocked over x
     av = adj.values
     sub_nonempty = np.empty(len(pts), dtype=bool)
     for lo in range(0, len(pts), _BLOCK):
         hi = min(lo + _BLOCK, len(pts))
-        cand = -np.abs(pts[lo:hi, None] - pts[None, :]) - gv[lo:hi, None]
-        sub_nonempty[lo:hi] = (av[None, :] <= cand + tol).any(axis=1)
+        cand = np.subtract(pts[lo:hi, None], pts[None, :])
+        np.abs(cand, out=cand)
+        np.negative(cand, out=cand)
+        cand -= gv[lo:hi, None]
+        cand += tol
+        sub_nonempty[lo:hi] = (av[None, :] <= cand).any(axis=1)
     gap = np.abs(proj - gv)
     fixed_set = gap <= tol
     # points sitting within rounding of the tie threshold may land on

@@ -32,6 +32,8 @@ _GRID_FAMILIES = {"fenchel_dot", "quadratic", "omega_lipschitz", "weighted_power
 
 
 def problem_from_dict(doc: dict) -> Problem:
+    """The problem a parsed problem file describes.  Any malformed part
+    (a missing field, a value that is not a number) is a ValidationError."""
     if not isinstance(doc, dict):
         raise ValidationError("problem file must be a JSON object")
     unknown = set(doc) - _PROBLEM_KEYS
@@ -39,17 +41,23 @@ def problem_from_dict(doc: dict) -> Problem:
         raise ValidationError(f"unknown problem fields: {sorted(unknown)}")
     if "kernel" not in doc or "g" not in doc:
         raise ValidationError("problem file needs 'kernel' and 'g'")
-    kernel = _kernel_from_dict(doc["kernel"], doc.get("x"), doc.get("y"))
-
-    gmap = doc["g"]
-    if not isinstance(gmap, dict):
-        raise ValidationError("'g' must map x labels to values")
-    g = FunctionOnSpace.from_mapping(
-        kernel.x_labels, {k: extreal.from_json(v) for k, v in gmap.items()}
-    )
-    x_restrict = doc.get("x_restrict")
-    if x_restrict is not None:
-        x_restrict = tuple(str(l) for l in x_restrict)
+    try:
+        kernel = _kernel_from_dict(doc["kernel"], doc.get("x"), doc.get("y"))
+        gmap = doc["g"]
+        if not isinstance(gmap, dict):
+            raise ValidationError("'g' must map x labels to values")
+        g = FunctionOnSpace.from_mapping(
+            kernel.x_labels, {k: extreal.from_json(v) for k, v in gmap.items()}
+        )
+        x_restrict = doc.get("x_restrict")
+        if x_restrict is not None:
+            x_restrict = tuple(str(l) for l in x_restrict)
+    except ValidationError:
+        raise
+    except KeyError as exc:
+        raise ValidationError(f"problem file is missing field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"malformed problem file: {exc}") from exc
     tol = doc.get("tolerance", extreal.DEFAULT_TOL)
     if not isinstance(tol, (int, float)) or isinstance(tol, bool):
         raise ValidationError("'tolerance' must be a number")

@@ -27,13 +27,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from .covering import CoverFamily, CoverReport, check_cover, irredundant_subcover
-from .engine import (
-    FunctionOnSpace,
-    apply_adjoint,
-    apply_forward,
-    domain_report,
-    subdiff_inverse,
-)
+from .engine import FunctionOnSpace, SubdiffMap, apply_forward, subdiff_inverse
 from .errors import InternalError, NoSolutionError, ValidationError
 from .extreal import DEFAULT_TOL, ExtReal, float_approx_eq
 from .kernel import Kernel
@@ -82,22 +76,26 @@ class Solution:
     caveats: Tuple[str, ...]
 
 
-def _cover_family(problem: Problem, f_min: FunctionOnSpace) -> CoverFamily:
+def _cover_family(problem: Problem, f_min: FunctionOnSpace,
+                  inv: SubdiffMap) -> CoverFamily:
     g = problem.g
     universe = tuple(
         l for l in problem.restricted_x() if g.value(l).v > -math.inf
     )
     pool = tuple(l for l, v in zip(f_min.labels, f_min.values) if v < math.inf)
-    inv = subdiff_inverse(problem.kernel, g, problem.tolerance)
     return CoverFamily.build(universe, {y: inv.sets[y] for y in pool}, pool)
 
 
 def solve(problem: Problem) -> Solution:
     """Full decision: status, minimal solution, covering certificate,
-    and (when solutions are not unique) a distinct verified witness."""
-    kernel, g, tol = problem.kernel, problem.g, problem.tolerance
-    f_min = apply_adjoint(kernel, g)
-    family = _cover_family(problem, f_min)
+    and (when solutions are not unique) a distinct verified witness.
+
+    The minimal solution and the covering sets come from one pass of
+    the adjoint reduction."""
+    kernel, g = problem.kernel, problem.g
+    inv = subdiff_inverse(kernel, g, problem.tolerance)
+    f_min = FunctionOnSpace(kernel.y_labels, inv.sup)
+    family = _cover_family(problem, f_min, inv)
     report = check_cover(family)
 
     pg = apply_forward(kernel, f_min)

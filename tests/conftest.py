@@ -4,7 +4,16 @@ import random
 import numpy as np
 import pytest
 
+import galois_solve.kernel as kernel_mod
 from galois_solve import FunctionOnSpace, build_moreau, build_table
+from galois_solve.kernel import (
+    FenchelDot,
+    GridSpec,
+    OmegaLipschitz,
+    Quadratic,
+    WeightedPower,
+    build_grid_kernel,
+)
 from galois_solve.scalar import Affine, SignedPower
 
 SQRT6 = math.sqrt(6.0)
@@ -54,3 +63,36 @@ def random_function(rng: random.Random, labels, allow_inf=True):
     return FunctionOnSpace(labels, np.array([
         float(rng.choice(choices)) for _ in labels
     ]))
+
+
+# grid kernels of every family and supported dimension, small enough to
+# store densely
+
+LINE_X = GridSpec.line(-1.3, 1.7, 0.1)
+LINE_Y = GridSpec.line(-2.0, 2.0, 0.125)
+PLANE_X = GridSpec(((-1.0, 1.0, 0.25), (-0.5, 1.0, 0.25)))
+PLANE_Y = GridSpec(((-1.5, 1.5, 0.375), (-1.0, 0.75, 0.25)))
+WEIGHTED_X = GridSpec(((-1.0, 1.0, 0.2), (0.5, 2.0, 0.5)))
+
+FAMILY_GRIDS = [
+    (FenchelDot(), LINE_X, LINE_Y),
+    (FenchelDot(), PLANE_X, PLANE_Y),
+    (Quadratic(0.7), LINE_X, LINE_Y),
+    (Quadratic(0.7), PLANE_X, PLANE_Y),
+    (OmegaLipschitz(1.0, 1.0), LINE_X, LINE_Y),
+    (OmegaLipschitz(1.0, 1.0), PLANE_X, PLANE_Y),
+    (OmegaLipschitz(1.5, 0.5), LINE_X, LINE_Y),
+    (OmegaLipschitz(0.8, 0.3), PLANE_X, PLANE_Y),
+    (WeightedPower(1.5), WEIGHTED_X, LINE_Y),
+    (WeightedPower(1.0), WEIGHTED_X, LINE_Y),
+]
+FAMILY_IDS = [f"{f!r}-{x.ndim}d" for f, x, _ in FAMILY_GRIDS]
+
+
+def dense_and_lazy(monkeypatch, family, x_grid, y_grid):
+    """The family's kernel stored densely, and computed lazily in blocks."""
+    dense = build_grid_kernel(family, x_grid, y_grid)
+    monkeypatch.setattr(kernel_mod, "DENSE_LIMIT", 0)
+    lazy = build_grid_kernel(family, x_grid, y_grid)
+    assert dense._bbar is not None and lazy._bbar is None
+    return dense, lazy

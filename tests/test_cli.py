@@ -194,3 +194,36 @@ def test_report_round_trip(capsys):
     for path in (DEMO, DEMO_BAD):
         rep = solution_to_report(solve(load_problem(path)))
         assert parse_report(render_report(rep)) == rep
+
+
+LINE = {"min": -1, "max": 1, "step": 1}
+MALFORMED = {
+    "quadratic-without-a": {
+        "kernel": {"type": "grid", "family": "quadratic", "x_grid": LINE,
+                   "y_grid": LINE, "params": {}},
+        "g": {"-1": 0, "0": 0, "1": 0},
+    },
+    "grid-without-step": {
+        "kernel": {"type": "grid", "family": "fenchel_dot",
+                   "x_grid": {"min": -1, "max": 1}, "y_grid": LINE},
+        "g": {"-1": 0, "0": 0, "1": 0},
+    },
+    "bbar-text": {"kernel": {"type": "moreau", "bbar": [[0, "abc"]]},
+                  "g": {"x1": 0}},
+    "bbar-null": {"kernel": {"type": "moreau", "bbar": [[0, None]]},
+                  "g": {"x1": 0}},
+    "bbar-nan": {"kernel": {"type": "moreau", "bbar": [[0, "nan"]]},
+                 "g": {"x1": 0}},
+    "g-text": {"kernel": {"type": "moreau", "bbar": [[0, 1]]},
+               "g": {"x1": "abc"}},
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_malformed_problem_file_exits_2(tmp_path, capsys, name):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(MALFORMED[name]))
+    code, out, err = run(capsys, "solve", str(path))
+    assert code == 2
+    assert err.startswith("validation error:")
+    assert "Traceback" not in out + err

@@ -4,12 +4,17 @@ import random
 import numpy as np
 import pytest
 
-from conftest import random_function, random_moreau_kernel
+from conftest import (
+    FAMILY_GRIDS,
+    FAMILY_IDS,
+    dense_and_lazy,
+    random_function,
+    random_moreau_kernel,
+)
 from galois_solve.engine import (
     FunctionOnSpace,
     apply_adjoint,
     apply_forward,
-    compactness_conditions_hold,
     domain_report,
     projector,
     subdiff,
@@ -145,10 +150,6 @@ def test_label_mismatch_raises(demo_kernel, demo_g):
         apply_forward(demo_kernel, demo_g)  # g lives on the x side
 
 
-def test_compactness_predicate_is_vacuous(demo_kernel):
-    assert compactness_conditions_hold(demo_kernel)
-
-
 # -- algebraic laws on random kernels (small copies; the acceptance
 #    suite runs the full 1000-instance battery)
 
@@ -217,3 +218,33 @@ def test_threads_env_gives_same_answer(monkeypatch, demo_kernel, demo_g):
     serial = apply_forward(k, f)
     assert np.array_equal(threaded.values, serial.values)
     assert base.approx_eq(apply_adjoint(demo_kernel, demo_g))
+
+
+# -- lazy and dense kernels agree, bit for bit
+
+def _same_map(a, b):
+    return a.sets == b.sets and np.array_equal(a.sup, b.sup)
+
+
+@pytest.mark.parametrize("family,x_grid,y_grid", FAMILY_GRIDS, ids=FAMILY_IDS)
+def test_lazy_and_dense_transforms_agree(monkeypatch, family, x_grid, y_grid):
+    dense, lazy = dense_and_lazy(monkeypatch, family, x_grid, y_grid)
+    rng = np.random.default_rng(5)
+    g = FunctionOnSpace(dense.x_labels, rng.normal(size=dense.shape[0]))
+    f = FunctionOnSpace(dense.y_labels, rng.normal(size=dense.shape[1]))
+    assert np.array_equal(apply_forward(lazy, f).values,
+                          apply_forward(dense, f).values)
+    assert np.array_equal(apply_adjoint(lazy, g).values,
+                          apply_adjoint(dense, g).values)
+    inv = subdiff_inverse(dense, g)
+    assert _same_map(subdiff_inverse(lazy, g), inv)
+    assert np.array_equal(inv.sup, apply_adjoint(dense, g).values)
+
+    keep = dense.y_labels[1::2]
+    r_dense, r_lazy = dense.restrict(keep), lazy.restrict(keep)
+    f_r = FunctionOnSpace(r_dense.y_labels, f.values[1::2])
+    assert np.array_equal(apply_forward(r_lazy, f_r).values,
+                          apply_forward(r_dense, f_r).values)
+    assert np.array_equal(apply_adjoint(r_lazy, g).values,
+                          apply_adjoint(r_dense, g).values)
+    assert _same_map(subdiff_inverse(r_lazy, g), subdiff_inverse(r_dense, g))

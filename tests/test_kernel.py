@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from conftest import random_moreau_kernel
+from conftest import FAMILY_GRIDS, FAMILY_IDS, dense_and_lazy, random_moreau_kernel
 from galois_solve.errors import ValidationError
 from galois_solve.kernel import (
     DENSE_LIMIT,
@@ -194,3 +194,28 @@ def test_lazy_kernel_above_limit():
     r = k.restrict(k.y_labels[:100])
     assert r.shape == (k.shape[0], 100)
     assert r.bbar_row(5)[7] == k.bbar_row(5)[7]
+
+
+# -- lazy blocks against the dense table, bit for bit
+
+@pytest.mark.parametrize("family,x_grid,y_grid", FAMILY_GRIDS, ids=FAMILY_IDS)
+def test_lazy_blocks_equal_dense_table(monkeypatch, family, x_grid, y_grid):
+    dense, lazy = dense_and_lazy(monkeypatch, family, x_grid, y_grid)
+    table = dense.bbar_row(slice(None))
+    nx, ny = table.shape
+    assert np.array_equal(lazy.bbar_row(slice(None)), table)
+    assert np.array_equal(lazy.bbar_col(slice(None)), table.T)
+    for lo, hi in ((0, 5), (3, 17), (nx - 4, nx)):
+        assert np.array_equal(lazy.bbar_row(slice(lo, hi)), table[lo:hi])
+    for lo, hi in ((0, 5), (3, 17), (ny - 4, ny)):
+        assert np.array_equal(lazy.bbar_col(slice(lo, hi)), table[:, lo:hi].T)
+    for i in (0, nx // 2, nx - 1):
+        assert np.array_equal(lazy.bbar_row(i), table[i])
+    for j in (0, ny // 2, ny - 1):
+        assert np.array_equal(lazy.bbar_col(j), table[:, j])
+        assert np.array_equal(dense.bbar_col(j), table[:, j])
+    keep = lazy.y_labels[::3]
+    r_dense, r_lazy = dense.restrict(keep), lazy.restrict(keep)
+    assert np.array_equal(r_lazy.bbar_row(slice(None)), table[:, ::3])
+    assert np.array_equal(r_lazy.bbar_col(slice(2, 7)), table[:, ::3][:, 2:7].T)
+    assert np.array_equal(r_dense.bbar_row(slice(None)), table[:, ::3])

@@ -5,8 +5,18 @@ import numpy as np
 import pytest
 
 from conftest import random_function, random_moreau_kernel
-from galois_solve.engine import FunctionOnSpace, projector
+from galois_solve import engine
+from galois_solve import kernel as kernel_mod
+from galois_solve.engine import FunctionOnSpace, apply_forward, projector
 from galois_solve.errors import NoSolutionError, ValidationError
+from galois_solve.kernel import (
+    GridSpec,
+    OmegaLipschitz,
+    build_grid_kernel,
+    build_moreau,
+    build_table,
+)
+from galois_solve.scalar import Affine, Off, SignedPower
 from galois_solve.solver import (
     Problem,
     Status,
@@ -209,3 +219,68 @@ def test_x_restrict_changes_verdict(demo_kernel, demo_g_bad):
     assert verify(
         Problem(demo_kernel, demo_g_bad, x_restrict=("x2",)), sol.f_min
     ).is_solution
+
+
+# -- the thread pool gives the same answers as one thread
+
+def _threaded_cases(monkeypatch):
+    """Kernels with more than one block of outputs on both sides, so the
+    pool runs in both directions, each with a target."""
+    rng = np.random.default_rng(23)
+    n = engine._BLOCK + 44
+    # dense coupling table with -inf entries, and a planted target with
+    # both infinities: f0 = -inf on a column met by rows 5..8 only makes g
+    # +inf there, and row 11 meets only columns where f0 = +inf
+    bbar = rng.integers(-4, 5, (n, n + 5)).astype(float)
+    bbar[rng.random(bbar.shape) < 0.3] = -math.inf
+    bbar[np.arange(n), np.arange(n)] = 0.0
+    bbar[0, n:] = 1.0
+    bbar[:, n] = -math.inf
+    bbar[5:9, n] = 1.0
+    bbar[11] = -math.inf
+    bbar[11, :3] = 0.0
+    moreau = build_moreau(bbar)
+    f0 = rng.integers(0, 3, n + 5).astype(float)
+    f0[:3] = math.inf
+    f0[n] = -math.inf
+    g = apply_forward(moreau, FunctionOnSpace(moreau.y_labels, f0)).values
+    assert np.isposinf(g[5:9]).all() and np.isneginf(g[11])
+    yield moreau, g
+
+    # table of scalar forms, mostly off the support
+    rows = []
+    for i in range(n):
+        row = [Off()] * n
+        row[i] = Affine(float(rng.integers(-3, 4)), 1.0)
+        for j in rng.choice(n, 3, replace=False):
+            if j != i:
+                row[j] = SignedPower(float(rng.integers(-3, 4)), 2.0)
+        rows.append(row)
+    table = build_table(rows)
+    f0 = rng.integers(-2, 3, n).astype(float)
+    yield table, apply_forward(table, FunctionOnSpace(table.y_labels, f0)).values
+
+    # lazy grid kernel
+    monkeypatch.setattr(kernel_mod, "DENSE_LIMIT", 0)
+    grid = GridSpec.line(-3.0, 3.0, 0.02)
+    lazy = build_grid_kernel(OmegaLipschitz(1.0, 1.0), grid, grid)
+    pts = grid.points()
+    f0 = FunctionOnSpace(lazy.y_labels, 0.5 * np.abs(pts) + 0.1 * np.cos(pts))
+    yield lazy, apply_forward(lazy, f0).values
+
+
+def test_thread_count_does_not_change_solutions(monkeypatch):
+    for kernel, g in _threaded_cases(monkeypatch):
+        assert min(kernel.shape) > engine._BLOCK
+        problem = Problem(kernel, FunctionOnSpace(kernel.x_labels, g))
+        monkeypatch.setenv("GALOIS_SOLVE_THREADS", "1")
+        one = solve(problem)
+        monkeypatch.setenv("GALOIS_SOLVE_THREADS", "2")
+        two = solve(problem)
+        assert one.status == two.status
+        assert np.array_equal(one.f_min.values, two.f_min.values)
+        assert one.family.sets == two.family.sets
+        if one.witness_alt is None:
+            assert two.witness_alt is None
+        else:
+            assert np.array_equal(one.witness_alt.values, two.witness_alt.values)
