@@ -1,14 +1,19 @@
 """Core transforms of a kernel: the forward map, its adjoint, the
 projector, subdifferentials and their inverse maps, and domain taxonomy.
 
-All operations are pure functions of immutable inputs.  Every transform
-and argmax set comes from one blocked max-plus reduction: a block holds
-the slices evaluated at one output index per row (a coupling table minus
-the input, or a loop over the support of a table of scalar forms), and
-its rows are reduced to their maxima and, on request, near-maximisers.
-Maxima are order-independent, so optional data-parallel evaluation of
-the blocks (capped by the GALOIS_SOLVE_THREADS environment variable) is
+All operations are pure functions of immutable inputs.  Every argmax
+set, and every transform of a kernel without recorded structure, comes
+from one blocked max-plus reduction: a block holds the slices evaluated
+at one output index per row (a coupling table minus the input, or a
+loop over the support of a table of scalar forms), and its rows are
+reduced to their maxima and, on request, near-maximisers.  Maxima are
+order-independent, so optional data-parallel evaluation of the blocks
+(capped by the GALOIS_SOLVE_THREADS environment variable) is
 deterministic.
+
+Kernels that record a :class:`LipschitzLine` (the distance kernels
+-a|y - x| on 1-D grids) take a single-threaded O(n + m) path for the
+transforms alone; their argmax sets still use the blocked reduction.
 """
 
 from __future__ import annotations
@@ -17,13 +22,14 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Dict, Iterable, Mapping, Optional, Tuple
 
 import numpy as np
 
 from .errors import ValidationError
 from .extreal import DEFAULT_TOL, ExtReal, as_extreal
-from .kernel import Kernel
+from .kernel import Kernel, LipschitzLine
 
 _BLOCK = 256
 
@@ -55,7 +61,10 @@ class FunctionOnSpace:
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
         object.__setattr__(self, "labels", tuple(self.labels))
-        object.__setattr__(self, "_index", {l: k for k, l in enumerate(self.labels)})
+
+    @cached_property
+    def _index(self) -> Dict[str, int]:
+        return {l: k for k, l in enumerate(self.labels)}
 
     @classmethod
     def from_mapping(cls, labels: Iterable[str], mapping: Mapping) -> "FunctionOnSpace":
@@ -215,6 +224,43 @@ def _table_blocks(kernel: Kernel, lam: np.ndarray, by_rows: bool):
     return block
 
 
+def _prefix_argmax(s: np.ndarray) -> np.ndarray:
+    """For every k, the index of a maximum of ``s[:k + 1]``."""
+    at_top = s == np.maximum.accumulate(s)
+    return np.maximum.accumulate(np.where(at_top, np.arange(len(s)), 0))
+
+
+def _envelope_pass(line: LipschitzLine, lam: np.ndarray,
+                   by_rows: bool) -> np.ndarray:
+    """The transform of a 1-D Lipschitz distance kernel in O(n + m).
+
+    With bbar = -a|inner - out| over ascending points, the supremum at
+    an output point splits at that point: to its left the entries are
+    (a*inner - lam) - a*out, to its right (-a*inner - lam) + a*out.  A
+    prefix and a suffix argmax pick one maximiser per side, and the
+    result is the larger of the two table entries there, evaluated with
+    the table's own operations.  Each value is therefore an entry of its
+    row; where the two splits round differently it can sit below the
+    row maximum by a few ulps of a*(|x| + |y|) + |lam|.
+    """
+    out, inner = (line.xp, line.yp) if by_rows else (line.yp, line.xp)
+    a, m = line.a, len(inner)
+    left = _prefix_argmax(a * inner - lam)
+    right = m - 1 - _prefix_argmax((-a * inner - lam)[::-1])[::-1]
+    # inner[:n_left] <= out, and inner[n_below:] >= out
+    n_left = np.searchsorted(inner, out, side="right")
+    n_below = np.searchsorted(inner, out, side="left")
+    jr = right[np.minimum(n_below, m - 1)]
+    jl = np.where(n_left > 0, left[np.maximum(n_left - 1, 0)], jr)
+    jr = np.where(n_below < m, jr, jl)
+
+    def value(j: np.ndarray) -> np.ndarray:
+        x, y = (out, inner[j]) if by_rows else (inner[j], out)
+        return line.entries(x, y) - lam[j]
+
+    return np.maximum(value(jl), value(jr))
+
+
 def _sup_pass(kernel: Kernel, lam: np.ndarray, by_rows: bool,
               near: Optional[Callable] = None):
     """The one max-plus reduction behind both transforms.
@@ -224,8 +270,11 @@ def _sup_pass(kernel: Kernel, lam: np.ndarray, by_rows: bool,
     ``lam``.  With ``near(vals, sup)``, a mask of the entries that count
     as attaining their row's finite or +inf supremum, it also returns
     their indices per output; a supremum of -inf is attained by the
-    whole support.
+    whole support.  Without ``near``, kernels that record a
+    :class:`LipschitzLine` take :func:`_envelope_pass` instead.
     """
+    if near is None and kernel.lipschitz_line is not None:
+        return _envelope_pass(kernel.lipschitz_line, lam, by_rows), []
     n_out = kernel.shape[0 if by_rows else 1]
     make = _coupling_blocks if kernel.is_moreau else _table_blocks
     block = make(kernel, lam, by_rows)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -79,6 +80,11 @@ class GridSpec:
         return out
 
     def labels(self) -> Tuple[str, ...]:
+        return self._labels
+
+    @cached_property
+    def _labels(self) -> Tuple[str, ...]:
+        # formatted once per grid, however many kernels and targets use it
         pts = self.points()
         if self.ndim == 1:
             return tuple(format(v, ".12g") for v in pts)
@@ -151,6 +157,32 @@ class OmegaLipschitz:
         return self.a * np.abs(u) ** self.q
 
 
+@dataclass(frozen=True, eq=False)
+class LipschitzLine:
+    """Structure of an ``OmegaLipschitz`` kernel with q = 1 on 1-D grids:
+    bbar(x, y) = -a|y - x| with ascending x points ``xp`` and y points
+    ``yp``.  The engine reads it to reduce the transforms in O(n + m)."""
+
+    a: float
+    xp: np.ndarray
+    yp: np.ndarray
+
+    def entries(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """The coupling entries at the point pairs (x, y), evaluated with
+        the same float operations as the kernel's table."""
+        return _neg_omega(np.subtract(y, x), self.a, 1.0)
+
+
+def _neg_omega(dist: np.ndarray, a: float, q: float) -> np.ndarray:
+    """-a*|dist|**q in place: the Lipschitz family's per-entry operations."""
+    np.abs(dist, out=dist)
+    if q != 1:
+        np.power(dist, q, out=dist)
+    if a != 1:
+        np.multiply(dist, a, out=dist)
+    return np.negative(dist, out=dist)
+
+
 @dataclass(frozen=True)
 class WeightedPower:
     """bbar((x', x''), y) = -x''*|y - x'|^p over X = E x (0, inf)."""
@@ -174,13 +206,16 @@ class Kernel:
         bbar: Optional[np.ndarray] = None,
         block_fn: Optional[Callable[[object, bool], np.ndarray]] = None,
         is_grid: bool = False,
+        lipschitz_line: Optional[LipschitzLine] = None,
         check: bool = True,
     ):
         """``block_fn(index, by_rows)`` backs a lazy coupling table: for a
         slice or an integer array of row (``by_rows``) or column indices
-        it returns a fresh 2-D array with one row per index."""
-        self.x_labels = tuple(str(l) for l in x_labels)
-        self.y_labels = tuple(str(l) for l in y_labels)
+        it returns a fresh 2-D array with one row per index.
+        ``lipschitz_line`` records that the table is a 1-D Lipschitz
+        distance kernel (see :class:`LipschitzLine`)."""
+        self.x_labels = tuple(map(str, x_labels))
+        self.y_labels = tuple(map(str, y_labels))
         if not self.x_labels or not self.y_labels:
             raise ValidationError("index sets must be nonempty")
         if len(set(self.x_labels)) != len(self.x_labels):
@@ -190,6 +225,7 @@ class Kernel:
         self._xi = {l: i for i, l in enumerate(self.x_labels)}
         self._yi = {l: j for j, l in enumerate(self.y_labels)}
         self.is_grid = is_grid
+        self.lipschitz_line = lipschitz_line
 
         self._entries = None
         self._bbar = None
@@ -334,7 +370,8 @@ class Kernel:
         """Kernel on X x Y', keeping the original column order.
 
         Semantically this forces f(y) = +inf off the subset.  Raises
-        when a row loses all of its support (A1 would break).
+        when a row loses all of its support (A1 would break).  The
+        result records no grid structure.
         """
         wanted = set(y_subset)
         unknown = wanted - set(self.y_labels)
@@ -440,13 +477,18 @@ def build_grid_kernel(family, x_grid: GridSpec, y_grid: GridSpec) -> Kernel:
     block = _family_block(family, xp, yp)
     nx, ny = x_grid.size(), y_grid.size()
 
+    line = None
     if isinstance(family, OmegaLipschitz):
         _spot_check_subadditive(family, yp)
+        if family.q == 1 and x_grid.ndim == 1:
+            line = LipschitzLine(family.a, xp, yp)
 
     if nx * ny <= DENSE_LIMIT:
         return Kernel(x_grid.labels(), y_grid.labels(),
-                      bbar=block(slice(None), True), is_grid=True)
-    return Kernel(x_grid.labels(), y_grid.labels(), block_fn=block, is_grid=True)
+                      bbar=block(slice(None), True), is_grid=True,
+                      lipschitz_line=line)
+    return Kernel(x_grid.labels(), y_grid.labels(), block_fn=block,
+                  is_grid=True, lipschitz_line=line)
 
 
 def _family_block(family, xp, yp):
@@ -491,12 +533,7 @@ def _family_block(family, xp, yp):
                 np.square(out, out=out)
                 out = out.sum(axis=-1)
                 np.sqrt(out, out=out)
-            np.abs(out, out=out)
-            if q != 1:
-                np.power(out, q, out=out)
-            if a != 1:
-                np.multiply(out, a, out=out)
-            return np.negative(out, out=out)
+            return _neg_omega(out, a, q)
         return lipschitz
     if isinstance(family, WeightedPower):
         p = family.p

@@ -133,10 +133,11 @@ def _alternate_witness(problem: Problem, f_min: FunctionOnSpace,
     re-verified by direct application of the forward transform.
     """
     keep = set(irredundant_subcover(family))
+    pool = set(family.index_pool)
     vals = f_min.values.copy()
     changed = False
     for k, y in enumerate(f_min.labels):
-        if y in family.index_pool and y not in keep:
+        if y in pool and y not in keep:
             vals[k] = math.inf
             changed = True
     if not changed:

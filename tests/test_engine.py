@@ -11,6 +11,8 @@ from conftest import (
     random_function,
     random_moreau_kernel,
 )
+import galois_solve.engine as engine
+import galois_solve.kernel as kernel_mod
 from galois_solve.engine import (
     FunctionOnSpace,
     apply_adjoint,
@@ -21,7 +23,13 @@ from galois_solve.engine import (
     subdiff_inverse,
 )
 from galois_solve.errors import ValidationError
-from galois_solve.kernel import FenchelDot, GridSpec, build_grid_kernel
+from galois_solve.kernel import (
+    FenchelDot,
+    GridSpec,
+    Kernel,
+    OmegaLipschitz,
+    build_grid_kernel,
+)
 
 SQRT6 = math.sqrt(6.0)
 
@@ -248,3 +256,101 @@ def test_lazy_and_dense_transforms_agree(monkeypatch, family, x_grid, y_grid):
     assert np.array_equal(apply_adjoint(r_lazy, g).values,
                           apply_adjoint(r_dense, g).values)
     assert _same_map(subdiff_inverse(r_lazy, g), subdiff_inverse(r_dense, g))
+
+
+# -- the O(n + m) envelope path for 1-D Lipschitz kernels, against the
+#    blocked reduction over the same table without the structure
+
+
+def _random_line(rng, dyadic):
+    n = int(rng.integers(1, 40))
+    if dyadic:
+        step = 2.0 ** -int(rng.integers(0, 4))
+        lo = step * int(rng.integers(-30, 5))
+    else:
+        step = float(rng.uniform(0.01, 0.7))
+        lo = float(rng.uniform(-6.0, 2.0))
+    return GridSpec.line(lo, lo + step * (n - 0.5), step)
+
+
+def _random_lam(rng, n, kind):
+    if kind == "normal":
+        return rng.normal(scale=3.0, size=n)
+    lam = rng.integers(-6, 7, size=n).astype(float)
+    if kind == "inf":
+        lam[rng.random(n) < 0.2] = math.inf
+        lam[rng.random(n) < 0.1] = -math.inf
+    return lam
+
+
+@pytest.mark.parametrize("lazy", [False, True], ids=["dense", "lazy"])
+@pytest.mark.parametrize("a", [1.0, 0.5, 2.0, 1.0 / 3.0])
+def test_envelope_path_matches_blocked_reduction(monkeypatch, lazy, a):
+    if lazy:
+        monkeypatch.setattr(kernel_mod, "DENSE_LIMIT", 0)
+    rng = np.random.default_rng(int(a * 96) + lazy)
+    eps = np.finfo(float).eps
+    for case in range(120):
+        dyadic = case % 2 == 0
+        x_grid = _random_line(rng, dyadic)
+        y_grid = x_grid if case % 4 < 2 else _random_line(rng, dyadic)
+        k = build_grid_kernel(OmegaLipschitz(a, 1.0), x_grid, y_grid)
+        assert k.lipschitz_line is not None and (k._bbar is None) == lazy
+        table = np.array(k.bbar_row(slice(None)))
+        oracle = Kernel(k.x_labels, k.y_labels, bbar=table)
+        assert oracle.lipschitz_line is None
+        for kind in ("integer", "normal", "inf"):
+            for forward in (True, False):
+                rows = table if forward else table.T
+                lam = _random_lam(rng, rows.shape[1], kind)
+                if forward:
+                    f = FunctionOnSpace(k.y_labels, lam)
+                    fast = apply_forward(k, f).values
+                    dense = apply_forward(oracle, f).values
+                else:
+                    g = FunctionOnSpace(k.x_labels, lam)
+                    fast = apply_adjoint(k, g).values
+                    dense = apply_adjoint(oracle, g).values
+                vals = rows - lam[None, :]
+                assert np.all((vals == fast[:, None]).any(axis=1))
+                assert np.all(fast <= dense)
+                fin = np.isfinite(dense)
+                assert np.array_equal(fast[~fin], dense[~fin])
+                finite_lam = lam[np.isfinite(lam)]
+                scale = a * (np.abs(x_grid.points()).max()
+                             + np.abs(y_grid.points()).max())
+                if finite_lam.size:
+                    scale += np.abs(finite_lam).max()
+                assert np.all(fast[fin] >= dense[fin] - 8 * eps * scale)
+                if dyadic and kind != "normal" and a != 1.0 / 3.0:
+                    # every operation is exact on these grids
+                    assert np.array_equal(fast, dense)
+
+
+@pytest.mark.parametrize("family,x_grid,y_grid", FAMILY_GRIDS, ids=FAMILY_IDS)
+def test_envelope_path_selection(monkeypatch, family, x_grid, y_grid):
+    dense, lazy = dense_and_lazy(monkeypatch, family, x_grid, y_grid)
+    structured = (isinstance(family, OmegaLipschitz) and family.q == 1
+                  and x_grid.ndim == 1)
+    restricted = [k.restrict(k.y_labels[::2]) for k in (dense, lazy)]
+    for k in (dense, lazy):
+        assert (k.lipschitz_line is not None) == structured
+    assert all(k.lipschitz_line is None for k in restricted)
+
+    def refuse(*args):
+        raise AssertionError("took the envelope path")
+
+    monkeypatch.setattr(engine, "_envelope_pass", refuse)
+    rng = np.random.default_rng(3)
+    for k in [dense, lazy] + restricted:
+        g = FunctionOnSpace(k.x_labels, rng.normal(size=k.shape[0]))
+        f = FunctionOnSpace(k.y_labels, rng.normal(size=k.shape[1]))
+        # tie sets always come from the blocked reduction
+        subdiff_inverse(k, g)
+        subdiff(k, f)
+        if k.lipschitz_line is None:
+            apply_forward(k, f)
+            apply_adjoint(k, g)
+        else:
+            with pytest.raises(AssertionError, match="envelope"):
+                apply_forward(k, f)

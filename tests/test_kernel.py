@@ -127,6 +127,15 @@ def test_gridspec_points_count():
     assert g.labels()[0] == "-2"
 
 
+def test_gridspec_labels_cached_per_grid():
+    g = GridSpec.line(-2, 2, 0.5)
+    assert g.labels() is g.labels()
+    assert g == GridSpec.line(-2, 2, 0.5) and hash(g) == hash(GridSpec.line(-2, 2, 0.5))
+    plane = GridSpec(((0, 1, 0.5), (0, 1, 1)))
+    assert plane.labels() is plane.labels()
+    assert plane.labels()[:2] == ("(0,0)", "(0,1)")
+
+
 def test_gridspec_validation():
     with pytest.raises(ValidationError):
         GridSpec.line(0, 1, 0)

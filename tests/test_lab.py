@@ -1,12 +1,19 @@
+import importlib.util
+import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
 
+from galois_solve.engine import FunctionOnSpace, apply_adjoint, apply_forward
 from galois_solve.errors import NotLipschitzError, ValidationError
-from galois_solve.kernel import GridSpec
+from galois_solve.kernel import GridSpec, OmegaLipschitz, build_grid_kernel
 from galois_solve.lab import (
+    EXPERIMENTS,
     GridFunction,
+    _exgeom_target,
+    _subdiff_nonempty,
     conjugate_with_flags,
     fenchel_conjugate,
     fenchel_experiment,
@@ -197,6 +204,64 @@ def test_exgeom_coarse():
     assert r.max_abs_error <= r.tolerance
     assert r.details["subdiff_domain_matches_fixed_points"]
     assert r.details["fixed_points_match_intervals"]
+
+
+def _blocked_subdiff_nonempty(pts, gv, av, tol, block=16):
+    """The membership predicate av <= -|x - y| - g(x) + tol evaluated
+    entry by entry, blocked over x."""
+    out = np.empty(len(pts), dtype=bool)
+    for lo in range(0, len(pts), block):
+        hi = min(lo + block, len(pts))
+        cand = np.subtract(pts[lo:hi, None], pts[None, :])
+        np.abs(cand, out=cand)
+        np.negative(cand, out=cand)
+        cand -= gv[lo:hi, None]
+        cand += tol
+        out[lo:hi] = (av[None, :] <= cand).any(axis=1)
+    return out
+
+
+@pytest.mark.parametrize("step", [0.01, 0.005])
+def test_exgeom_predicate_matches_blocked_oracle(step):
+    grid = GridSpec.line(-6.0, 8.0, step)
+    pts = grid.points()
+    gv = _exgeom_target(pts)
+    tol = 2.0 * step
+    kernel = build_grid_kernel(OmegaLipschitz(1.0, 1.0), grid, grid)
+    av = apply_adjoint(kernel, FunctionOnSpace(kernel.x_labels, gv)).values
+    proj = apply_forward(kernel, FunctionOnSpace(kernel.y_labels, av)).values
+    # the lab's ambiguity band: within rounding of the tie threshold
+    clear = np.abs(np.abs(proj - gv) - tol) > 1e-9
+    fast = _subdiff_nonempty(pts, gv, av, tol)
+    oracle = _blocked_subdiff_nonempty(pts, gv, av, tol)
+    assert np.array_equal(fast[clear], oracle[clear])
+    assert fast.any() and not fast.all()
+
+
+def test_subdiff_nonempty_on_random_data():
+    # the exgeom data leaves one split unused, so draw data that needs both
+    rng = np.random.default_rng(23)
+    pts = GridSpec.line(-3.0, 3.0, 0.05).points()
+    for _ in range(20):
+        gv = rng.normal(size=len(pts))
+        av = rng.normal(size=len(pts))
+        tol = float(rng.uniform(0.0, 2.0))
+        margin = (av[None, :] + np.abs(pts[:, None] - pts[None, :])).min(axis=1)
+        clear = np.abs(margin + gv - tol) > 1e-9
+        fast = _subdiff_nonempty(pts, gv, av, tol)
+        oracle = _blocked_subdiff_nonempty(pts, gv, av, tol)
+        assert np.array_equal(fast[clear], oracle[clear])
+
+
+def test_run_labs_script_json(capsys):
+    path = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "run_labs.py"
+    spec = importlib.util.spec_from_file_location("run_labs", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    assert script.main(["--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert sorted(report) == sorted(EXPERIMENTS)
+    assert all(r["pass"] for r in report.values())
 
 
 def test_run_experiment_dispatch():
