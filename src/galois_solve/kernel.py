@@ -206,14 +206,11 @@ class Kernel:
         bbar: Optional[np.ndarray] = None,
         block_fn: Optional[Callable[[object, bool], np.ndarray]] = None,
         is_grid: bool = False,
-        lipschitz_line: Optional[LipschitzLine] = None,
         check: bool = True,
     ):
         """``block_fn(index, by_rows)`` backs a lazy coupling table: for a
         slice or an integer array of row (``by_rows``) or column indices
-        it returns a fresh 2-D array with one row per index.
-        ``lipschitz_line`` records that the table is a 1-D Lipschitz
-        distance kernel (see :class:`LipschitzLine`)."""
+        it returns a fresh 2-D array with one row per index."""
         self.x_labels = tuple(map(str, x_labels))
         self.y_labels = tuple(map(str, y_labels))
         if not self.x_labels or not self.y_labels:
@@ -225,7 +222,8 @@ class Kernel:
         self._xi = {l: i for i, l in enumerate(self.x_labels)}
         self._yi = {l: j for j, l in enumerate(self.y_labels)}
         self.is_grid = is_grid
-        self.lipschitz_line = lipschitz_line
+        # set only by build_grid_kernel, from the family and the grids
+        self._line: Optional[LipschitzLine] = None
 
         self._entries = None
         self._bbar = None
@@ -270,6 +268,12 @@ class Kernel:
     @property
     def shape(self) -> Tuple[int, int]:
         return len(self.x_labels), len(self.y_labels)
+
+    @property
+    def lipschitz_line(self) -> Optional[LipschitzLine]:
+        """The 1-D Lipschitz distance structure of a grid kernel, if any
+        (see :class:`LipschitzLine`)."""
+        return self._line
 
     @property
     def is_moreau(self) -> bool:
@@ -484,11 +488,13 @@ def build_grid_kernel(family, x_grid: GridSpec, y_grid: GridSpec) -> Kernel:
             line = LipschitzLine(family.a, xp, yp)
 
     if nx * ny <= DENSE_LIMIT:
-        return Kernel(x_grid.labels(), y_grid.labels(),
-                      bbar=block(slice(None), True), is_grid=True,
-                      lipschitz_line=line)
-    return Kernel(x_grid.labels(), y_grid.labels(), block_fn=block,
-                  is_grid=True, lipschitz_line=line)
+        kernel = Kernel(x_grid.labels(), y_grid.labels(),
+                        bbar=block(slice(None), True), is_grid=True)
+    else:
+        kernel = Kernel(x_grid.labels(), y_grid.labels(), block_fn=block,
+                        is_grid=True)
+    kernel._line = line
+    return kernel
 
 
 def _family_block(family, xp, yp):

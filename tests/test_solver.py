@@ -8,9 +8,10 @@ from conftest import random_function, random_moreau_kernel
 from galois_solve import engine
 from galois_solve import kernel as kernel_mod
 from galois_solve.engine import FunctionOnSpace, apply_forward, projector
-from galois_solve.errors import NoSolutionError, ValidationError
+from galois_solve.errors import InternalError, NoSolutionError, ValidationError
 from galois_solve.kernel import (
     GridSpec,
+    Kernel,
     OmegaLipschitz,
     build_grid_kernel,
     build_moreau,
@@ -284,3 +285,60 @@ def test_thread_count_does_not_change_solutions(monkeypatch):
             assert two.witness_alt is None
         else:
             assert np.array_equal(one.witness_alt.values, two.witness_alt.values)
+
+
+# -- solve on 1-D Lipschitz grids: the envelope path gives the residual
+#    and re-verifies the witness; compare with the blocked reduction over
+#    the same table
+
+
+def _solve_or_error(problem):
+    try:
+        return solve(problem)
+    except InternalError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e-9])
+@pytest.mark.parametrize("offset", [0.0, 1e6])
+def test_solve_on_lipschitz_line_matches_blocked_reduction(tol, offset):
+    rng = np.random.default_rng(int(offset) % 97 + int(tol == 0))
+    eps = np.finfo(float).eps
+    multiple = 0
+    for case in range(150):
+        n = int(rng.integers(5, 60))
+        step = float(rng.uniform(0.01, 0.7))
+        lo = float(rng.uniform(-6.0, 2.0))
+        grid = GridSpec.line(lo, lo + step * (n - 0.5), step)
+        a = [1.0, 0.5, 2.0, 1 / 3][case % 4]
+        k = build_grid_kernel(OmegaLipschitz(a, 1.0), grid, grid)
+        plain = Kernel(k.x_labels, k.y_labels,
+                       bbar=np.array(k.bbar_row(slice(None))), is_grid=True)
+        assert k.lipschitz_line is not None and plain.lipschitz_line is None
+        # a sparse f leaves stretches of slope a in g: many solutions
+        f0 = offset + 3.0 * rng.normal(size=n)
+        f0[rng.random(n) < 0.6] = math.inf
+        f0[0] = offset
+        g = apply_forward(plain, FunctionOnSpace(k.y_labels, f0))
+        fast = _solve_or_error(Problem(k, g, tolerance=tol))
+        dense = _solve_or_error(Problem(plain, g, tolerance=tol))
+        if isinstance(dense, str):
+            assert fast == dense
+            continue
+        assert fast.status == dense.status
+        assert np.array_equal(fast.f_min.values, dense.f_min.values)
+        if dense.witness_alt is None:
+            assert fast.witness_alt is None
+        else:
+            assert np.array_equal(fast.witness_alt.values,
+                                  dense.witness_alt.values)
+        # the residual B f_min, within the envelope's rounding bound
+        pf = np.array([pv.v for _, pv in fast.residual.values()])
+        pd = np.array([pv.v for _, pv in dense.residual.values()])
+        fin = np.isfinite(pd)
+        assert np.array_equal(pf[~fin], pd[~fin]) and np.all(pf <= pd)
+        lam = fast.f_min.values
+        scale = 2 * a * np.abs(grid.points()).max() + np.abs(lam[np.isfinite(lam)]).max()
+        assert np.all(pf[fin] >= pd[fin] - 8 * eps * scale)
+        multiple += fast.status is Status.MULTIPLE
+    assert multiple >= 100
