@@ -73,7 +73,6 @@ from .scalar import (
     ScalarConnection,
     SignedPower,
     TabulatedDecreasing,
-    adjoint,
     make_affine,
     numeric_adjoint,
 )

@@ -5,15 +5,20 @@ the algebraic kind (an index is essential when some point is covered by
 that index alone).  In a discrete space this coincides with the
 topological notion, which is why the solver can use it directly.
 
-All iteration follows the declared index and universe order, so reports
-and witnesses are reproducible.
+Sets are held as arrays of universe positions, so a covering test is
+one count per point; labels are attached only in the reports and in the
+``sets`` view.  All iteration follows the declared index and universe
+order, so reports and witnesses are reproducible.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
-from typing import Dict, Iterable, Mapping, Optional, Tuple
+from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .errors import LimitExceeded, NotACoverError, ValidationError
 
@@ -21,21 +26,24 @@ from .errors import LimitExceeded, NotACoverError, ValidationError
 EXACT_LIMIT = 20
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoverFamily:
     """A universe of points and an indexed family of subsets of it.
 
-    Sets are intersected with the universe at construction; indices keep
-    the order of ``index_pool`` and points keep the order of ``universe``.
+    ``members`` holds one sorted array of universe positions per index
+    of ``index_pool``; points outside the universe are not members.
+    Indices keep the order of ``index_pool`` and points the order of
+    ``universe``.  ``sets`` is the same family by label.
     """
 
     universe: Tuple[str, ...]
-    sets: Dict[str, frozenset]
     index_pool: Tuple[str, ...]
+    members: Sequence[np.ndarray] = field(repr=False)
 
     @classmethod
     def build(cls, universe: Iterable, sets: Mapping,
               index_pool: Optional[Iterable] = None) -> "CoverFamily":
+        """The family of label sets ``sets``, clipped to the universe."""
         uni = tuple(dict.fromkeys(universe))
         pool = tuple(index_pool) if index_pool is not None else tuple(sets)
         if len(set(pool)) != len(pool):
@@ -43,18 +51,37 @@ class CoverFamily:
         missing = [z for z in pool if z not in sets]
         if missing:
             raise ValidationError(f"pool indices without sets: {missing[:4]}")
-        uset = set(uni)
-        clipped = {z: frozenset(sets[z]) & uset for z in pool}
-        return cls(uni, clipped, pool)
+        pos = {w: k for k, w in enumerate(uni)}
+        members = [np.array(sorted(pos[w] for w in set(sets[z]) if w in pos),
+                            dtype=np.intp) for z in pool]
+        return cls(uni, pool, members)
+
+    @cached_property
+    def sets(self) -> Dict[str, frozenset]:
+        uni = self.universe
+        return {z: frozenset(uni[k] for k in m.tolist())
+                for z, m in zip(self.index_pool, self.members)}
+
+    @cached_property
+    def _counts(self) -> np.ndarray:
+        """How many indices cover each universe point (read-only)."""
+        flat = np.concatenate([np.empty(0, np.intp), *self.members])
+        out = np.bincount(flat, minlength=len(self.universe))
+        out.flags.writeable = False
+        return out
 
     def union(self, indices: Iterable[str]) -> frozenset:
-        out: set = set()
-        for z in indices:
-            out |= self.sets[z]
-        return frozenset(out)
+        return frozenset().union(*(self.sets[z] for z in indices))
 
     def covers(self, indices: Iterable[str]) -> bool:
-        return self.union(indices) >= set(self.universe)
+        hit = np.zeros(len(self.universe), dtype=bool)
+        for z in indices:
+            hit[self.members[self._at[z]]] = True
+        return bool(hit.all())
+
+    @cached_property
+    def _at(self) -> Dict[str, int]:
+        return {z: k for k, z in enumerate(self.index_pool)}
 
 
 @dataclass(frozen=True)
@@ -74,19 +101,15 @@ class CoverReport:
 
 
 def check_cover(family: CoverFamily) -> CoverReport:
-    counts: Dict[str, int] = {w: 0 for w in family.universe}
-    for z in family.index_pool:
-        for w in family.sets[z]:
-            counts[w] += 1
-    uncovered = tuple(w for w in family.universe if counts[w] == 0)
-    pos = {w: k for k, w in enumerate(family.universe)}
+    counts, uni = family._counts, family.universe
+    uncovered = tuple(uni[k] for k in np.flatnonzero(counts == 0))
     essential = []
     witnesses: Dict[str, str] = {}
-    for z in family.index_pool:
-        private = [w for w in family.sets[z] if counts[w] == 1]
-        if private:
+    for z, m in zip(family.index_pool, family.members):
+        private = m[counts[m] == 1]
+        if private.size:
             essential.append(z)
-            witnesses[z] = min(private, key=pos.__getitem__)
+            witnesses[z] = uni[private[0]]
     is_cover = not uncovered
     is_minimal = is_cover and len(essential) == len(family.index_pool)
     return CoverReport(
@@ -101,19 +124,13 @@ def check_cover(family: CoverFamily) -> CoverReport:
 def irredundant_subcover(family: CoverFamily) -> Tuple[str, ...]:
     """Greedy removal in index order, leaving a subcover in which every
     index is essential.  Deterministic given the declared order."""
-    if not check_cover(family).is_cover:
+    counts = family._counts.copy()
+    if not counts.all():
         raise NotACoverError("family does not cover the universe")
-    kept = list(family.index_pool)
-    counts: Dict[str, int] = {w: 0 for w in family.universe}
-    for z in kept:
-        for w in family.sets[z]:
-            counts[w] += 1
     result = []
-    for z in family.index_pool:
-        removable = all(counts[w] > 1 for w in family.sets[z])
-        if removable:
-            for w in family.sets[z]:
-                counts[w] -= 1
+    for z, m in zip(family.index_pool, family.members):
+        if (counts[m] > 1).all():
+            counts[m] -= 1
         else:
             result.append(z)
     return tuple(result)

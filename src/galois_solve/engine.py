@@ -3,13 +3,17 @@ projector, subdifferentials and their inverse maps, and domain taxonomy.
 
 All operations are pure functions of immutable inputs.  Every argmax
 set, and every transform of a kernel without recorded structure, comes
-from one blocked max-plus reduction: a block holds the slices evaluated
-at one output index per row (a coupling table minus the input, or a
-loop over the support of a table of scalar forms), and its rows are
-reduced to their maxima and, on request, near-maximisers.  Maxima are
-order-independent, so optional data-parallel evaluation of the blocks
-(capped by the GALOIS_SOLVE_THREADS environment variable) is
+from one blocked max-plus reduction, :func:`sup_pass`, which the grid
+experiments in :mod:`galois_solve.lab` call too: a block holds the
+slices evaluated at one output index per row (a coupling table minus
+the input, or a loop over the support of a table of scalar forms), and
+its rows are reduced to their maxima and, on request, near-maximisers.
+Maxima are order-independent, so optional data-parallel evaluation of
+the blocks (capped by the GALOIS_SOLVE_THREADS environment variable) is
 deterministic.
+
+Argmax sets travel as sorted arrays of indices; :class:`SubdiffMap`
+turns them into label sets only when its ``sets`` view is read.
 
 Kernels that record a :class:`LipschitzLine` (the distance kernels
 -a|y - x| on 1-D grids) take a single-threaded O(n + m) path for the
@@ -23,12 +27,12 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Dict, Iterable, Mapping, Optional, Tuple
+from typing import Callable, Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import ValidationError
-from .extreal import DEFAULT_TOL, ExtReal, as_extreal
+from .extreal import DEFAULT_TOL, ExtReal, as_extreal, close
 from .kernel import Kernel, LipschitzLine
 
 _BLOCK = 256
@@ -123,12 +127,7 @@ class FunctionOnSpace:
 
     def approx_eq(self, other: "FunctionOnSpace", tol: float = DEFAULT_TOL) -> bool:
         self._require_same_space(other)
-        a, b = self.values, other.values
-        same = a == b
-        both_fin = np.isfinite(a) & np.isfinite(b)
-        with np.errstate(invalid="ignore"):
-            close = both_fin & (np.abs(np.where(both_fin, a - b, 0.0)) <= tol)
-        return bool(np.all(same | close))
+        return bool(np.all(close(self.values, other.values, tol)))
 
     def _require_same_space(self, other: "FunctionOnSpace"):
         if self.labels != other.labels:
@@ -146,39 +145,38 @@ class DomainReport:
     ldom: Tuple[str, ...]
     udom: Tuple[str, ...]
     dom: Tuple[str, ...]
-    idom: Tuple[str, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SubdiffMap:
     """A set-valued map from one side's labels into subsets of the other.
 
-    ``sup`` holds, per source label, the supremum whose near-maximisers
-    make up the sets, when the map was built from one.
+    ``ties`` holds, per source index, the sorted indices of its image on
+    the target side; ``sets`` is the same map by label.  ``sup`` holds,
+    per source label, the supremum whose near-maximisers make up the
+    sets, when the map was built from one.
     """
 
     source_labels: Tuple[str, ...]
     target_labels: Tuple[str, ...]
-    sets: Dict[str, frozenset]
-    sup: Optional[np.ndarray] = field(default=None, compare=False, repr=False)
+    ties: Sequence[np.ndarray] = field(repr=False)
+    sup: Optional[np.ndarray] = field(default=None, repr=False)
 
-    def get(self, label: str) -> frozenset:
-        return self.sets[label]
-
-    def domain(self) -> Tuple[str, ...]:
-        """Labels with a nonempty image, in source order."""
-        return tuple(l for l in self.source_labels if self.sets[l])
+    @cached_property
+    def sets(self) -> Dict[str, frozenset]:
+        tl = self.target_labels
+        return {s: frozenset(tl[i] for i in idx.tolist())
+                for s, idx in zip(self.source_labels, self.ties)}
 
     def invert(self) -> "SubdiffMap":
-        out = {t: set() for t in self.target_labels}
-        for s in self.source_labels:
-            for t in self.sets[s]:
-                out[t].add(s)
-        return SubdiffMap(
-            self.target_labels,
-            self.source_labels,
-            {t: frozenset(v) for t, v in out.items()},
-        )
+        sizes = [len(idx) for idx in self.ties]
+        flat = np.concatenate([np.empty(0, np.intp), *self.ties])
+        owner = np.repeat(np.arange(len(sizes)), sizes)
+        # a stable sort by target keeps each target's sources ascending
+        order = np.argsort(flat, kind="stable")
+        ends = np.cumsum(np.bincount(flat, minlength=len(self.target_labels)))
+        return SubdiffMap(self.target_labels, self.source_labels,
+                          np.split(owner[order], ends[:-1]))
 
 
 # ----------------------------------------------------------------------
@@ -261,16 +259,16 @@ def _envelope_pass(line: LipschitzLine, lam: np.ndarray,
     return np.maximum(value(jl), value(jr))
 
 
-def _sup_pass(kernel: Kernel, lam: np.ndarray, by_rows: bool,
-              near: Optional[Callable] = None):
+def sup_pass(kernel: Kernel, lam: np.ndarray, by_rows: bool,
+             near: Optional[Callable] = None):
     """The one max-plus reduction behind both transforms.
 
     For each output index (x for the forward map, y for the adjoint) it
     returns the supremum over the other side of the slices evaluated at
     ``lam``.  With ``near(vals, sup)``, a mask of the entries that count
     as attaining their row's finite or +inf supremum, it also returns
-    their indices per output; a supremum of -inf is attained by the
-    whole support.  Without ``near``, kernels that record a
+    their sorted indices per output; a supremum of -inf is attained by
+    the whole support.  Without ``near``, kernels that record a
     :class:`LipschitzLine` take :func:`_envelope_pass` instead.
     """
     if near is None and kernel.lipschitz_line is not None:
@@ -291,7 +289,8 @@ def _sup_pass(kernel: Kernel, lam: np.ndarray, by_rows: bool,
             hit[r] = False
             hit[r, list(support(lo + r))] = True
         rows, cols = np.nonzero(hit)
-        return top, np.split(cols, np.searchsorted(rows, np.arange(1, hi - lo)))
+        ends = np.searchsorted(rows, np.arange(hi - lo + 1)).tolist()
+        return top, [cols[a:b] for a, b in zip(ends, ends[1:])]
 
     spans = [(lo, min(lo + _BLOCK, n_out)) for lo in range(0, n_out, _BLOCK)]
     threads = _thread_count()
@@ -308,14 +307,14 @@ def apply_forward(kernel: Kernel, f: FunctionOnSpace) -> FunctionOnSpace:
     """The connection itself: (Bf)(x) = sup_y b(x, y, f(y))."""
     if f.labels != kernel.y_labels:
         raise ValidationError("function labels do not match the kernel's y side")
-    return FunctionOnSpace(kernel.x_labels, _sup_pass(kernel, f.values, True)[0])
+    return FunctionOnSpace(kernel.x_labels, sup_pass(kernel, f.values, True)[0])
 
 
 def apply_adjoint(kernel: Kernel, g: FunctionOnSpace) -> FunctionOnSpace:
     """The adjoint connection: (B°g)(y) = sup_x b°(y, x, g(x))."""
     if g.labels != kernel.x_labels:
         raise ValidationError("function labels do not match the kernel's x side")
-    return FunctionOnSpace(kernel.y_labels, _sup_pass(kernel, g.values, False)[0])
+    return FunctionOnSpace(kernel.y_labels, sup_pass(kernel, g.values, False)[0])
 
 
 def projector(kernel: Kernel, g: FunctionOnSpace) -> FunctionOnSpace:
@@ -337,12 +336,9 @@ def subdiff_inverse(kernel: Kernel, g: FunctionOnSpace,
     The map's ``sup`` is the adjoint transform of g."""
     if g.labels != kernel.x_labels:
         raise ValidationError("function labels do not match the kernel's x side")
-    top, ties = _sup_pass(kernel, g.values, False,
-                          lambda vals, top: vals >= (top - tol)[:, None])
-    xl = kernel.x_labels
-    sets = {yl: frozenset(xl[i] for i in idx.tolist())
-            for yl, idx in zip(kernel.y_labels, ties)}
-    return SubdiffMap(kernel.y_labels, kernel.x_labels, sets, sup=top)
+    top, ties = sup_pass(kernel, g.values, False,
+                         lambda vals, top: vals >= (top - tol)[:, None])
+    return SubdiffMap(kernel.y_labels, kernel.x_labels, ties, sup=top)
 
 
 def subdiff(kernel: Kernel, f: FunctionOnSpace,
@@ -353,23 +349,16 @@ def subdiff(kernel: Kernel, f: FunctionOnSpace,
     if f.labels != kernel.y_labels:
         raise ValidationError("function labels do not match the kernel's y side")
 
-    def near(vals: np.ndarray, top: np.ndarray) -> np.ndarray:
-        with np.errstate(invalid="ignore"):
-            return (vals == top[:, None]) | (np.abs(vals - top[:, None]) <= tol)
-
-    _, ties = _sup_pass(kernel, f.values, True, near)
-    by_x = SubdiffMap(kernel.x_labels, kernel.y_labels, {
-        xl: frozenset(kernel.y_labels[j] for j in idx.tolist())
-        for xl, idx in zip(kernel.x_labels, ties)
-    })
-    return by_x.invert()
+    _, ties = sup_pass(kernel, f.values, True,
+                       lambda vals, top: close(vals, top[:, None], tol))
+    return SubdiffMap(kernel.x_labels, kernel.y_labels, ties).invert()
 
 
 def domain_report(h: FunctionOnSpace) -> DomainReport:
     """Lower/upper/two-sided domains.  On a discrete space the inner
-    domain coincides with the domain, so idom is reported as dom."""
+    domain coincides with the domain, so it is not reported apart."""
     ldom = tuple(l for l, v in zip(h.labels, h.values) if v < math.inf)
     udom = tuple(l for l, v in zip(h.labels, h.values) if v > -math.inf)
     both = set(ldom) & set(udom)
     dom = tuple(l for l in h.labels if l in both)
-    return DomainReport(ldom=ldom, udom=udom, dom=dom, idom=dom)
+    return DomainReport(ldom=ldom, udom=udom, dom=dom)

@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Union
 
+import numpy as np
+
 #: Default absolute tolerance for comparing finite values.  Argmax sets
 #: (subdifferentials) must be stable under floating-point noise.
 DEFAULT_TOL = 1e-9
@@ -121,14 +123,13 @@ def approx_eq(a: ExtReal, b: ExtReal, tol: float = DEFAULT_TOL) -> bool:
     return abs(av - bv) <= tol
 
 
-# float-level twins, used on hot paths where wrapping is wasteful
-
-def float_approx_eq(av: float, bv: float, tol: float = DEFAULT_TOL) -> bool:
-    if av == bv:
-        return True
-    if math.isinf(av) or math.isinf(bv):
-        return False
-    return abs(av - bv) <= tol
+def close(a, b, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Elementwise absolute-tolerance equality of float arrays: equal,
+    or both finite and at most ``tol`` apart."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    with np.errstate(invalid="ignore"):
+        near = np.isfinite(a) & np.isfinite(b) & (np.abs(a - b) <= tol)
+    return (a == b) | near
 
 
 def to_json(a: ExtReal):

@@ -7,6 +7,13 @@ conjugate values whose argmax lands on the window edge are flagged and
 excluded from pass/fail accounting: a boundary-attained maximum may
 mask divergence.
 
+Every maximum over a grid, with its exact argmax set, comes from the
+engine's reduction (:func:`galois_solve.engine.sup_pass`) over a grid
+kernel.  Two checks stay independent of it on purpose: the Lipschitz
+experiment's input check and the exgeom experiment's
+nonempty-subdifferential predicate.  The quadratic experiment's two
+routes share only the reduction; their integrands are built apart.
+
 Tolerances follow the local-slope model: a C^1 integrand sampled at
 step h attains its supremum up to h times a slope bound, so pass/fail
 thresholds are stated as multiples of the step with explicit constants,
@@ -19,18 +26,21 @@ import csv
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Optional
 
 import numpy as np
 
-from .engine import FunctionOnSpace, apply_adjoint, apply_forward
+from .engine import FunctionOnSpace, apply_adjoint, apply_forward, sup_pass
 from .errors import NotLipschitzError, ValidationError
-from .kernel import GridSpec, Kernel, OmegaLipschitz, Quadratic, build_grid_kernel
+from .kernel import (
+    FenchelDot,
+    GridSpec,
+    OmegaLipschitz,
+    Quadratic,
+    WeightedPower,
+    build_grid_kernel,
+)
 from .solver import Problem, Status, solve
-
-#: Rows per block of the lab's dense loops: 16 rows of even a 14001-point
-#: grid (1.8 MB) stay in a per-core L2 cache while updated in place.
-_BLOCK = 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,48 +132,20 @@ def _jsonable(obj):
 
 
 # ----------------------------------------------------------------------
-# the plain conjugate (independent of the kernel/engine route)
+# exact maxima through the engine's reduction
 
 
-def _pairing_rows(xblock: np.ndarray, ypts: np.ndarray) -> np.ndarray:
-    if ypts.ndim == 1:
-        return xblock[:, None] * ypts[None, :]
-    return xblock @ ypts.T
+def _exact_max(kernel, fvals: np.ndarray):
+    """Per x, the maximum over y of bbar(x, y) - f(y) and the y attaining
+    it exactly (all of them where it is -inf), from the engine's one
+    reduction: f = +inf gives -inf, and f = -inf gives +inf."""
+    return sup_pass(kernel, fvals, True, lambda vals, top: vals == top[:, None])
 
 
-def _conjugate_detail(ypts: np.ndarray, fvals: np.ndarray, xpts: np.ndarray):
-    """max_y (<x, y> - f(y)) with -inf absorbing, plus per-x argmax and a
-    flag for maxima attained on the y-window edge."""
-    n_out = len(xpts)
-    ny = len(ypts)
-    gvals = np.empty(n_out)
-    argmax = np.empty(n_out, dtype=int)
-    boundary = np.empty(n_out, dtype=bool)
-    edge = _edge_mask(ypts)
-    for lo in range(0, n_out, _BLOCK):
-        hi = min(lo + _BLOCK, n_out)
-        t = _minus_f(_pairing_rows(xpts[lo:hi], ypts), fvals)
-        gvals[lo:hi], tie = _max_ties(t)
-        argmax[lo:hi] = t.argmax(axis=1)
-        boundary[lo:hi] = (tie & edge[None, :]).any(axis=1)
-    return gvals, argmax, boundary
-
-
-def _minus_f(t: np.ndarray, fvals: np.ndarray) -> np.ndarray:
-    """t(x, y) - f(y) in place: f = +inf gives -inf, f = -inf gives +inf."""
-    t -= np.where(np.isfinite(fvals), fvals, 0.0)
-    t[:, np.isposinf(fvals)] = -np.inf
-    t[:, np.isneginf(fvals)] = np.inf
-    return t
-
-
-def _max_ties(t: np.ndarray):
-    """Row maxima, and the entries attaining them (all, where -inf)."""
-    m = t.max(axis=1)
-    with np.errstate(invalid="ignore"):
-        tie = t == m[:, None]
-    tie[np.isneginf(m)] = True
-    return m, tie
+def _touches(ties, where: np.ndarray) -> np.ndarray:
+    """Per (nonempty) tie set, whether it meets the y mask ``where``."""
+    starts = np.cumsum([0] + [len(t) for t in ties[:-1]])
+    return np.logical_or.reduceat(where[np.concatenate(ties)], starts)
 
 
 def _edge_mask(ypts: np.ndarray) -> np.ndarray:
@@ -176,23 +158,34 @@ def _edge_mask(ypts: np.ndarray) -> np.ndarray:
     return ((ypts == lo[None, :]) | (ypts == hi[None, :])).any(axis=1)
 
 
-def fenchel_conjugate(f: GridFunction, x_grid: GridSpec) -> GridFunction:
-    """The discrete conjugate g(x) = max over grid y of <x,y> - f(y)."""
-    if f.grid.ndim != x_grid.ndim:
+def _pairing(x_grid: GridSpec, y_grid: GridSpec):
+    """The kernel <x, y> of the classical conjugate."""
+    if x_grid.ndim != y_grid.ndim:
         raise ValidationError("conjugate grids must share a dimension")
     if x_grid.ndim > 2:
         raise ValidationError("only 1-D and 2-D grids are supported")
-    gvals, _, _ = _conjugate_detail(f.grid.points(), f.samples, x_grid.points())
-    return GridFunction(x_grid, gvals)
+    return build_grid_kernel(FenchelDot(), x_grid, y_grid)
+
+
+def _conjugate(pairing, f: GridFunction, x_grid: GridSpec):
+    """max_y (<x, y> - f(y)) over the ``pairing`` kernel of x_grid and
+    f's grid, the first argmax per x, and a flag for maxima also
+    attained on the y-window edge."""
+    gvals, ties = _exact_max(pairing, f.samples)
+    argmax = np.array([t[0] for t in ties], dtype=int)
+    boundary = _touches(ties, _edge_mask(f.grid.points()))
+    return GridFunction(x_grid, gvals), argmax, boundary
+
+
+def fenchel_conjugate(f: GridFunction, x_grid: GridSpec) -> GridFunction:
+    """The discrete conjugate g(x) = max over grid y of <x,y> - f(y)."""
+    return _conjugate(_pairing(x_grid, f.grid), f, x_grid)[0]
 
 
 def conjugate_with_flags(f: GridFunction, x_grid: GridSpec):
     """Like :func:`fenchel_conjugate` but also returns the per-point
     argmax index and the boundary-attainment flag."""
-    gvals, argmax, boundary = _conjugate_detail(
-        f.grid.points(), f.samples, x_grid.points()
-    )
-    return GridFunction(x_grid, gvals), argmax, boundary
+    return _conjugate(_pairing(x_grid, f.grid), f, x_grid)
 
 
 # ----------------------------------------------------------------------
@@ -207,19 +200,20 @@ def fenchel_experiment(step: float = 0.01) -> LabResult:
     ypts = y_grid.points()
     xpts = x_grid.points()
 
+    pairing = _pairing(x_grid, y_grid)
     f = GridFunction(y_grid, 0.5 * ypts * ypts)
-    g, _, boundary = conjugate_with_flags(f, x_grid)
+    g, _, boundary = _conjugate(pairing, f, x_grid)
     interior = ~boundary
     err_parabola = float(np.max(np.abs(g.samples[interior]
                                        - 0.5 * xpts[interior] ** 2)))
 
-    # product inequality f(y) + g(x) >= x*y, checked against the same
-    # integrand array the conjugate maximised, hence exact
-    t = _pairing_rows(xpts, ypts) - f.samples[None, :]
+    # product inequality f(y) + g(x) >= x*y, checked against the rows of
+    # the kernel the conjugate maximised over, hence exact
+    t = pairing.bbar_row(slice(None)) - f.samples[None, :]
     fy_violation = float((t - g.samples[:, None]).max())
 
     f_abs = GridFunction(y_grid, np.abs(ypts))
-    g_abs, _, b_abs = conjugate_with_flags(f_abs, x_grid)
+    g_abs, _, b_abs = _conjugate(pairing, f_abs, x_grid)
     inside = np.abs(xpts) <= 0.99
     err_abs = float(np.max(np.abs(g_abs.samples[inside])))
     outside_flagged = bool(np.all(b_abs[np.abs(xpts) > 1.0 + step]))
@@ -273,13 +267,8 @@ def quadratic_reduction_check(f: GridFunction, a: float,
     fv = f.samples
 
     kernel = build_grid_kernel(Quadratic(a), x_grid, y_grid)
-    route_a = apply_forward(kernel, f.to_function()).values
-    # argmax of the kernel route, recomputed from the same row arrays
-    arg_a = np.empty(len(xpts), dtype=int)
-    for lo in range(0, len(xpts), _BLOCK):
-        hi = min(lo + _BLOCK, len(xpts))
-        t = _minus_f(np.array(kernel.bbar_row(slice(lo, hi))), fv)
-        arg_a[lo:hi] = t.argmax(axis=1)
+    route_a, ties_a = _exact_max(kernel, fv)
+    arg_a = np.array([t[0] for t in ties_a], dtype=int)
 
     if y_grid.ndim == 1:
         penalty = 0.5 * a * ypts * ypts
@@ -436,26 +425,20 @@ def weighted_power_domain(f: GridFunction, p: float,
     """
     if f.grid.ndim != 1 or xprime_grid.ndim != 1 or xsecond_grid.ndim != 1:
         raise ValidationError("weighted-power experiment uses 1-D grids")
-    if p <= 0:
-        raise ValidationError("power exponent must be positive")
-    ypts = f.grid.points()
-    fv = f.samples
-    xp = xprime_grid.points()
     levels = xsecond_grid.points()
-    if levels[0] <= 0:
-        raise ValidationError("weight levels must be positive")
+    # x' major, x'' minor: the column k of a reshaped result is level k
+    x_grid = GridSpec(xprime_grid.dims + xsecond_grid.dims)
+    kernel = build_grid_kernel(WeightedPower(p), x_grid, f.grid)
+    top, ties = _exact_max(kernel, f.samples)
+    finite = np.isfinite(top).reshape(-1, len(levels)).all(axis=0)
+    at_edge = _touches(ties, _edge_mask(f.grid.points()))
+    at_edge = at_edge.reshape(-1, len(levels)).any(axis=0)
 
-    per_level = []
-    for w in levels:
-        t = _minus_f(-w * np.abs(ypts[None, :] - xp[:, None]) ** p, fv)
-        m, tie = _max_ties(t)
-        at_edge = tie[:, 0] | tie[:, -1]
-        finite = bool(np.all(np.isfinite(m)))
-        per_level.append({
-            "level": float(w),
-            "finite_on_grid": finite,
-            "certified": finite and not bool(at_edge.any()),
-        })
+    per_level = [
+        {"level": float(w), "finite_on_grid": bool(fin),
+         "certified": bool(fin and not edge)}
+        for w, fin, edge in zip(levels, finite, at_edge)
+    ]
 
     cert = [entry["certified"] for entry in per_level]
     upset = _is_upset(cert)

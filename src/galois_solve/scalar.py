@@ -204,15 +204,6 @@ def make_affine(c, m: float = 1.0) -> ScalarConnection:
     return Affine(cv, m)
 
 
-def adjoint(conn: ScalarConnection) -> ScalarConnection:
-    """The residual map of ``conn``: min{s : t >= conn(s)} as a form."""
-    return conn.adjoint()
-
-
-def conn_to_dict(conn: ScalarConnection) -> dict:
-    return conn.to_dict()
-
-
 def conn_from_dict(d: dict) -> ScalarConnection:
     if not isinstance(d, dict) or "type" not in d:
         raise ValidationError(f"not a scalar form: {d!r}")

@@ -8,7 +8,6 @@ files are rejected rather than ignored, so typos fail loudly.
 from __future__ import annotations
 
 import json
-import math
 from typing import Optional, Tuple
 
 from . import extreal
@@ -154,10 +153,6 @@ def solution_to_report(sol: Solution) -> dict:
 
 def render_report(report: dict) -> str:
     return json.dumps(report, indent=2, sort_keys=True)
-
-
-def parse_report(text: str) -> dict:
-    return json.loads(text)
 
 
 def parse_function_arg(arg: str, labels: Tuple[str, ...]) -> FunctionOnSpace:

@@ -22,6 +22,8 @@ import enum
 import math
 import random
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import compress
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -29,7 +31,7 @@ import numpy as np
 from .covering import CoverFamily, CoverReport, check_cover, irredundant_subcover
 from .engine import FunctionOnSpace, SubdiffMap, apply_forward, subdiff_inverse
 from .errors import InternalError, NoSolutionError, ValidationError
-from .extreal import DEFAULT_TOL, ExtReal, float_approx_eq
+from .extreal import DEFAULT_TOL, ExtReal, close
 from .kernel import Kernel
 
 
@@ -59,10 +61,14 @@ class Problem:
             raise ValidationError("tolerance must be nonnegative")
 
     def restricted_x(self) -> Tuple[str, ...]:
+        return tuple(compress(self.kernel.x_labels, self._x_mask()))
+
+    def _x_mask(self) -> np.ndarray:
+        """X' as a mask over the kernel's x side."""
         if self.x_restrict is None:
-            return self.kernel.x_labels
+            return np.ones(len(self.kernel.x_labels), dtype=bool)
         keep = set(self.x_restrict)
-        return tuple(l for l in self.kernel.x_labels if l in keep)
+        return np.array([l in keep for l in self.kernel.x_labels], dtype=bool)
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,12 +84,15 @@ class Solution:
 
 def _cover_family(problem: Problem, f_min: FunctionOnSpace,
                   inv: SubdiffMap) -> CoverFamily:
-    g = problem.g
-    universe = tuple(
-        l for l in problem.restricted_x() if g.value(l).v > -math.inf
-    )
-    pool = tuple(l for l, v in zip(f_min.labels, f_min.values) if v < math.inf)
-    return CoverFamily.build(universe, {y: inv.sets[y] for y in pool}, pool)
+    """The covering sets of the pool (the y where f_min < +inf) over the
+    universe (the x of X' where g > -inf), as universe positions."""
+    kernel = problem.kernel
+    in_universe = problem._x_mask() & (problem.g.values > -math.inf)
+    position = np.cumsum(in_universe) - 1
+    pool = np.flatnonzero(f_min.values < math.inf)
+    members = [position[t[in_universe[t]]] for t in (inv.ties[j] for j in pool)]
+    return CoverFamily(tuple(compress(kernel.x_labels, in_universe)),
+                       tuple(kernel.y_labels[j] for j in pool), members)
 
 
 def solve(problem: Problem) -> Solution:
@@ -133,15 +142,12 @@ def _alternate_witness(problem: Problem, f_min: FunctionOnSpace,
     re-verified by direct application of the forward transform.
     """
     keep = set(irredundant_subcover(family))
-    pool = set(family.index_pool)
-    vals = f_min.values.copy()
-    changed = False
-    for k, y in enumerate(f_min.labels):
-        if y in pool and y not in keep:
-            vals[k] = math.inf
-            changed = True
-    if not changed:
+    drop = np.array([y not in keep for y in family.index_pool], dtype=bool)
+    if not drop.any():
         raise InternalError("non-minimal covering produced no removable index")
+    # the pool is the y side where f_min < +inf, in the family's order
+    vals = f_min.values.copy()
+    vals[np.flatnonzero(vals < math.inf)[drop]] = math.inf
     witness = FunctionOnSpace(f_min.labels, vals)
     if not verify(problem, witness).is_solution:
         raise InternalError("constructed witness failed re-verification")
@@ -150,27 +156,29 @@ def _alternate_witness(problem: Problem, f_min: FunctionOnSpace,
 
 @dataclass(frozen=True, eq=False)
 class VerifyReport:
+    """``holds`` marks the x where the check passed; ``comparisons`` is
+    the same check by label, with both values."""
+
     is_solution: bool
     transformed: FunctionOnSpace
-    comparisons: Dict[str, Tuple[ExtReal, ExtReal, bool]]
+    target: FunctionOnSpace
+    holds: np.ndarray
+
+    @cached_property
+    def comparisons(self) -> Dict[str, Tuple[ExtReal, ExtReal, bool]]:
+        return {l: (ExtReal(b), ExtReal(g), bool(ok)) for l, b, g, ok in zip(
+            self.target.labels, self.transformed.values, self.target.values,
+            self.holds)}
 
 
 def verify(problem: Problem, f: FunctionOnSpace) -> VerifyReport:
     """Direct check that f solves the (possibly restricted) problem:
     the transform must be <= g everywhere and equal to g on X'."""
-    kernel, g, tol = problem.kernel, problem.g, problem.tolerance
-    bf = apply_forward(kernel, f)
-    restricted = set(problem.restricted_x())
-    comparisons = {}
-    ok = True
-    for l, bval, gval in zip(g.labels, bf.values, g.values):
-        if l in restricted:
-            good = float_approx_eq(bval, gval, tol)
-        else:
-            good = bval <= gval + tol
-        comparisons[l] = (ExtReal(bval), ExtReal(gval), bool(good))
-        ok = ok and good
-    return VerifyReport(bool(ok), bf, comparisons)
+    g, tol = problem.g, problem.tolerance
+    bf = apply_forward(problem.kernel, f)
+    holds = np.where(problem._x_mask(), close(bf.values, g.values, tol),
+                     bf.values <= g.values + tol)
+    return VerifyReport(bool(holds.all()), bf, g, holds)
 
 
 @dataclass(frozen=True)
@@ -245,11 +253,9 @@ def oracle_check(problem: Problem, trials: int = 200, seed: int = 0) -> bool:
     f_min = sol.f_min
 
     pg = apply_forward(problem.kernel, f_min)
-    universe = [
-        l for l in problem.restricted_x() if g.value(l).v > -math.inf
-    ]
-    exists_oracle = pg.leq(g, tol) and all(
-        float_approx_eq(pg.value(l).v, g.value(l).v, tol) for l in universe
+    in_universe = problem._x_mask() & (g.values > -math.inf)
+    exists_oracle = pg.leq(g, tol) and bool(
+        close(pg.values, g.values, tol)[in_universe].all()
     )
     if exists_oracle != (sol.status != Status.NO_SOLUTION):
         return False

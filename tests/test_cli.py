@@ -8,7 +8,6 @@ import pytest
 from galois_solve.cli import main
 from galois_solve.serialize import (
     load_problem,
-    parse_report,
     problem_from_dict,
     render_report,
     solution_to_report,
@@ -193,7 +192,7 @@ def test_problem_file_moreau_and_grid(tmp_path):
 def test_report_round_trip(capsys):
     for path in (DEMO, DEMO_BAD):
         rep = solution_to_report(solve(load_problem(path)))
-        assert parse_report(render_report(rep)) == rep
+        assert json.loads(render_report(rep)) == rep
 
 
 LINE = {"min": -1, "max": 1, "step": 1}

@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from galois_solve.covering import (
     CoverFamily,
+    CoverReport,
     check_cover,
     irredundant_subcover,
     smallest_subcover,
@@ -130,3 +131,71 @@ def test_subcover_chain(fam):
     rep = check_cover(sub)
     assert rep.is_cover and rep.is_minimal
     assert fam.covers(small)
+
+
+# -- the label-set implementation the index-array one replaced, kept as
+#    its oracle
+
+
+def _oracle_check_cover(universe, sets, pool):
+    counts = {w: 0 for w in universe}
+    for z in pool:
+        for w in sets[z]:
+            counts[w] += 1
+    uncovered = tuple(w for w in universe if counts[w] == 0)
+    pos = {w: k for k, w in enumerate(universe)}
+    essential, witnesses = [], {}
+    for z in pool:
+        private = [w for w in sets[z] if counts[w] == 1]
+        if private:
+            essential.append(z)
+            witnesses[z] = min(private, key=pos.__getitem__)
+    is_cover = not uncovered
+    return CoverReport(is_cover, uncovered, tuple(essential), witnesses,
+                       is_cover and len(essential) == len(pool))
+
+
+def _oracle_irredundant(universe, sets, pool):
+    counts = {w: 0 for w in universe}
+    for z in pool:
+        for w in sets[z]:
+            counts[w] += 1
+    result = []
+    for z in pool:
+        if all(counts[w] > 1 for w in sets[z]):
+            for w in sets[z]:
+                counts[w] -= 1
+        else:
+            result.append(z)
+    return tuple(result)
+
+
+# points "p0".."p5" with a universe of some of them (so that sets reach
+# outside it), up to 7 sets that may be empty or repeat one another, and
+# a pool that lists the indices in an order of its own
+labelled_families = st.tuples(
+    st.lists(st.integers(0, 5), max_size=6, unique=True),
+    st.lists(st.frozensets(st.integers(0, 5)), min_size=1, max_size=7),
+    st.randoms(use_true_random=False),
+)
+
+
+@settings(max_examples=200)
+@given(labelled_families)
+def test_index_arrays_match_label_set_oracle(data):
+    points, raw_sets, rnd = data
+    universe = tuple(f"p{k}" for k in points)
+    raw_sets = raw_sets + raw_sets[:1]  # always one duplicate set
+    sets = {f"z{k}": {f"p{v}" for v in s} for k, s in enumerate(raw_sets)}
+    pool = list(sets)
+    rnd.shuffle(pool)
+    fam = CoverFamily.build(universe, sets, pool)
+    clipped = {z: frozenset(sets[z]) & set(universe) for z in pool}
+    assert fam.sets == clipped
+    assert check_cover(fam) == _oracle_check_cover(universe, clipped, pool)
+    if _oracle_check_cover(universe, clipped, pool).is_cover:
+        assert irredundant_subcover(fam) == _oracle_irredundant(
+            universe, clipped, pool)
+    else:
+        with pytest.raises(NotACoverError):
+            irredundant_subcover(fam)

@@ -144,9 +144,24 @@ def test_subdiff_on_conjugate_grid():
     assert all(a <= b + 1e-9 for a, b in zip(centres, centres[1:]))
 
 
+def test_invert_matches_label_sets():
+    rng = np.random.default_rng(17)
+    for _ in range(50):
+        ns, nt = rng.integers(1, 8, 2)
+        ties = [np.flatnonzero(rng.random(nt) < 0.4) for _ in range(ns)]
+        src = tuple(f"s{k}" for k in range(ns))
+        tgt = tuple(f"t{k}" for k in range(nt))
+        fwd = engine.SubdiffMap(src, tgt, ties)
+        inv = fwd.invert()
+        assert inv.source_labels == tgt and inv.target_labels == src
+        assert inv.sets == {t: frozenset(s for s in src if t in fwd.sets[s])
+                            for t in tgt}
+        assert all(np.all(np.diff(idx) > 0) for idx in inv.ties)
+
+
 def test_domain_report(demo_g, demo_kernel):
     rep = domain_report(demo_g)
-    assert rep.ldom == rep.udom == rep.dom == rep.idom == ("x1", "x2")
+    assert rep.ldom == rep.udom == rep.dom == ("x1", "x2")
     g2 = fos(demo_kernel.x_labels, -math.inf, 2)
     assert domain_report(g2).udom == ("x2",)
     bstar = fos(demo_kernel.y_labels, math.sqrt(3), 6, 3)

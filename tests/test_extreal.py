@@ -103,3 +103,14 @@ def test_json_encoding():
         extreal.from_json("wide")
     with pytest.raises(ValueError):
         extreal.from_json(None)
+
+
+def test_close_is_the_absolute_rule():
+    # equal, or both finite and at most tol apart: infinities only match
+    # themselves, whatever the tolerance
+    vals = [-math.inf, -1e300, -1.0, 0.0, 1e-10, 1.0, 1.5, math.inf]
+    for tol in (0.0, 1e-9, 0.5, math.inf):
+        for a, b in product(vals, vals):
+            want = a == b or (math.isfinite(a) and math.isfinite(b)
+                              and abs(a - b) <= tol)
+            assert bool(extreal.close(a, b, tol)) == want, (a, b, tol)

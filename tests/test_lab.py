@@ -92,6 +92,101 @@ def test_biconjugate_below_and_tight_where_convex():
     assert np.max(np.abs((fback.samples - f.samples)[inner])) <= 2 * step * 2
 
 
+# the lab's own blocked reduction before it went through the engine,
+# kept as the oracle of the engine-routed conjugate
+
+
+def _oracle_conjugate(ypts, fvals, xpts, block=16):
+    """max_y (<x, y> - f(y)) with -inf absorbing, plus per-x argmax and a
+    flag for maxima attained on the y-window edge."""
+    n_out = len(xpts)
+    gvals = np.empty(n_out)
+    argmax = np.empty(n_out, dtype=int)
+    boundary = np.empty(n_out, dtype=bool)
+    if ypts.ndim == 1:
+        edge = np.zeros(len(ypts), dtype=bool)
+        edge[0] = edge[-1] = True
+    else:
+        edge = ((ypts == ypts.min(axis=0)) | (ypts == ypts.max(axis=0))).any(axis=1)
+    for lo in range(0, n_out, block):
+        hi = min(lo + block, n_out)
+        xb = xpts[lo:hi]
+        t = xb[:, None] * ypts[None, :] if ypts.ndim == 1 else xb @ ypts.T
+        t -= np.where(np.isfinite(fvals), fvals, 0.0)
+        t[:, np.isposinf(fvals)] = -np.inf
+        t[:, np.isneginf(fvals)] = np.inf
+        m = t.max(axis=1)
+        with np.errstate(invalid="ignore"):
+            tie = t == m[:, None]
+        tie[np.isneginf(m)] = True
+        gvals[lo:hi] = m
+        argmax[lo:hi] = t.argmax(axis=1)
+        boundary[lo:hi] = (tie & edge[None, :]).any(axis=1)
+    return gvals, argmax, boundary
+
+
+def _random_samples(rng, n):
+    """Samples with ties, both infinities, and sometimes +inf throughout."""
+    kind = rng.integers(4)
+    if kind == 0:
+        return np.full(n, np.inf)
+    vals = rng.integers(-3, 4, n).astype(float) if kind == 1 else rng.normal(size=n)
+    vals[rng.random(n) < 0.2] = np.inf
+    if kind < 3:
+        vals[rng.random(n) < 0.1] = -np.inf
+    return vals
+
+
+def _line_cases():
+    # a flat-bottomed bowl: ties of every size, some on the window edge
+    # (|x| = 4) and some inside it (x = 0), next to single maxima
+    y_grid = GridSpec.line(-2.0, 2.0, 0.25)
+    bowl = 4 * np.maximum(np.abs(y_grid.points()) - 0.5, 0.0)
+    yield y_grid, GridSpec.line(-6.0, 6.0, 0.5), bowl
+    rng = np.random.default_rng(5)
+    for _ in range(60):
+        lo = float(rng.integers(-4, 0))
+        step = float(rng.choice([0.25, 0.1, 1 / 3]))
+        y_grid = GridSpec.line(lo, lo + float(rng.integers(1, 5)), step)
+        x_grid = GridSpec.line(-2.0, 2.0, float(rng.choice([0.5, 0.3])))
+        yield y_grid, x_grid, _random_samples(rng, y_grid.size())
+
+
+def test_conjugate_matches_oracle_bitwise_on_lines():
+    for y_grid, x_grid, samples in _line_cases():
+        f = GridFunction(y_grid, samples)
+        g, argmax, boundary = conjugate_with_flags(f, x_grid)
+        want = _oracle_conjugate(y_grid.points(), f.samples, x_grid.points())
+        assert np.array_equal(g.samples, want[0])
+        assert np.array_equal(argmax, want[1])
+        assert np.array_equal(boundary, want[2])
+
+
+def test_conjugate_matches_oracle_on_planes():
+    # 2-D pairings are a stacked matmul in the kernel and `@` in the
+    # oracle, which may round differently: values agree within
+    # 4 eps (|x|_1 max|y| + max finite |f|), and each argmax attains the
+    # oracle's maximum within that bound.  Boundary flags hang on exact
+    # ties, so they are compared on lines only.
+    rng = np.random.default_rng(9)
+    y_grid = GridSpec(((-1.0, 1.0, 0.1), (-1.5, 0.5, 0.3)))
+    x_grid = GridSpec(((-2.0, 2.0, 0.7), (-1.0, 1.0, 0.3)))
+    ypts, xpts = y_grid.points(), x_grid.points()
+    for _ in range(20):
+        f = GridFunction(y_grid, _random_samples(rng, y_grid.size()))
+        g, argmax, _ = conjugate_with_flags(f, x_grid)
+        want = _oracle_conjugate(ypts, f.samples, xpts)[0]
+        fin = np.isfinite(want)
+        assert np.array_equal(g.samples[~fin], want[~fin])
+        f_max = np.abs(f.samples[np.isfinite(f.samples)]).max(initial=0.0)
+        bound = 4 * np.finfo(float).eps * (
+            np.abs(xpts).sum(axis=1) * np.abs(ypts).max() + f_max)
+        assert np.all(np.abs(g.samples[fin] - want[fin]) <= bound[fin])
+        at = xpts[fin] @ ypts.T - f.samples[None, :]
+        picked = at[np.arange(fin.sum()), argmax[fin]]
+        assert np.all(picked >= want[fin] - bound[fin])
+
+
 def test_fenchel_experiment_passes():
     r = fenchel_experiment()
     assert r.passed

@@ -1,11 +1,14 @@
+import functools
+import importlib.util
 import math
+import pathlib
 import random
 
 import numpy as np
 import pytest
 
 from conftest import random_function, random_moreau_kernel
-from galois_solve import engine
+from galois_solve import covering, engine
 from galois_solve import kernel as kernel_mod
 from galois_solve.engine import FunctionOnSpace, apply_forward, projector
 from galois_solve.errors import InternalError, NoSolutionError, ValidationError
@@ -342,3 +345,45 @@ def test_solve_on_lipschitz_line_matches_blocked_reduction(tol, offset):
         assert np.all(pf[fin] >= pd[fin] - 8 * eps * scale)
         multiple += fast.status is Status.MULTIPLE
     assert multiple >= 100
+
+
+# -- tie sets stay index arrays inside solve
+
+
+def test_solve_never_reads_label_sets(monkeypatch, demo_kernel, demo_g, demo_g_bad):
+    def refuse(self):
+        raise AssertionError("label sets built inside solve")
+
+    monkeypatch.setattr(engine.SubdiffMap, "sets", property(refuse))
+    monkeypatch.setattr(covering.CoverFamily, "sets", property(refuse))
+    assert solve(Problem(demo_kernel, demo_g)).status is Status.MULTIPLE
+    restricted = demo_kernel.restrict(["y1", "y2"])
+    assert solve(Problem(restricted, demo_g)).status is Status.UNIQUE
+    assert solve(Problem(demo_kernel, demo_g_bad)).status is Status.NO_SOLUTION
+
+
+def test_multiple_verdict_counts_the_cover_once(monkeypatch, demo_kernel, demo_g):
+    # check_cover and the witness's irredundant_subcover share one count
+    families = []
+    count = covering.CoverFamily._counts.func
+
+    def counted(family):
+        families.append(family)
+        return count(family)
+
+    prop = functools.cached_property(counted)
+    prop.__set_name__(covering.CoverFamily, "_counts")
+    monkeypatch.setattr(covering.CoverFamily, "_counts", prop)
+    assert solve(Problem(demo_kernel, demo_g)).status is Status.MULTIPLE
+    assert len(families) == 1
+
+
+def test_worked_example_script(capsys):
+    path = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "worked_example.py"
+    spec = importlib.util.spec_from_file_location("worked_example", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    assert script.main() == 0
+    out = capsys.readouterr().out
+    for status in ("multiple", "unique", "no_solution"):
+        assert f"status: {status}" in out
