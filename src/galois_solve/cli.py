@@ -12,7 +12,6 @@ ran but failed its tolerance.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from . import extreal
@@ -20,6 +19,7 @@ from .engine import apply_adjoint, apply_forward
 from .errors import ValidationError
 from .lab import EXPERIMENTS, run_experiment, write_curves_csv
 from .serialize import (
+    function_to_json,
     load_problem,
     parse_function_arg,
     render_report,
@@ -114,10 +114,7 @@ def cmd_apply(args) -> int:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     if args.json:
-        print(json.dumps(
-            {l: extreal.to_json(v) for l, v in result.as_dict().items()},
-            indent=2,
-        ))
+        print(render_report(function_to_json(result), sort_keys=False))
     else:
         for l, v in result.as_dict().items():
             print(f"{l} = {v}")
@@ -135,7 +132,7 @@ def cmd_lab(args) -> int:
     if args.csv and result.curves:
         write_curves_csv(args.csv, result.curves)
     if args.json:
-        print(json.dumps(result.to_dict(), indent=2, sort_keys=True))
+        print(render_report(result.to_dict()))
     else:
         print(f"experiment: {result.experiment}")
         print(f"max abs error: {result.max_abs_error:.6g} "

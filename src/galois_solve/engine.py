@@ -5,9 +5,12 @@ All operations are pure functions of immutable inputs.  Every argmax
 set, and every transform of a kernel without recorded structure, comes
 from one blocked max-plus reduction, :func:`sup_pass`, which the grid
 experiments in :mod:`galois_solve.lab` call too: a block holds the
-slices evaluated at one output index per row (a coupling table minus
-the input, or a loop over the support of a table of scalar forms), and
-its rows are reduced to their maxima and, on request, near-maximisers.
+slices evaluated at one output index per row, and its rows are reduced
+to their maxima and, on request, near-maximisers.  Every kernel builds
+its blocks the same way from its :class:`~galois_solve.kernel.Slices`:
+offsets minus the input (times the slopes, when some slope is not 1),
+then the signed-power and tabulated entries of a table of scalar forms
+overwritten from their parameter arrays.
 Maxima are order-independent, so optional data-parallel evaluation of
 the blocks (capped by the GALOIS_SOLVE_THREADS environment variable) is
 deterministic.
@@ -183,40 +186,37 @@ class SubdiffMap:
 # the sup-of-slices transforms
 
 
-def _coupling_blocks(kernel: Kernel, lam: np.ndarray, by_rows: bool):
-    """Blocks of bbar - lam, with -inf absorbing.
+def _blocks(kernel: Kernel, lam: np.ndarray, by_rows: bool):
+    """Blocks of the kernel's slices evaluated at ``lam``, one row per
+    output index.
 
-    bbar never holds +inf, so a +inf in ``lam`` already yields -inf; only
+    Every entry is first taken as c - m*lam, with -inf absorbing: c
+    never holds +inf, so a +inf in ``lam`` already yields -inf, and only
     -inf - (-inf) needs mending, in the columns where ``lam`` is -inf.
+    The signed-power and tabulated entries are then overwritten by
+    their own closed forms.
     """
-    fetch = kernel.bbar_row if by_rows else kernel.bbar_col
+    side = kernel.slices(by_rows)
+    n_in = len(lam)
     neg = np.flatnonzero(np.isneginf(lam))
 
     def block(lo: int, hi: int) -> np.ndarray:
-        src = fetch(slice(lo, hi))
+        src = side.offsets(slice(lo, hi))
         out = src if src.flags.writeable else np.empty(src.shape)
-        with np.errstate(invalid="ignore"):
-            np.subtract(src, lam, out=out)
-        if neg.size:
-            sub = out[:, neg]
-            sub[np.isnan(sub)] = -math.inf
-            out[:, neg] = sub
-        return out
-
-    return block
-
-
-def _table_blocks(kernel: Kernel, lam: np.ndarray, by_rows: bool):
-    """Blocks of the scalar slices evaluated at ``lam``, -inf off the support."""
-    n_in = kernel.shape[1 if by_rows else 0]
-    entry = kernel.entry if by_rows else kernel.adjoint_entry
-    support = kernel.support_row if by_rows else kernel.support_col
-
-    def block(lo: int, hi: int) -> np.ndarray:
-        out = np.full((hi - lo, n_in), -math.inf)
-        for r, k in enumerate(range(lo, hi)):
-            idx = support(k)
-            out[r, list(idx)] = [entry(k, m).eval_float(lam[m]) for m in idx]
+        with np.errstate(invalid="ignore", over="ignore"):
+            if side.m is None:
+                np.subtract(src, lam, out=out)
+            else:
+                np.subtract(src, side.m[lo:hi] * lam, out=out)
+            if neg.size:
+                sub = out[:, neg]
+                sub[np.isnan(sub)] = -math.inf
+                out[:, neg] = sub
+            for forms in side.forms:
+                a, b = np.searchsorted(forms.at, (lo * n_in, hi * n_in))
+                pos = forms.at[a:b] - lo * n_in
+                np.put(out, pos, forms.values(
+                    lam[pos % n_in], *(p[a:b] for p in forms.params)))
         return out
 
     return block
@@ -274,8 +274,7 @@ def sup_pass(kernel: Kernel, lam: np.ndarray, by_rows: bool,
     if near is None and kernel.lipschitz_line is not None:
         return _envelope_pass(kernel.lipschitz_line, lam, by_rows), []
     n_out = kernel.shape[0 if by_rows else 1]
-    make = _coupling_blocks if kernel.is_moreau else _table_blocks
-    block = make(kernel, lam, by_rows)
+    block = _blocks(kernel, lam, by_rows)
     support = kernel.support_row if by_rows else kernel.support_col
 
     def run(span: Tuple[int, int]):

@@ -6,14 +6,19 @@ means: every row and every column meets the support (so the transforms
 never take an empty supremum), slices on the support are bijective, and
 slices off the support are Off.
 
-Max-plus style kernels derived from a coupling table bbar(x, y) get a
-dense or lazy float backing so the transforms can run vectorised; the
-slice view (affine with unit slope) is materialised on demand.  Lazy
-tables build whole blocks of rows or columns at a time, in place.
+Every kernel hands the engine its slices in one representation,
+:class:`Slices`: per orientation, blocks of offsets c with the slices
+c - m*lam, plus the entries of other forms as typed parameter arrays.
+Max-plus style kernels are a coupling table bbar(x, y), stored densely
+or built lazily in blocks of rows or columns, with every slope 1.  A
+table of scalar forms is a :class:`FormTable` of parameter arrays,
+with the adjoint parameters computed once, in closed form.  The slice
+objects of :mod:`galois_solve.scalar` are built from either on demand.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -23,7 +28,17 @@ import numpy as np
 
 from .errors import ValidationError
 from .extreal import as_extreal
-from .scalar import Affine, Off, ScalarConnection, conn_from_dict, make_affine
+from .scalar import (
+    Affine,
+    Off,
+    ScalarConnection,
+    SignedPower,
+    TabulatedDecreasing,
+    conn_from_dict,
+    make_affine,
+    signed_power_values,
+    tabulated_values,
+)
 
 #: Above this many entries a coupling-table kernel computes rows/columns
 #: on demand instead of storing the dense matrix.
@@ -194,6 +209,156 @@ class WeightedPower:
             raise ValidationError("power exponent must be positive")
 
 
+#: Kind codes of the entries of a :class:`FormTable`.
+OFF, AFFINE, POWER, TABULATED = 0, 1, 2, 3
+
+
+@dataclass(frozen=True, eq=False)
+class FormSet:
+    """The entries of one non-affine kind in one orientation of a table:
+    their flat positions in it (row-major, ascending) and their
+    parameters in the same order, as ``values(lam, *params)`` takes
+    them."""
+
+    at: np.ndarray
+    params: Tuple[np.ndarray, ...]
+    values: Callable[..., np.ndarray]
+
+
+@dataclass(frozen=True, eq=False)
+class Slices:
+    """The slices of one orientation of a kernel: one row per output
+    index (x for the forward map, y for the adjoint), one column per
+    input index.
+
+    ``offsets(index)`` gives those rows of the offsets c, which are -inf
+    off the support.  Every entry evaluates to c - m*lam, with ``m``
+    None when every slope is 1 (as in a coupling table), except the
+    entries of ``forms``, which their own closed forms overwrite.
+    """
+
+    offsets: Callable[[object], np.ndarray]
+    m: Optional[np.ndarray] = None
+    forms: Tuple[FormSet, ...] = ()
+
+
+class FormTable:
+    """A table of scalar forms as typed parameter arrays, one row per x.
+
+    ``kind`` holds a kind code per entry, ``c`` the offset (-inf off the
+    support, 0 for tabulated forms), ``m`` the affine slope or the
+    signed-power exponent (1 otherwise) and ``shift`` the signed-power
+    shift (0 otherwise).  The tabulated forms, in row-major order, have
+    ``n`` breakpoints each in the rows of ``s`` and ``t``, padded with
+    +inf.  Both orientations are computed once; the adjoint one holds
+    the closed-form adjoints: affine (c/m, 1/m), signed power
+    (shift, 1/p, c), tabulated breakpoints swapped and reversed.
+    """
+
+    def __init__(self, kind, c, m, shift, s, t, n):
+        for arr in (kind, c, m, shift, s, t, n):
+            arr.flags.writeable = False
+        self.kind, self.c, self.m, self.shift = kind, c, m, shift
+        self.s, self.t, self.n = s, t, n
+        nx, ny = kind.shape
+        unit = not (m[kind == AFFINE] != 1.0).any()
+        power = np.flatnonzero(kind == POWER)
+        self._tab = np.flatnonzero(kind == TABULATED)
+        self.forward = Slices(
+            c.__getitem__, None if unit else m,
+            _form_sets(power, (c.flat[power], m.flat[power], shift.flat[power]),
+                       self._tab, (s, t, n)))
+        p_at, p_order = _transposed(power, nx, ny)
+        t_at, t_order = _transposed(self._tab, nx, ny)
+        p = power[p_order]
+        s_t, t_t, n_t = s[t_order], t[t_order], n[t_order]
+        self.adjoint = Slices(
+            _frozen(np.where(kind == POWER, shift, c / m).T.copy()).__getitem__,
+            None if unit else _frozen((1.0 / m).T.copy()),
+            _form_sets(p_at, (shift.flat[p], 1.0 / m.flat[p], c.flat[p]),
+                       t_at, (_reversed(t_t, n_t), _reversed(s_t, n_t), n_t)))
+
+    @classmethod
+    def pack(cls, rows: Sequence[Sequence[ScalarConnection]]) -> "FormTable":
+        """The table of the scalar forms ``rows``, one row per x."""
+        nx, ny = len(rows), len(rows[0])
+        if any(len(r) != ny for r in rows):
+            raise ValidationError("entry table shape does not match labels")
+        params, points = [], []
+        for e in itertools.chain.from_iterable(rows):
+            form = type(e)
+            if form is Affine:
+                params.append((AFFINE, e.c, e.m, 0.0))
+            elif form is Off:
+                params.append((OFF, -math.inf, 1.0, 0.0))
+            elif form is SignedPower:
+                params.append((POWER, e.c, e.p, e.shift))
+            elif form is TabulatedDecreasing:
+                params.append((TABULATED, 0.0, 1.0, 0.0))
+                points.append(e.points)
+            else:
+                raise ValidationError(f"not a scalar form: {e!r}")
+        kind, c, m, shift = np.array(params).T.reshape(4, nx, ny)
+        width = max(map(len, points), default=2)
+        pad = ((math.inf, math.inf),) * width
+        pts = np.array([p + pad[len(p):] for p in points]).reshape(-1, width, 2)
+        return cls(kind.astype(np.int8), c, m, shift,
+                   pts[..., 0].copy(), pts[..., 1].copy(),
+                   np.array([len(p) for p in points], dtype=np.intp))
+
+    def entry(self, i: int, j: int) -> ScalarConnection:
+        kind = self.kind[i, j]
+        if kind == OFF:
+            return Off()
+        c, m = float(self.c[i, j]), float(self.m[i, j])
+        if kind == AFFINE:
+            return Affine(c, m)
+        if kind == POWER:
+            return SignedPower(c, m, float(self.shift[i, j]))
+        k = int(np.searchsorted(self._tab, i * self.kind.shape[1] + j))
+        n = self.n[k]
+        return TabulatedDecreasing(tuple(zip(self.s[k, :n].tolist(),
+                                             self.t[k, :n].tolist())))
+
+    def take_columns(self, keep: np.ndarray) -> "FormTable":
+        """The table of the columns ``keep``, in ascending order."""
+        kept = np.zeros(self.kind.shape[1], dtype=bool)
+        kept[keep] = True
+        tab = kept[self._tab % self.kind.shape[1]]
+        return FormTable(self.kind[:, keep], self.c[:, keep], self.m[:, keep],
+                         self.shift[:, keep], self.s[tab], self.t[tab], self.n[tab])
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
+def _form_sets(power_at, power_params, tab_at, tab_params) -> Tuple[FormSet, ...]:
+    sets = []
+    if power_at.size:
+        sets.append(FormSet(power_at, power_params, signed_power_values))
+    if tab_at.size:
+        sets.append(FormSet(tab_at, tab_params, tabulated_values))
+    return tuple(sets)
+
+
+def _transposed(at: np.ndarray, nx: int, ny: int):
+    """The flat positions ``at`` of an (nx, ny) table, moved to its
+    transpose and sorted, with the order that sorts them."""
+    i, j = np.divmod(at, ny)
+    moved = j * nx + i
+    order = np.argsort(moved)
+    return moved[order], order
+
+
+def _reversed(rows: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """The first n[k] entries of each row k in reverse, padded with +inf."""
+    k = n[:, None] - 1 - np.arange(rows.shape[1])
+    return np.where(k >= 0, np.take_along_axis(rows, np.maximum(k, 0), axis=1),
+                    math.inf)
+
+
 class Kernel:
     """Immutable kernel table; construct through the ``build_*`` helpers."""
 
@@ -202,15 +367,18 @@ class Kernel:
         x_labels: Sequence[str],
         y_labels: Sequence[str],
         *,
-        entries: Optional[Sequence[Sequence[ScalarConnection]]] = None,
         bbar: Optional[np.ndarray] = None,
+        forms: Optional[FormTable] = None,
         block_fn: Optional[Callable[[object, bool], np.ndarray]] = None,
         is_grid: bool = False,
-        check: bool = True,
+        copy: bool = True,
     ):
-        """``block_fn(index, by_rows)`` backs a lazy coupling table: for a
-        slice or an integer array of row (``by_rows``) or column indices
-        it returns a fresh 2-D array with one row per index."""
+        """The kernel of a coupling table ``bbar``, of a :class:`FormTable`
+        of scalar forms, or of a lazy coupling table ``block_fn(index,
+        by_rows)``, which for a slice or an integer array of row
+        (``by_rows``) or column indices returns a fresh 2-D array with
+        one row per index.  ``bbar`` is copied unless ``copy`` is False,
+        which hands the kernel a freshly built float array to own."""
         self.x_labels = tuple(map(str, x_labels))
         self.y_labels = tuple(map(str, y_labels))
         if not self.x_labels or not self.y_labels:
@@ -225,44 +393,30 @@ class Kernel:
         # set only by build_grid_kernel, from the family and the grids
         self._line: Optional[LipschitzLine] = None
 
-        self._entries = None
         self._bbar = None
+        self._forms = forms
         self._block_fn = block_fn
 
         nx, ny = len(self.x_labels), len(self.y_labels)
-        if entries is not None:
-            rows = [tuple(r) for r in entries]
-            if len(rows) != nx or any(len(r) != ny for r in rows):
+        if forms is not None:
+            if forms.kind.shape != (nx, ny):
                 raise ValidationError("entry table shape does not match labels")
-            for r in rows:
-                for e in r:
-                    if not isinstance(e, ScalarConnection):
-                        raise ValidationError(f"not a scalar form: {e!r}")
-            self._entries = tuple(rows)
-            self._support_rows = tuple(
-                tuple(j for j, e in enumerate(r) if not isinstance(e, Off))
-                for r in rows
-            )
-            self._support_cols = tuple(
-                tuple(i for i in range(nx) if not isinstance(rows[i][j], Off))
-                for j in range(ny)
-            )
+            self._check_support(np.isfinite(forms.c))
         elif bbar is not None:
-            arr = np.asarray(bbar, dtype=float)
+            arr = np.array(bbar, dtype=float) if copy else np.asarray(bbar, dtype=float)
             if arr.shape != (nx, ny):
                 raise ValidationError("coupling table shape does not match labels")
-            if np.isposinf(arr).any():
-                raise ValidationError("coupling entries must lie in R u {-inf}")
-            if np.isnan(arr).any():
-                raise ValidationError("coupling entries may not be NaN")
-            arr = arr.copy()
-            arr.flags.writeable = False
-            self._bbar = arr
+            finite = np.isfinite(arr)
+            if not finite.all():
+                bad = arr[~finite]
+                if np.isposinf(bad).any():
+                    raise ValidationError("coupling entries must lie in R u {-inf}")
+                if np.isnan(bad).any():
+                    raise ValidationError("coupling entries may not be NaN")
+            self._bbar = _frozen(arr)
+            self._check_support(finite)
         elif block_fn is None:
-            raise ValidationError("kernel needs entries, a coupling table, or a block function")
-
-        if check:
-            self._check_support()
+            raise ValidationError("kernel needs a coupling table, scalar forms, or a block function")
 
     # ------------------------------------------------------------------
     @property
@@ -277,8 +431,9 @@ class Kernel:
 
     @property
     def is_moreau(self) -> bool:
-        """True when the kernel is backed by a coupling table bbar."""
-        return self._entries is None
+        """True when the kernel is a coupling table bbar, so that every
+        slice on the support is lam -> bbar - lam."""
+        return self._forms is None
 
     def x_index(self, label: str) -> int:
         try:
@@ -293,6 +448,12 @@ class Kernel:
             raise ValidationError(f"unknown y label: {label!r}") from None
 
     # ------------------------------------------------------------------
+    def slices(self, by_rows: bool) -> Slices:
+        """The slices of the forward map (``by_rows``) or of the adjoint."""
+        if self._forms is not None:
+            return self._forms.forward if by_rows else self._forms.adjoint
+        return Slices(self.bbar_row if by_rows else self.bbar_col)
+
     def bbar_row(self, i) -> np.ndarray:
         """Row i of the coupling table; a slice gives those rows as one
         2-D block (read-only when the table is stored densely)."""
@@ -316,8 +477,8 @@ class Kernel:
 
     def entry(self, i: int, j: int) -> ScalarConnection:
         """Slice at (x_i, y_j): lam -> b(x_i, y_j, lam)."""
-        if self._entries is not None:
-            return self._entries[i][j]
+        if self._forms is not None:
+            return self._forms.entry(i, j)
         return make_affine(float(self.bbar_row(i)[j]), 1.0)
 
     def adjoint_entry(self, j: int, i: int) -> ScalarConnection:
@@ -325,16 +486,10 @@ class Kernel:
         return self.entry(i, j).adjoint()
 
     def support_row(self, i: int) -> Tuple[int, ...]:
-        if self._entries is not None:
-            return self._support_rows[i]
-        row = self.bbar_row(i)
-        return tuple(np.nonzero(np.isfinite(row))[0])
+        return tuple(np.nonzero(np.isfinite(self.slices(True).offsets(i)))[0])
 
     def support_col(self, j: int) -> Tuple[int, ...]:
-        if self._entries is not None:
-            return self._support_cols[j]
-        col = self.bbar_col(j)
-        return tuple(np.nonzero(np.isfinite(col))[0])
+        return tuple(np.nonzero(np.isfinite(self.slices(False).offsets(j)))[0])
 
     def support(self) -> frozenset:
         """The support as label pairs.  Dense scan; desk-scale only."""
@@ -345,29 +500,15 @@ class Kernel:
         return frozenset(out)
 
     # ------------------------------------------------------------------
-    def _check_support(self):
-        if self._block_fn is not None:
-            # lazy family kernels are finite-valued by construction
-            return
-        if self._bbar is not None:
-            finite = np.isfinite(self._bbar)
-            rows, cols = finite.any(axis=1), finite.any(axis=0)
-        else:
-            rows = np.array([bool(r) for r in self._support_rows])
-            cols = np.array([bool(c) for c in self._support_cols])
-        for ok, labels, what in ((rows, self.x_labels, "A1 violated: row"),
-                                 (cols, self.y_labels, "A2 violated: column")):
+    def _check_support(self, finite: np.ndarray):
+        """A1 and A2 on the support mask.  A3 holds by construction: the
+        supported slices are affine, signed-power or tabulated forms,
+        which are bijections, and off-support entries are Off."""
+        for ok, labels, what in ((finite.any(axis=1), self.x_labels, "A1 violated: row"),
+                                 (finite.any(axis=0), self.y_labels, "A2 violated: column")):
             if not ok.all():
                 raise ValidationError(
                     f"{what} {labels[int(np.argmin(ok))]!r} has empty support")
-        if self._entries is not None:
-            for i, row in enumerate(self._entries):
-                for j, e in enumerate(row):
-                    if not isinstance(e, Off) and not e.bijective:
-                        raise ValidationError(
-                            f"A3 violated: entry ({self.x_labels[i]}, "
-                            f"{self.y_labels[j]}) is not a bijection"
-                        )
 
     # ------------------------------------------------------------------
     def restrict(self, y_subset: Iterable[str]) -> "Kernel":
@@ -385,21 +526,21 @@ class Kernel:
         if not keep:
             raise ValidationError("restriction to an empty column set")
         new_y = tuple(self.y_labels[j] for j in keep)
-        if self._entries is not None:
-            sub = [[row[j] for j in keep] for row in self._entries]
-            return Kernel(self.x_labels, new_y, entries=sub, is_grid=self.is_grid)
-        if self._bbar is not None:
-            return Kernel(self.x_labels, new_y, bbar=self._bbar[:, keep],
-                          is_grid=self.is_grid)
-        # lazy family tables are finite, so every row keeps its support
         keep_arr = np.asarray(keep)
+        if self._forms is not None:
+            return Kernel(self.x_labels, new_y, is_grid=self.is_grid,
+                          forms=self._forms.take_columns(keep_arr))
+        if self._bbar is not None:
+            return Kernel(self.x_labels, new_y, bbar=self._bbar[:, keep_arr],
+                          is_grid=self.is_grid, copy=False)
+        # lazy family tables are finite, so every row keeps its support
         block = self._block_fn
         return Kernel(
             self.x_labels, new_y,
             block_fn=lambda k, by_rows: (
                 block(k, True)[:, keep_arr] if by_rows else block(keep_arr[k], False)
             ),
-            is_grid=self.is_grid, check=False,
+            is_grid=self.is_grid,
         )
 
 
@@ -423,13 +564,10 @@ def build_moreau(bbar, x_labels=None, y_labels=None) -> Kernel:
     nx, ny = len(rows), len(rows[0])
     if any(len(r) != ny for r in rows):
         raise ValidationError("coupling table must be rectangular")
-    arr = np.array(rows, dtype=float)
-    if np.isposinf(arr).any():
-        raise ValidationError("coupling entries must lie in R u {-inf}")
     return Kernel(
         x_labels or _default_labels("x", nx),
         y_labels or _default_labels("y", ny),
-        bbar=arr,
+        bbar=np.array(rows, dtype=float), copy=False,
     )
 
 
@@ -441,19 +579,17 @@ def _accept_neg_inf(v):
 
 def build_table(entries, x_labels=None, y_labels=None) -> Kernel:
     """Kernel from an explicit table of scalar forms (or their JSON dicts)."""
-    rows = []
-    for row in entries:
-        rows.append([
-            e if isinstance(e, ScalarConnection) else conn_from_dict(e)
-            for e in row
-        ])
+    rows = [
+        [e if isinstance(e, ScalarConnection) else conn_from_dict(e) for e in row]
+        for row in entries
+    ]
     if not rows or not rows[0]:
         raise ValidationError("entry table must be nonempty")
     nx, ny = len(rows), len(rows[0])
     return Kernel(
         x_labels or _default_labels("x", nx),
         y_labels or _default_labels("y", ny),
-        entries=rows,
+        forms=FormTable.pack(rows),
     )
 
 
@@ -489,7 +625,7 @@ def build_grid_kernel(family, x_grid: GridSpec, y_grid: GridSpec) -> Kernel:
 
     if nx * ny <= DENSE_LIMIT:
         kernel = Kernel(x_grid.labels(), y_grid.labels(),
-                        bbar=block(slice(None), True), is_grid=True)
+                        bbar=block(slice(None), True), is_grid=True, copy=False)
     else:
         kernel = Kernel(x_grid.labels(), y_grid.labels(), block_fn=block,
                         is_grid=True)

@@ -16,6 +16,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
+import numpy as np
+
 from .errors import NonMonotoneError, ValidationError
 from .extreal import DEFAULT_TOL, NEG_INF, POS_INF, ExtReal, as_extreal
 
@@ -194,6 +196,32 @@ class TabulatedDecreasing(ScalarConnection):
         return {"type": "table", "points": [list(p) for p in self.points]}
 
 
+def signed_power_values(lam: np.ndarray, c: np.ndarray, p: np.ndarray,
+                        shift: np.ndarray) -> np.ndarray:
+    """:meth:`SignedPower.eval_float` of the k-th form at ``lam[k]``, bit
+    for bit: the same float operations, with each power taken by
+    Python's ``**`` (numpy's ``power`` can round differently)."""
+    d = lam - shift
+    mag = np.fromiter(map(pow, np.abs(d).tolist(), p.tolist()), float, len(d))
+    out = np.where(d == 0.0, c, c - np.copysign(mag, d))
+    return np.where(np.isinf(lam), -lam, out)
+
+
+def tabulated_values(lam: np.ndarray, s: np.ndarray, t: np.ndarray,
+                     n: np.ndarray) -> np.ndarray:
+    """:meth:`TabulatedDecreasing.eval_float` of the k-th form at
+    ``lam[k]``, bit for bit.  Row k of ``s`` and ``t`` holds the form's
+    ``n[k]`` breakpoints, padded with +inf.  The segment is the one the
+    bisection picks: the last breakpoint at or below ``lam``, kept
+    inside the table so the end segments extend."""
+    rows = np.arange(len(lam))
+    seg = np.clip(np.count_nonzero(s <= lam[:, None], axis=1) - 1, 0, n - 2)
+    s0, s1 = s[rows, seg], s[rows, seg + 1]
+    t0, t1 = t[rows, seg], t[rows, seg + 1]
+    out = t0 + (lam - s0) * (t1 - t0) / (s1 - s0)
+    return np.where(np.isinf(lam), -lam, out)
+
+
 def make_affine(c, m: float = 1.0) -> ScalarConnection:
     """Affine form, degenerating to :class:`Off` when the offset is -inf."""
     cv = float(as_extreal(c))
@@ -212,14 +240,25 @@ def conn_from_dict(d: dict) -> ScalarConnection:
         if kind == "off":
             return Off()
         if kind == "affine":
-            return make_affine(_num_or_neg_inf(d["c"]), float(d["m"]))
+            return make_affine(_num_or_neg_inf(d["c"]), _number(d["m"]))
         if kind == "signed_power":
-            return SignedPower(float(d["c"]), float(d["p"]), float(d.get("shift", 0.0)))
+            return SignedPower(_number(d["c"]), _number(d["p"]),
+                               _number(d.get("shift", 0.0)))
         if kind == "table":
-            return TabulatedDecreasing(tuple(tuple(p) for p in d["points"]))
+            pts = d["points"]
+            if not (isinstance(pts, (list, tuple)) and all(
+                    isinstance(p, (list, tuple)) and len(p) == 2 for p in pts)):
+                raise ValidationError(f"tabulated points must be [s, t] pairs: {pts!r}")
+            return TabulatedDecreasing(tuple((_number(s), _number(t)) for s, t in pts))
     except KeyError as exc:
         raise ValidationError(f"scalar form {kind!r} missing field {exc}") from exc
     raise ValidationError(f"unknown scalar form type: {kind!r}")
+
+
+def _number(obj) -> float:
+    if isinstance(obj, (int, float)) and not isinstance(obj, bool):
+        return float(obj)
+    raise ValidationError(f"scalar form field is not a number: {obj!r}")
 
 
 def _num_or_neg_inf(obj) -> float:

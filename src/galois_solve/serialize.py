@@ -7,8 +7,13 @@ files are rejected rather than ignored, so typos fail loudly.
 
 from __future__ import annotations
 
+import itertools
 import json
+import math
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import Optional, Tuple
+
+import numpy as np
 
 from . import extreal
 from .engine import FunctionOnSpace
@@ -55,7 +60,7 @@ def problem_from_dict(doc: dict) -> Problem:
         raise
     except KeyError as exc:
         raise ValidationError(f"problem file is missing field {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed problem file: {exc}") from exc
     tol = doc.get("tolerance", extreal.DEFAULT_TOL)
     if not isinstance(tol, (int, float)) or isinstance(tol, bool):
@@ -124,10 +129,18 @@ def load_problem(path: str) -> Problem:
 # report files
 
 
+_INF_JSON = {math.inf: "+inf", -math.inf: "-inf"}
+
+
+def _values_json(values: np.ndarray) -> list:
+    """:func:`extreal.to_json` of each value of a NaN-free array."""
+    return [_INF_JSON.get(v, v) for v in values.tolist()]
+
+
 def function_to_json(f: Optional[FunctionOnSpace]):
     if f is None:
         return None
-    return {l: extreal.to_json(v) for l, v in f.as_dict().items()}
+    return dict(zip(f.labels, _values_json(f.values)))
 
 
 def solution_to_report(sol: Solution) -> dict:
@@ -138,21 +151,97 @@ def solution_to_report(sol: Solution) -> dict:
         "minimal": sol.cover.is_minimal,
         "uncovered": list(sol.cover.uncovered),
     }
+    target = sol.target
     return {
         "status": sol.status.value,
         "f_min": function_to_json(sol.f_min),
         "cover": cover,
         "witness_alt": function_to_json(sol.witness_alt),
         "residual": {
-            x: [extreal.to_json(gv), extreal.to_json(pv)]
-            for x, (gv, pv) in sol.residual.items()
+            x: [gv, pv] for x, gv, pv in zip(
+                target.labels, _values_json(target.values),
+                _values_json(sol.transformed.values))
         },
         "caveats": list(sol.caveats),
     }
 
 
-def render_report(report: dict) -> str:
-    return json.dumps(report, indent=2, sort_keys=True)
+def render_report(report, sort_keys: bool = True) -> str:
+    """``json.dumps(report, indent=2, sort_keys=sort_keys)``, byte for byte.
+
+    With an indent, the json module encodes in pure Python.  Here a list
+    or dict of scalars, and a dict of such lists, goes through its C
+    encoder in one call, with the line break and indent of its depth as
+    the item separator; only the other containers are joined in Python.
+    """
+    encoders = {}
+
+    def c_encode(o, item_sep: str, key_sep: str = ": ") -> str:
+        enc = encoders.get((item_sep, key_sep))
+        if enc is None:
+            enc = encoders[item_sep, key_sep] = c_make_encoder(
+                None, _SCALAR.default, encode_basestring_ascii, None, key_sep,
+                item_sep, sort_keys, False, True)
+        return "".join(enc(o, 0))
+
+    def encode(o, depth: int) -> str:
+        if isinstance(o, dict):
+            values = o.values()
+        elif isinstance(o, (list, tuple)):
+            values = o
+        else:
+            return _SCALAR.encode(o)
+        if not o:
+            return "{}" if isinstance(o, dict) else "[]"
+        outer, ind = "\n" + "  " * depth, "\n" + "  " * (depth + 1)
+        types = set(map(type, values))
+        if types <= _SCALARS:
+            text = c_encode(o, "," + ind)
+            return text[0] + ind + text[1:-1] + outer + text[-1]
+        if (types == {list} and isinstance(o, dict) and set(
+                map(type, itertools.chain.from_iterable(values))) <= _SCALARS):
+            return _lists_by_key(c_encode(o, ",\0", "\1"), outer, ind,
+                                 ind + "  ")
+        if isinstance(o, dict):
+            if not all(isinstance(k, str) for k in o):
+                raise _KeyNotStr
+            items = sorted(o.items()) if sort_keys else o.items()
+            body = ("," + ind).join(
+                encode_basestring_ascii(k) + ": " + encode(v, depth + 1)
+                for k, v in items)
+            return "{" + ind + body + outer + "}"
+        body = ("," + ind).join(encode(v, depth + 1) for v in o)
+        return "[" + ind + body + outer + "]"
+
+    try:
+        return encode(report, 0)
+    except _KeyNotStr:
+        # the json module converts such keys to strings; rare enough to
+        # leave the whole report to it
+        return json.dumps(report, indent=2, sort_keys=sort_keys)
+
+
+_SCALAR = json.JSONEncoder()
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+
+
+class _KeyNotStr(Exception):
+    pass
+
+
+def _lists_by_key(text: str, outer: str, ind: str, inner: str) -> str:
+    """Indent a dict of lists of scalars, encoded with the item separator
+    ",\\0" and the key separator "\\1".  Encoded strings escape every
+    control character, so the markers occur nowhere else, and a list
+    ends wherever "]" precedes a separator or the closing brace."""
+    text = (text.replace("[],\0", "[]\2")      # an empty list, next key
+                .replace("],\0", ind + "]\2")  # a list's end, next key
+                .replace("\1[]", ": []")
+                .replace("\1[", ": [" + inner)
+                .replace("\0", inner)           # within a list
+                .replace("\2", "," + ind))
+    end = "]" if text[-3] == "[" else ind + "]"
+    return "{" + ind + text[1:-2] + end + outer + "}"
 
 
 def parse_function_arg(arg: str, labels: Tuple[str, ...]) -> FunctionOnSpace:

@@ -73,13 +73,22 @@ class Problem:
 
 @dataclass(frozen=True, eq=False)
 class Solution:
+    """``transformed`` is the forward transform of ``f_min``, to compare
+    with the ``target`` g; ``residual`` is the same pair by label."""
+
     status: Status
     f_min: FunctionOnSpace
     cover: CoverReport
     family: CoverFamily
     witness_alt: Optional[FunctionOnSpace]
-    residual: Dict[str, Tuple[ExtReal, ExtReal]]
+    target: FunctionOnSpace
+    transformed: FunctionOnSpace
     caveats: Tuple[str, ...]
+
+    @cached_property
+    def residual(self) -> Dict[str, Tuple[ExtReal, ExtReal]]:
+        return {l: (ExtReal(gv), ExtReal(pv)) for l, gv, pv in zip(
+            self.target.labels, self.target.values, self.transformed.values)}
 
 
 def _cover_family(problem: Problem, f_min: FunctionOnSpace,
@@ -108,10 +117,6 @@ def solve(problem: Problem) -> Solution:
     report = check_cover(family)
 
     pg = apply_forward(kernel, f_min)
-    residual = {
-        l: (ExtReal(gv), ExtReal(pv))
-        for l, gv, pv in zip(g.labels, g.values, pg.values)
-    }
 
     caveats = ()
     if kernel.is_grid:
@@ -122,14 +127,14 @@ def solve(problem: Problem) -> Solution:
 
     if not report.is_cover:
         return Solution(Status.NO_SOLUTION, f_min, report, family, None,
-                        residual, caveats)
+                        g, pg, caveats)
     if report.is_minimal:
         return Solution(Status.UNIQUE, f_min, report, family, None,
-                        residual, caveats)
+                        g, pg, caveats)
 
     witness = _alternate_witness(problem, f_min, family)
     return Solution(Status.MULTIPLE, f_min, report, family, witness,
-                    residual, caveats)
+                    g, pg, caveats)
 
 
 def _alternate_witness(problem: Problem, f_min: FunctionOnSpace,

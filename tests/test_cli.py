@@ -1,19 +1,29 @@
+import contextlib
+import io
 import json
 import math
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from galois_solve.cli import main
+from galois_solve.engine import FunctionOnSpace
+from galois_solve.kernel import build_table
+from galois_solve.lab import EXPERIMENTS, run_experiment
+from galois_solve.scalar import Affine, Off
 from galois_solve.serialize import (
+    function_to_json,
     load_problem,
     problem_from_dict,
     render_report,
     solution_to_report,
 )
 from galois_solve.errors import ValidationError
-from galois_solve.solver import solve
+from galois_solve.solver import Problem, solve
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 DEMO = str(FIXTURES / "worked_example.json")
@@ -226,3 +236,140 @@ def test_malformed_problem_file_exits_2(tmp_path, capsys, name):
     assert code == 2
     assert err.startswith("validation error:")
     assert "Traceback" not in out + err
+
+
+# -- malformed table entries, generated
+
+
+not_number = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=3), st.sampled_from(["+inf", "nan"]),
+    st.lists(st.integers(), max_size=2), st.dictionaries(st.text(max_size=2),
+                                                         st.integers(), max_size=1))
+not_finite = st.sampled_from([math.inf, -math.inf, math.nan])
+VALID_FORMS = [{"type": "off"}, {"type": "affine", "c": 0, "m": 1},
+               {"type": "signed_power", "c": 1, "p": 2, "shift": 0.5},
+               {"type": "table", "points": [[0, 1], [1, 0]]}]
+
+
+def _form(kind, **fields):
+    return {"type": kind, **fields}
+
+
+bad_points = st.one_of(
+    not_number,
+    st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), max_size=1),  # short
+    st.just([[0, 1], [1, 1]]), st.just([[1, 1], [0, 2]]),  # not decreasing
+    st.lists(st.lists(st.integers(0, 3), max_size=3).filter(lambda p: len(p) != 2),
+             min_size=2, max_size=3),
+    st.builds(lambda v: [[0, 1], [1, v]], st.one_of(not_number, not_finite)),
+)
+bad_form = st.one_of(
+    not_number,
+    st.builds(lambda t: {"type": t}, st.text(max_size=6).filter(
+        lambda t: t not in ("off", "affine", "signed_power", "table"))),
+    st.sampled_from([_form("affine", c=1), _form("affine", m=1),
+                     _form("signed_power", c=1), _form("signed_power", p=2),
+                     _form("table")]),
+    st.builds(lambda v: _form("affine", c=v, m=1),
+              st.one_of(not_number, st.just(math.inf), st.just(math.nan))),
+    st.builds(lambda v: _form("affine", c=0, m=v),
+              st.one_of(not_number, not_finite, st.integers(-2, 0))),
+    st.builds(lambda v: _form("signed_power", c=v, p=1), st.one_of(not_number, not_finite)),
+    st.builds(lambda v: _form("signed_power", c=0, p=v),
+              st.one_of(not_number, not_finite, st.floats(-2, 0))),
+    st.builds(lambda v: _form("signed_power", c=0, p=1, shift=v),
+              st.one_of(not_number, not_finite)),
+    st.builds(lambda v: _form("table", points=v), bad_points),
+)
+
+
+@st.composite
+def malformed_entries(draw):
+    """A small table of valid forms with one defect: a malformed form,
+    a ragged or empty row, a row or a table that is not a list."""
+    nx, ny = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    rows = [[draw(st.sampled_from(VALID_FORMS)) for _ in range(ny)] for _ in range(nx)]
+    i, j = draw(st.integers(0, nx - 1)), draw(st.integers(0, ny - 1))
+    defect = draw(st.sampled_from(["form", "ragged", "empty", "row", "table"]))
+    if defect == "form":
+        rows[i][j] = draw(bad_form)
+    elif defect == "ragged":
+        rows[i].append(VALID_FORMS[1])
+        if nx == 1:
+            rows.append([VALID_FORMS[1]] * ny)
+    elif defect == "empty":
+        rows[i] = []
+    elif defect == "row":
+        rows[i] = draw(not_number.filter(lambda v: not isinstance(v, list)))
+    else:
+        rows = draw(not_number)
+    return rows
+
+
+@settings(max_examples=100, deadline=None)
+@given(entries=malformed_entries())
+def test_malformed_table_entries_are_validation_errors(tmp_path_factory, entries):
+    doc = {"kernel": {"type": "table", "entries": entries}, "g": {"x1": 0}}
+    with pytest.raises(ValidationError):
+        problem_from_dict(doc)
+    path = tmp_path_factory.getbasetemp() / "malformed_table.json"
+    path.write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["solve", str(path)])
+    assert code == 2
+    assert err.getvalue().startswith("validation error:")
+    assert "Traceback" not in out.getvalue() + err.getvalue()
+
+
+# -- the report renderer writes what json.dumps writes
+
+
+def _dumps(doc, sort_keys=True):
+    return json.dumps(doc, indent=2, sort_keys=sort_keys)
+
+
+@pytest.mark.parametrize("name", EXPERIMENTS)
+def test_render_report_on_lab_reports(name):
+    doc = run_experiment(name).to_dict()
+    assert render_report(doc) == _dumps(doc)
+
+
+def test_render_report_on_solve_reports():
+    docs = [solution_to_report(solve(load_problem(p))) for p in (DEMO, DEMO_BAD)]
+    # infinities in g, f_min and the residual, non-ASCII labels, an
+    # empty pool: no covering sets, no essential or uncovered points
+    kernel = build_table([[Affine(0, 1), Off()], [Off(), Affine(1, 2)]],
+                         ["ξ₁", "naïve \"x\""], ["y∞", "\u0000y"])
+    for g in ([math.inf, -math.inf], [0.0, -math.inf], [-math.inf, -math.inf]):
+        problem = Problem(kernel, FunctionOnSpace(kernel.x_labels, np.array(g)))
+        docs.append(solution_to_report(solve(problem)))
+    assert docs[-1]["cover"] == {"essential": [], "minimal": True, "sets": {},
+                                 "uncovered": []}
+    for doc in docs:
+        assert render_report(doc) == _dumps(doc)
+    flat = function_to_json(solve(Problem(kernel, FunctionOnSpace(
+        kernel.x_labels, np.array([-math.inf, 2.0])))).f_min)
+    assert "+inf" in flat.values()
+    assert render_report(flat, sort_keys=False) == _dumps(flat, False)
+
+
+json_scalars = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(),
+                         st.text(max_size=4))
+json_docs = st.recursive(
+    json_scalars,
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.dictionaries(st.text(max_size=3), inner, max_size=4)),
+    max_leaves=30)
+
+
+@settings(max_examples=120, deadline=None)
+@given(json_docs, st.booleans())
+def test_render_report_matches_json_dumps(doc, sort_keys):
+    assert render_report(doc, sort_keys) == _dumps(doc, sort_keys)
+
+
+def test_render_report_with_keys_that_are_not_strings():
+    doc = {1: [1.5, "a"], 2: {"b": [], "a": {}}, 0.5: None}
+    assert render_report({"k": doc}) == _dumps({"k": doc})
+    assert render_report({"k": [doc, {True: [1]}]}) == _dumps({"k": [doc, {True: [1]}]})

@@ -3,6 +3,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     FAMILY_GRIDS,
@@ -29,7 +31,9 @@ from galois_solve.kernel import (
     Kernel,
     OmegaLipschitz,
     build_grid_kernel,
+    build_table,
 )
+from galois_solve.scalar import Affine, Off, SignedPower, TabulatedDecreasing
 
 SQRT6 = math.sqrt(6.0)
 
@@ -369,3 +373,108 @@ def test_envelope_path_selection(monkeypatch, family, x_grid, y_grid):
         else:
             with pytest.raises(AssertionError, match="envelope"):
                 apply_forward(k, f)
+
+
+# -- the block evaluator of tables of scalar forms, against the forms
+
+finite = st.floats(min_value=-40, max_value=40, allow_nan=False)
+exponent = st.floats(min_value=0.25, max_value=4)
+tabulated = st.builds(
+    lambda s0, t0, steps: TabulatedDecreasing(tuple(
+        (s0 + sum(d for d, _ in steps[:k]), t0 - sum(e for _, e in steps[:k]))
+        for k in range(len(steps) + 1))),
+    finite, finite,
+    st.lists(st.tuples(st.floats(0.125, 4), st.floats(0.125, 4)),
+             min_size=1, max_size=4),
+)
+
+
+def _special_inputs(forms):
+    """Inputs where the forms change regime: both infinities, signed
+    zeros, tabulated breakpoints and signed-power shifts."""
+    pts = [math.inf, -math.inf, 0.0, -0.0]
+    for e in forms:
+        if isinstance(e, TabulatedDecreasing):
+            pts += [s for s, _ in e.points]
+        elif isinstance(e, SignedPower):
+            pts.append(e.shift)
+    return pts
+
+
+def _inputs(draw, columns):
+    return np.array([draw(st.one_of(st.sampled_from(_special_inputs(col)), finite))
+                     for col in columns])
+
+
+@st.composite
+def form_tables(draw):
+    """A table of all four kinds of forms with its support repaired, an
+    input on each side, a column subset and a block size."""
+    nx, ny = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    slope = st.just(1.0) if draw(st.booleans()) else st.floats(0.125, 8)
+    form = st.one_of(st.just(Off()), st.builds(Affine, finite, slope),
+                     st.builds(SignedPower, finite, exponent, finite), tabulated)
+    rows = [[draw(form) for _ in range(ny)] for _ in range(nx)]
+    for i in range(nx):
+        rows[i][draw(st.integers(0, ny - 1))] = draw(tabulated)
+    for j in range(ny):
+        rows[draw(st.integers(0, nx - 1))][j] = draw(st.builds(Affine, finite, slope))
+    lam_y = _inputs(draw, [[r[j] for r in rows] for j in range(ny)])
+    lam_x = _inputs(draw, [[e.adjoint() for e in r] for r in rows])
+    keep = sorted(draw(st.sets(st.integers(0, ny - 1), min_size=1)))
+    return rows, lam_y, lam_x, keep, draw(st.integers(1, 4))
+
+
+def _evaluated_blocks(kernel, lam, by_rows, size):
+    block = engine._blocks(kernel, lam, by_rows)
+    n_out = kernel.shape[0 if by_rows else 1]
+    return np.vstack([block(lo, min(lo + size, n_out))
+                      for lo in range(0, n_out, size)])
+
+
+@settings(max_examples=80, deadline=None)
+@given(form_tables())
+def test_table_blocks_match_scalar_forms_bitwise(case):
+    rows, lam_y, lam_x, keep, size = case
+    kernel = build_table(rows)
+    sub = [[r[j] for j in keep] for r in rows]
+    try:
+        restricted = kernel.restrict([kernel.y_labels[j] for j in keep])
+    except ValidationError:
+        restricted = None  # a row lost its support
+    for k, forms, lam in ((kernel, rows, lam_y), (restricted, sub, lam_y[keep])):
+        if k is None:
+            continue
+        nx, ny = k.shape
+        assert all(k.entry(i, j) == forms[i][j] for i in range(nx) for j in range(ny))
+        forward = [[e.eval_float(lam[j]) for j, e in enumerate(r)] for r in forms]
+        adjoint = [[forms[i][j].adjoint().eval_float(lam_x[i]) for i in range(nx)]
+                   for j in range(ny)]
+        got = _evaluated_blocks(k, lam, True, size)
+        assert got.tobytes() == np.array(forward).tobytes()
+        got = _evaluated_blocks(k, lam_x, False, size)
+        assert got.tobytes() == np.array(adjoint).tobytes()
+
+
+def test_table_blocks_call_no_scalar_form(monkeypatch):
+    """Passes over a table of scalar forms never evaluate a slice object."""
+    rng = np.random.default_rng(3)
+    rows = [[[Off(), Affine(1.0, 2.0), SignedPower(0.5, 1.5, 0.25),
+              TabulatedDecreasing(((0.0, 1.0), (1.0, -1.0), (2.0, -4.0)))][k]
+             for k in rng.integers(0, 4, 7)] for _ in range(6)]
+    for r in rows:
+        r[0] = Affine(0.0, 1.0)
+    rows[0] = [Affine(0.0, 0.5)] * 7
+    kernel = build_table(rows)
+    g = FunctionOnSpace(kernel.x_labels, rng.normal(size=6))
+    want = subdiff_inverse(kernel, g).sets
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("per-entry slice evaluated")
+
+    for cls in (Affine, SignedPower, TabulatedDecreasing):
+        monkeypatch.setattr(cls, "eval_float", refuse)
+    monkeypatch.setattr(Kernel, "entry", refuse)
+    monkeypatch.setattr(Kernel, "adjoint_entry", refuse)
+    assert subdiff_inverse(kernel, g).sets == want
+    apply_forward(kernel, apply_adjoint(kernel, g))

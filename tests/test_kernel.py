@@ -10,6 +10,7 @@ from galois_solve.kernel import (
     DENSE_LIMIT,
     FenchelDot,
     GridSpec,
+    Kernel,
     OmegaLipschitz,
     Quadratic,
     WeightedPower,
@@ -40,6 +41,25 @@ def test_build_moreau_rejects_empty_column():
 def test_build_moreau_rejects_pos_inf():
     with pytest.raises(ValidationError):
         build_moreau([[math.inf]])
+
+
+def test_coupling_table_is_copied_and_checked():
+    arr = np.array([[0.0, -math.inf], [1.0, 2.0]])
+    k = Kernel(("a", "b"), ("c", "d"), bbar=arr)
+    arr[0, 0] = 5.0
+    assert k.bbar_row(0)[0] == 0.0 and arr.flags.writeable
+    for bad, msg in ((math.inf, "R u"), (math.nan, "NaN")):
+        arr[1, 1] = bad
+        with pytest.raises(ValidationError, match=msg):
+            Kernel(("a", "b"), ("c", "d"), bbar=arr)
+
+
+def test_build_table_rejects_other_forms():
+    class Doubled(Affine):
+        pass
+
+    with pytest.raises(ValidationError, match="not a scalar form"):
+        build_table([[Doubled(1.0, 2.0)]])
 
 
 def test_build_table_demo_support(demo_kernel):

@@ -20,7 +20,7 @@ from galois_solve.kernel import (
     build_moreau,
     build_table,
 )
-from galois_solve.scalar import Affine, Off, SignedPower
+from galois_solve.scalar import Affine, Off, SignedPower, TabulatedDecreasing, make_affine
 from galois_solve.solver import (
     Problem,
     Status,
@@ -264,6 +264,20 @@ def _threaded_cases(monkeypatch):
     f0 = rng.integers(-2, 3, n).astype(float)
     yield table, apply_forward(table, FunctionOnSpace(table.y_labels, f0)).values
 
+    # table of all four kinds of forms, with slopes other than 1
+    kinds = rng.choice(4, size=(n, n + 3), p=[0.3, 0.3, 0.2, 0.2])
+    kinds[np.arange(n), np.arange(n)] = 1
+    kinds[0, n:] = 1
+    c = rng.integers(-3, 4, kinds.shape).astype(float)
+    m = rng.choice([0.5, 1.0, 2.0], kinds.shape)
+    forms = [Off, lambda c, m: Affine(c, m), lambda c, m: SignedPower(c, m + 0.5, c / 4),
+             lambda c, m: TabulatedDecreasing(((c, m), (c + 1, m - 2), (c + 3, m - 3)))]
+    mixed = build_table([
+        [Off() if k == 0 else forms[k](cv, mv) for k, cv, mv in zip(*row)]
+        for row in zip(kinds.tolist(), c.tolist(), m.tolist())])
+    f0 = rng.integers(-2, 3, n + 3).astype(float)
+    yield mixed, apply_forward(mixed, FunctionOnSpace(mixed.y_labels, f0)).values
+
     # lazy grid kernel
     monkeypatch.setattr(kernel_mod, "DENSE_LIMIT", 0)
     grid = GridSpec.line(-3.0, 3.0, 0.02)
@@ -387,3 +401,37 @@ def test_worked_example_script(capsys):
     out = capsys.readouterr().out
     for status in ("multiple", "unique", "no_solution"):
         assert f"status: {status}" in out
+
+
+# -- a table of unit-slope affine and off forms is a coupling table
+
+
+def test_unit_affine_table_matches_moreau():
+    rng = np.random.default_rng(41)
+    statuses = set()
+    for _ in range(80):
+        nx, ny = (int(v) for v in rng.integers(1, 7, 2))
+        c = rng.integers(-3, 4, (nx, ny)).astype(float)
+        c[rng.random((nx, ny)) < 0.35] = -math.inf
+        c[np.arange(nx), rng.integers(0, ny, nx)] = 0.0
+        c[rng.integers(0, nx, ny), np.arange(ny)] = 1.0
+        moreau = build_moreau(c.tolist())
+        table = build_table([[make_affine(v) for v in row] for row in c.tolist()])
+        vals = [-2.0, -1.0, 0.0, 1.0, 2.0, math.inf, -math.inf]
+        targets = [rng.choice(vals, nx),
+                   apply_forward(moreau, FunctionOnSpace(
+                       moreau.y_labels, rng.choice(vals[:5], ny))).values]
+        for g in targets:
+            g = FunctionOnSpace(moreau.x_labels, g)
+            a, b = solve(Problem(moreau, g)), solve(Problem(table, g))
+            statuses.add(a.status)
+            assert a.status == b.status
+            assert a.f_min.values.tobytes() == b.f_min.values.tobytes()
+            assert a.family.sets == b.family.sets
+            assert (engine.subdiff_inverse(moreau, g).sets
+                    == engine.subdiff_inverse(table, g).sets)
+            if a.witness_alt is None:
+                assert b.witness_alt is None
+            else:
+                assert a.witness_alt.values.tobytes() == b.witness_alt.values.tobytes()
+    assert statuses == set(Status)
