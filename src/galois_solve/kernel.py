@@ -285,26 +285,30 @@ class FormTable:
         if any(len(r) != ny for r in rows):
             raise ValidationError("entry table shape does not match labels")
         params, points = [], []
+        add = params.extend
         for e in itertools.chain.from_iterable(rows):
             form = type(e)
             if form is Affine:
-                params.append((AFFINE, e.c, e.m, 0.0))
+                add((AFFINE, e.c, e.m, 0.0))
             elif form is Off:
-                params.append((OFF, -math.inf, 1.0, 0.0))
+                add((OFF, -math.inf, 1.0, 0.0))
             elif form is SignedPower:
-                params.append((POWER, e.c, e.p, e.shift))
+                add((POWER, e.c, e.p, e.shift))
             elif form is TabulatedDecreasing:
-                params.append((TABULATED, 0.0, 1.0, 0.0))
+                add((TABULATED, 0.0, 1.0, 0.0))
                 points.append(e.points)
             else:
                 raise ValidationError(f"not a scalar form: {e!r}")
-        kind, c, m, shift = np.array(params).T.reshape(4, nx, ny)
+        kind, c, m, shift = np.fromiter(params, float, len(params)).reshape(
+            -1, 4).T.reshape(4, nx, ny)
         width = max(map(len, points), default=2)
         pad = ((math.inf, math.inf),) * width
-        pts = np.array([p + pad[len(p):] for p in points]).reshape(-1, width, 2)
+        flat = itertools.chain.from_iterable(itertools.chain.from_iterable(
+            p + pad[len(p):] for p in points))
+        pts = np.fromiter(flat, float, 2 * width * len(points)).reshape(-1, width, 2)
         return cls(kind.astype(np.int8), c, m, shift,
                    pts[..., 0].copy(), pts[..., 1].copy(),
-                   np.array([len(p) for p in points], dtype=np.intp))
+                   np.fromiter(map(len, points), np.intp, len(points)))
 
     def entry(self, i: int, j: int) -> ScalarConnection:
         kind = self.kind[i, j]

@@ -246,16 +246,20 @@ def conn_from_dict(d: dict) -> ScalarConnection:
                                _number(d.get("shift", 0.0)))
         if kind == "table":
             pts = d["points"]
-            if not (isinstance(pts, (list, tuple)) and all(
-                    isinstance(p, (list, tuple)) and len(p) == 2 for p in pts)):
-                raise ValidationError(f"tabulated points must be [s, t] pairs: {pts!r}")
-            return TabulatedDecreasing(tuple((_number(s), _number(t)) for s, t in pts))
+            try:
+                pairs = tuple((_number(s), _number(t)) for s, t in pts)
+            except (TypeError, ValueError):
+                raise ValidationError(
+                    f"tabulated points must be pairs of numbers: {pts!r}") from None
+            return TabulatedDecreasing(pairs)
     except KeyError as exc:
         raise ValidationError(f"scalar form {kind!r} missing field {exc}") from exc
     raise ValidationError(f"unknown scalar form type: {kind!r}")
 
 
 def _number(obj) -> float:
+    if type(obj) is float:
+        return obj
     if isinstance(obj, (int, float)) and not isinstance(obj, bool):
         return float(obj)
     raise ValidationError(f"scalar form field is not a number: {obj!r}")
