@@ -203,8 +203,9 @@ def signed_power_values(lam: np.ndarray, c: np.ndarray, p: np.ndarray,
     Python's ``**`` (numpy's ``power`` can round differently)."""
     d = lam - shift
     mag = np.fromiter(map(pow, np.abs(d).tolist(), p.tolist()), float, len(d))
-    out = np.where(d == 0.0, c, c - np.copysign(mag, d))
-    return np.where(np.isinf(lam), -lam, out)
+    # an infinite lam needs no case of its own: d and the power are
+    # infinite too; a zero d keeps c, even when c is -0.0 and d is -0.0
+    return np.where(d == 0.0, c, c - np.copysign(mag, d))
 
 
 def tabulated_values(lam: np.ndarray, s: np.ndarray, t: np.ndarray,
@@ -219,6 +220,8 @@ def tabulated_values(lam: np.ndarray, s: np.ndarray, t: np.ndarray,
     s0, s1 = s[rows, seg], s[rows, seg + 1]
     t0, t1 = t[rows, seg], t[rows, seg + 1]
     out = t0 + (lam - s0) * (t1 - t0) / (s1 - s0)
+    # an infinite lam over a segment wider than the float range would
+    # give inf/inf; the form sends it to the opposite infinity
     return np.where(np.isinf(lam), -lam, out)
 
 

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from galois_solve import extreal
 from galois_solve.cli import main
 from galois_solve.engine import FunctionOnSpace
 from galois_solve.kernel import build_table
@@ -201,7 +202,11 @@ def test_problem_file_moreau_and_grid(tmp_path):
 
 def test_report_round_trip(capsys):
     for path in (DEMO, DEMO_BAD):
-        rep = solution_to_report(solve(load_problem(path)))
+        sol = solve(load_problem(path))
+        rep = solution_to_report(sol)
+        assert "residual" not in vars(sol)  # the label view stays unbuilt
+        assert rep["residual"] == {x: [extreal.to_json(g), extreal.to_json(b)]
+                                   for x, (g, b) in sol.residual.items()}
         assert json.loads(render_report(rep)) == rep
 
 
@@ -242,7 +247,7 @@ def test_malformed_problem_file_exits_2(tmp_path, capsys, name):
 
 
 not_number = st.one_of(
-    st.none(), st.booleans(), st.text(max_size=3), st.sampled_from(["+inf", "nan"]),
+    st.none(), st.booleans(), st.text(max_size=3), st.sampled_from(["+inf", "nan", "1"]),
     st.lists(st.integers(), max_size=2), st.dictionaries(st.text(max_size=2),
                                                          st.integers(), max_size=1))
 not_finite = st.sampled_from([math.inf, -math.inf, math.nan])
@@ -304,6 +309,25 @@ def malformed_entries(draw):
     else:
         rows = draw(not_number)
     return rows
+
+
+WRONG_VALUES = [None, True, "1", "+inf", "nan", [1], {"a": 1}, math.inf, math.nan]
+FIELD_DEFECTS = (
+    [_form("affine", c=v, m=1) for v in WRONG_VALUES]
+    + [_form("affine", c=0, m=v) for v in WRONG_VALUES + [0, -1]]
+    + [_form("signed_power", **{"c": 0, "p": 1, field: v})
+       for field in ("c", "shift") for v in WRONG_VALUES]
+    + [_form("signed_power", c=0, p=v) for v in WRONG_VALUES + [0, -1]]
+    + [_form("table", points=[[0, 1], [1, v]]) for v in WRONG_VALUES]
+    + [_form("table", points=v) for v in WRONG_VALUES + [[[0, 1]], [[0, 1, 2], [1, 0, 0]]]]
+)
+
+
+@pytest.mark.parametrize("form", FIELD_DEFECTS, ids=repr)
+def test_every_malformed_field_is_a_validation_error(form):
+    with pytest.raises(ValidationError):
+        problem_from_dict({"kernel": {"type": "table", "entries": [[form]]},
+                           "g": {"x1": 0}})
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +17,8 @@ from galois_solve.scalar import (
     conn_from_dict,
     make_affine,
     numeric_adjoint,
+    signed_power_values,
+    tabulated_values,
 )
 
 SQRT6 = math.sqrt(6.0)
@@ -201,3 +204,40 @@ def test_numeric_adjoint_rejects_increasing():
 
     with pytest.raises(NonMonotoneError):
         numeric_adjoint(Increasing(0, 1), ExtReal(0), (-10, 10))
+
+
+# -- the array evaluators, bit for bit against the forms
+
+
+def test_array_evaluators_match_forms_at_their_corners():
+    rng = np.random.default_rng(11)
+    forms, lams = [], []
+    for _ in range(400):
+        n = int(rng.integers(2, 7))
+        s = np.cumsum(rng.uniform(0.05, 3.0, n)) + rng.normal()
+        t = -np.cumsum(rng.uniform(0.05, 3.0, n)) + rng.normal()
+        form = TabulatedDecreasing(tuple(zip(s.tolist(), t.tolist())))
+        for lam in s.tolist() + [float(np.nextafter(v, math.inf)) for v in s]:
+            forms.append(form)
+            lams.append(lam)
+    wide = TabulatedDecreasing(((-1e308, 1.0), (1e308, 0.0)))
+    forms += [wide, wide]
+    lams += [math.inf, -math.inf]
+    width = max(len(f.points) for f in forms)
+    pad = [(math.inf, math.inf)] * width
+    pts = np.array([list(f.points) + pad[len(f.points):] for f in forms])
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = tabulated_values(np.array(lams), pts[..., 0], pts[..., 1],
+                               np.array([len(f.points) for f in forms]))
+    want = [f.eval_float(lam) for f, lam in zip(forms, lams)]
+    assert got.tobytes() == np.array(want).tobytes()
+
+    powers = [SignedPower(-0.0, 2.0, 0.0), SignedPower(1.5, 0.7, -0.25),
+              SignedPower(-2.0, 3.0, 1.0), SignedPower(-2.0, 3.0, 1.0)]
+    powers += [SignedPower(c, p, sh) for c, p, sh in zip(
+        rng.normal(size=300), rng.uniform(0.25, 4, 300), rng.normal(size=300))]
+    lams = [-0.0, -0.25, math.inf, -math.inf] + rng.normal(0, 3, 300).tolist()
+    got = signed_power_values(
+        np.array(lams), *(np.array([getattr(f, k) for f in powers]) for k in ("c", "p", "shift")))
+    want = [f.eval_float(lam) for f, lam in zip(powers, lams)]
+    assert got.tobytes() == np.array(want).tobytes()

@@ -9,6 +9,7 @@ import pytest
 
 from conftest import random_function, random_moreau_kernel
 from galois_solve import covering, engine
+from galois_solve import solver as solver_mod
 from galois_solve import kernel as kernel_mod
 from galois_solve.engine import FunctionOnSpace, apply_forward, projector
 from galois_solve.errors import InternalError, NoSolutionError, ValidationError
@@ -370,6 +371,7 @@ def test_solve_never_reads_label_sets(monkeypatch, demo_kernel, demo_g, demo_g_b
 
     monkeypatch.setattr(engine.SubdiffMap, "sets", property(refuse))
     monkeypatch.setattr(covering.CoverFamily, "sets", property(refuse))
+    monkeypatch.setattr(solver_mod.Solution, "residual", property(refuse))
     assert solve(Problem(demo_kernel, demo_g)).status is Status.MULTIPLE
     restricted = demo_kernel.restrict(["y1", "y2"])
     assert solve(Problem(restricted, demo_g)).status is Status.UNIQUE
