@@ -9,11 +9,8 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import Optional, Tuple
-
-import numpy as np
 
 from . import extreal
 from .engine import FunctionOnSpace
@@ -129,18 +126,10 @@ def load_problem(path: str) -> Problem:
 # report files
 
 
-_INF_JSON = {math.inf: "+inf", -math.inf: "-inf"}
-
-
-def _values_json(values: np.ndarray) -> list:
-    """:func:`extreal.to_json` of each value of a NaN-free array."""
-    return [_INF_JSON.get(v, v) for v in values.tolist()]
-
-
 def function_to_json(f: Optional[FunctionOnSpace]):
     if f is None:
         return None
-    return dict(zip(f.labels, _values_json(f.values)))
+    return {l: extreal.to_json(v) for l, v in f.as_dict().items()}
 
 
 def solution_to_report(sol: Solution) -> dict:
@@ -151,16 +140,14 @@ def solution_to_report(sol: Solution) -> dict:
         "minimal": sol.cover.is_minimal,
         "uncovered": list(sol.cover.uncovered),
     }
-    target = sol.target
     return {
         "status": sol.status.value,
         "f_min": function_to_json(sol.f_min),
         "cover": cover,
         "witness_alt": function_to_json(sol.witness_alt),
         "residual": {
-            x: [gv, pv] for x, gv, pv in zip(
-                target.labels, _values_json(target.values),
-                _values_json(sol.transformed.values))
+            x: [extreal.to_json(gv), extreal.to_json(pv)]
+            for x, (gv, pv) in sol.residual.items()
         },
         "caveats": list(sol.caveats),
     }
@@ -214,11 +201,13 @@ def render_report(report, sort_keys: bool = True) -> str:
         return "[" + ind + body + outer + "]"
 
     try:
-        return encode(report, 0)
+        if c_make_encoder is not None:
+            return encode(report, 0)
     except _KeyNotStr:
-        # the json module converts such keys to strings; rare enough to
-        # leave the whole report to it
-        return json.dumps(report, indent=2, sort_keys=sort_keys)
+        pass
+    # keys that are not strings, which the json module converts first,
+    # and interpreters without its C encoder take the json module's path
+    return json.dumps(report, indent=2, sort_keys=sort_keys)
 
 
 _SCALAR = json.JSONEncoder()
