@@ -127,7 +127,7 @@ class SignedPower(ScalarConnection):
         d = lam - self.shift
         if d == 0.0:
             return self.c
-        return self.c - math.copysign(abs(d) ** self.p, d)
+        return self.c - math.copysign(_power(abs(d), self.p), d)
 
     def adjoint(self) -> "SignedPower":
         return SignedPower(self.shift, 1.0 / self.p, self.c)
@@ -196,13 +196,26 @@ class TabulatedDecreasing(ScalarConnection):
         return {"type": "table", "points": [list(p) for p in self.points]}
 
 
+def _power(x: float, p: float) -> float:
+    """x ** p, with +inf where the power overflows, as C's pow and
+    numpy's float64 scalars give it (Python's ``**`` raises)."""
+    try:
+        return x ** p
+    except OverflowError:
+        return math.inf
+
+
 def signed_power_values(lam: np.ndarray, c: np.ndarray, p: np.ndarray,
                         shift: np.ndarray) -> np.ndarray:
     """:meth:`SignedPower.eval_float` of the k-th form at ``lam[k]``, bit
     for bit: the same float operations, with each power taken by
     Python's ``**`` (numpy's ``power`` can round differently)."""
     d = lam - shift
-    mag = np.fromiter(map(pow, np.abs(d).tolist(), p.tolist()), float, len(d))
+    base, exponent = np.abs(d).tolist(), p.tolist()
+    try:
+        mag = np.fromiter(map(pow, base, exponent), float, len(d))
+    except OverflowError:
+        mag = np.fromiter(map(_power, base, exponent), float, len(d))
     # an infinite lam needs no case of its own: d and the power are
     # infinite too; a zero d keeps c, even when c is -0.0 and d is -0.0
     return np.where(d == 0.0, c, c - np.copysign(mag, d))

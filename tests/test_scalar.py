@@ -233,11 +233,15 @@ def test_array_evaluators_match_forms_at_their_corners():
     assert got.tobytes() == np.array(want).tobytes()
 
     powers = [SignedPower(-0.0, 2.0, 0.0), SignedPower(1.5, 0.7, -0.25),
-              SignedPower(-2.0, 3.0, 1.0), SignedPower(-2.0, 3.0, 1.0)]
+              SignedPower(-2.0, 3.0, 1.0), SignedPower(-2.0, 3.0, 1.0),
+              SignedPower(0.0, 4.0, 0.0), SignedPower(1.0, 4.0, 0.0)]
     powers += [SignedPower(c, p, sh) for c, p, sh in zip(
         rng.normal(size=300), rng.uniform(0.25, 4, 300), rng.normal(size=300))]
-    lams = [-0.0, -0.25, math.inf, -math.inf] + rng.normal(0, 3, 300).tolist()
+    lams = [-0.0, -0.25, math.inf, -math.inf, 1e100, -1e100] + rng.normal(0, 3, 300).tolist()
     got = signed_power_values(
         np.array(lams), *(np.array([getattr(f, k) for f in powers]) for k in ("c", "p", "shift")))
     want = [f.eval_float(lam) for f, lam in zip(powers, lams)]
     assert got.tobytes() == np.array(want).tobytes()
+    # a power past the float range is infinite, as numpy's scalars give it
+    assert want[4:6] == [-math.inf, math.inf]
+    assert want[4] == 0.0 - np.float64(1e100) ** 4.0
