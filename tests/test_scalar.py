@@ -244,4 +244,5 @@ def test_array_evaluators_match_forms_at_their_corners():
     assert got.tobytes() == np.array(want).tobytes()
     # a power past the float range is infinite, as numpy's scalars give it
     assert want[4:6] == [-math.inf, math.inf]
-    assert want[4] == 0.0 - np.float64(1e100) ** 4.0
+    with np.errstate(over="ignore"):
+        assert want[4] == 0.0 - np.float64(1e100) ** 4.0
