@@ -209,7 +209,8 @@ def signed_power_values(lam: np.ndarray, c: np.ndarray, p: np.ndarray,
                         shift: np.ndarray) -> np.ndarray:
     """:meth:`SignedPower.eval_float` of the k-th form at ``lam[k]``, bit
     for bit: the same float operations, with each power taken by
-    Python's ``**`` (numpy's ``power`` can round differently)."""
+    Python's ``**`` (numpy's ``power`` can round differently) and
+    +inf where it overflows."""
     d = lam - shift
     base, exponent = np.abs(d).tolist(), p.tolist()
     try:
