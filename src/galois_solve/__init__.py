@@ -28,22 +28,11 @@ from .errors import (
     InternalError,
     LimitExceeded,
     NoSolutionError,
-    NonMonotoneError,
     NotACoverError,
     NotLipschitzError,
     ValidationError,
 )
-from .extreal import (
-    DEFAULT_TOL,
-    NEG_INF,
-    POS_INF,
-    ExtReal,
-    add_hi,
-    add_lo,
-    approx_eq,
-)
-from .extreal import inf as einf
-from .extreal import sup as esup
+from .extreal import DEFAULT_TOL, NEG_INF, POS_INF, ExtReal
 from .kernel import (
     FenchelDot,
     GridSpec,
@@ -74,7 +63,6 @@ from .scalar import (
     SignedPower,
     TabulatedDecreasing,
     make_affine,
-    numeric_adjoint,
 )
 from .solver import (
     Problem,

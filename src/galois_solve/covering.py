@@ -70,9 +70,6 @@ class CoverFamily:
         out.flags.writeable = False
         return out
 
-    def union(self, indices: Iterable[str]) -> frozenset:
-        return frozenset().union(*(self.sets[z] for z in indices))
-
     def covers(self, indices: Iterable[str]) -> bool:
         hit = np.zeros(len(self.universe), dtype=bool)
         for z in indices:

@@ -12,8 +12,9 @@ offsets minus the input (times the slopes, when some slope is not 1),
 then the signed-power and tabulated entries of a table of scalar forms
 overwritten from their parameter arrays.
 Maxima are order-independent, so optional data-parallel evaluation of
-the blocks (capped by the GALOIS_SOLVE_THREADS environment variable) is
-deterministic.
+the blocks is deterministic.  Its thread count is the
+GALOIS_SOLVE_THREADS environment variable, capped at the CPU count and
+the number of blocks.
 
 Argmax sets travel as sorted arrays of indices; :class:`SubdiffMap`
 turns them into label sets only when its ``sets`` view is read.
@@ -103,9 +104,6 @@ class FunctionOnSpace:
 
     def value(self, label: str) -> ExtReal:
         return ExtReal(self.values[self._index[label]])
-
-    def __getitem__(self, label: str) -> ExtReal:
-        return self.value(label)
 
     def as_dict(self) -> Dict[str, ExtReal]:
         return {l: ExtReal(v) for l, v in zip(self.labels, self.values)}
@@ -292,8 +290,8 @@ def sup_pass(kernel: Kernel, lam: np.ndarray, by_rows: bool,
         return top, [cols[a:b] for a, b in zip(ends, ends[1:])]
 
     spans = [(lo, min(lo + _BLOCK, n_out)) for lo in range(0, n_out, _BLOCK)]
-    threads = _thread_count()
-    if threads <= 1 or len(spans) <= 1:
+    threads = min(_thread_count(), os.cpu_count() or 1, len(spans))
+    if threads <= 1:
         parts = [run(s) for s in spans]
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:

@@ -6,10 +6,6 @@ class ValidationError(ValueError):
     malformed scalar form, bad problem file)."""
 
 
-class NonMonotoneError(ValidationError):
-    """A scalar map that must be nonincreasing was sampled increasing."""
-
-
 class NotLipschitzError(ValidationError):
     """A function failed the modulus-of-continuity pre-scan.
 

@@ -1,17 +1,15 @@
-"""Arithmetic and ordering on the extended real line.
+"""Points of the extended real line R u {-inf, +inf}.
 
-Two addition conventions coexist on R u {-inf, +inf}: one where -inf
-absorbs (used on the forward side of a max-plus style pairing) and the
-dual one where +inf absorbs.  Both are total, commutative and
-associative; they differ only on the indeterminate sum of opposite
-infinities.
+:class:`ExtReal` is one point, ordered as usual; arrays of them are
+plain float arrays, compared up to a tolerance by :func:`close`.  In
+JSON the infinities travel as the strings "-inf" and "+inf".
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Union
 
 import numpy as np
 
@@ -39,10 +37,6 @@ class ExtReal:
             raise ValueError("NaN is not a point of the extended real line")
 
     @property
-    def is_finite(self) -> bool:
-        return math.isfinite(self.v)
-
-    @property
     def is_pos_inf(self) -> bool:
         return self.v == math.inf
 
@@ -52,9 +46,6 @@ class ExtReal:
 
     def __float__(self) -> float:
         return self.v
-
-    def __neg__(self) -> "ExtReal":
-        return ExtReal(-self.v)
 
     def __str__(self) -> str:
         if self.is_pos_inf:
@@ -69,58 +60,11 @@ class ExtReal:
 
 NEG_INF = ExtReal(-math.inf)
 POS_INF = ExtReal(math.inf)
-ZERO = ExtReal(0.0)
 
 
 def as_extreal(x: Union[ExtReal, Real]) -> ExtReal:
     """Coerce a number to :class:`ExtReal` (idempotent on ExtReal)."""
     return x if isinstance(x, ExtReal) else ExtReal(x)
-
-
-def add_lo(a: ExtReal, b: ExtReal) -> ExtReal:
-    """Addition with ``-inf`` absorbing: ``-inf + x = x + -inf = -inf``."""
-    av, bv = a.v, b.v
-    if av == -math.inf or bv == -math.inf:
-        return NEG_INF
-    return ExtReal(av + bv)  # +inf + finite and +inf + +inf are safe
-
-
-def add_hi(a: ExtReal, b: ExtReal) -> ExtReal:
-    """Addition with ``+inf`` absorbing, the mirror of :func:`add_lo`."""
-    av, bv = a.v, b.v
-    if av == math.inf or bv == math.inf:
-        return POS_INF
-    return ExtReal(av + bv)
-
-
-def sup(values: Iterable[ExtReal]) -> ExtReal:
-    """Supremum; the empty supremum is the lattice bottom ``-inf``."""
-    best = -math.inf
-    for x in values:
-        if x.v > best:
-            best = x.v
-    return ExtReal(best)
-
-
-def inf(values: Iterable[ExtReal]) -> ExtReal:
-    """Infimum; the empty infimum is the lattice top ``+inf``."""
-    best = math.inf
-    for x in values:
-        if x.v < best:
-            best = x.v
-    return ExtReal(best)
-
-
-def approx_eq(a: ExtReal, b: ExtReal, tol: float = DEFAULT_TOL) -> bool:
-    """Equality up to ``tol`` on finite values; infinite tags compare exactly."""
-    if tol < 0:
-        raise ValueError("tolerance must be nonnegative")
-    av, bv = a.v, b.v
-    if av == bv:  # covers equal infinities and exact finite hits
-        return True
-    if math.isinf(av) or math.isinf(bv):
-        return False
-    return abs(av - bv) <= tol
 
 
 def close(a, b, tol: float = DEFAULT_TOL) -> np.ndarray:

@@ -36,6 +36,7 @@ from .scalar import (
     TabulatedDecreasing,
     conn_from_dict,
     make_affine,
+    number,
     signed_power_values,
     tabulated_values,
 )
@@ -65,6 +66,8 @@ class GridSpec:
                 raise ValidationError("grid step must be positive and finite")
             if not b > a:
                 raise ValidationError("grid needs max > min")
+            if not (b - a) / s < MAX_GRID_POINTS:  # infinite spans included
+                raise ValidationError(f"grid axis spans {(b - a) / s:g} steps, over the cap")
             total *= _axis_count(a, b, s)
         if total > MAX_GRID_POINTS:
             raise ValidationError(f"grid has {total} points, over the cap")
@@ -113,17 +116,13 @@ class GridSpec:
             n *= _axis_count(a, b, s)
         return n
 
-    def to_dict(self) -> dict:
-        if self.ndim == 1:
-            a, b, s = self.dims[0]
-            return {"min": a, "max": b, "step": s}
-        return {"dims": [list(d) for d in self.dims]}
-
     @classmethod
     def from_dict(cls, d: dict) -> "GridSpec":
-        if "dims" in d:
-            return cls(tuple(tuple(x) for x in d["dims"]))
-        return cls.line(d["min"], d["max"], d["step"])
+        """A problem file's grid, each bound a JSON number."""
+        if not isinstance(d, dict) or set(d) not in ({"dims"}, {"min", "max", "step"}):
+            raise ValidationError(f"a grid has 'min', 'max' and 'step', or 'dims': {d!r}")
+        dims = d["dims"] if "dims" in d else [[d["min"], d["max"], d["step"]]]
+        return cls(tuple(tuple(number(v, "grid bound") for v in t) for t in dims))
 
 
 def _axis_count(a: float, b: float, s: float) -> int:
@@ -391,8 +390,6 @@ class Kernel:
             raise ValidationError("duplicate x labels")
         if len(set(self.y_labels)) != len(self.y_labels):
             raise ValidationError("duplicate y labels")
-        self._xi = {l: i for i, l in enumerate(self.x_labels)}
-        self._yi = {l: j for j, l in enumerate(self.y_labels)}
         self.is_grid = is_grid
         # set only by build_grid_kernel, from the family and the grids
         self._line: Optional[LipschitzLine] = None
@@ -439,18 +436,6 @@ class Kernel:
         slice on the support is lam -> bbar - lam."""
         return self._forms is None
 
-    def x_index(self, label: str) -> int:
-        try:
-            return self._xi[label]
-        except KeyError:
-            raise ValidationError(f"unknown x label: {label!r}") from None
-
-    def y_index(self, label: str) -> int:
-        try:
-            return self._yi[label]
-        except KeyError:
-            raise ValidationError(f"unknown y label: {label!r}") from None
-
     # ------------------------------------------------------------------
     def slices(self, by_rows: bool) -> Slices:
         """The slices of the forward map (``by_rows``) or of the adjoint."""
@@ -494,14 +479,6 @@ class Kernel:
 
     def support_col(self, j: int) -> Tuple[int, ...]:
         return tuple(np.nonzero(np.isfinite(self.slices(False).offsets(j)))[0])
-
-    def support(self) -> frozenset:
-        """The support as label pairs.  Dense scan; desk-scale only."""
-        out = []
-        for i, xl in enumerate(self.x_labels):
-            for j in self.support_row(i):
-                out.append((xl, self.y_labels[j]))
-        return frozenset(out)
 
     # ------------------------------------------------------------------
     def _check_support(self, finite: np.ndarray):
@@ -575,9 +552,16 @@ def build_moreau(bbar, x_labels=None, y_labels=None) -> Kernel:
     )
 
 
+_JSON_NUMBERS = frozenset((float, int))
+
+
 def _accept_neg_inf(v):
+    if type(v) in _JSON_NUMBERS:  # most entries, at the cost of one lookup
+        return v
     if v == "-inf":
         return -math.inf
+    if isinstance(v, (str, bool, np.bool_)):
+        raise ValidationError(f"coupling entry is not a number or '-inf': {v!r}")
     return v
 
 

@@ -69,10 +69,6 @@ class GridFunction:
             vals = np.asarray([fn(p) for p in pts], dtype=float)
         return cls(grid, vals)
 
-    @classmethod
-    def constant(cls, grid: GridSpec, value: float) -> "GridFunction":
-        return cls(grid, np.full(grid.size(), float(value)))
-
     def to_function(self) -> FunctionOnSpace:
         return FunctionOnSpace(self.grid.labels(), self.samples)
 

@@ -6,8 +6,7 @@ decreasing bijections of the extended real line, so each has an exact
 functional inverse (its adjoint under residuation).
 
 The forms are a closed DSL rather than arbitrary callables: that keeps
-adjoints exact and everything serializable.  Numeric inversion by
-bisection is available as a fallback, not the default.
+adjoints exact and everything serializable.
 """
 
 from __future__ import annotations
@@ -18,8 +17,8 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from .errors import NonMonotoneError, ValidationError
-from .extreal import DEFAULT_TOL, NEG_INF, POS_INF, ExtReal, as_extreal
+from .errors import ValidationError
+from .extreal import DEFAULT_TOL, ExtReal, as_extreal
 
 
 class ScalarConnection:
@@ -257,14 +256,14 @@ def conn_from_dict(d: dict) -> ScalarConnection:
         if kind == "off":
             return Off()
         if kind == "affine":
-            return make_affine(_num_or_neg_inf(d["c"]), _number(d["m"]))
+            return make_affine(_num_or_neg_inf(d["c"]), number(d["m"]))
         if kind == "signed_power":
-            return SignedPower(_number(d["c"]), _number(d["p"]),
-                               _number(d.get("shift", 0.0)))
+            return SignedPower(number(d["c"]), number(d["p"]),
+                               number(d.get("shift", 0.0)))
         if kind == "table":
             pts = d["points"]
             try:
-                pairs = tuple((_number(s), _number(t)) for s, t in pts)
+                pairs = tuple((number(s), number(t)) for s, t in pts)
             except (TypeError, ValueError):
                 raise ValidationError(
                     f"tabulated points must be pairs of numbers: {pts!r}") from None
@@ -274,12 +273,13 @@ def conn_from_dict(d: dict) -> ScalarConnection:
     raise ValidationError(f"unknown scalar form type: {kind!r}")
 
 
-def _number(obj) -> float:
+def number(obj, what: str = "scalar form field") -> float:
+    """A JSON number as a float; anything else is a ValidationError."""
     if type(obj) is float:
         return obj
     if isinstance(obj, (int, float)) and not isinstance(obj, bool):
         return float(obj)
-    raise ValidationError(f"scalar form field is not a number: {obj!r}")
+    raise ValidationError(f"{what} is not a number: {obj!r}")
 
 
 def _num_or_neg_inf(obj) -> float:
@@ -347,50 +347,3 @@ def _near(a: float, b: float, tol: float) -> bool:
     if math.isinf(a) or math.isinf(b):
         return False
     return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
-
-
-def numeric_adjoint(conn: ScalarConnection, t, bracket: Tuple[float, float],
-                    tol: float = 1e-12) -> ExtReal:
-    """Solve conn(s) = t by bisection, for strictly decreasing slices.
-
-    The bracket expands geometrically (up to 2**60) until it straddles
-    the target; a target still out of range is reported as the
-    appropriate infinity, by monotonicity.  Sampled violations of
-    monotonicity raise :class:`NonMonotoneError`.
-    """
-    tv = float(as_extreal(t))
-    if not math.isfinite(tv):
-        raise ValidationError("numeric inversion needs a finite target")
-    lo, hi = float(bracket[0]), float(bracket[1])
-    if not lo < hi:
-        raise ValidationError("bracket must satisfy lo < hi")
-
-    def sample(x: float) -> float:
-        return conn.eval_float(x)
-
-    flo, fhi = sample(lo), sample(hi)
-    if flo < fhi - DEFAULT_TOL:
-        raise NonMonotoneError(f"map increases across bracket ({lo}, {hi})")
-    limit = 2.0 ** 60
-    while flo < tv and lo > -limit:
-        lo = max(-limit, lo - max(1.0, abs(lo), hi - lo))
-        flo = sample(lo)
-    while fhi > tv and hi < limit:
-        hi = min(limit, hi + max(1.0, abs(hi), hi - lo))
-        fhi = sample(hi)
-    if flo < tv:
-        return NEG_INF
-    if fhi > tv:
-        return POS_INF
-    for _ in range(200):
-        if hi - lo <= tol:
-            break
-        mid = 0.5 * (lo + hi)
-        fmid = sample(mid)
-        if fmid < min(flo, fhi) - DEFAULT_TOL or fmid > max(flo, fhi) + DEFAULT_TOL:
-            raise NonMonotoneError(f"non-monotone sample at {mid}")
-        if fmid >= tv:
-            lo, flo = mid, fmid
-        else:
-            hi, fhi = mid, fmid
-    return ExtReal(0.5 * (lo + hi))

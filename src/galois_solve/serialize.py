@@ -26,10 +26,14 @@ from .kernel import (
     build_moreau,
     build_table,
 )
+from .scalar import number
 from .solver import Problem, Solution
 
 _PROBLEM_KEYS = {"x", "y", "kernel", "g", "x_restrict", "tolerance"}
-_GRID_FAMILIES = {"fenchel_dot", "quadratic", "omega_lipschitz", "weighted_power"}
+#: Each grid family and its params, with their defaults (None: required).
+_GRID_FAMILIES = {"fenchel_dot": (FenchelDot, {}), "quadratic": (Quadratic, {"a": None}),
+                  "omega_lipschitz": (OmegaLipschitz, {"a": 1.0, "q": 1.0}),
+                  "weighted_power": (WeightedPower, {"p": None})}
 
 
 def problem_from_dict(doc: dict) -> Problem:
@@ -79,7 +83,7 @@ def _kernel_from_dict(spec: dict, x_labels, y_labels) -> Kernel:
         _require_keys(spec, {"type", "family", "x_grid", "y_grid", "params"})
         if x_labels is not None or y_labels is not None:
             raise ValidationError("grid kernels generate their own labels")
-        family = _family_from_dict(spec["family"], spec.get("params") or {})
+        family = _family_from_dict(spec["family"], spec.get("params", {}))
         return build_grid_kernel(
             family,
             GridSpec.from_dict(spec["x_grid"]),
@@ -102,15 +106,11 @@ def _family_from_dict(name: str, params: dict):
         raise ValidationError(
             f"unknown kernel family {name!r}; choices: {sorted(_GRID_FAMILIES)}"
         )
-    if name == "fenchel_dot":
-        return FenchelDot()
-    if name == "quadratic":
-        return Quadratic(a=float(params["a"]))
-    if name == "omega_lipschitz":
-        return OmegaLipschitz(
-            a=float(params.get("a", 1.0)), q=float(params.get("q", 1.0))
-        )
-    return WeightedPower(p=float(params["p"]))
+    family, fields = _GRID_FAMILIES[name]
+    if not isinstance(params, dict) or not set(params) <= set(fields):
+        raise ValidationError(f"{name} takes the params {sorted(fields)}: {params!r}")
+    return family(**{k: number(params[k] if v is None else params.get(k, v), f"param {k!r}")
+                     for k, v in fields.items()})
 
 
 def load_problem(path: str) -> Problem:

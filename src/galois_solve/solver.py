@@ -60,9 +60,6 @@ class Problem:
         if not self.tolerance >= 0:
             raise ValidationError("tolerance must be nonnegative")
 
-    def restricted_x(self) -> Tuple[str, ...]:
-        return tuple(compress(self.kernel.x_labels, self._x_mask()))
-
     def _x_mask(self) -> np.ndarray:
         """X' as a mask over the kernel's x side."""
         if self.x_restrict is None:

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from galois_solve.cli import main
 from galois_solve.engine import FunctionOnSpace
-from galois_solve.kernel import build_table
+from galois_solve.kernel import GridSpec, build_table
 from galois_solve.lab import EXPERIMENTS, run_experiment
 from galois_solve.scalar import Affine, Off
 from galois_solve.serialize import (
@@ -104,6 +104,12 @@ def test_bad_flags_exit_code(capsys):
     code = main(["lab", "not-an-experiment"])
     capsys.readouterr()
     assert code == 2
+
+
+def test_lab_step_too_fine_for_a_float_count(capsys):
+    code, out, err = run(capsys, "lab", "fenchel", "--step", "1e-320")
+    assert code == 2
+    assert err.startswith("validation error:") and "Traceback" not in out + err
 
 
 # -- apply
@@ -227,7 +233,27 @@ MALFORMED = {
                  "g": {"x1": 0}},
     "g-text": {"kernel": {"type": "moreau", "bbar": [[0, 1]]},
                "g": {"x1": "abc"}},
+    "bbar-true": {"kernel": {"type": "moreau", "bbar": [[0, True]]},
+                  "g": {"x1": 0}},
+    "bbar-numeric-string": {"kernel": {"type": "moreau", "bbar": [[0, "1.5"]]},
+                            "g": {"x1": 0}},
 }
+
+
+def _grid(family, params, x_grid=LINE, y_grid=LINE):
+    return {"kernel": {"type": "grid", "family": family, "x_grid": x_grid,
+                       "y_grid": y_grid, "params": params},
+            "g": {"-1": 0, "0": 0, "1": 0}}
+
+
+MALFORMED.update({
+    "params-list": _grid("omega_lipschitz", [1]),
+    "params-on-fenchel-dot": _grid("fenchel_dot", {"a": 2}),
+    "params-unknown-key": _grid("omega_lipschitz", {"A": 2}),
+    "params-numeric-string": _grid("omega_lipschitz", {"q": "0.5"}),
+    "params-bool": _grid("quadratic", {"a": True}),
+    "bound-bool": _grid("fenchel_dot", {}, LINE, {"min": False, "max": 1, "step": 1}),
+})
 
 
 @pytest.mark.parametrize("name", sorted(MALFORMED))
@@ -327,13 +353,8 @@ def test_every_malformed_field_is_a_validation_error(form):
                            "g": {"x1": 0}})
 
 
-@settings(max_examples=100, deadline=None)
-@given(entries=malformed_entries())
-def test_malformed_table_entries_are_validation_errors(tmp_path_factory, entries):
-    doc = {"kernel": {"type": "table", "entries": entries}, "g": {"x1": 0}}
-    with pytest.raises(ValidationError):
-        problem_from_dict(doc)
-    path = tmp_path_factory.getbasetemp() / "malformed_table.json"
+def _solve_exits_2(tmp_path_factory, doc, name):
+    path = tmp_path_factory.getbasetemp() / name
     path.write_text(json.dumps(doc))
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -341,6 +362,121 @@ def test_malformed_table_entries_are_validation_errors(tmp_path_factory, entries
     assert code == 2
     assert err.getvalue().startswith("validation error:")
     assert "Traceback" not in out.getvalue() + err.getvalue()
+
+
+@settings(max_examples=100, deadline=None)
+@given(entries=malformed_entries())
+def test_malformed_table_entries_are_validation_errors(tmp_path_factory, entries):
+    doc = {"kernel": {"type": "table", "entries": entries}, "g": {"x1": 0}}
+    with pytest.raises(ValidationError):
+        problem_from_dict(doc)
+    _solve_exits_2(tmp_path_factory, doc, "malformed_table.json")
+
+
+# -- malformed grid kernels, generated
+
+
+SMALL_LINE = {"min": -1, "max": 1, "step": 0.25}
+SMALL_PLANE = {"dims": [[-1, 1, 0.5], [-0.5, 0.5, 0.5]]}
+# each family with valid params, on grids of at most 20 points
+VALID_GRIDS = {
+    "fenchel_dot": ({}, SMALL_LINE, SMALL_LINE),
+    "quadratic": ({"a": 1.5}, SMALL_PLANE, SMALL_PLANE),
+    "omega_lipschitz": ({"a": 2, "q": 0.5}, SMALL_LINE, SMALL_LINE),
+    "weighted_power": ({"p": 1.5}, {"dims": [[-1, 1, 0.5], [0.5, 2, 0.5]]}, SMALL_LINE),
+}
+below_zero = st.floats(max_value=0)
+not_object = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(),
+                       st.text(max_size=3), st.lists(st.integers(), max_size=2))
+OUT_OF_RANGE = {
+    "quadratic": {"a": st.sampled_from([0, 0.0, math.inf, -math.inf, math.nan])},
+    "omega_lipschitz": {"a": st.one_of(below_zero, not_finite),
+                        "q": st.one_of(below_zero, not_finite,
+                                       st.floats(min_value=1, exclude_min=True))},
+    "weighted_power": {"p": st.one_of(below_zero, not_finite)},
+}
+huge_span = st.builds(lambda m, s: [-m, m, s], st.sampled_from([1e300, 1.7e308]),
+                      st.sampled_from([1e-300, 1.0, 1e292]))
+
+
+@st.composite
+def bad_grid(draw, grid):
+    """``grid`` with one defect: a missing or extra key, a ``dims`` entry
+    of the wrong arity, a bound that is not a number, a step <= 0,
+    max <= min, or a span of more than the point cap in steps."""
+    dims = [list(t) for t in grid["dims"]] if "dims" in grid else [
+        [grid["min"], grid["max"], grid["step"]]]
+    k = draw(st.integers(0, len(dims) - 1))
+    defect = draw(st.sampled_from(
+        ["missing", "extra", "arity", "not-number", "step", "max", "span", "object"]))
+    if defect == "missing":
+        key = draw(st.sampled_from(sorted(grid)))
+        return {kk: v for kk, v in grid.items() if kk != key}
+    if defect == "extra":
+        key = draw(st.sampled_from(sorted({"dims", "min", "points"} - set(grid))))
+        return {**grid, key: [[0, 1, 1]]}
+    if defect == "arity":
+        dims[k] = draw(st.sampled_from([dims[k][:1], dims[k][:2], dims[k] + [1]]))
+    elif defect == "not-number":
+        dims[k][draw(st.integers(0, 2))] = draw(not_number)
+    elif defect == "step":
+        dims[k][2] = draw(st.one_of(below_zero, not_finite))
+    elif defect == "max":
+        dims[k][1] = dims[k][0] - draw(st.sampled_from([0, 0.5, 1e300]))
+    elif defect == "span":
+        dims[k] = draw(huge_span)
+    else:
+        return draw(not_object)
+    if defect == "arity" or "dims" in grid:
+        return {"dims": dims}
+    return dict(zip(("min", "max", "step"), dims[0]))
+
+
+@st.composite
+def malformed_grid_kernels(draw):
+    """A valid grid problem and the same problem with one defect in its
+    family name, its params or one of its grids."""
+    family = draw(st.sampled_from(sorted(VALID_GRIDS)))
+    params, x_grid, y_grid = VALID_GRIDS[family]
+    g = dict.fromkeys(GridSpec.from_dict(x_grid).labels(), 0)
+    valid = {"type": "grid", "family": family, "params": params,
+             "x_grid": x_grid, "y_grid": y_grid}
+    bad = dict(valid)
+    defects = ["family", "params-not-object", "params-key", "x_grid", "y_grid",
+               "dimension"]
+    if params:
+        defects += ["params-value", "params-range"]
+    defect = draw(st.sampled_from(defects))
+    if defect == "family":
+        bad["family"] = draw(st.one_of(
+            st.text(max_size=12).filter(lambda t: t not in VALID_GRIDS), not_number))
+    elif defect == "params-not-object":
+        bad["params"] = draw(not_object)
+    elif defect == "params-key":
+        key = draw(st.text(max_size=3).filter(lambda t: t not in params))
+        bad["params"] = {**params, key: 1}
+    elif defect == "params-value":
+        bad["params"] = {**params, draw(st.sampled_from(sorted(params))): draw(not_number)}
+    elif defect == "params-range":
+        key, values = draw(st.sampled_from(sorted(OUT_OF_RANGE[family].items())))
+        bad["params"] = {**params, key: draw(values)}
+    elif defect == "dimension":
+        bad["y_grid"] = SMALL_LINE if "dims" in y_grid else SMALL_PLANE
+    else:
+        bad[defect] = draw(bad_grid(valid[defect]))
+    return {"kernel": valid, "g": g}, {"kernel": bad, "g": g}
+
+
+@settings(max_examples=100, deadline=None)
+@given(docs=malformed_grid_kernels())
+def test_malformed_grid_kernels_are_validation_errors(tmp_path_factory, docs):
+    valid, bad = docs
+    problem_from_dict(valid)
+    with pytest.raises(ValidationError) as exc:
+        problem_from_dict(bad)
+    # the kernel is refused, not the target on the labels of its x grid
+    assert not str(exc.value).startswith(("missing values", "values for unknown"))
+    _solve_exits_2(tmp_path_factory, bad, "malformed_grid.json")
 
 
 # -- the report renderer writes what json.dumps writes

@@ -104,7 +104,7 @@ families = st.integers(1, 5).flatmap(
 @given(families)
 def test_cover_report_consistency(fam):
     rep = check_cover(fam)
-    union = fam.union(fam.index_pool)
+    union = frozenset().union(*fam.sets.values())
     assert rep.is_cover == (union >= set(fam.universe))
     assert set(rep.uncovered) == set(fam.universe) - union
     # every essential index privately covers its witness

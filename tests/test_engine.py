@@ -31,6 +31,7 @@ from galois_solve.kernel import (
     Kernel,
     OmegaLipschitz,
     build_grid_kernel,
+    build_moreau,
     build_table,
 )
 from galois_solve.scalar import Affine, Off, SignedPower, TabulatedDecreasing
@@ -245,6 +246,41 @@ def test_threads_env_gives_same_answer(monkeypatch, demo_kernel, demo_g):
     serial = apply_forward(k, f)
     assert np.array_equal(threaded.values, serial.values)
     assert base.approx_eq(apply_adjoint(demo_kernel, demo_g))
+
+
+class _SerialPool:
+    """Stands in for the thread pool: records max_workers, maps in turn."""
+
+    workers = []
+
+    def __init__(self, max_workers):
+        self.workers.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize("n_out", [3 * engine._BLOCK, 5 * engine._BLOCK + 1])
+def test_thread_count_is_capped_at_cpus_and_blocks(monkeypatch, n_out):
+    rng = np.random.default_rng(n_out)
+    k = build_moreau(rng.integers(-3, 3, (4, n_out)).tolist())
+    g = FunctionOnSpace(k.x_labels, rng.normal(size=4))
+    monkeypatch.delenv("GALOIS_SOLVE_THREADS", raising=False)
+    serial = apply_adjoint(k, g)
+    monkeypatch.setattr(engine, "ThreadPoolExecutor", _SerialPool)
+    monkeypatch.setattr(engine.os, "cpu_count", lambda: 4)
+    monkeypatch.setenv("GALOIS_SOLVE_THREADS", "1000000")
+    _SerialPool.workers = []
+    pooled = apply_adjoint(k, g)
+    blocks = -(-n_out // engine._BLOCK)
+    assert _SerialPool.workers == [min(4, blocks)]
+    assert np.array_equal(pooled.values, serial.values)
 
 
 # -- lazy and dense kernels agree, bit for bit

@@ -43,6 +43,18 @@ def test_build_moreau_rejects_pos_inf():
         build_moreau([[math.inf]])
 
 
+@pytest.mark.parametrize("entry", [True, False, np.True_, "1.5", " 2 ", "inf", "+inf", "nan", ""])
+def test_build_moreau_entries_are_numbers_or_neg_inf(entry):
+    with pytest.raises(ValidationError):
+        build_moreau([[0, entry]])
+
+
+def test_build_moreau_takes_numpy_scalars():
+    row = [np.float32(1.5), np.int64(-2), np.int8(3), np.uint16(4), np.float64(0.25), "-inf"]
+    k = build_moreau([row, [0] * len(row)])
+    assert k.bbar_row(0).tolist() == [1.5, -2.0, 3.0, 4.0, 0.25, -math.inf]
+
+
 def test_coupling_table_is_copied_and_checked():
     arr = np.array([[0.0, -math.inf], [1.0, 2.0]])
     k = Kernel(("a", "b"), ("c", "d"), bbar=arr)
@@ -63,9 +75,7 @@ def test_build_table_rejects_other_forms():
 
 
 def test_build_table_demo_support(demo_kernel):
-    assert demo_kernel.support() == {
-        (x, y) for x in ("x1", "x2") for y in ("y1", "y2", "y3")
-    }
+    assert [demo_kernel.support_row(i) for i in range(2)] == [(0, 1, 2)] * 2
 
 
 def test_build_table_column_of_off():
@@ -163,6 +173,10 @@ def test_gridspec_validation():
         GridSpec.line(1, 0, 0.1)
     with pytest.raises(ValidationError):
         GridSpec.line(0, 1e6, 1e-4)  # 10^10 points
+    # spans whose step count overflows to inf are refused before counting
+    for lo, hi, step in ((-1.7e308, 1.7e308, 1.0), (-1, 1, 1e-320), (-math.inf, 0, 1)):
+        with pytest.raises(ValidationError, match="over the cap"):
+            GridSpec.line(lo, hi, step)
 
 
 def test_fenchel_dot_grid_kernel():

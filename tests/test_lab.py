@@ -45,7 +45,8 @@ def test_half_square_self_dual():
 
 
 def test_conjugate_of_top_is_bottom():
-    f = GridFunction.constant(GridSpec.line(-1, 1, 0.5), math.inf)
+    grid = GridSpec.line(-1, 1, 0.5)
+    f = GridFunction(grid, np.full(grid.size(), math.inf))
     g = fenchel_conjugate(f, GridSpec.line(-1, 1, 0.5))
     assert np.all(np.isneginf(g.samples))
 
@@ -211,7 +212,7 @@ def test_quadratic_reduction_cos_exact():
 
 def test_quadratic_reduction_top_function():
     g = GridSpec.line(-1, 1, 0.25)
-    f = GridFunction.constant(g, math.inf)
+    f = GridFunction(g, np.full(g.size(), math.inf))
     r = quadratic_reduction_check(f, a=1.0)
     assert r.passed and r.max_abs_error == 0.0
     assert np.all(np.isneginf(r.curves["kernel_route"]))
@@ -236,7 +237,8 @@ def test_lipschitz_abs_half_exact():
 
 
 def test_lipschitz_constant_function():
-    g = GridFunction.constant(GridSpec.line(-5, 5, 0.1), 2.0)
+    grid = GridSpec.line(-5, 5, 0.1)
+    g = GridFunction(grid, np.full(grid.size(), 2.0))
     r = lipschitz_fixed_point(g)
     assert r.passed
     assert np.array_equal(r.curves["adjoint"], -r.curves["g"])
@@ -282,7 +284,7 @@ def test_weighted_power_bounded_below_all_certified():
 
 def test_weighted_power_top_function():
     y_grid = GridSpec.line(-10, 10, 0.5)
-    f = GridFunction.constant(y_grid, math.inf)
+    f = GridFunction(y_grid, np.full(y_grid.size(), math.inf))
     r = weighted_power_domain(
         f, 1.0, GridSpec.line(-1, 1, 0.5), GridSpec.line(0.5, 2, 0.5)
     )

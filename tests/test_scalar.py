@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from galois_solve.errors import NonMonotoneError, ValidationError
+from galois_solve.errors import ValidationError
 from galois_solve.extreal import NEG_INF, POS_INF, ExtReal
 from galois_solve.scalar import (
     Affine,
@@ -16,7 +16,6 @@ from galois_solve.scalar import (
     adjunction_grid,
     conn_from_dict,
     make_affine,
-    numeric_adjoint,
     signed_power_values,
     tabulated_values,
 )
@@ -177,33 +176,6 @@ def test_json_rejects_garbage():
         conn_from_dict({"type": "affine", "c": 1})
     with pytest.raises(ValidationError):
         conn_from_dict("affine")
-
-
-# -- numeric inversion
-
-
-def test_numeric_adjoint_matches_closed_form():
-    got = numeric_adjoint(SignedPower(0, 2), ExtReal(6), (-10, 10))
-    assert abs(float(got) - (-SQRT6)) <= 1e-10
-
-
-def test_numeric_adjoint_affine():
-    assert abs(float(numeric_adjoint(Affine(2, 1), ExtReal(8), (-100, 100))) - (-6)) <= 1e-10
-    assert abs(float(numeric_adjoint(Affine(3, 1), ExtReal(6), (-100, 100))) - (-3)) <= 1e-10
-
-
-def test_numeric_adjoint_expands_bracket():
-    got = numeric_adjoint(Affine(0, 1), ExtReal(1e6), (-1, 1))
-    assert abs(float(got) + 1e6) <= 1e-6
-
-
-def test_numeric_adjoint_rejects_increasing():
-    class Increasing(Affine):
-        def eval_float(self, lam):
-            return -super().eval_float(lam)
-
-    with pytest.raises(NonMonotoneError):
-        numeric_adjoint(Increasing(0, 1), ExtReal(0), (-10, 10))
 
 
 # -- the array evaluators, bit for bit against the forms
