@@ -1,0 +1,77 @@
+#!/usr/bin/env python3
+"""Print a sha256 of every command-line output of one benchmark seed.
+
+Usage:
+    python scripts/output_digests.py [--seed N] [--src DIR] > digests.txt
+
+The inputs are the cli-files and grid-lab workloads of
+``perfbench/gen.py`` at the seed: ``solve --json`` on every generated
+problem file, ``solve`` (desk text) on the fixtures and desk files, and
+``lab NAME --json`` for each experiment.  Every call runs in this
+process through ``galois_solve.cli.main``, once with
+GALOIS_SOLVE_THREADS=1 and once with 2.  Each output line is
+
+    THREADS CALL EXIT_CODE SHA256_OF_STDOUT
+
+so two checkouts produce byte-identical outputs exactly when their
+digest files do not differ.  ``--src`` names the source tree to import
+``galois_solve`` from (default: this checkout's ``src``).
+"""
+
+import argparse
+import contextlib
+import hashlib
+import io
+import os
+import pathlib
+import sys
+import tempfile
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+
+def calls(seed: int, inputs: str):
+    """(name, argv) of each distinct call of the two workloads."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import gen
+
+    seen = {}
+    for workload in ("cli-files", "grid-lab"):
+        planned, _, _ = gen.plan(workload, seed, inputs, str(ROOT))
+        for call in planned:
+            argv = call["argv"]
+            name = " ".join([argv[0], pathlib.Path(argv[1]).name, *argv[2:]])
+            seen.setdefault(name, argv)
+    return list(seen.items())
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("--seed", type=int, default=11)
+    parser.add_argument("--src", default=str(ROOT / "src"))
+    args = parser.parse_args(argv)
+    sys.path.insert(0, os.path.abspath(args.src))
+    from galois_solve import cli
+
+    saved = os.environ.get("GALOIS_SOLVE_THREADS")
+    try:
+        with tempfile.TemporaryDirectory() as inputs:
+            todo = calls(args.seed, inputs)
+            for threads in ("1", "2"):
+                os.environ["GALOIS_SOLVE_THREADS"] = threads
+                for name, call in todo:
+                    out = io.StringIO()
+                    with contextlib.redirect_stdout(out):
+                        code = cli.main(call)
+                    digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
+                    print(threads, name.replace(" ", "_"), code, digest)
+    finally:
+        if saved is None:
+            os.environ.pop("GALOIS_SOLVE_THREADS", None)
+        else:
+            os.environ["GALOIS_SOLVE_THREADS"] = saved
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -16,7 +16,6 @@ from .covering import (
 from .engine import (
     DomainReport,
     FunctionOnSpace,
-    SubdiffMap,
     apply_adjoint,
     apply_forward,
     domain_report,

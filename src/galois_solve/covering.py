@@ -5,18 +5,19 @@ the algebraic kind (an index is essential when some point is covered by
 that index alone).  In a discrete space this coincides with the
 topological notion, which is why the solver can use it directly.
 
-Sets are held as arrays of universe positions, so a covering test is
-one count per point; labels are attached only in the reports and in the
-``sets`` view.  All iteration follows the declared index and universe
-order, so reports and witnesses are reproducible.
+A family is held as one flat array of universe positions with row
+offsets, so a covering test is one count per point; labels are
+attached only in the reports and in the ``sets`` view.  All iteration
+follows the declared index and universe order, so reports and
+witnesses are reproducible.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations
-from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
+from itertools import chain, combinations, compress
+from typing import Dict, Iterable, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -26,19 +27,26 @@ from .errors import LimitExceeded, NotACoverError, ValidationError
 EXACT_LIMIT = 20
 
 
+def offsets(lengths) -> np.ndarray:
+    """Row offsets (``indptr``) of rows of the given lengths."""
+    return np.concatenate((np.zeros(1, np.intp), np.cumsum(lengths, dtype=np.intp)))
+
+
 @dataclass(frozen=True, eq=False)
 class CoverFamily:
     """A universe of points and an indexed family of subsets of it.
 
-    ``members`` holds one sorted array of universe positions per index
-    of ``index_pool``; points outside the universe are not members.
+    The set of the k-th index of ``index_pool`` is
+    ``indices[indptr[k]:indptr[k + 1]]``, its sorted universe positions:
+    the row offsets and column indices of a sparse 0/1 matrix (CSR).
     Indices keep the order of ``index_pool`` and points the order of
     ``universe``.  ``sets`` is the same family by label.
     """
 
     universe: Tuple[str, ...]
     index_pool: Tuple[str, ...]
-    members: Sequence[np.ndarray] = field(repr=False)
+    indptr: np.ndarray = field(repr=False)
+    indices: np.ndarray = field(repr=False)
 
     @classmethod
     def build(cls, universe: Iterable, sets: Mapping,
@@ -52,33 +60,59 @@ class CoverFamily:
         if missing:
             raise ValidationError(f"pool indices without sets: {missing[:4]}")
         pos = {w: k for k, w in enumerate(uni)}
-        members = [np.array(sorted(pos[w] for w in set(sets[z]) if w in pos),
-                            dtype=np.intp) for z in pool]
-        return cls(uni, pool, members)
+        rows = [sorted(pos[w] for w in set(sets[z]) if w in pos) for z in pool]
+        return cls(uni, pool, offsets([len(r) for r in rows]),
+                   np.fromiter(chain.from_iterable(rows), np.intp))
 
     @cached_property
     def sets(self) -> Dict[str, frozenset]:
-        uni = self.universe
-        return {z: frozenset(uni[k] for k in m.tolist())
-                for z, m in zip(self.index_pool, self.members)}
+        uni, ptr = self.universe, self.indptr.tolist()
+        return {z: frozenset(map(uni.__getitem__, self.indices[a:b].tolist()))
+                for z, a, b in zip(self.index_pool, ptr, ptr[1:])}
 
     @cached_property
     def _counts(self) -> np.ndarray:
         """How many indices cover each universe point (read-only)."""
-        flat = np.concatenate([np.empty(0, np.intp), *self.members])
-        out = np.bincount(flat, minlength=len(self.universe))
+        out = np.bincount(self.indices, minlength=len(self.universe))
         out.flags.writeable = False
         return out
 
-    def covers(self, indices: Iterable[str]) -> bool:
-        hit = np.zeros(len(self.universe), dtype=bool)
-        for z in indices:
-            hit[self.members[self._at[z]]] = True
-        return bool(hit.all())
-
     @cached_property
-    def _at(self) -> Dict[str, int]:
-        return {z: k for k, z in enumerate(self.index_pool)}
+    def _private(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The pool positions of the indices that cover some point alone,
+        ascending, and the first such point of each."""
+        at = np.flatnonzero((self._counts == 1)[self.indices])
+        rows, first = np.unique(np.searchsorted(self.indptr, at, side="right") - 1,
+                                return_index=True)
+        return rows, self.indices[at[first]]
+
+    def covers(self, indices: Iterable[str]) -> bool:
+        chosen = set(indices)
+        rows = np.array([z in chosen for z in self.index_pool], dtype=bool)
+        hits = self.indices[np.repeat(rows, np.diff(self.indptr))]
+        return bool(np.bincount(hits, minlength=len(self.universe)).all())
+
+    def invert(self) -> "CoverFamily":
+        """The transposed family: indexed by the universe, over the pool,
+        each point's set being the indices whose sets hold it."""
+        owner = np.repeat(np.arange(len(self.index_pool)), np.diff(self.indptr))
+        # a stable sort by point keeps each point's indices ascending
+        order = np.argsort(self.indices, kind="stable")
+        return CoverFamily(self.index_pool, self.universe,
+                           offsets(self._counts), owner[order])
+
+    def cut(self, pool: np.ndarray, points: np.ndarray) -> "CoverFamily":
+        """The family of the indices where the mask ``pool`` holds, over
+        the points where the mask ``points`` holds, renumbered.  When
+        both masks hold everywhere it is this family itself."""
+        if pool.all() and points.all():
+            return self
+        keep = np.repeat(pool, np.diff(self.indptr)) & points[self.indices]
+        kept = np.concatenate(([0], np.cumsum(keep)))[self.indptr]
+        return CoverFamily(tuple(compress(self.universe, points)),
+                           tuple(compress(self.index_pool, pool)),
+                           offsets(np.diff(kept)[pool]),
+                           (np.cumsum(points) - 1)[self.indices[keep]])
 
 
 @dataclass(frozen=True)
@@ -98,39 +132,38 @@ class CoverReport:
 
 
 def check_cover(family: CoverFamily) -> CoverReport:
-    counts, uni = family._counts, family.universe
-    uncovered = tuple(uni[k] for k in np.flatnonzero(counts == 0))
-    essential = []
-    witnesses: Dict[str, str] = {}
-    for z, m in zip(family.index_pool, family.members):
-        private = m[counts[m] == 1]
-        if private.size:
-            essential.append(z)
-            witnesses[z] = uni[private[0]]
+    uni, pool = family.universe, family.index_pool
+    uncovered = tuple(uni[k] for k in np.flatnonzero(family._counts == 0))
+    rows, points = family._private
+    essential = tuple(pool[k] for k in rows.tolist())
     is_cover = not uncovered
-    is_minimal = is_cover and len(essential) == len(family.index_pool)
     return CoverReport(
         is_cover=is_cover,
         uncovered=uncovered,
-        essential=tuple(essential),
-        privately_covered=witnesses,
-        is_minimal=is_minimal,
+        essential=essential,
+        privately_covered={z: uni[k] for z, k in zip(essential, points.tolist())},
+        is_minimal=is_cover and len(essential) == len(pool),
     )
 
 
 def irredundant_subcover(family: CoverFamily) -> Tuple[str, ...]:
     """Greedy removal in index order, leaving a subcover in which every
-    index is essential.  Deterministic given the declared order."""
+    index is essential.  Deterministic given the declared order.  An
+    index that covers a point alone is never removable, so only the
+    others are tried."""
     counts = family._counts.copy()
     if not counts.all():
         raise NotACoverError("family does not cover the universe")
-    result = []
-    for z, m in zip(family.index_pool, family.members):
+    keep = np.zeros(len(family.index_pool), dtype=bool)
+    keep[family._private[0]] = True
+    ptr = family.indptr.tolist()
+    for k in np.flatnonzero(~keep).tolist():
+        m = family.indices[ptr[k]:ptr[k + 1]]
         if (counts[m] > 1).all():
             counts[m] -= 1
         else:
-            result.append(z)
-    return tuple(result)
+            keep[k] = True
+    return tuple(compress(family.index_pool, keep))
 
 
 def smallest_subcover(family: CoverFamily, limit: int = EXACT_LIMIT) -> Tuple[str, ...]:

@@ -16,8 +16,9 @@ the blocks is deterministic.  Its thread count is the
 GALOIS_SOLVE_THREADS environment variable, capped at the CPU count and
 the number of blocks.
 
-Argmax sets travel as sorted arrays of indices; :class:`SubdiffMap`
-turns them into label sets only when its ``sets`` view is read.
+Argmax sets travel as one flat array of sorted indices with row offsets,
+in a :class:`~galois_solve.covering.CoverFamily`, which turns them into
+label sets only when its ``sets`` view is read.
 
 Kernels that record a :class:`LipschitzLine` (the distance kernels
 -a|y - x| on 1-D grids) take a single-threaded O(n + m) path for the
@@ -29,12 +30,13 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Dict, Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Mapping, Optional, Tuple
 
 import numpy as np
 
+from .covering import CoverFamily, offsets
 from .errors import ValidationError
 from .extreal import DEFAULT_TOL, ExtReal, as_extreal, close
 from .kernel import Kernel, LipschitzLine
@@ -148,38 +150,6 @@ class DomainReport:
     dom: Tuple[str, ...]
 
 
-@dataclass(frozen=True, eq=False)
-class SubdiffMap:
-    """A set-valued map from one side's labels into subsets of the other.
-
-    ``ties`` holds, per source index, the sorted indices of its image on
-    the target side; ``sets`` is the same map by label.  ``sup`` holds,
-    per source label, the supremum whose near-maximisers make up the
-    sets, when the map was built from one.
-    """
-
-    source_labels: Tuple[str, ...]
-    target_labels: Tuple[str, ...]
-    ties: Sequence[np.ndarray] = field(repr=False)
-    sup: Optional[np.ndarray] = field(default=None, repr=False)
-
-    @cached_property
-    def sets(self) -> Dict[str, frozenset]:
-        tl = self.target_labels
-        return {s: frozenset(tl[i] for i in idx.tolist())
-                for s, idx in zip(self.source_labels, self.ties)}
-
-    def invert(self) -> "SubdiffMap":
-        sizes = [len(idx) for idx in self.ties]
-        flat = np.concatenate([np.empty(0, np.intp), *self.ties])
-        owner = np.repeat(np.arange(len(sizes)), sizes)
-        # a stable sort by target keeps each target's sources ascending
-        order = np.argsort(flat, kind="stable")
-        ends = np.cumsum(np.bincount(flat, minlength=len(self.target_labels)))
-        return SubdiffMap(self.target_labels, self.source_labels,
-                          np.split(owner[order], ends[:-1]))
-
-
 # ----------------------------------------------------------------------
 # the sup-of-slices transforms
 
@@ -265,12 +235,13 @@ def sup_pass(kernel: Kernel, lam: np.ndarray, by_rows: bool,
     returns the supremum over the other side of the slices evaluated at
     ``lam``.  With ``near(vals, sup)``, a mask of the entries that count
     as attaining their row's finite or +inf supremum, it also returns
-    their sorted indices per output; a supremum of -inf is attained by
-    the whole support.  Without ``near``, kernels that record a
-    :class:`LipschitzLine` take :func:`_envelope_pass` instead.
+    their sorted indices per output as row offsets and one flat array,
+    ``(sup, indptr, indices)``; a supremum of -inf is attained by the
+    whole support.  Without ``near`` both are None, and kernels that
+    record a :class:`LipschitzLine` take :func:`_envelope_pass` instead.
     """
     if near is None and kernel.lipschitz_line is not None:
-        return _envelope_pass(kernel.lipschitz_line, lam, by_rows), []
+        return _envelope_pass(kernel.lipschitz_line, lam, by_rows), None, None
     n_out = kernel.shape[0 if by_rows else 1]
     block = _blocks(kernel, lam, by_rows)
     support = kernel.support_row if by_rows else kernel.support_col
@@ -280,14 +251,15 @@ def sup_pass(kernel: Kernel, lam: np.ndarray, by_rows: bool,
         vals = block(lo, hi)
         top = vals.max(axis=1)
         if near is None:
-            return top, []
+            return top, None, None
         hit = near(vals, top)
         for r in np.flatnonzero(np.isneginf(top)):
             hit[r] = False
             hit[r, list(support(lo + r))] = True
         rows, cols = np.nonzero(hit)
-        ends = np.searchsorted(rows, np.arange(hi - lo + 1)).tolist()
-        return top, [cols[a:b] for a, b in zip(ends, ends[1:])]
+        # both are strided views of one (n, 2) array: a contiguous copy
+        # of the columns lets the pair go
+        return top, np.bincount(rows, minlength=hi - lo), cols.copy()
 
     spans = [(lo, min(lo + _BLOCK, n_out)) for lo in range(0, n_out, _BLOCK)]
     threads = min(_thread_count(), os.cpu_count() or 1, len(spans))
@@ -296,8 +268,11 @@ def sup_pass(kernel: Kernel, lam: np.ndarray, by_rows: bool,
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             parts = list(pool.map(run, spans))
-    return (np.concatenate([top for top, _ in parts]),
-            [t for _, part in parts for t in part])
+    tops, lengths, cols = zip(*parts)
+    top = np.concatenate(tops)
+    if near is None:
+        return top, None, None
+    return top, offsets(np.concatenate(lengths)), np.concatenate(cols)
 
 
 def apply_forward(kernel: Kernel, f: FunctionOnSpace) -> FunctionOnSpace:
@@ -325,30 +300,30 @@ def projector(kernel: Kernel, g: FunctionOnSpace) -> FunctionOnSpace:
 
 
 def subdiff_inverse(kernel: Kernel, g: FunctionOnSpace,
-                    tol: float = DEFAULT_TOL) -> SubdiffMap:
-    """For each y, the set of x in the column support attaining
-    sup_x b°(y, x, g(x)); these are the covering sets of the existence
-    criterion.  All near-maximisers within ``tol`` of a finite supremum
-    are included; +inf is attained only by the entries equal to it.
-    The map's ``sup`` is the adjoint transform of g."""
+                    tol: float = DEFAULT_TOL) -> Tuple[np.ndarray, CoverFamily]:
+    """The adjoint transform of g and, for each y, the set of x in the
+    column support attaining sup_x b°(y, x, g(x)), as a family indexed
+    by y over X; these are the covering sets of the existence criterion.
+    All near-maximisers within ``tol`` of a finite supremum are
+    included; +inf is attained only by the entries equal to it."""
     if g.labels != kernel.x_labels:
         raise ValidationError("function labels do not match the kernel's x side")
-    top, ties = sup_pass(kernel, g.values, False,
-                         lambda vals, top: vals >= (top - tol)[:, None])
-    return SubdiffMap(kernel.y_labels, kernel.x_labels, ties, sup=top)
+    top, indptr, indices = sup_pass(kernel, g.values, False,
+                                    lambda vals, top: vals >= (top - tol)[:, None])
+    return top, CoverFamily(kernel.x_labels, kernel.y_labels, indptr, indices)
 
 
 def subdiff(kernel: Kernel, f: FunctionOnSpace,
-            tol: float = DEFAULT_TOL) -> SubdiffMap:
+            tol: float = DEFAULT_TOL) -> CoverFamily:
     """For each y, the set of x in the support where the supremum
     defining the forward transform is attained at y: equal to it, or
-    within ``tol`` when both are finite."""
+    within ``tol`` when both are finite.  The family is indexed by y
+    over X."""
     if f.labels != kernel.y_labels:
         raise ValidationError("function labels do not match the kernel's y side")
-
-    _, ties = sup_pass(kernel, f.values, True,
-                       lambda vals, top: close(vals, top[:, None], tol))
-    return SubdiffMap(kernel.x_labels, kernel.y_labels, ties).invert()
+    _, indptr, indices = sup_pass(kernel, f.values, True,
+                                  lambda vals, top: close(vals, top[:, None], tol))
+    return CoverFamily(kernel.y_labels, kernel.x_labels, indptr, indices).invert()
 
 
 def domain_report(h: FunctionOnSpace) -> DomainReport:

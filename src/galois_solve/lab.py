@@ -132,16 +132,16 @@ def _jsonable(obj):
 
 
 def _exact_max(kernel, fvals: np.ndarray):
-    """Per x, the maximum over y of bbar(x, y) - f(y) and the y attaining
-    it exactly (all of them where it is -inf), from the engine's one
-    reduction: f = +inf gives -inf, and f = -inf gives +inf."""
+    """Per x, the maximum over y of bbar(x, y) - f(y), and the y attaining
+    it exactly (all of them where it is -inf) as row offsets and one flat
+    index array, from the engine's one reduction: f = +inf gives -inf,
+    and f = -inf gives +inf."""
     return sup_pass(kernel, fvals, True, lambda vals, top: vals == top[:, None])
 
 
-def _touches(ties, where: np.ndarray) -> np.ndarray:
+def _touches(indptr, ties, where: np.ndarray) -> np.ndarray:
     """Per (nonempty) tie set, whether it meets the y mask ``where``."""
-    starts = np.cumsum([0] + [len(t) for t in ties[:-1]])
-    return np.logical_or.reduceat(where[np.concatenate(ties)], starts)
+    return np.logical_or.reduceat(where[ties], indptr[:-1])
 
 
 def _edge_mask(ypts: np.ndarray) -> np.ndarray:
@@ -167,9 +167,9 @@ def _conjugate(pairing, f: GridFunction, x_grid: GridSpec):
     """max_y (<x, y> - f(y)) over the ``pairing`` kernel of x_grid and
     f's grid, the first argmax per x, and a flag for maxima also
     attained on the y-window edge."""
-    gvals, ties = _exact_max(pairing, f.samples)
-    argmax = np.array([t[0] for t in ties], dtype=int)
-    boundary = _touches(ties, _edge_mask(f.grid.points()))
+    gvals, indptr, ties = _exact_max(pairing, f.samples)
+    argmax = ties[indptr[:-1]]
+    boundary = _touches(indptr, ties, _edge_mask(f.grid.points()))
     return GridFunction(x_grid, gvals), argmax, boundary
 
 
@@ -263,8 +263,8 @@ def quadratic_reduction_check(f: GridFunction, a: float,
     fv = f.samples
 
     kernel = build_grid_kernel(Quadratic(a), x_grid, y_grid)
-    route_a, ties_a = _exact_max(kernel, fv)
-    arg_a = np.array([t[0] for t in ties_a], dtype=int)
+    route_a, indptr, ties = _exact_max(kernel, fv)
+    arg_a = ties[indptr[:-1]]
 
     if y_grid.ndim == 1:
         penalty = 0.5 * a * ypts * ypts
@@ -425,9 +425,9 @@ def weighted_power_domain(f: GridFunction, p: float,
     # x' major, x'' minor: the column k of a reshaped result is level k
     x_grid = GridSpec(xprime_grid.dims + xsecond_grid.dims)
     kernel = build_grid_kernel(WeightedPower(p), x_grid, f.grid)
-    top, ties = _exact_max(kernel, f.samples)
+    top, indptr, ties = _exact_max(kernel, f.samples)
     finite = np.isfinite(top).reshape(-1, len(levels)).all(axis=0)
-    at_edge = _touches(ties, _edge_mask(f.grid.points()))
+    at_edge = _touches(indptr, ties, _edge_mask(f.grid.points()))
     at_edge = at_edge.reshape(-1, len(levels)).any(axis=0)
 
     per_level = [

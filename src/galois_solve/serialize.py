@@ -113,13 +113,20 @@ def _family_from_dict(name: str, params: dict):
                      for k, v in fields.items()})
 
 
-def load_problem(path: str) -> Problem:
+def _read_json(path: str, what: str):
+    """The JSON document in a file.  A directory, bytes that are not
+    UTF-8 and text that is not JSON are each a ValidationError."""
     try:
-        with open(path) as fh:
-            doc = json.load(fh)
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
     except json.JSONDecodeError as exc:
-        raise ValidationError(f"problem file is not valid JSON: {exc}") from exc
-    return problem_from_dict(doc)
+        raise ValidationError(f"{what} is not valid JSON: {exc}") from exc
+    except (IsADirectoryError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"{what} cannot be read: {exc}") from exc
+
+
+def load_problem(path: str) -> Problem:
+    return problem_from_dict(_read_json(path, "problem file"))
 
 
 # ----------------------------------------------------------------------
@@ -237,8 +244,7 @@ def parse_function_arg(arg: str, labels: Tuple[str, ...]) -> FunctionOnSpace:
     """A function given inline as JSON, or in a file via an ``@path``
     argument.  Values are numbers or the infinity strings."""
     if arg.startswith("@"):
-        with open(arg[1:]) as fh:
-            doc = json.load(fh)
+        doc = _read_json(arg[1:], "function file")
     else:
         try:
             doc = json.loads(arg)
@@ -246,6 +252,8 @@ def parse_function_arg(arg: str, labels: Tuple[str, ...]) -> FunctionOnSpace:
             raise ValidationError(f"inline function is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ValidationError("a function must be a JSON object of label: value")
-    return FunctionOnSpace.from_mapping(
-        labels, {k: extreal.from_json(v) for k, v in doc.items()}
-    )
+    try:
+        values = {k: extreal.from_json(v) for k, v in doc.items()}
+    except (ValueError, OverflowError) as exc:
+        raise ValidationError(f"malformed function: {exc}") from exc
+    return FunctionOnSpace.from_mapping(labels, values)

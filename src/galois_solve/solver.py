@@ -23,13 +23,12 @@ import math
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress
 from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from .covering import CoverFamily, CoverReport, check_cover, irredundant_subcover
-from .engine import FunctionOnSpace, SubdiffMap, apply_forward, subdiff_inverse
+from .engine import FunctionOnSpace, apply_forward, subdiff_inverse
 from .errors import InternalError, NoSolutionError, ValidationError
 from .extreal import DEFAULT_TOL, ExtReal, close
 from .kernel import Kernel
@@ -88,19 +87,6 @@ class Solution:
             self.target.labels, self.target.values, self.transformed.values)}
 
 
-def _cover_family(problem: Problem, f_min: FunctionOnSpace,
-                  inv: SubdiffMap) -> CoverFamily:
-    """The covering sets of the pool (the y where f_min < +inf) over the
-    universe (the x of X' where g > -inf), as universe positions."""
-    kernel = problem.kernel
-    in_universe = problem._x_mask() & (problem.g.values > -math.inf)
-    position = np.cumsum(in_universe) - 1
-    pool = np.flatnonzero(f_min.values < math.inf)
-    members = [position[t[in_universe[t]]] for t in (inv.ties[j] for j in pool)]
-    return CoverFamily(tuple(compress(kernel.x_labels, in_universe)),
-                       tuple(kernel.y_labels[j] for j in pool), members)
-
-
 def solve(problem: Problem) -> Solution:
     """Full decision: status, minimal solution, covering certificate,
     and (when solutions are not unique) a distinct verified witness.
@@ -108,9 +94,9 @@ def solve(problem: Problem) -> Solution:
     The minimal solution and the covering sets come from one pass of
     the adjoint reduction."""
     kernel, g = problem.kernel, problem.g
-    inv = subdiff_inverse(kernel, g, problem.tolerance)
-    f_min = FunctionOnSpace(kernel.y_labels, inv.sup)
-    family = _cover_family(problem, f_min, inv)
+    top, family = subdiff_inverse(kernel, g, problem.tolerance)
+    f_min = FunctionOnSpace(kernel.y_labels, top)
+    family = family.cut(top < math.inf, problem._x_mask() & (g.values > -math.inf))
     report = check_cover(family)
 
     pg = apply_forward(kernel, f_min)
@@ -144,12 +130,9 @@ def _alternate_witness(problem: Problem, f_min: FunctionOnSpace,
     re-verified by direct application of the forward transform.
     """
     keep = set(irredundant_subcover(family))
-    drop = np.array([y not in keep for y in family.index_pool], dtype=bool)
-    if not drop.any():
+    if len(keep) == len(family.index_pool):
         raise InternalError("non-minimal covering produced no removable index")
-    # the pool is the y side where f_min < +inf, in the family's order
-    vals = f_min.values.copy()
-    vals[np.flatnonzero(vals < math.inf)[drop]] = math.inf
+    vals = np.where([y in keep for y in f_min.labels], f_min.values, math.inf)
     witness = FunctionOnSpace(f_min.labels, vals)
     if not verify(problem, witness).is_solution:
         raise InternalError("constructed witness failed re-verification")

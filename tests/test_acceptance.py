@@ -57,7 +57,7 @@ def test_criterion_1_worked_example(demo_kernel, demo_g):
     sol = solve(Problem(demo_kernel, demo_g))
     closed = np.array([-SQRT6, -4.0 / 3.0, -6.0])
     ok_fmin = bool(np.all(np.abs(sol.f_min.values - closed) <= 1e-12))
-    inv = subdiff_inverse(demo_kernel, demo_g)
+    _, inv = subdiff_inverse(demo_kernel, demo_g)
     ok_sets = inv.sets == {
         "y1": frozenset({"x2"}),
         "y2": frozenset({"x1"}),

@@ -100,6 +100,26 @@ def test_solve_missing_file(capsys):
     assert code == 2
 
 
+# a directory, bytes that are not UTF-8, and text that is not JSON
+UNREADABLE = {"directory": None, "latin-1": b'{"x": "\xe9"}', "not-json": b"{oops"}
+
+
+def _unreadable(tmp_path, kind):
+    path = tmp_path / kind
+    if UNREADABLE[kind] is None:
+        path.mkdir()
+    else:
+        path.write_bytes(UNREADABLE[kind])
+    return str(path)
+
+
+@pytest.mark.parametrize("kind", sorted(UNREADABLE))
+def test_solve_unreadable_file(tmp_path, capsys, kind):
+    code, out, err = run(capsys, "solve", _unreadable(tmp_path, kind))
+    assert code == 2
+    assert err.startswith("validation error:") and "Traceback" not in out + err
+
+
 def test_bad_flags_exit_code(capsys):
     code = main(["lab", "not-an-experiment"])
     capsys.readouterr()
@@ -148,9 +168,25 @@ def test_apply_forward_requires_f(capsys):
     assert code == 2 and "--f" in err
 
 
-def test_apply_parse_error(capsys):
-    code, _, err = run(capsys, "apply", DEMO, "--direction", "B", "--f", "{oops")
+@pytest.mark.parametrize("f", [
+    "{oops",
+    '{"y1": "abc", "y2": 0, "y3": 0}',
+    '{"y1": true, "y2": 0, "y3": 0}',
+    '{"y1": NaN, "y2": 0, "y3": 0}',
+    '{"y1": 1' + "0" * 400 + ', "y2": 0, "y3": 0}',
+], ids=["not-json", "string", "bool", "nan", "overflow"])
+def test_apply_parse_error(capsys, f):
+    code, out, err = run(capsys, "apply", DEMO, "--direction", "B", "--f", f)
     assert code == 2
+    assert err.startswith("validation error:") and "Traceback" not in out + err
+
+
+@pytest.mark.parametrize("kind", sorted(UNREADABLE))
+def test_apply_unreadable_function_file(tmp_path, capsys, kind):
+    code, out, err = run(capsys, "apply", DEMO, "--direction", "Bstar",
+                         "--g", "@" + _unreadable(tmp_path, kind))
+    assert code == 2
+    assert err.startswith("validation error:") and "Traceback" not in out + err
 
 
 # -- lab

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -199,3 +200,33 @@ def test_index_arrays_match_label_set_oracle(data):
     else:
         with pytest.raises(NotACoverError):
             irredundant_subcover(fam)
+
+    inv = fam.invert()
+    assert inv.index_pool == universe and inv.universe == tuple(pool)
+    assert inv.sets == {w: frozenset(z for z in pool if w in clipped[z])
+                        for w in universe}
+    assert _rows_ascending(inv)
+
+    def mask(n):
+        kind = rnd.choice(["none", "all", "some"])
+        return np.array([kind == "all" or (kind == "some" and rnd.random() < 0.5)
+                         for _ in range(n)], dtype=bool)
+
+    in_pool, in_universe = mask(len(pool)), mask(len(universe))
+    cut = fam.cut(in_pool, in_universe)
+    sub_pool = [z for z, k in zip(pool, in_pool) if k]
+    sub_universe = [w for w, k in zip(universe, in_universe) if k]
+    want = CoverFamily.build(sub_universe, sets, sub_pool)
+    assert (cut.universe, cut.index_pool) == (want.universe, want.index_pool)
+    assert np.array_equal(cut.indptr, want.indptr)
+    assert np.array_equal(cut.indices, want.indices)
+    assert cut.sets == {z: clipped[z] & set(sub_universe) for z in sub_pool}
+    assert check_cover(cut) == _oracle_check_cover(
+        want.universe, want.sets, sub_pool)
+    if in_pool.all() and in_universe.all():
+        assert cut is fam
+
+
+def _rows_ascending(fam):
+    return all(np.all(np.diff(fam.indices[a:b]) > 0)
+               for a, b in zip(fam.indptr, fam.indptr[1:]))

@@ -15,6 +15,7 @@ from conftest import (
 )
 import galois_solve.engine as engine
 import galois_solve.kernel as kernel_mod
+from galois_solve.covering import CoverFamily, offsets
 from galois_solve.engine import (
     FunctionOnSpace,
     apply_adjoint,
@@ -94,7 +95,7 @@ def test_projector_below_unsolvable_target(demo_kernel, demo_g_bad):
 
 
 def test_subdiff_inverse_demo(demo_kernel, demo_g):
-    inv = subdiff_inverse(demo_kernel, demo_g)
+    _, inv = subdiff_inverse(demo_kernel, demo_g)
     assert inv.sets == {
         "y1": frozenset({"x2"}),
         "y2": frozenset({"x1"}),
@@ -103,13 +104,13 @@ def test_subdiff_inverse_demo(demo_kernel, demo_g):
 
 
 def test_subdiff_inverse_demo_bad(demo_kernel, demo_g_bad):
-    inv = subdiff_inverse(demo_kernel, demo_g_bad)
+    _, inv = subdiff_inverse(demo_kernel, demo_g_bad)
     assert all(s == frozenset({"x2"}) for s in inv.sets.values())
 
 
 def test_subdiff_inverse_of_top(demo_kernel):
     g = FunctionOnSpace.constant(demo_kernel.x_labels, math.inf)
-    inv = subdiff_inverse(demo_kernel, g)
+    _, inv = subdiff_inverse(demo_kernel, g)
     for j, y in enumerate(demo_kernel.y_labels):
         expected = {demo_kernel.x_labels[i] for i in demo_kernel.support_col(j)}
         assert inv.sets[y] == expected
@@ -118,7 +119,7 @@ def test_subdiff_inverse_of_top(demo_kernel):
 def test_subdiff_inverts_subdiff_inverse(demo_kernel, demo_g):
     f = apply_adjoint(demo_kernel, demo_g)
     sd = subdiff(demo_kernel, f)
-    inv = subdiff_inverse(demo_kernel, demo_g)
+    _, inv = subdiff_inverse(demo_kernel, demo_g)
     assert sd.sets == inv.sets
     # and the inverse relation is consistent both ways
     assert sd.invert().invert().sets == sd.sets
@@ -156,12 +157,14 @@ def test_invert_matches_label_sets():
         ties = [np.flatnonzero(rng.random(nt) < 0.4) for _ in range(ns)]
         src = tuple(f"s{k}" for k in range(ns))
         tgt = tuple(f"t{k}" for k in range(nt))
-        fwd = engine.SubdiffMap(src, tgt, ties)
+        fwd = CoverFamily(tgt, src, offsets([len(t) for t in ties]),
+                          np.concatenate([np.empty(0, np.intp), *ties]))
         inv = fwd.invert()
-        assert inv.source_labels == tgt and inv.target_labels == src
+        assert inv.index_pool == tgt and inv.universe == src
         assert inv.sets == {t: frozenset(s for s in src if t in fwd.sets[s])
                             for t in tgt}
-        assert all(np.all(np.diff(idx) > 0) for idx in inv.ties)
+        assert all(np.all(np.diff(inv.indices[a:b]) > 0)
+                   for a, b in zip(inv.indptr, inv.indptr[1:]))
 
 
 def test_domain_report(demo_g, demo_kernel):
@@ -286,7 +289,7 @@ def test_thread_count_is_capped_at_cpus_and_blocks(monkeypatch, n_out):
 # -- lazy and dense kernels agree, bit for bit
 
 def _same_map(a, b):
-    return a.sets == b.sets and np.array_equal(a.sup, b.sup)
+    return a[1].sets == b[1].sets and np.array_equal(a[0], b[0])
 
 
 @pytest.mark.parametrize("family,x_grid,y_grid", FAMILY_GRIDS, ids=FAMILY_IDS)
@@ -301,7 +304,7 @@ def test_lazy_and_dense_transforms_agree(monkeypatch, family, x_grid, y_grid):
                           apply_adjoint(dense, g).values)
     inv = subdiff_inverse(dense, g)
     assert _same_map(subdiff_inverse(lazy, g), inv)
-    assert np.array_equal(inv.sup, apply_adjoint(dense, g).values)
+    assert np.array_equal(inv[0], apply_adjoint(dense, g).values)
 
     keep = dense.y_labels[1::2]
     r_dense, r_lazy = dense.restrict(keep), lazy.restrict(keep)
@@ -503,7 +506,7 @@ def test_table_blocks_call_no_scalar_form(monkeypatch):
     rows[0] = [Affine(0.0, 0.5)] * 7
     kernel = build_table(rows)
     g = FunctionOnSpace(kernel.x_labels, rng.normal(size=6))
-    want = subdiff_inverse(kernel, g).sets
+    want = subdiff_inverse(kernel, g)[1].sets
 
     def refuse(*args, **kwargs):
         raise AssertionError("per-entry slice evaluated")
@@ -512,5 +515,5 @@ def test_table_blocks_call_no_scalar_form(monkeypatch):
         monkeypatch.setattr(cls, "eval_float", refuse)
     monkeypatch.setattr(Kernel, "entry", refuse)
     monkeypatch.setattr(Kernel, "adjoint_entry", refuse)
-    assert subdiff_inverse(kernel, g).sets == want
+    assert subdiff_inverse(kernel, g)[1].sets == want
     apply_forward(kernel, apply_adjoint(kernel, g))

@@ -369,13 +369,41 @@ def test_solve_never_reads_label_sets(monkeypatch, demo_kernel, demo_g, demo_g_b
     def refuse(self):
         raise AssertionError("label sets built inside solve")
 
-    monkeypatch.setattr(engine.SubdiffMap, "sets", property(refuse))
     monkeypatch.setattr(covering.CoverFamily, "sets", property(refuse))
     monkeypatch.setattr(solver_mod.Solution, "residual", property(refuse))
     assert solve(Problem(demo_kernel, demo_g)).status is Status.MULTIPLE
     restricted = demo_kernel.restrict(["y1", "y2"])
     assert solve(Problem(restricted, demo_g)).status is Status.UNIQUE
     assert solve(Problem(demo_kernel, demo_g_bad)).status is Status.NO_SOLUTION
+
+
+def test_solve_cuts_the_family_like_the_label_oracle():
+    # X', the points where g = -inf and the indices where f_min = +inf
+    # each cut the adjoint's family; the cut must be the family built
+    # from its label sets
+    rng = random.Random(23)
+    restricted = pool_cut = points_cut = 0
+    for _ in range(300):
+        k = random_moreau_kernel(rng)
+        g = random_function(rng, k.x_labels)
+        xr = None
+        if rng.random() < 0.5:
+            xr = tuple(x for x in k.x_labels if rng.random() < 0.6)
+        sol = solve(Problem(k, g, x_restrict=xr))
+        top, full = engine.subdiff_inverse(k, g)
+        universe = [x for x, v in zip(k.x_labels, g.values)
+                    if v > -math.inf and (xr is None or x in xr)]
+        pool = [y for y, v in zip(k.y_labels, top) if v < math.inf]
+        want = covering.CoverFamily.build(universe, full.sets, pool)
+        fam = sol.family
+        assert (fam.universe, fam.index_pool) == (want.universe, want.index_pool)
+        assert np.array_equal(fam.indptr, want.indptr)
+        assert np.array_equal(fam.indices, want.indices)
+        assert sol.cover == covering.check_cover(want)
+        restricted += xr is not None and len(xr) < len(k.x_labels)
+        pool_cut += len(pool) < len(k.y_labels)
+        points_cut += np.isneginf(g.values).any()
+    assert restricted > 50 and pool_cut > 50 and points_cut > 50
 
 
 def test_multiple_verdict_counts_the_cover_once(monkeypatch, demo_kernel, demo_g):
@@ -430,8 +458,8 @@ def test_unit_affine_table_matches_moreau():
             assert a.status == b.status
             assert a.f_min.values.tobytes() == b.f_min.values.tobytes()
             assert a.family.sets == b.family.sets
-            assert (engine.subdiff_inverse(moreau, g).sets
-                    == engine.subdiff_inverse(table, g).sets)
+            assert (engine.subdiff_inverse(moreau, g)[1].sets
+                    == engine.subdiff_inverse(table, g)[1].sets)
             if a.witness_alt is None:
                 assert b.witness_alt is None
             else:
