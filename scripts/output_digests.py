@@ -7,7 +7,10 @@ Usage:
 The inputs are the cli-files and grid-lab workloads of
 ``perfbench/gen.py`` at the seed: ``solve --json`` on every generated
 problem file, ``solve`` (desk text) on the fixtures and desk files, and
-``lab NAME --json`` for each experiment.  Every call runs in this
+``lab NAME`` for each experiment, with ``--json`` and as text.  Every
+moreau and table file of cli-files is also given to ``apply``, with
+``--json`` and as text: ``--direction Bstar`` on the file's own g, and
+``--direction B`` with f = 0 on every y.  Every call runs in this
 process through ``galois_solve.cli.main``, once with
 GALOIS_SOLVE_THREADS=1 and once with 2.  Each output line is
 
@@ -22,6 +25,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import json
 import os
 import pathlib
 import sys
@@ -36,12 +40,25 @@ def calls(seed: int, inputs: str):
     import gen
 
     seen = {}
+
+    def add(argv, shown=None):
+        name = " ".join([argv[0], pathlib.Path(argv[1]).name, *(shown or argv[2:])])
+        seen.setdefault(name, argv)
+
     for workload in ("cli-files", "grid-lab"):
-        planned, _, _ = gen.plan(workload, seed, inputs, str(ROOT))
+        planned, problems, _ = gen.plan(workload, seed, inputs, str(ROOT))
         for call in planned:
             argv = call["argv"]
-            name = " ".join([argv[0], pathlib.Path(argv[1]).name, *argv[2:]])
-            seen.setdefault(name, argv)
+            add(argv)
+            if argv[0] == "lab":
+                add(argv[:2])
+            if call["class"] not in ("moreau", "ties", "table"):
+                continue
+            zero = json.dumps(dict.fromkeys(problems[call["id"]].problem.y_labels, 0))
+            for tail in (["--json"], []):
+                add(["apply", argv[1], "--direction", "Bstar", *tail])
+                add(["apply", argv[1], "--direction", "B", "--f", zero, *tail],
+                    ["--direction", "B", "--f", "0", *tail])
     return list(seen.items())
 
 

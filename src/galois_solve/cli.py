@@ -14,9 +14,9 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import extreal
-from .engine import apply_adjoint, apply_forward
+from .engine import apply_adjoint, apply_forward, slice_table
 from .errors import ValidationError
+from .extreal import fmt
 from .lab import EXPERIMENTS, run_experiment, write_curves_csv
 from .serialize import (
     function_to_json,
@@ -33,23 +33,21 @@ EXIT_VALIDATION = 2
 EXIT_NO_SOLUTION = 3
 
 
-def _fmt(v: float) -> str:
-    return str(extreal.ExtReal(v))
-
-
-def _print_adjoint_table(problem: Problem, sol, out):
+def _print_adjoint_table(problem: Problem, sol):
     """Adjoint evaluation table, one row per y, maximisers starred."""
-    kernel, g = problem.kernel, problem.g
+    kernel = problem.kernel
     width = max(len(l) for l in kernel.y_labels)
-    print("adjoint evaluation (rows y, maximisers marked *):", file=out)
-    for j, yl in enumerate(kernel.y_labels):
-        cells = []
+    table = slice_table(kernel, problem.g.values, False)
+    print("adjoint evaluation (rows y, maximisers marked *):")
+    for yl, row in zip(kernel.y_labels, table):
         members = sol.family.sets.get(yl, frozenset())
-        for i, xl in enumerate(kernel.x_labels):
-            val = kernel.adjoint_entry(j, i).eval_float(float(g.values[i]))
-            star = "*" if xl in members else " "
-            cells.append(f"{star}{_fmt(val)}")
-        print(f"  {yl:>{width}}: " + "  ".join(f"{c:>16}" for c in cells), file=out)
+        cells = ("*" + fmt(v) if xl in members else " " + fmt(v)
+                 for xl, v in zip(kernel.x_labels, row.tolist()))
+        print(f"  {yl:>{width}}: " + "  ".join(f"{c:>16}" for c in cells))
+
+
+def _assignments(f, sep: str = " = "):
+    return [f"{l}{sep}{fmt(v)}" for l, v in zip(f.labels, f.values.tolist())]
 
 
 def cmd_solve(args) -> int:
@@ -69,29 +67,26 @@ def cmd_solve(args) -> int:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 
-    report = solution_to_report(sol)
     if args.json:
-        print(render_report(report))
+        print(render_report(solution_to_report(sol)))
     else:
-        out = sys.stdout
-        _print_adjoint_table(problem, sol, out)
-        print(f"status: {sol.status.value}", file=out)
-        print("minimal solution candidate:", file=out)
-        for l, v in sol.f_min.as_dict().items():
-            print(f"  {l} = {v}", file=out)
+        _print_adjoint_table(problem, sol)
+        print(f"status: {sol.status.value}")
+        print("minimal solution candidate:")
+        for line in _assignments(sol.f_min):
+            print("  " + line)
         if sol.cover.uncovered:
-            print(f"uncovered points: {', '.join(sol.cover.uncovered)}", file=out)
+            print(f"uncovered points: {', '.join(sol.cover.uncovered)}")
         if sol.cover.essential:
             witness = ", ".join(
                 f"{y} covers {sol.cover.privately_covered[y]} alone"
                 for y in sol.cover.essential
             )
-            print(f"essential indices: {witness}", file=out)
+            print(f"essential indices: {witness}")
         if sol.witness_alt is not None:
-            alt = ", ".join(f"{l}={v}" for l, v in sol.witness_alt.as_dict().items())
-            print(f"second solution: {alt}", file=out)
+            print(f"second solution: {', '.join(_assignments(sol.witness_alt, '='))}")
         for c in sol.caveats:
-            print(f"note: {c}", file=out)
+            print(f"note: {c}")
     return EXIT_NO_SOLUTION if sol.status == Status.NO_SOLUTION else EXIT_OK
 
 
@@ -100,11 +95,15 @@ def cmd_apply(args) -> int:
         problem = load_problem(args.file)
         kernel = problem.kernel
         if args.direction == "B":
+            if args.g is not None:
+                raise ValidationError("--direction B reads --f, not --g")
             if args.f is None:
                 raise ValidationError("--direction B needs --f")
             fn = parse_function_arg(args.f, kernel.y_labels)
             result = apply_forward(kernel, fn)
         else:
+            if args.f is not None:
+                raise ValidationError("--direction Bstar reads --g, not --f")
             if args.g is not None:
                 gn = parse_function_arg(args.g, kernel.x_labels)
             else:
@@ -116,8 +115,7 @@ def cmd_apply(args) -> int:
     if args.json:
         print(render_report(function_to_json(result), sort_keys=False))
     else:
-        for l, v in result.as_dict().items():
-            print(f"{l} = {v}")
+        print("\n".join(_assignments(result)))
     return EXIT_OK
 
 

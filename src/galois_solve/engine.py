@@ -38,7 +38,7 @@ import numpy as np
 
 from .covering import CoverFamily, offsets
 from .errors import ValidationError
-from .extreal import DEFAULT_TOL, ExtReal, as_extreal, close
+from .extreal import DEFAULT_TOL, INFINITIES, ExtReal, close, parse
 from .kernel import Kernel, LipschitzLine
 
 _BLOCK = 256
@@ -85,13 +85,13 @@ class FunctionOnSpace:
         extra = set(mapping) - set(labels)
         if extra:
             raise ValidationError(f"values for unknown labels: {sorted(extra)[:4]}")
-        vals = [float(as_extreal(mapping[l])) for l in labels]
+        vals = [parse(mapping[l], f"value at {l!r}", INFINITIES) for l in labels]
         return cls(labels, np.array(vals))
 
     @classmethod
     def constant(cls, labels: Iterable[str], value) -> "FunctionOnSpace":
         labels = tuple(labels)
-        return cls(labels, np.full(len(labels), float(as_extreal(value))))
+        return cls(labels, np.full(len(labels), parse(value, "value", INFINITIES)))
 
     @classmethod
     def dirac(cls, labels: Iterable[str], at: str, value) -> "FunctionOnSpace":
@@ -99,7 +99,7 @@ class FunctionOnSpace:
         labels = tuple(labels)
         vals = np.full(len(labels), math.inf)
         try:
-            vals[labels.index(at)] = float(as_extreal(value))
+            vals[labels.index(at)] = parse(value, "value", INFINITIES)
         except ValueError:
             raise ValidationError(f"unknown label: {at!r}") from None
         return cls(labels, vals)
@@ -112,7 +112,7 @@ class FunctionOnSpace:
 
     def with_value(self, label: str, value) -> "FunctionOnSpace":
         vals = self.values.copy()
-        vals[self._index[label]] = float(as_extreal(value))
+        vals[self._index[label]] = parse(value, f"value at {label!r}", INFINITIES)
         return FunctionOnSpace(self.labels, vals)
 
     def pointwise_max(self, other: "FunctionOnSpace") -> "FunctionOnSpace":
@@ -188,6 +188,12 @@ def _blocks(kernel: Kernel, lam: np.ndarray, by_rows: bool):
         return out
 
     return block
+
+
+def slice_table(kernel: Kernel, lam: np.ndarray, by_rows: bool) -> np.ndarray:
+    """The whole table of the kernel's slices at ``lam`` that the
+    reduction maximises, one row per output index."""
+    return _blocks(kernel, lam, by_rows)(0, kernel.shape[0 if by_rows else 1])
 
 
 def _prefix_argmax(s: np.ndarray) -> np.ndarray:

@@ -27,7 +27,7 @@ from typing import Callable, Iterable, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import ValidationError
-from .extreal import as_extreal
+from .extreal import as_extreal, parse
 from .scalar import (
     Affine,
     Off,
@@ -36,7 +36,6 @@ from .scalar import (
     TabulatedDecreasing,
     conn_from_dict,
     make_affine,
-    number,
     signed_power_values,
     tabulated_values,
 )
@@ -122,7 +121,7 @@ class GridSpec:
         if not isinstance(d, dict) or set(d) not in ({"dims"}, {"min", "max", "step"}):
             raise ValidationError(f"a grid has 'min', 'max' and 'step', or 'dims': {d!r}")
         dims = d["dims"] if "dims" in d else [[d["min"], d["max"], d["step"]]]
-        return cls(tuple(tuple(number(v, "grid bound") for v in t) for t in dims))
+        return cls(tuple(tuple(parse(v, "grid bound") for v in t) for t in dims))
 
 
 def _axis_count(a: float, b: float, s: float) -> int:

@@ -32,6 +32,7 @@ import numpy as np
 
 from .engine import FunctionOnSpace, apply_adjoint, apply_forward, sup_pass
 from .errors import NotLipschitzError, ValidationError
+from .extreal import to_json
 from .kernel import (
     FenchelDot,
     GridSpec,
@@ -114,12 +115,7 @@ def _jsonable(obj):
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, (np.floating, float)):
-        v = float(obj)
-        if v == math.inf:
-            return "+inf"
-        if v == -math.inf:
-            return "-inf"
-        return v
+        return to_json(obj)
     if isinstance(obj, (np.integer,)):
         return int(obj)
     if isinstance(obj, (np.bool_,)):
@@ -628,23 +624,25 @@ def _named_curve(name: str) -> Callable:
         ) from None
 
 
-EXPERIMENTS = ("fenchel", "quadratic", "lipschitz", "weighted-power", "exgeom")
+#: Each experiment, and the flags it takes with the parameter each sets.
+_RUNS = {
+    "fenchel": (fenchel_experiment, {"step": "step"}),
+    "quadratic": (quadratic_experiment, {"a": "a", "curve": "f_name"}),
+    "lipschitz": (lipschitz_experiment, {"curve": "g_name", "step": "step"}),
+    "weighted-power": (weighted_power_experiment, {}),
+    "exgeom": (exgeom_experiment, {"step": "step"}),
+}
+EXPERIMENTS = tuple(_RUNS)
 
 
-def run_experiment(name: str, **kwargs) -> LabResult:
-    if name == "fenchel":
-        return fenchel_experiment(step=kwargs.get("step") or 0.01)
-    if name == "quadratic":
-        return quadratic_experiment(
-            a=kwargs.get("a") or 1.0, f_name=kwargs.get("curve") or "quartic"
-        )
-    if name == "lipschitz":
-        return lipschitz_experiment(
-            g_name=kwargs.get("curve") or "abs_half",
-            step=kwargs.get("step") or 0.01,
-        )
-    if name == "weighted-power":
-        return weighted_power_experiment()
-    if name == "exgeom":
-        return exgeom_experiment(step=kwargs.get("step") or 1e-3)
-    raise ValidationError(f"unknown experiment {name!r}; choices: {EXPERIMENTS}")
+def run_experiment(name: str, **flags) -> LabResult:
+    """Run one experiment with the flags given (None: not given); every
+    other parameter keeps the experiment's default."""
+    if name not in _RUNS:
+        raise ValidationError(f"unknown experiment {name!r}; choices: {EXPERIMENTS}")
+    experiment, takes = _RUNS[name]
+    given = {k: v for k, v in flags.items() if v is not None}
+    unknown = sorted(set(given) - set(takes))
+    if unknown:
+        raise ValidationError(f"lab {name} does not take --{', --'.join(unknown)}")
+    return experiment(**{takes[k]: v for k, v in given.items()})

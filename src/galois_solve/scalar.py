@@ -18,7 +18,7 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from .errors import ValidationError
-from .extreal import DEFAULT_TOL, ExtReal, as_extreal
+from .extreal import DEFAULT_TOL, ExtReal, as_extreal, parse
 
 
 class ScalarConnection:
@@ -240,7 +240,7 @@ def tabulated_values(lam: np.ndarray, s: np.ndarray, t: np.ndarray,
 
 def make_affine(c, m: float = 1.0) -> ScalarConnection:
     """Affine form, degenerating to :class:`Off` when the offset is -inf."""
-    cv = float(as_extreal(c))
+    cv = parse(c, "affine offset", ("-inf",))
     if cv == -math.inf:
         return Off()
     if cv == math.inf:
@@ -256,14 +256,18 @@ def conn_from_dict(d: dict) -> ScalarConnection:
         if kind == "off":
             return Off()
         if kind == "affine":
-            return make_affine(_num_or_neg_inf(d["c"]), number(d["m"]))
+            return make_affine(d["c"], parse(d["m"], "affine slope"))
         if kind == "signed_power":
-            return SignedPower(number(d["c"]), number(d["p"]),
-                               number(d.get("shift", 0.0)))
+            return SignedPower(parse(d["c"], "signed-power c"),
+                               parse(d["p"], "signed-power p"),
+                               parse(d.get("shift", 0.0), "signed-power shift"))
         if kind == "table":
             pts = d["points"]
             try:
-                pairs = tuple((number(s), number(t)) for s, t in pts)
+                pairs = tuple((parse(s, "breakpoint"), parse(t, "breakpoint"))
+                              for s, t in pts)
+            except ValidationError:
+                raise
             except (TypeError, ValueError):
                 raise ValidationError(
                     f"tabulated points must be pairs of numbers: {pts!r}") from None
@@ -271,23 +275,6 @@ def conn_from_dict(d: dict) -> ScalarConnection:
     except KeyError as exc:
         raise ValidationError(f"scalar form {kind!r} missing field {exc}") from exc
     raise ValidationError(f"unknown scalar form type: {kind!r}")
-
-
-def number(obj, what: str = "scalar form field") -> float:
-    """A JSON number as a float; anything else is a ValidationError."""
-    if type(obj) is float:
-        return obj
-    if isinstance(obj, (int, float)) and not isinstance(obj, bool):
-        return float(obj)
-    raise ValidationError(f"{what} is not a number: {obj!r}")
-
-
-def _num_or_neg_inf(obj) -> float:
-    if obj == "-inf":
-        return -math.inf
-    if isinstance(obj, (int, float)) and not isinstance(obj, bool):
-        return float(obj)
-    raise ValidationError(f"bad affine offset: {obj!r}")
 
 
 #: Finite abscissas used by the adjunction grid check, spanning several

@@ -1,8 +1,9 @@
 """Problem and report files.
 
 Problems are JSON documents; infinities travel as the strings "-inf"
-and "+inf" to stay inside standard JSON.  Unknown fields in problem
-files are rejected rather than ignored, so typos fail loudly.
+and "+inf" to stay inside standard JSON, and every value is read and
+written by the rules of :mod:`galois_solve.extreal`.  Unknown fields in
+problem files are rejected rather than ignored, so typos fail loudly.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from .kernel import (
     build_moreau,
     build_table,
 )
-from .scalar import number
 from .solver import Problem, Solution
 
 _PROBLEM_KEYS = {"x", "y", "kernel", "g", "x_restrict", "tolerance"}
@@ -46,27 +46,32 @@ def problem_from_dict(doc: dict) -> Problem:
         raise ValidationError(f"unknown problem fields: {sorted(unknown)}")
     if "kernel" not in doc or "g" not in doc:
         raise ValidationError("problem file needs 'kernel' and 'g'")
+    x, y, x_restrict = (_labels(doc, key) for key in ("x", "y", "x_restrict"))
+    if x == [] or y == []:  # the builders read an empty list as none given
+        raise ValidationError("index sets must be nonempty")
     try:
-        kernel = _kernel_from_dict(doc["kernel"], doc.get("x"), doc.get("y"))
+        kernel = _kernel_from_dict(doc["kernel"], x, y)
         gmap = doc["g"]
         if not isinstance(gmap, dict):
             raise ValidationError("'g' must map x labels to values")
-        g = FunctionOnSpace.from_mapping(
-            kernel.x_labels, {k: extreal.from_json(v) for k, v in gmap.items()}
-        )
-        x_restrict = doc.get("x_restrict")
-        if x_restrict is not None:
-            x_restrict = tuple(str(l) for l in x_restrict)
+        g = FunctionOnSpace.from_mapping(kernel.x_labels, gmap)
     except ValidationError:
         raise
     except KeyError as exc:
         raise ValidationError(f"problem file is missing field {exc}") from exc
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed problem file: {exc}") from exc
-    tol = doc.get("tolerance", extreal.DEFAULT_TOL)
-    if not isinstance(tol, (int, float)) or isinstance(tol, bool):
-        raise ValidationError("'tolerance' must be a number")
-    return Problem(kernel, g, x_restrict=x_restrict, tolerance=float(tol))
+    tol = extreal.parse(doc.get("tolerance", extreal.DEFAULT_TOL), "'tolerance'")
+    return Problem(kernel, g, x_restrict=x_restrict, tolerance=tol)
+
+
+def _labels(doc: dict, key: str):
+    """The labels under ``key``, a JSON list of strings, or None."""
+    labels = doc.get(key)
+    if key in doc and not (isinstance(labels, list)
+                           and all(isinstance(l, str) for l in labels)):
+        raise ValidationError(f"{key!r} must be a list of strings: {labels!r}")
+    return labels
 
 
 def _kernel_from_dict(spec: dict, x_labels, y_labels) -> Kernel:
@@ -109,7 +114,8 @@ def _family_from_dict(name: str, params: dict):
     family, fields = _GRID_FAMILIES[name]
     if not isinstance(params, dict) or not set(params) <= set(fields):
         raise ValidationError(f"{name} takes the params {sorted(fields)}: {params!r}")
-    return family(**{k: number(params[k] if v is None else params.get(k, v), f"param {k!r}")
+    return family(**{k: extreal.parse(params[k] if v is None else params.get(k, v),
+                                      f"param {k!r}")
                      for k, v in fields.items()})
 
 
@@ -136,7 +142,7 @@ def load_problem(path: str) -> Problem:
 def function_to_json(f: Optional[FunctionOnSpace]):
     if f is None:
         return None
-    return {l: extreal.to_json(v) for l, v in f.as_dict().items()}
+    return dict(zip(f.labels, extreal.to_json(f.values)))
 
 
 def solution_to_report(sol: Solution) -> dict:
@@ -152,10 +158,9 @@ def solution_to_report(sol: Solution) -> dict:
         "f_min": function_to_json(sol.f_min),
         "cover": cover,
         "witness_alt": function_to_json(sol.witness_alt),
-        "residual": {
-            x: [extreal.to_json(gv), extreal.to_json(pv)]
-            for x, (gv, pv) in sol.residual.items()
-        },
+        "residual": {x: [gv, pv] for x, gv, pv in zip(
+            sol.target.labels, extreal.to_json(sol.target.values),
+            extreal.to_json(sol.transformed.values))},
         "caveats": list(sol.caveats),
     }
 
@@ -252,8 +257,4 @@ def parse_function_arg(arg: str, labels: Tuple[str, ...]) -> FunctionOnSpace:
             raise ValidationError(f"inline function is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ValidationError("a function must be a JSON object of label: value")
-    try:
-        values = {k: extreal.from_json(v) for k, v in doc.items()}
-    except (ValueError, OverflowError) as exc:
-        raise ValidationError(f"malformed function: {exc}") from exc
-    return FunctionOnSpace.from_mapping(labels, values)
+    return FunctionOnSpace.from_mapping(labels, doc)

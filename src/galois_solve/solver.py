@@ -141,19 +141,12 @@ def _alternate_witness(problem: Problem, f_min: FunctionOnSpace,
 
 @dataclass(frozen=True, eq=False)
 class VerifyReport:
-    """``holds`` marks the x where the check passed; ``comparisons`` is
-    the same check by label, with both values."""
+    """``holds`` marks the x where the check passed."""
 
     is_solution: bool
     transformed: FunctionOnSpace
     target: FunctionOnSpace
     holds: np.ndarray
-
-    @cached_property
-    def comparisons(self) -> Dict[str, Tuple[ExtReal, ExtReal, bool]]:
-        return {l: (ExtReal(b), ExtReal(g), bool(ok)) for l, b, g, ok in zip(
-            self.target.labels, self.transformed.values, self.target.values,
-            self.holds)}
 
 
 def verify(problem: Problem, f: FunctionOnSpace) -> VerifyReport:

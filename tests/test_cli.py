@@ -181,6 +181,19 @@ def test_apply_parse_error(capsys, f):
     assert err.startswith("validation error:") and "Traceback" not in out + err
 
 
+@pytest.mark.parametrize("argv", [
+    ["--direction", "Bstar", "--f", '{"y1": 0, "y2": 0, "y3": 0}'],
+    ["--direction", "Bstar", "--f", "{oops"],
+    ["--direction", "B", "--f", '{"y1": 0, "y2": 0, "y3": 0}',
+     "--g", '{"x1": 8, "x2": 6}'],
+    ["--direction", "B", "--f", '{"y1": 0, "y2": 0, "y3": 0}', "--g", "{oops"],
+], ids=["Bstar-f", "Bstar-bad-f", "B-g", "B-bad-g"])
+def test_apply_refuses_the_flag_it_does_not_read(capsys, argv):
+    code, out, err = run(capsys, "apply", DEMO, *argv)
+    assert code == 2
+    assert err.startswith("validation error:") and "Traceback" not in out + err
+
+
 @pytest.mark.parametrize("kind", sorted(UNREADABLE))
 def test_apply_unreadable_function_file(tmp_path, capsys, kind):
     code, out, err = run(capsys, "apply", DEMO, "--direction", "Bstar",
@@ -211,6 +224,26 @@ def test_lab_csv_dump(tmp_path, capsys):
     assert code == 0
     header = csv_path.read_text().splitlines()[0]
     assert "x" in header.split(",")
+
+
+@pytest.mark.parametrize("argv", [
+    ["fenchel", "--step", "0"], ["fenchel", "--step", "-0.01"],
+    ["exgeom", "--step", "0"], ["lipschitz", "--step", "-1"],
+    ["quadratic", "--a", "0"], ["quadratic", "--curve", "wavy"],
+    ["lipschitz", "--a", "5"], ["fenchel", "--curve", "cos"],
+    ["quadratic", "--step", "0.01"], ["weighted-power", "--a", "2"],
+    ["weighted-power", "--step", "0.1"], ["exgeom", "--curve", "abs"],
+], ids=" ".join)
+def test_lab_flags_are_passed_on_or_refused(capsys, argv):
+    code, out, err = run(capsys, "lab", *argv)
+    assert code == 2
+    assert err.startswith("validation error:") and "Traceback" not in out + err
+
+
+def test_lab_flags_reach_the_experiment(capsys):
+    code, out, _ = run(capsys, "lab", "quadratic", "--a", "-0.5", "--json")
+    assert code in (0, 1) and json.loads(out)["details"]["a"] == -0.5
+    assert run_experiment("quadratic", a=None, curve=None, step=None).details["a"] == 1.0
 
 
 # -- problem files and reports
@@ -290,6 +323,32 @@ MALFORMED.update({
     "params-bool": _grid("quadratic", {"a": True}),
     "bound-bool": _grid("fenchel_dot", {}, LINE, {"min": False, "max": 1, "step": 1}),
 })
+
+
+def _moreau(**labels):
+    return {"kernel": {"type": "moreau", "bbar": [[0, 1], [1, 0]]},
+            "g": {"x1": 0, "x2": 0}, **labels}
+
+
+# labels are JSON lists of strings, and an empty list is not "no labels"
+MALFORMED.update({
+    "x-string": _moreau(x="ab", g={"a": 0, "b": 0}),
+    "x-empty": _moreau(x=[]),
+    "y-empty": _moreau(y=[]),
+    "x-numbers": _moreau(x=[1, 2], g={"1": 0, "2": 0}),
+    "y-mixed": _moreau(y=["y1", 2]),
+    "x-null": _moreau(x=None),
+    "x-restrict-string": _moreau(x=["a", "b"], g={"a": 0, "b": 0}, x_restrict="ab"),
+    "x-restrict-numbers": _moreau(x=["1", "2"], g={"1": 0, "2": 0}, x_restrict=[1]),
+    "x-restrict-null": _moreau(x_restrict=None),
+})
+
+
+def test_label_lists_are_taken_as_given():
+    prob = problem_from_dict({**_moreau(x=["a", "b"], y=["u", "v"]),
+                              "g": {"a": 0, "b": 0}, "x_restrict": []})
+    assert prob.kernel.x_labels == ("a", "b") and prob.kernel.y_labels == ("u", "v")
+    assert prob.x_restrict == ()
 
 
 @pytest.mark.parametrize("name", sorted(MALFORMED))
@@ -520,6 +579,109 @@ def test_malformed_grid_kernels_are_validation_errors(tmp_path_factory, docs):
 
 def _dumps(doc, sort_keys=True):
     return json.dumps(doc, indent=2, sort_keys=sort_keys)
+
+
+# -- one accept rule for an extended real at every input site
+
+
+def _parses(v, infinities) -> bool:
+    """The rule, written out: a real number that is not a bool, NaN or
+    an integer beyond the float range, or one of the listed strings."""
+    if isinstance(v, str):
+        return v in infinities
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        return False
+    try:
+        return not math.isnan(float(v))
+    except OverflowError:
+        return False
+
+
+INF_VALUES = {"+inf": math.inf, "inf": math.inf, "-inf": -math.inf}
+ALL_INF = tuple(INF_VALUES)
+AFFINE_ROWS = [[{"type": "affine", "c": 0, "m": 1}] * 2] * 2
+
+
+def _table_site(form):
+    return {"kernel": {"type": "table", "entries": [[form, AFFINE_ROWS[0][1]],
+                                                    AFFINE_ROWS[1]]},
+            "g": {"x1": 0, "x2": 0}}
+
+
+# site: (infinity strings it takes, problem file or apply --f for a value,
+# which taken values are sure to make a solvable file, None: no claim)
+SITES = {
+    "g": (ALL_INF, lambda v: _moreau(g={"x1": v, "x2": 0}), lambda x: True),
+    "apply-f": (ALL_INF, lambda v: {"y1": v, "y2": 0, "y3": 0}, lambda x: True),
+    "tolerance": ((), lambda v: _moreau(tolerance=v), None),
+    "grid-bound": ((), lambda v: _grid("fenchel_dot", {}, LINE,
+                                       {"min": -1, "max": 1, "step": v}), None),
+    "grid-param": ((), lambda v: _grid("quadratic", {"a": v}), None),
+    "affine-c": (("-inf",), lambda v: _table_site({"type": "affine", "c": v, "m": 1}),
+                 lambda x: x < math.inf),
+    "affine-m": ((), lambda v: _table_site({"type": "affine", "c": 0, "m": v}), None),
+    "signed-power-c": ((), lambda v: _table_site(
+        {"type": "signed_power", "c": v, "p": 1, "shift": 0}), math.isfinite),
+    "signed-power-p": ((), lambda v: _table_site(
+        {"type": "signed_power", "c": 0, "p": v}), None),
+    "signed-power-shift": ((), lambda v: _table_site(
+        {"type": "signed_power", "c": 0, "p": 1, "shift": v}), math.isfinite),
+    "breakpoint": ((), lambda v: _table_site(
+        {"type": "table", "points": [[0, 1], [1, v]]}), None),
+}
+
+json_value = st.one_of(
+    st.integers(-10**6, 10**6), st.floats(allow_nan=False),
+    st.integers(2**1024, 2**1100).flatmap(lambda n: st.sampled_from([n, -n])),
+    st.sampled_from([math.nan, math.inf, -math.inf, True, False, None, "1.5",
+                     "nan", "inf", "+inf", "-inf", "abc", 0, -0.0]),
+    st.lists(st.integers(), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=1))
+
+
+def _cli(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue() + err.getvalue(), err.getvalue()
+
+
+@settings(max_examples=80, deadline=None)
+@given(value=json_value)
+def test_one_accept_rule_at_every_input_site(tmp_path_factory, value):
+    """Every field that holds an extended real takes exactly the values
+    of ``extreal.parse`` with its own infinity strings; a refused value
+    exits 2 with no traceback, naming the field.  The coupling entries
+    of a moreau table keep their own rule (numbers and "-inf", checked
+    entry by entry in ``kernel.build_moreau``) until that loop is
+    replaced by one array conversion, so they are not a site here."""
+    path = tmp_path_factory.getbasetemp() / "site.json"
+    for site, (infinities, doc, valid) in SITES.items():
+        if site == "apply-f":
+            code, text, err = _cli(["apply", DEMO, "--direction", "B",
+                                    "--f", json.dumps(doc(value))])
+        else:
+            path.write_text(json.dumps(doc(value)))
+            code, text, err = _cli(["solve", str(path)])
+        assert "Traceback" not in text, site
+        if not _parses(value, infinities):
+            assert code == 2 and err.startswith("validation error:"), site
+            assert "is not a number" in err, (site, err)
+            continue
+        assert "is not a number" not in err, (site, err)
+        if valid is not None and valid(float(INF_VALUES.get(value, value))):
+            assert code in (0, 3), (site, err)
+
+    ok = _parses(value, ALL_INF)
+    for build in (lambda: FunctionOnSpace.from_mapping(["a", "b"], {"a": value, "b": 0}),
+                  lambda: FunctionOnSpace.constant(["a"], value),
+                  lambda: FunctionOnSpace.dirac(["a", "b"], "a", value),
+                  lambda: FunctionOnSpace(("a",), [0.0]).with_value("a", value)):
+        if ok:
+            assert build().values[0] == float(INF_VALUES.get(value, value))
+        else:
+            with pytest.raises(ValidationError):
+                build()
 
 
 @pytest.mark.parametrize("name", EXPERIMENTS)

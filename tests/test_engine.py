@@ -22,6 +22,7 @@ from galois_solve.engine import (
     apply_forward,
     domain_report,
     projector,
+    slice_table,
     subdiff,
     subdiff_inverse,
 )
@@ -493,6 +494,13 @@ def test_table_blocks_match_scalar_forms_bitwise(case):
         assert got.tobytes() == np.array(forward).tobytes()
         got = _evaluated_blocks(k, lam_x, False, size)
         assert got.tobytes() == np.array(adjoint).tobytes()
+        # the whole table, as the text report prints it, against the
+        # kernel's own adjoint slices
+        oracle = [[k.adjoint_entry(j, i).eval_float(lam_x[i]) for i in range(nx)]
+                  for j in range(ny)]
+        assert np.array(oracle).tobytes() == np.array(adjoint).tobytes()
+        assert slice_table(k, lam_x, False).tobytes() == np.array(adjoint).tobytes()
+        assert slice_table(k, lam, True).tobytes() == np.array(forward).tobytes()
 
 
 def test_table_blocks_call_no_scalar_form(monkeypatch):
