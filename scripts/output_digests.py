@@ -11,14 +11,18 @@ problem file, ``solve`` (desk text) on the fixtures and desk files, and
 moreau and table file of cli-files is also given to ``apply``, with
 ``--json`` and as text: ``--direction Bstar`` on the file's own g, and
 ``--direction B`` with f = 0 on every y.  Every call runs in this
-process through ``galois_solve.cli.main``, once with
-GALOIS_SOLVE_THREADS=1 and once with 2.  Each output line is
+process through ``galois_solve.cli.main``, once with the process
+pinned to one CPU and once on every CPU it may use, which sets the
+thread count of the lazy passes.  Source trees from before that rule
+read the thread count from GALOIS_SOLVE_THREADS instead, so the script
+also sets it, to 1 and then 2.  Each output line is
 
-    THREADS CALL EXIT_CODE SHA256_OF_STDOUT
+    RUN CALL EXIT_CODE SHA256_OF_STDOUT
 
-so two checkouts produce byte-identical outputs exactly when their
-digest files do not differ.  ``--src`` names the source tree to import
-``galois_solve`` from (default: this checkout's ``src``).
+with RUN 1 for the one-CPU run and 2 for the other, so two checkouts
+produce byte-identical outputs exactly when their digest files do not
+differ.  ``--src`` names the source tree to import ``galois_solve``
+from (default: this checkout's ``src``).
 """
 
 import argparse
@@ -70,11 +74,13 @@ def main(argv=None) -> int:
     sys.path.insert(0, os.path.abspath(args.src))
     from galois_solve import cli
 
+    cpus = os.sched_getaffinity(0)
     saved = os.environ.get("GALOIS_SOLVE_THREADS")
     try:
         with tempfile.TemporaryDirectory() as inputs:
             todo = calls(args.seed, inputs)
-            for threads in ("1", "2"):
+            for threads, pinned in (("1", {min(cpus)}), ("2", cpus)):
+                os.sched_setaffinity(0, pinned)
                 os.environ["GALOIS_SOLVE_THREADS"] = threads
                 for name, call in todo:
                     out = io.StringIO()
@@ -83,6 +89,7 @@ def main(argv=None) -> int:
                     digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
                     print(threads, name.replace(" ", "_"), code, digest)
     finally:
+        os.sched_setaffinity(0, cpus)
         if saved is None:
             os.environ.pop("GALOIS_SOLVE_THREADS", None)
         else:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 from .engine import apply_adjoint, apply_forward, slice_table
 from .errors import ValidationError
@@ -51,21 +52,12 @@ def _assignments(f, sep: str = " = "):
 
 
 def cmd_solve(args) -> int:
-    try:
-        problem = load_problem(args.file)
-        if args.x_restrict:
-            problem = Problem(
-                problem.kernel, problem.g,
-                x_restrict=tuple(args.x_restrict.split(",")),
-                tolerance=problem.tolerance,
-            )
-        if args.tol is not None:
-            problem = Problem(problem.kernel, problem.g,
-                              x_restrict=problem.x_restrict, tolerance=args.tol)
-        sol = solve(problem)
-    except ValidationError as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+    problem = load_problem(args.file)
+    if args.x_restrict:
+        problem = replace(problem, x_restrict=tuple(args.x_restrict.split(",")))
+    if args.tol is not None:
+        problem = replace(problem, tolerance=args.tol)
+    sol = solve(problem)
 
     if args.json:
         print(render_report(solution_to_report(sol)))
@@ -91,27 +83,19 @@ def cmd_solve(args) -> int:
 
 
 def cmd_apply(args) -> int:
-    try:
-        problem = load_problem(args.file)
-        kernel = problem.kernel
-        if args.direction == "B":
-            if args.g is not None:
-                raise ValidationError("--direction B reads --f, not --g")
-            if args.f is None:
-                raise ValidationError("--direction B needs --f")
-            fn = parse_function_arg(args.f, kernel.y_labels)
-            result = apply_forward(kernel, fn)
-        else:
-            if args.f is not None:
-                raise ValidationError("--direction Bstar reads --g, not --f")
-            if args.g is not None:
-                gn = parse_function_arg(args.g, kernel.x_labels)
-            else:
-                gn = problem.g
-            result = apply_adjoint(kernel, gn)
-    except ValidationError as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+    problem = load_problem(args.file)
+    kernel = problem.kernel
+    if args.direction == "B":
+        if args.g is not None:
+            raise ValidationError("--direction B reads --f, not --g")
+        if args.f is None:
+            raise ValidationError("--direction B needs --f")
+        result = apply_forward(kernel, parse_function_arg(args.f, kernel.y_labels))
+    else:
+        if args.f is not None:
+            raise ValidationError("--direction Bstar reads --g, not --f")
+        gn = problem.g if args.g is None else parse_function_arg(args.g, kernel.x_labels)
+        result = apply_adjoint(kernel, gn)
     if args.json:
         print(render_report(function_to_json(result), sort_keys=False))
     else:
@@ -120,13 +104,7 @@ def cmd_apply(args) -> int:
 
 
 def cmd_lab(args) -> int:
-    try:
-        result = run_experiment(
-            args.name, step=args.step, a=args.a, curve=args.curve
-        )
-    except ValidationError as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+    result = run_experiment(args.name, step=args.step, a=args.a, curve=args.curve)
     if args.csv and result.curves:
         write_curves_csv(args.csv, result.curves)
     if args.json:
@@ -188,7 +166,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_VALIDATION
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
+    except (ValidationError, FileNotFoundError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

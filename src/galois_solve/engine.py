@@ -11,10 +11,12 @@ its blocks the same way from its :class:`~galois_solve.kernel.Slices`:
 offsets minus the input (times the slopes, when some slope is not 1),
 then the signed-power and tabulated entries of a table of scalar forms
 overwritten from their parameter arrays.
-Maxima are order-independent, so optional data-parallel evaluation of
-the blocks is deterministic.  Its thread count is the
-GALOIS_SOLVE_THREADS environment variable, capped at the CPU count and
-the number of blocks.
+Maxima are order-independent, so data-parallel evaluation of the
+blocks is deterministic.  A kernel that generates its table block by
+block (:attr:`~galois_solve.kernel.Kernel.is_lazy`) evaluates its
+blocks on as many threads as the process may use CPUs, capped at the
+number of blocks.  A stored table, of couplings or of forms, runs
+serially: threads were measured to gain nothing on one.
 
 Argmax sets travel as one flat array of sorted indices with row offsets,
 in a :class:`~galois_solve.covering.CoverFamily`, which turns them into
@@ -32,7 +34,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Dict, Iterable, Mapping, Optional, Tuple
+from typing import Dict, Iterable, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -44,14 +46,12 @@ from .kernel import Kernel, LipschitzLine
 _BLOCK = 256
 
 
-def _thread_count() -> int:
-    cap = os.environ.get("GALOIS_SOLVE_THREADS")
-    if cap is None:
-        return 1
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
     try:
-        return max(1, int(cap))
-    except ValueError:
-        return 1
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity on this platform
+        return os.cpu_count() or 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -234,20 +234,21 @@ def _envelope_pass(line: LipschitzLine, lam: np.ndarray,
 
 
 def sup_pass(kernel: Kernel, lam: np.ndarray, by_rows: bool,
-             near: Optional[Callable] = None):
+             tol: Optional[float] = None):
     """The one max-plus reduction behind both transforms.
 
     For each output index (x for the forward map, y for the adjoint) it
     returns the supremum over the other side of the slices evaluated at
-    ``lam``.  With ``near(vals, sup)``, a mask of the entries that count
-    as attaining their row's finite or +inf supremum, it also returns
-    their sorted indices per output as row offsets and one flat array,
-    ``(sup, indptr, indices)``; a supremum of -inf is attained by the
-    whole support.  Without ``near`` both are None, and kernels that
+    ``lam``.  With ``tol`` it also returns the sets of input indices
+    attaining it, one per output index as a :class:`CoverFamily` over
+    the input labels: the entries with ``value >= sup - tol``, so that
+    ``tol=0`` keeps the exact maximisers and a +inf supremum only the
+    entries equal to it.  A supremum of -inf is attained by the whole
+    support.  Without ``tol`` the family is None, and kernels that
     record a :class:`LipschitzLine` take :func:`_envelope_pass` instead.
     """
-    if near is None and kernel.lipschitz_line is not None:
-        return _envelope_pass(kernel.lipschitz_line, lam, by_rows), None, None
+    if tol is None and kernel.lipschitz_line is not None:
+        return _envelope_pass(kernel.lipschitz_line, lam, by_rows), None
     n_out = kernel.shape[0 if by_rows else 1]
     block = _blocks(kernel, lam, by_rows)
     support = kernel.support_row if by_rows else kernel.support_col
@@ -256,9 +257,9 @@ def sup_pass(kernel: Kernel, lam: np.ndarray, by_rows: bool,
         lo, hi = span
         vals = block(lo, hi)
         top = vals.max(axis=1)
-        if near is None:
+        if tol is None:
             return top, None, None
-        hit = near(vals, top)
+        hit = vals >= (top - tol)[:, None]
         for r in np.flatnonzero(np.isneginf(top)):
             hit[r] = False
             hit[r, list(support(lo + r))] = True
@@ -268,7 +269,7 @@ def sup_pass(kernel: Kernel, lam: np.ndarray, by_rows: bool,
         return top, np.bincount(rows, minlength=hi - lo), cols.copy()
 
     spans = [(lo, min(lo + _BLOCK, n_out)) for lo in range(0, n_out, _BLOCK)]
-    threads = min(_thread_count(), os.cpu_count() or 1, len(spans))
+    threads = min(_cpus(), len(spans)) if kernel.is_lazy else 1
     if threads <= 1:
         parts = [run(s) for s in spans]
     else:
@@ -276,9 +277,12 @@ def sup_pass(kernel: Kernel, lam: np.ndarray, by_rows: bool,
             parts = list(pool.map(run, spans))
     tops, lengths, cols = zip(*parts)
     top = np.concatenate(tops)
-    if near is None:
-        return top, None, None
-    return top, offsets(np.concatenate(lengths)), np.concatenate(cols)
+    if tol is None:
+        return top, None
+    out_labels, in_labels = ((kernel.x_labels, kernel.y_labels) if by_rows
+                             else (kernel.y_labels, kernel.x_labels))
+    return top, CoverFamily(in_labels, out_labels, offsets(np.concatenate(lengths)),
+                            np.concatenate(cols))
 
 
 def apply_forward(kernel: Kernel, f: FunctionOnSpace) -> FunctionOnSpace:
@@ -314,22 +318,17 @@ def subdiff_inverse(kernel: Kernel, g: FunctionOnSpace,
     included; +inf is attained only by the entries equal to it."""
     if g.labels != kernel.x_labels:
         raise ValidationError("function labels do not match the kernel's x side")
-    top, indptr, indices = sup_pass(kernel, g.values, False,
-                                    lambda vals, top: vals >= (top - tol)[:, None])
-    return top, CoverFamily(kernel.x_labels, kernel.y_labels, indptr, indices)
+    return sup_pass(kernel, g.values, False, tol)
 
 
 def subdiff(kernel: Kernel, f: FunctionOnSpace,
             tol: float = DEFAULT_TOL) -> CoverFamily:
     """For each y, the set of x in the support where the supremum
-    defining the forward transform is attained at y: equal to it, or
-    within ``tol`` when both are finite.  The family is indexed by y
-    over X."""
+    defining the forward transform is attained at y, within ``tol``.
+    The family is indexed by y over X."""
     if f.labels != kernel.y_labels:
         raise ValidationError("function labels do not match the kernel's y side")
-    _, indptr, indices = sup_pass(kernel, f.values, True,
-                                  lambda vals, top: close(vals, top[:, None], tol))
-    return CoverFamily(kernel.y_labels, kernel.x_labels, indptr, indices).invert()
+    return sup_pass(kernel, f.values, True, tol)[1].invert()
 
 
 def domain_report(h: FunctionOnSpace) -> DomainReport:

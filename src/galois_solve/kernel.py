@@ -373,6 +373,7 @@ class Kernel:
         forms: Optional[FormTable] = None,
         block_fn: Optional[Callable[[object, bool], np.ndarray]] = None,
         is_grid: bool = False,
+        line: Optional[LipschitzLine] = None,
         copy: bool = True,
     ):
         """The kernel of a coupling table ``bbar``, of a :class:`FormTable`
@@ -380,7 +381,10 @@ class Kernel:
         by_rows)``, which for a slice or an integer array of row
         (``by_rows``) or column indices returns a fresh 2-D array with
         one row per index.  ``bbar`` is copied unless ``copy`` is False,
-        which hands the kernel a freshly built float array to own."""
+        which hands the kernel a freshly built float array to own.
+        ``line``, kept as ``lipschitz_line``, is the structure of a 1-D
+        Lipschitz distance table (see :class:`LipschitzLine`), which
+        :func:`build_grid_kernel` derives from the family and the grids."""
         self.x_labels = tuple(map(str, x_labels))
         self.y_labels = tuple(map(str, y_labels))
         if not self.x_labels or not self.y_labels:
@@ -390,8 +394,7 @@ class Kernel:
         if len(set(self.y_labels)) != len(self.y_labels):
             raise ValidationError("duplicate y labels")
         self.is_grid = is_grid
-        # set only by build_grid_kernel, from the family and the grids
-        self._line: Optional[LipschitzLine] = None
+        self.lipschitz_line = line
 
         self._bbar = None
         self._forms = forms
@@ -424,10 +427,11 @@ class Kernel:
         return len(self.x_labels), len(self.y_labels)
 
     @property
-    def lipschitz_line(self) -> Optional[LipschitzLine]:
-        """The 1-D Lipschitz distance structure of a grid kernel, if any
-        (see :class:`LipschitzLine`)."""
-        return self._line
+    def is_lazy(self) -> bool:
+        """True when the kernel generates its coupling table block by
+        block instead of storing it (grid tables over
+        :data:`DENSE_LIMIT` entries)."""
+        return self._bbar is None and self._forms is None
 
     @property
     def is_moreau(self) -> bool:
@@ -611,13 +615,10 @@ def build_grid_kernel(family, x_grid: GridSpec, y_grid: GridSpec) -> Kernel:
             line = LipschitzLine(family.a, xp, yp)
 
     if nx * ny <= DENSE_LIMIT:
-        kernel = Kernel(x_grid.labels(), y_grid.labels(),
-                        bbar=block(slice(None), True), is_grid=True, copy=False)
-    else:
-        kernel = Kernel(x_grid.labels(), y_grid.labels(), block_fn=block,
-                        is_grid=True)
-    kernel._line = line
-    return kernel
+        return Kernel(x_grid.labels(), y_grid.labels(), bbar=block(slice(None), True),
+                      is_grid=True, line=line, copy=False)
+    return Kernel(x_grid.labels(), y_grid.labels(), block_fn=block,
+                  is_grid=True, line=line)
 
 
 def _family_block(family, xp, yp):

@@ -9,9 +9,9 @@ mask divergence.
 
 Every maximum over a grid, with its exact argmax set, comes from the
 engine's reduction (:func:`galois_solve.engine.sup_pass`) over a grid
-kernel.  Two checks stay independent of it on purpose: the Lipschitz
-experiment's input check and the exgeom experiment's
-nonempty-subdifferential predicate.  The quadratic experiment's two
+kernel, at tie tolerance 0.  Two checks stay independent of it on
+purpose: the Lipschitz experiment's input check and the exgeom
+experiment's nonempty-subdifferential predicate.  The quadratic experiment's two
 routes share only the reduction; their integrands are built apart.
 
 Tolerances follow the local-slope model: a C^1 integrand sampled at
@@ -124,20 +124,14 @@ def _jsonable(obj):
 
 
 # ----------------------------------------------------------------------
-# exact maxima through the engine's reduction
+# exact maxima through the engine's reduction: per x, the maximum over y
+# of bbar(x, y) - f(y) and the family of the y attaining it exactly, all
+# of them where it is -inf, from sup_pass(kernel, f, True, tol=0.0)
 
 
-def _exact_max(kernel, fvals: np.ndarray):
-    """Per x, the maximum over y of bbar(x, y) - f(y), and the y attaining
-    it exactly (all of them where it is -inf) as row offsets and one flat
-    index array, from the engine's one reduction: f = +inf gives -inf,
-    and f = -inf gives +inf."""
-    return sup_pass(kernel, fvals, True, lambda vals, top: vals == top[:, None])
-
-
-def _touches(indptr, ties, where: np.ndarray) -> np.ndarray:
+def _touches(ties, where: np.ndarray) -> np.ndarray:
     """Per (nonempty) tie set, whether it meets the y mask ``where``."""
-    return np.logical_or.reduceat(where[ties], indptr[:-1])
+    return np.logical_or.reduceat(where[ties.indices], ties.indptr[:-1])
 
 
 def _edge_mask(ypts: np.ndarray) -> np.ndarray:
@@ -163,10 +157,9 @@ def _conjugate(pairing, f: GridFunction, x_grid: GridSpec):
     """max_y (<x, y> - f(y)) over the ``pairing`` kernel of x_grid and
     f's grid, the first argmax per x, and a flag for maxima also
     attained on the y-window edge."""
-    gvals, indptr, ties = _exact_max(pairing, f.samples)
-    argmax = ties[indptr[:-1]]
-    boundary = _touches(indptr, ties, _edge_mask(f.grid.points()))
-    return GridFunction(x_grid, gvals), argmax, boundary
+    gvals, ties = sup_pass(pairing, f.samples, True, tol=0.0)
+    boundary = _touches(ties, _edge_mask(f.grid.points()))
+    return GridFunction(x_grid, gvals), ties.indices[ties.indptr[:-1]], boundary
 
 
 def fenchel_conjugate(f: GridFunction, x_grid: GridSpec) -> GridFunction:
@@ -191,6 +184,11 @@ def fenchel_experiment(step: float = 0.01) -> LabResult:
     x_grid = GridSpec.line(-2.0, 2.0, step)
     ypts = y_grid.points()
     xpts = x_grid.points()
+    inside = np.abs(xpts) <= 0.99
+    if not inside.any():
+        raise ValidationError(
+            f"step {step:g} leaves no x in [-0.99, 0.99], where the conjugate "
+            "of |y| is measured; the largest usable step is just under 2.99")
 
     pairing = _pairing(x_grid, y_grid)
     f = GridFunction(y_grid, 0.5 * ypts * ypts)
@@ -206,7 +204,6 @@ def fenchel_experiment(step: float = 0.01) -> LabResult:
 
     f_abs = GridFunction(y_grid, np.abs(ypts))
     g_abs, _, b_abs = _conjugate(pairing, f_abs, x_grid)
-    inside = np.abs(xpts) <= 0.99
     err_abs = float(np.max(np.abs(g_abs.samples[inside])))
     outside_flagged = bool(np.all(b_abs[np.abs(xpts) > 1.0 + step]))
 
@@ -259,8 +256,8 @@ def quadratic_reduction_check(f: GridFunction, a: float,
     fv = f.samples
 
     kernel = build_grid_kernel(Quadratic(a), x_grid, y_grid)
-    route_a, indptr, ties = _exact_max(kernel, fv)
-    arg_a = ties[indptr[:-1]]
+    route_a, ties = sup_pass(kernel, fv, True, tol=0.0)
+    arg_a = ties.indices[ties.indptr[:-1]]
 
     if y_grid.ndim == 1:
         penalty = 0.5 * a * ypts * ypts
@@ -349,17 +346,12 @@ def lipschitz_fixed_point(g: GridFunction, a: float = 1.0,
     if not np.all(np.isfinite(gv)):
         raise ValidationError("the target must be finite on the grid")
 
-    diff = np.abs(gv[:, None] - gv[None, :])
-    omega = family.omega(pts[:, None] - pts[None, :])
-    viol = diff - omega
-    if viol.max() > 0:
-        i, j = np.unravel_index(int(np.argmax(viol)), viol.shape)
+    worst, (i, j), strict = _modulus_check(pts, gv, family.omega)
+    if worst > 0:
         raise NotLipschitzError(
-            f"|g({pts[i]}) - g({pts[j]})| exceeds omega by {viol[i, j]:.3g}",
+            f"|g({pts[i]}) - g({pts[j]})| exceeds omega by {worst:.3g}",
             pair=(float(pts[i]), float(pts[j])),
         )
-    off_diag = ~np.eye(len(pts), dtype=bool)
-    strict = bool(np.all(viol[off_diag] < 0))
 
     kernel = build_grid_kernel(family, g.grid, g.grid)
     gf = g.to_function()
@@ -393,6 +385,31 @@ def lipschitz_fixed_point(g: GridFunction, a: float = 1.0,
     )
 
 
+#: Entries of |g(x) - g(y)| - omega(x - y) held at once by the check.
+_CHECK_ENTRIES = 2**18
+
+
+def _modulus_check(pts: np.ndarray, gv: np.ndarray, omega: Callable):
+    """The largest |g(x) - g(y)| - omega(x - y) over all pairs of grid
+    points, the first pair in row-major order attaining it, and whether
+    the difference is negative off the diagonal.  Rows go in blocks of
+    about :data:`_CHECK_ENTRIES` entries, so memory stays linear in the
+    grid size."""
+    n = len(pts)
+    rows = max(1, _CHECK_ENTRIES // n)
+    worst, at, strict = -math.inf, (0, 0), True
+    for lo in range(0, n, rows):
+        hi = min(lo + rows, n)
+        viol = np.abs(gv[lo:hi, None] - gv[None, :])
+        viol -= omega(pts[lo:hi, None] - pts[None, :])
+        k = int(np.argmax(viol))
+        if viol.flat[k] > worst:
+            worst, at = float(viol.flat[k]), divmod(lo * n + k, n)
+        viol[np.arange(hi - lo), np.arange(lo, hi)] = -math.inf
+        strict = strict and bool((viol < 0).all())
+    return worst, at, strict
+
+
 def lipschitz_experiment(g_name: str = "abs_half", step: float = 0.01) -> LabResult:
     grid = GridSpec.line(-5.0, 5.0, step)
     g = GridFunction.from_callable(grid, _named_curve(g_name))
@@ -421,9 +438,9 @@ def weighted_power_domain(f: GridFunction, p: float,
     # x' major, x'' minor: the column k of a reshaped result is level k
     x_grid = GridSpec(xprime_grid.dims + xsecond_grid.dims)
     kernel = build_grid_kernel(WeightedPower(p), x_grid, f.grid)
-    top, indptr, ties = _exact_max(kernel, f.samples)
+    top, ties = sup_pass(kernel, f.samples, True, tol=0.0)
     finite = np.isfinite(top).reshape(-1, len(levels)).all(axis=0)
-    at_edge = _touches(indptr, ties, _edge_mask(f.grid.points()))
+    at_edge = _touches(ties, _edge_mask(f.grid.points()))
     at_edge = at_edge.reshape(-1, len(levels)).any(axis=0)
 
     per_level = [
@@ -511,6 +528,11 @@ def exgeom_experiment(step: float = 1e-3) -> LabResult:
     """
     grid = GridSpec.line(-6.0, 8.0, step)
     pts = grid.points()
+    mid = (pts >= 2.0 + step) & (pts <= 3.0 - step)
+    if not mid.any():
+        raise ValidationError(
+            f"step {step:g} leaves no x in [2 + step, 3 - step], where the "
+            "middle line is measured; the largest usable step is 0.5")
     gv = _exgeom_target(pts)
     tol = 2.0 * step
 
@@ -524,7 +546,6 @@ def exgeom_experiment(step: float = 1e-3) -> LabResult:
     )))
     fixed_zone = ((pts >= -1.0) & (pts <= 2.0)) | (pts >= 3.0)
     err_fixed = float(np.max(np.abs((proj - gv)[fixed_zone])))
-    mid = (pts >= 2.0 + step) & (pts <= 3.0 - step)
     err_mid = float(np.max(np.abs((proj - (3.0 - pts))[mid])))
 
     av = adj.values

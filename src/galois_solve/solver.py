@@ -56,8 +56,9 @@ class Problem:
             if unknown:
                 raise ValidationError(f"unknown x labels: {sorted(unknown)}")
             object.__setattr__(self, "x_restrict", xr)
-        if not self.tolerance >= 0:
-            raise ValidationError("tolerance must be nonnegative")
+        if not (math.isfinite(self.tolerance) and self.tolerance >= 0):
+            raise ValidationError(
+                f"tolerance must be finite and nonnegative, not {self.tolerance!r}")
 
     def _x_mask(self) -> np.ndarray:
         """X' as a mask over the kernel's x side."""
@@ -240,26 +241,17 @@ def oracle_check(problem: Problem, trials: int = 200, seed: int = 0) -> bool:
     if not exists_oracle:
         return True
 
-    def is_second(candidate: FunctionOnSpace) -> bool:
-        return verify(problem, candidate).is_solution
+    def solves(y: str, v: float) -> bool:
+        return verify(problem, f_min.with_value(y, v)).is_solution
 
-    found_second = False
-    for y in problem.kernel.y_labels:
-        if f_min.value(y).v == math.inf:
-            continue
-        if is_second(f_min.with_value(y, math.inf)):
-            found_second = True
-            break
+    found_second = any(solves(y, math.inf) for y, v in zip(f_min.labels, f_min.values)
+                       if v < math.inf)
     rng = random.Random(seed)
-    t = 0
-    while not found_second and t < trials:
-        t += 1
+    for _ in range(0 if found_second else trials):
         y = rng.choice(problem.kernel.y_labels)
         old = f_min.value(y).v
         new = math.inf if rng.random() < 0.5 else old + rng.uniform(1e-6, 4.0)
-        if new == old:
-            continue
-        if is_second(f_min.with_value(y, new)):
+        if new != old and solves(y, new):
             found_second = True
-    unique_oracle = not found_second
-    return unique_oracle == (sol.status == Status.UNIQUE)
+            break
+    return (not found_second) == (sol.status == Status.UNIQUE)

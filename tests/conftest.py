@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+import galois_solve.engine as engine
 import galois_solve.kernel as kernel_mod
 from galois_solve import FunctionOnSpace, build_moreau, build_table
 from galois_solve.kernel import (
@@ -87,6 +88,12 @@ FAMILY_GRIDS = [
     (WeightedPower(1.0), WEIGHTED_X, LINE_Y),
 ]
 FAMILY_IDS = [f"{f!r}-{x.ndim}d" for f, x, _ in FAMILY_GRIDS]
+
+
+def use_cpus(monkeypatch, n):
+    """Make the engine see ``n`` CPUs that the process may run on."""
+    monkeypatch.setattr(engine.os, "sched_getaffinity", lambda pid: set(range(n)),
+                        raising=False)
 
 
 def dense_and_lazy(monkeypatch, family, x_grid, y_grid):

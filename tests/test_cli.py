@@ -95,6 +95,26 @@ def test_solve_validation_exit_code(tmp_path, capsys):
     assert "A2" in err
 
 
+@pytest.mark.parametrize("how,tol", [
+    ("flag", "inf"), ("flag", "nan"), ("flag", "-1"), ("file", math.inf),
+], ids=lambda v: str(v))
+def test_solve_refuses_a_tolerance_that_is_not_finite_and_nonnegative(
+        tmp_path, capsys, how, tol):
+    """An infinite tolerance would make every entry a tie, and every
+    verdict vacuous."""
+    if how == "flag":
+        code, out, err = run(capsys, "solve", DEMO_BAD, "--tol", tol)
+    else:
+        doc = json.loads(Path(DEMO_BAD).read_text())
+        doc["tolerance"] = tol
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "solve", str(path))
+    assert code == 2 and "Traceback" not in out + err
+    assert err.startswith("validation error: tolerance must be finite")
+    assert str(float(tol)) in err
+
+
 def test_solve_missing_file(capsys):
     code, _, err = run(capsys, "solve", "nope.json")
     assert code == 2
@@ -238,6 +258,27 @@ def test_lab_flags_are_passed_on_or_refused(capsys, argv):
     code, out, err = run(capsys, "lab", *argv)
     assert code == 2
     assert err.startswith("validation error:") and "Traceback" not in out + err
+
+
+@pytest.mark.parametrize("argv,largest", [
+    (["exgeom", "--step", "0.6"], "0.5"), (["exgeom", "--step", "1"], "0.5"),
+    (["exgeom", "--step", "0.49"], "0.5"), (["fenchel", "--step", "2.99"], "2.99"),
+    (["fenchel", "--step", "3"], "2.99"), (["fenchel", "--step", "100"], "2.99"),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
+def test_lab_step_that_empties_a_measured_region_is_refused(capsys, argv, largest):
+    code, out, err = run(capsys, "lab", *argv)
+    assert code == 2 and "Traceback" not in out + err
+    assert err.startswith("validation error:") and "largest usable step is" in err
+    assert largest in err
+
+
+@pytest.mark.parametrize("argv,expected", [
+    (["fenchel", "--step", "1.5"], 1), (["fenchel", "--step", "2.98"], 1),
+    (["exgeom", "--step", "0.5"], 0),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else str(v))
+def test_lab_coarse_step_that_leaves_every_region_runs(capsys, argv, expected):
+    code, out, err = run(capsys, "lab", *argv)
+    assert code == expected and "Traceback" not in out + err
 
 
 def test_lab_flags_reach_the_experiment(capsys):

@@ -12,6 +12,7 @@ from conftest import (
     dense_and_lazy,
     random_function,
     random_moreau_kernel,
+    use_cpus,
 )
 import galois_solve.engine as engine
 import galois_solve.kernel as kernel_mod
@@ -238,18 +239,20 @@ def test_dirac_identity_random():
                 assert np.array_equal(got.values, want)
 
 
-def test_threads_env_gives_same_answer(monkeypatch, demo_kernel, demo_g):
-    base = apply_adjoint(demo_kernel, demo_g)
-    monkeypatch.setenv("GALOIS_SOLVE_THREADS", "2")
+def test_threaded_pass_gives_same_answer(monkeypatch):
     grid = GridSpec.line(-2, 2, 0.005)
+    monkeypatch.setattr(kernel_mod, "DENSE_LIMIT", 0)
     k = build_grid_kernel(FenchelDot(), grid, grid)
+    assert k.is_lazy
     pts = grid.points()
     f = FunctionOnSpace(grid.labels(), 0.5 * pts * pts)
-    threaded = apply_forward(k, f)
-    monkeypatch.delenv("GALOIS_SOLVE_THREADS")
-    serial = apply_forward(k, f)
-    assert np.array_equal(threaded.values, serial.values)
-    assert base.approx_eq(apply_adjoint(demo_kernel, demo_g))
+    g = FunctionOnSpace(grid.labels(), np.abs(pts))
+    use_cpus(monkeypatch, 2)
+    threaded = apply_forward(k, f), subdiff_inverse(k, g)
+    use_cpus(monkeypatch, 1)
+    serial = apply_forward(k, f), subdiff_inverse(k, g)
+    assert np.array_equal(threaded[0].values, serial[0].values)
+    assert _same_map(threaded[1], serial[1])
 
 
 class _SerialPool:
@@ -273,18 +276,25 @@ class _SerialPool:
 @pytest.mark.parametrize("n_out", [3 * engine._BLOCK, 5 * engine._BLOCK + 1])
 def test_thread_count_is_capped_at_cpus_and_blocks(monkeypatch, n_out):
     rng = np.random.default_rng(n_out)
-    k = build_moreau(rng.integers(-3, 3, (4, n_out)).tolist())
-    g = FunctionOnSpace(k.x_labels, rng.normal(size=4))
-    monkeypatch.delenv("GALOIS_SOLVE_THREADS", raising=False)
-    serial = apply_adjoint(k, g)
+    bbar = rng.integers(-3, 3, (4, n_out)).astype(float)
+    moreau = build_moreau(bbar.tolist())
+    forms = build_table([[Affine(v, 2.0) for v in row] for row in bbar.tolist()])
+    monkeypatch.setattr(kernel_mod, "DENSE_LIMIT", 0)
+    lazy = build_grid_kernel(FenchelDot(), GridSpec.line(0, 3, 1),
+                             GridSpec.line(0, n_out - 1, 1))
+    kernels = (moreau, forms, lazy)
+    gv = rng.normal(size=4)
+    use_cpus(monkeypatch, 1)
+    serial = [apply_adjoint(k, FunctionOnSpace(k.x_labels, gv)) for k in kernels]
     monkeypatch.setattr(engine, "ThreadPoolExecutor", _SerialPool)
-    monkeypatch.setattr(engine.os, "cpu_count", lambda: 4)
-    monkeypatch.setenv("GALOIS_SOLVE_THREADS", "1000000")
-    _SerialPool.workers = []
-    pooled = apply_adjoint(k, g)
+    use_cpus(monkeypatch, 4)
     blocks = -(-n_out // engine._BLOCK)
-    assert _SerialPool.workers == [min(4, blocks)]
-    assert np.array_equal(pooled.values, serial.values)
+    # stored tables, of couplings or of forms, run serially
+    for k, want, workers in zip(kernels, serial, ([], [], [min(4, blocks)])):
+        _SerialPool.workers = []
+        pooled = apply_adjoint(k, FunctionOnSpace(k.x_labels, gv))
+        assert _SerialPool.workers == workers
+        assert np.array_equal(pooled.values, want.values)
 
 
 # -- lazy and dense kernels agree, bit for bit
@@ -525,3 +535,59 @@ def test_table_blocks_call_no_scalar_form(monkeypatch):
     monkeypatch.setattr(Kernel, "adjoint_entry", refuse)
     assert subdiff_inverse(kernel, g)[1].sets == want
     apply_forward(kernel, apply_adjoint(kernel, g))
+
+
+# -- the one tie rule of sup_pass, against the scalar forms entry by entry
+
+
+def _brute_ties(kernel, lam, by_rows, tol):
+    """Per output index, the supremum of its slices at ``lam`` and the
+    input indices with ``value >= sup - tol``, or the support when the
+    supremum is -inf, from the kernel's scalar forms one by one."""
+    n_out, n_in = kernel.shape if by_rows else kernel.shape[::-1]
+    tops, ties = [], []
+    for o in range(n_out):
+        forms = [kernel.entry(o, k) if by_rows else kernel.adjoint_entry(o, k)
+                 for k in range(n_in)]
+        vals = [e.eval_float(lam[k]) for k, e in enumerate(forms)]
+        top = max(vals)
+        if top == -math.inf:
+            ties.append({k for k, e in enumerate(forms) if not isinstance(e, Off)})
+        else:
+            ties.append({k for k, v in enumerate(vals) if v >= top - tol})
+        tops.append(top)
+    return np.array(tops), ties
+
+
+@st.composite
+def tie_cases(draw):
+    """A random moreau kernel with -inf entries, or a table of all four
+    forms, with an input on each side that may hold both infinities."""
+    if draw(st.booleans()):
+        rng = random.Random(draw(st.integers(0, 2**32)))
+        k = random_moreau_kernel(rng)
+        # integer inputs moved by fractions of 1e-9, so that near-ties
+        # fall on both sides of the tolerance
+        f, g = (random_function(rng, labels) for labels in (k.y_labels, k.x_labels))
+        return k, *(FunctionOnSpace(h.labels, h.values + [
+            rng.choice((0.0, 5e-10, 1e-9, 1.5e-9)) for _ in h.labels]) for h in (f, g))
+    rows, lam_y, lam_x, _, _ = draw(form_tables())
+    k = build_table(rows)
+    return k, FunctionOnSpace(k.y_labels, lam_y), FunctionOnSpace(k.x_labels, lam_x)
+
+
+@settings(max_examples=100, deadline=None)
+@given(tie_cases())
+def test_one_tie_rule_matches_the_scalar_forms(case):
+    kernel, f, g = case
+    x, y = kernel.x_labels, kernel.y_labels
+    for tol in (0.0, 1e-9):
+        top, family = subdiff_inverse(kernel, g, tol)
+        want_top, ties = _brute_ties(kernel, g.values, False, tol)
+        assert np.array_equal(top, want_top)
+        assert family.sets == {y[j]: frozenset(x[i] for i in t)
+                               for j, t in enumerate(ties)}
+        _, ties = _brute_ties(kernel, f.values, True, tol)
+        assert subdiff(kernel, f, tol).sets == {
+            y[j]: frozenset(x[i] for i, t in enumerate(ties) if j in t)
+            for j in range(len(y))}

@@ -9,6 +9,7 @@ import pytest
 from galois_solve.engine import FunctionOnSpace, apply_adjoint, apply_forward
 from galois_solve.errors import NotLipschitzError, ValidationError
 from galois_solve.kernel import GridSpec, OmegaLipschitz, build_grid_kernel
+import galois_solve.lab as lab
 from galois_solve.lab import (
     EXPERIMENTS,
     GridFunction,
@@ -256,6 +257,44 @@ def test_lipschitz_prescan_rejects_steep():
     with pytest.raises(NotLipschitzError) as exc:
         lipschitz_fixed_point(g)
     assert exc.value.pair is not None
+
+
+def _dense_modulus_check(pts, gv, a, q):
+    """The whole table of |g(x) - g(y)| - omega(x - y) at once: its
+    largest entry, the first pair attaining it, and strictness."""
+    viol = np.abs(gv[:, None] - gv[None, :]) - OmegaLipschitz(a, q).omega(
+        pts[:, None] - pts[None, :])
+    i, j = np.unravel_index(int(np.argmax(viol)), viol.shape)
+    strict = bool(np.all(viol[~np.eye(len(pts), dtype=bool)] < 0))
+    return viol[i, j], (pts[i], pts[j]), strict
+
+
+def _modulus_targets():
+    rng = np.random.default_rng(31)
+    grid = GridSpec.line(-2, 2, 0.1)
+    pts = grid.points()
+    yield grid, 3.0 * pts, 1.0, 1.0  # every corner pair ties for worst
+    yield grid, np.abs(pts), 1.0, 1.0  # bound met with equality
+    yield grid, 0.5 * np.sin(pts), 1.0, 1.0
+    yield grid, np.full(len(pts), 2.0), 1.0, 0.5
+    for k in range(8):
+        steps = rng.choice([0.05, 0.1, -0.1, 0.2], len(pts))
+        yield grid, np.cumsum(steps), (1.0, 2.0)[k % 2], (0.5, 1.0)[k // 2 % 2]
+
+
+@pytest.mark.parametrize("entries", [None, 1, 100])
+def test_blocked_modulus_check_matches_the_dense_table(monkeypatch, entries):
+    if entries is not None:
+        monkeypatch.setattr(lab, "_CHECK_ENTRIES", entries)
+    for grid, gv, a, q in _modulus_targets():
+        worst, pair, strict = _dense_modulus_check(grid.points(), gv, a, q)
+        if worst > 0:
+            with pytest.raises(NotLipschitzError) as exc:
+                lipschitz_fixed_point(GridFunction(grid, gv), a, q)
+            assert exc.value.pair == pair
+        else:
+            r = lipschitz_fixed_point(GridFunction(grid, gv), a, q)
+            assert r.details["strict"] is strict
 
 
 # -- weighted-power domains

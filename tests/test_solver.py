@@ -7,7 +7,7 @@ import random
 import numpy as np
 import pytest
 
-from conftest import random_function, random_moreau_kernel
+from conftest import random_function, random_moreau_kernel, use_cpus
 from galois_solve import covering, engine
 from galois_solve import solver as solver_mod
 from galois_solve import kernel as kernel_mod
@@ -251,6 +251,11 @@ def _threaded_cases(monkeypatch):
     g = apply_forward(moreau, FunctionOnSpace(moreau.y_labels, f0)).values
     assert np.isposinf(g[5:9]).all() and np.isneginf(g[11])
     yield moreau, g
+    # the same table generated block by block, which the pool runs on
+    lazy = Kernel(moreau.x_labels, moreau.y_labels, block_fn=lambda k, by_rows: (
+        bbar[k] if by_rows else bbar[:, k].T).copy())
+    assert lazy.is_lazy
+    yield lazy, g
 
     # table of scalar forms, mostly off the support
     rows = []
@@ -292,9 +297,9 @@ def test_thread_count_does_not_change_solutions(monkeypatch):
     for kernel, g in _threaded_cases(monkeypatch):
         assert min(kernel.shape) > engine._BLOCK
         problem = Problem(kernel, FunctionOnSpace(kernel.x_labels, g))
-        monkeypatch.setenv("GALOIS_SOLVE_THREADS", "1")
+        use_cpus(monkeypatch, 1)
         one = solve(problem)
-        monkeypatch.setenv("GALOIS_SOLVE_THREADS", "2")
+        use_cpus(monkeypatch, 2)
         two = solve(problem)
         assert one.status == two.status
         assert np.array_equal(one.f_min.values, two.f_min.values)
