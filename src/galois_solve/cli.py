@@ -166,7 +166,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_VALIDATION
     try:
         return args.func(args)
-    except (ValidationError, FileNotFoundError) as exc:
+    except (ValidationError, OSError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -6,14 +6,15 @@ means: every row and every column meets the support (so the transforms
 never take an empty supremum), slices on the support are bijective, and
 slices off the support are Off.
 
-Every kernel hands the engine its slices in one representation,
-:class:`Slices`: per orientation, blocks of offsets c with the slices
-c - m*lam, plus the entries of other forms as typed parameter arrays.
-Max-plus style kernels are a coupling table bbar(x, y), stored densely
-or built lazily in blocks of rows or columns, with every slope 1.  A
-table of scalar forms is a :class:`FormTable` of parameter arrays,
-with the adjoint parameters computed once, in closed form.  The slice
-objects of :mod:`galois_solve.scalar` are built from either on demand.
+A :class:`Kernel` holds one table: a :class:`FormTable` of scalar
+forms as typed parameter arrays, adjoints computed once in closed form,
+or a :class:`CouplingTable` bbar(x, y), every slope 1, stored or
+generated in blocks of rows or columns.  Both give the engine their
+slices as :class:`Slices`: per orientation, blocks of offsets c with
+the slices c - m*lam, plus the entries of other forms as typed
+parameter arrays.  The kernel checks A1 and A2 on every stored table; a
+grid family is checked at its grids' corners, so that its table is
+finite however it is stored.
 """
 
 from __future__ import annotations
@@ -59,7 +60,6 @@ class GridSpec:
         object.__setattr__(self, "dims", dims)
         if not dims:
             raise ValidationError("grid needs at least one dimension")
-        total = 1
         for a, b, s in dims:
             if not (s > 0 and math.isfinite(s)):
                 raise ValidationError("grid step must be positive and finite")
@@ -67,7 +67,7 @@ class GridSpec:
                 raise ValidationError("grid needs max > min")
             if not (b - a) / s < MAX_GRID_POINTS:  # infinite spans included
                 raise ValidationError(f"grid axis spans {(b - a) / s:g} steps, over the cap")
-            total *= _axis_count(a, b, s)
+        total = self.size()
         if total > MAX_GRID_POINTS:
             raise ValidationError(f"grid has {total} points, over the cap")
 
@@ -110,10 +110,7 @@ class GridSpec:
         )
 
     def size(self) -> int:
-        n = 1
-        for a, b, s in self.dims:
-            n *= _axis_count(a, b, s)
-        return n
+        return math.prod(_axis_count(*d) for d in self.dims)
 
     @classmethod
     def from_dict(cls, d: dict) -> "GridSpec":
@@ -152,9 +149,7 @@ class OmegaLipschitz:
     """bbar(x, y) = -omega(y - x) with omega(u) = a*|u|^q.
 
     omega must be symmetric, subadditive and nonnegative; a*|.|^q has
-    those properties exactly when a > 0 and 0 < q <= 1.  On a grid,
-    subadditivity is only exercised at grid differences; construction
-    additionally spot-checks it on sampled triples.
+    those properties exactly when a > 0 and 0 < q <= 1.
     """
 
     a: float = 1.0
@@ -253,12 +248,21 @@ class FormTable:
     (shift, 1/p, c), tabulated breakpoints swapped and reversed.
     """
 
+    lazy = False
+
     def __init__(self, kind, c, m, shift, s, t, n):
         for arr in (kind, c, m, shift, s, t, n):
             arr.flags.writeable = False
         self.kind, self.c, self.m, self.shift = kind, c, m, shift
         self.s, self.t, self.n = s, t, n
-        nx, ny = kind.shape
+        self.shape = nx, ny = kind.shape
+        with np.errstate(over="ignore"):
+            inv_m = 1.0 / m
+            adj_c = np.where(kind == POWER, shift, c / m)
+        # a slope or exponent whose adjoint overflows has no float inverse
+        if not (np.isfinite(inv_m).all() and (np.isfinite(adj_c) == np.isfinite(c)).all()):
+            raise ValidationError("an affine slope or signed-power exponent is too small: "
+                                  "its adjoint overflows")
         unit = not (m[kind == AFFINE] != 1.0).any()
         power = np.flatnonzero(kind == POWER)
         self._tab = np.flatnonzero(kind == TABULATED)
@@ -271,9 +275,9 @@ class FormTable:
         p = power[p_order]
         s_t, t_t, n_t = s[t_order], t[t_order], n[t_order]
         self.adjoint = Slices(
-            _frozen(np.where(kind == POWER, shift, c / m).T.copy()).__getitem__,
-            None if unit else _frozen((1.0 / m).T.copy()),
-            _form_sets(p_at, (shift.flat[p], 1.0 / m.flat[p], c.flat[p]),
+            _frozen(adj_c.T.copy()).__getitem__,
+            None if unit else _frozen(inv_m.T.copy()),
+            _form_sets(p_at, (shift.flat[p], inv_m.flat[p], c.flat[p]),
                        t_at, (_reversed(t_t, n_t), _reversed(s_t, n_t), n_t)))
 
     @classmethod
@@ -307,6 +311,9 @@ class FormTable:
         return cls(kind.astype(np.int8), c, m, shift,
                    pts[..., 0].copy(), pts[..., 1].copy(),
                    np.fromiter(map(len, points), np.intp, len(points)))
+
+    def slices(self, by_rows: bool) -> Slices:
+        return self.forward if by_rows else self.adjoint
 
     def entry(self, i: int, j: int) -> ScalarConnection:
         kind = self.kind[i, j]
@@ -361,27 +368,61 @@ def _reversed(rows: np.ndarray, n: np.ndarray) -> np.ndarray:
                     math.inf)
 
 
-class Kernel:
-    """Immutable kernel table; construct through the ``build_*`` helpers."""
+@dataclass(frozen=True, eq=False)
+class CouplingTable:
+    """A coupling table bbar(x, y), every slope 1, as ``fn(index,
+    by_rows)``: for a slice or an integer array of rows (``by_rows``) or
+    columns, a 2-D array with one row per index.  A stored table gives
+    read-only views of its array, a generated one (``lazy``) fresh arrays."""
 
-    def __init__(
-        self,
-        x_labels: Sequence[str],
-        y_labels: Sequence[str],
-        *,
-        bbar: Optional[np.ndarray] = None,
-        forms: Optional[FormTable] = None,
-        block_fn: Optional[Callable[[object, bool], np.ndarray]] = None,
-        is_grid: bool = False,
-        line: Optional[LipschitzLine] = None,
-        copy: bool = True,
-    ):
-        """The kernel of a coupling table ``bbar``, of a :class:`FormTable`
-        of scalar forms, or of a lazy coupling table ``block_fn(index,
-        by_rows)``, which for a slice or an integer array of row
-        (``by_rows``) or column indices returns a fresh 2-D array with
-        one row per index.  ``bbar`` is copied unless ``copy`` is False,
-        which hands the kernel a freshly built float array to own.
+    fn: Callable[[object, bool], np.ndarray]
+    shape: Tuple[int, int]
+    lazy: bool = True
+
+    @classmethod
+    def stored(cls, values) -> "CouplingTable":
+        """The table of ``values``, copied into a float array of its own."""
+        return _stored(np.array(values, dtype=float))
+
+    def block(self, k, by_rows: bool) -> np.ndarray:
+        """Rows (``by_rows``) or columns ``k``; an integer gives one row."""
+        if isinstance(k, (int, np.integer)):
+            return self.fn(slice(k, k + 1), by_rows)[0]
+        return self.fn(k, by_rows)
+
+    def slices(self, by_rows: bool) -> Slices:
+        return Slices(lambda k: self.block(k, by_rows))
+
+    def entry(self, i: int, j: int) -> ScalarConnection:
+        return make_affine(float(self.block(i, True)[j]), 1.0)
+
+    def take_columns(self, keep: np.ndarray) -> "CouplingTable":
+        """The table of the columns ``keep``, in ascending order."""
+        if not self.lazy:  # one gathered copy, not a gather on every block read
+            return _stored(self.fn(slice(None), True)[:, keep])
+        fn = self.fn
+        return CouplingTable(
+            lambda k, by_rows: fn(k, True)[:, keep] if by_rows else fn(keep[k], False),
+            (self.shape[0], len(keep)))
+
+
+def _stored(arr: np.ndarray) -> CouplingTable:
+    """The stored table of ``arr``, built for it; refuses +inf and NaN."""
+    top = arr.max(initial=-math.inf)  # NaN if an entry is, else +inf if one is
+    if not top < math.inf:
+        if np.isposinf(arr).any():
+            raise ValidationError("coupling entries must lie in R u {-inf}")
+        raise ValidationError("coupling entries may not be NaN")
+    _frozen(arr)
+    return CouplingTable(lambda k, by_rows: arr[k] if by_rows else arr.T[k], arr.shape, False)
+
+
+class Kernel:
+    """Immutable kernel; construct through the ``build_*`` helpers."""
+
+    def __init__(self, x_labels: Sequence[str], y_labels: Sequence[str], table, *,
+                 is_grid: bool = False, line: Optional[LipschitzLine] = None):
+        """The kernel of a :class:`FormTable` or :class:`CouplingTable`.
         ``line``, kept as ``lipschitz_line``, is the structure of a 1-D
         Lipschitz distance table (see :class:`LipschitzLine`), which
         :func:`build_grid_kernel` derives from the family and the grids."""
@@ -389,37 +430,26 @@ class Kernel:
         self.y_labels = tuple(map(str, y_labels))
         if not self.x_labels or not self.y_labels:
             raise ValidationError("index sets must be nonempty")
-        if len(set(self.x_labels)) != len(self.x_labels):
-            raise ValidationError("duplicate x labels")
-        if len(set(self.y_labels)) != len(self.y_labels):
-            raise ValidationError("duplicate y labels")
+        for side, labels in (("x", self.x_labels), ("y", self.y_labels)):
+            if len(set(labels)) != len(labels):
+                raise ValidationError(f"duplicate {side} labels")
+        self.table = table
         self.is_grid = is_grid
         self.lipschitz_line = line
-
-        self._bbar = None
-        self._forms = forms
-        self._block_fn = block_fn
-
-        nx, ny = len(self.x_labels), len(self.y_labels)
-        if forms is not None:
-            if forms.kind.shape != (nx, ny):
-                raise ValidationError("entry table shape does not match labels")
-            self._check_support(np.isfinite(forms.c))
-        elif bbar is not None:
-            arr = np.array(bbar, dtype=float) if copy else np.asarray(bbar, dtype=float)
-            if arr.shape != (nx, ny):
-                raise ValidationError("coupling table shape does not match labels")
-            finite = np.isfinite(arr)
-            if not finite.all():
-                bad = arr[~finite]
-                if np.isposinf(bad).any():
-                    raise ValidationError("coupling entries must lie in R u {-inf}")
-                if np.isnan(bad).any():
-                    raise ValidationError("coupling entries may not be NaN")
-            self._bbar = _frozen(arr)
-            self._check_support(finite)
-        elif block_fn is None:
-            raise ValidationError("kernel needs a coupling table, scalar forms, or a block function")
+        if table.shape != self.shape:
+            what = "coupling" if self.is_moreau else "entry"
+            raise ValidationError(f"{what} table shape does not match labels")
+        if table.lazy:  # a grid family's table, finite by build_grid_kernel
+            return
+        # A1 and A2 on the support mask.  A3 holds by construction: the
+        # supported slices are affine, signed-power or tabulated forms,
+        # which are bijections, and off-support entries are Off.
+        finite = np.isfinite(table.slices(True).offsets(slice(None)))
+        for ok, labels, what in ((finite.any(axis=1), self.x_labels, "A1 violated: row"),
+                                 (finite.any(axis=0), self.y_labels, "A2 violated: column")):
+            if not ok.all():
+                raise ValidationError(
+                    f"{what} {labels[int(np.argmin(ok))]!r} has empty support")
 
     # ------------------------------------------------------------------
     @property
@@ -431,47 +461,34 @@ class Kernel:
         """True when the kernel generates its coupling table block by
         block instead of storing it (grid tables over
         :data:`DENSE_LIMIT` entries)."""
-        return self._bbar is None and self._forms is None
+        return self.table.lazy
 
     @property
     def is_moreau(self) -> bool:
         """True when the kernel is a coupling table bbar, so that every
         slice on the support is lam -> bbar - lam."""
-        return self._forms is None
+        return isinstance(self.table, CouplingTable)
 
     # ------------------------------------------------------------------
     def slices(self, by_rows: bool) -> Slices:
         """The slices of the forward map (``by_rows``) or of the adjoint."""
-        if self._forms is not None:
-            return self._forms.forward if by_rows else self._forms.adjoint
-        return Slices(self.bbar_row if by_rows else self.bbar_col)
+        if self.is_moreau:  # read through bbar_row/bbar_col, which perfbench wraps
+            return Slices(self.bbar_row if by_rows else self.bbar_col)
+        return self.table.slices(by_rows)
 
     def bbar_row(self, i) -> np.ndarray:
         """Row i of the coupling table; a slice gives those rows as one
-        2-D block (read-only when the table is stored densely)."""
-        if self._bbar is not None:
-            return self._bbar[i]
-        return self._lazy(i, True)
+        2-D block (read-only when the table is stored)."""
+        return self.table.block(i, True)
 
     def bbar_col(self, j) -> np.ndarray:
         """Column j of the coupling table; a slice gives those columns as
         one 2-D block with one row per column."""
-        if self._bbar is not None:
-            return self._bbar[:, j].T
-        return self._lazy(j, False)
-
-    def _lazy(self, k, by_rows: bool) -> np.ndarray:
-        if self._block_fn is None:
-            raise ValidationError("kernel has no coupling-table backing")
-        if isinstance(k, slice):
-            return self._block_fn(k, by_rows)
-        return self._block_fn(slice(k, k + 1), by_rows)[0]
+        return self.table.block(j, False)
 
     def entry(self, i: int, j: int) -> ScalarConnection:
         """Slice at (x_i, y_j): lam -> b(x_i, y_j, lam)."""
-        if self._forms is not None:
-            return self._forms.entry(i, j)
-        return make_affine(float(self.bbar_row(i)[j]), 1.0)
+        return self.table.entry(i, j)
 
     def adjoint_entry(self, j: int, i: int) -> ScalarConnection:
         """Adjoint slice at (y_j, x_i): the inverse of ``entry(i, j)``."""
@@ -482,17 +499,6 @@ class Kernel:
 
     def support_col(self, j: int) -> Tuple[int, ...]:
         return tuple(np.nonzero(np.isfinite(self.slices(False).offsets(j)))[0])
-
-    # ------------------------------------------------------------------
-    def _check_support(self, finite: np.ndarray):
-        """A1 and A2 on the support mask.  A3 holds by construction: the
-        supported slices are affine, signed-power or tabulated forms,
-        which are bijections, and off-support entries are Off."""
-        for ok, labels, what in ((finite.any(axis=1), self.x_labels, "A1 violated: row"),
-                                 (finite.any(axis=0), self.y_labels, "A2 violated: column")):
-            if not ok.all():
-                raise ValidationError(
-                    f"{what} {labels[int(np.argmin(ok))]!r} has empty support")
 
     # ------------------------------------------------------------------
     def restrict(self, y_subset: Iterable[str]) -> "Kernel":
@@ -509,23 +515,9 @@ class Kernel:
         keep = [j for j, l in enumerate(self.y_labels) if l in wanted]
         if not keep:
             raise ValidationError("restriction to an empty column set")
-        new_y = tuple(self.y_labels[j] for j in keep)
-        keep_arr = np.asarray(keep)
-        if self._forms is not None:
-            return Kernel(self.x_labels, new_y, is_grid=self.is_grid,
-                          forms=self._forms.take_columns(keep_arr))
-        if self._bbar is not None:
-            return Kernel(self.x_labels, new_y, bbar=self._bbar[:, keep_arr],
-                          is_grid=self.is_grid, copy=False)
-        # lazy family tables are finite, so every row keeps its support
-        block = self._block_fn
-        return Kernel(
-            self.x_labels, new_y,
-            block_fn=lambda k, by_rows: (
-                block(k, True)[:, keep_arr] if by_rows else block(keep_arr[k], False)
-            ),
-            is_grid=self.is_grid,
-        )
+        # a stored table is checked for A1 again; a grid table is finite
+        return Kernel(self.x_labels, [self.y_labels[j] for j in keep],
+                      self.table.take_columns(np.asarray(keep)), is_grid=self.is_grid)
 
 
 # ----------------------------------------------------------------------
@@ -551,7 +543,7 @@ def build_moreau(bbar, x_labels=None, y_labels=None) -> Kernel:
     return Kernel(
         x_labels or _default_labels("x", nx),
         y_labels or _default_labels("y", ny),
-        bbar=np.array(rows, dtype=float), copy=False,
+        CouplingTable.stored(rows),
     )
 
 
@@ -580,7 +572,7 @@ def build_table(entries, x_labels=None, y_labels=None) -> Kernel:
     return Kernel(
         x_labels or _default_labels("x", nx),
         y_labels or _default_labels("y", ny),
-        forms=FormTable.pack(rows),
+        FormTable.pack(rows),
     )
 
 
@@ -588,7 +580,10 @@ def build_grid_kernel(family, x_grid: GridSpec, y_grid: GridSpec) -> Kernel:
     """Coupling-table kernel for one of the parametric families.
 
     Below :data:`DENSE_LIMIT` entries the table is materialised densely;
-    above it rows and columns are computed on demand.
+    above it rows and columns are computed on demand.  Either way the
+    family is refused if it is not finite at the corners of the grids'
+    boxes, where each of its intermediates (x*y, (a/2)|y|^2, |y - x|, its
+    square and power, x''*|y - x'|^p) is largest: so the table is finite.
     """
     if isinstance(family, WeightedPower):
         if x_grid.ndim != 2:
@@ -603,22 +598,34 @@ def build_grid_kernel(family, x_grid: GridSpec, y_grid: GridSpec) -> Kernel:
     elif x_grid.ndim != y_grid.ndim:
         raise ValidationError("x and y grids must share a dimension")
 
+    with np.errstate(all="ignore"):
+        corners = _family_block(family, _corners(x_grid), _corners(y_grid))(
+            slice(None), True)
+    if not np.isfinite(corners).all():
+        raise ValidationError(
+            f"{family!r} overflows on these grids: its table is not finite at their corners")
+
     xp = x_grid.points()
     yp = y_grid.points()
     block = _family_block(family, xp, yp)
     nx, ny = x_grid.size(), y_grid.size()
 
     line = None
-    if isinstance(family, OmegaLipschitz):
-        _spot_check_subadditive(family, yp)
-        if family.q == 1 and x_grid.ndim == 1:
-            line = LipschitzLine(family.a, xp, yp)
+    if isinstance(family, OmegaLipschitz) and family.q == 1 and x_grid.ndim == 1:
+        line = LipschitzLine(family.a, xp, yp)
 
     if nx * ny <= DENSE_LIMIT:
-        return Kernel(x_grid.labels(), y_grid.labels(), bbar=block(slice(None), True),
-                      is_grid=True, line=line, copy=False)
-    return Kernel(x_grid.labels(), y_grid.labels(), block_fn=block,
-                  is_grid=True, line=line)
+        table = _stored(block(slice(None), True))
+    else:
+        table = CouplingTable(block, (nx, ny))
+    return Kernel(x_grid.labels(), y_grid.labels(), table, is_grid=True, line=line)
+
+
+def _corners(grid: GridSpec) -> np.ndarray:
+    """The 2^d corners of the grid's box, laid out as its points."""
+    ends = [grid.axis(k)[[0, -1]] for k in range(grid.ndim)]
+    pts = np.array(list(itertools.product(*ends)))
+    return pts[:, 0] if grid.ndim == 1 else pts
 
 
 def _family_block(family, xp, yp):
@@ -677,23 +684,3 @@ def _family_block(family, xp, yp):
             return np.multiply(out, -x[..., 1], out=out)
         return weighted
     raise ValidationError(f"unknown kernel family: {family!r}")
-
-
-def _spot_check_subadditive(family: OmegaLipschitz, yp: np.ndarray, samples=128):
-    """Sampled triple check of omega(u+v) <= omega(u) + omega(v).
-
-    A full check over a continuum is impossible on a grid; this guards
-    against future family edits breaking the contract.
-    """
-    rng = np.random.default_rng(7)
-    flat = yp.ravel()
-    u = rng.choice(flat, samples)
-    v = rng.choice(flat, samples)
-    lhs = family.omega(u + v)
-    rhs = family.omega(u) + family.omega(v)
-    bad = lhs > rhs + 1e-9
-    if bad.any():
-        k = int(np.argmax(bad))
-        raise ValidationError(
-            f"omega is not subadditive at u={u[k]}, v={v[k]}"
-        )

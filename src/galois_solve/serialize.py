@@ -120,14 +120,14 @@ def _family_from_dict(name: str, params: dict):
 
 
 def _read_json(path: str, what: str):
-    """The JSON document in a file.  A directory, bytes that are not
-    UTF-8 and text that is not JSON are each a ValidationError."""
+    """The JSON document in a file.  Bytes that are not UTF-8 and text
+    that is not JSON are each a ValidationError."""
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{what} is not valid JSON: {exc}") from exc
-    except (IsADirectoryError, UnicodeDecodeError) as exc:
+    except UnicodeDecodeError as exc:
         raise ValidationError(f"{what} cannot be read: {exc}") from exc
 
 

@@ -101,5 +101,5 @@ def dense_and_lazy(monkeypatch, family, x_grid, y_grid):
     dense = build_grid_kernel(family, x_grid, y_grid)
     monkeypatch.setattr(kernel_mod, "DENSE_LIMIT", 0)
     lazy = build_grid_kernel(family, x_grid, y_grid)
-    assert dense._bbar is not None and lazy._bbar is None
+    assert not dense.is_lazy and lazy.is_lazy
     return dense, lazy

@@ -140,6 +140,21 @@ def test_solve_unreadable_file(tmp_path, capsys, kind):
     assert err.startswith("validation error:") and "Traceback" not in out + err
 
 
+@pytest.mark.parametrize("site", ["lab-csv-dir", "lab-csv-under-file", "solve-under-file",
+                                  "apply-f-under-file"])
+def test_a_path_that_cannot_be_opened_exits_2(tmp_path, capsys, site):
+    file = tmp_path / "file"
+    file.write_text("{}")
+    argv = {"lab-csv-dir": ["lab", "quadratic", "--csv", str(tmp_path)],
+            "lab-csv-under-file": ["lab", "quadratic", "--csv", str(file / "x.csv")],
+            "solve-under-file": ["solve", str(file / "p.json")],
+            "apply-f-under-file": ["apply", DEMO, "--direction", "B",
+                                   "--f", "@" + str(file / "f.json")]}[site]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and "Traceback" not in out + err
+    assert err.startswith("validation error:") and len(err.splitlines()) == 1
+
+
 def test_bad_flags_exit_code(capsys):
     code = main(["lab", "not-an-experiment"])
     capsys.readouterr()
@@ -364,6 +379,29 @@ MALFORMED.update({
     "params-bool": _grid("quadratic", {"a": True}),
     "bound-bool": _grid("fenchel_dot", {}, LINE, {"min": False, "max": 1, "step": 1}),
 })
+
+
+# grid families whose tables overflow, stored and generated
+OVERFLOWING = {name: _grid(family, params, grid, grid) for name, family, params, grid in (
+    ("quadratic-stored", "quadratic", {"a": 1e308}, {"min": -2, "max": 2, "step": 0.04}),
+    ("quadratic-generated", "quadratic", {"a": 1e308}, {"min": -2, "max": 2, "step": 0.004}),
+    ("fenchel-stored", "fenchel_dot", {}, {"min": -1e200, "max": 1e200, "step": 4e198}),
+    ("fenchel-generated", "fenchel_dot", {}, {"min": -1e200, "max": 1e200, "step": 2e197}),
+    ("lipschitz-stored", "omega_lipschitz", {"a": 1e300},
+     {"min": -1e10, "max": 1e10, "step": 1e9}),
+)}
+
+
+@pytest.mark.parametrize("name", sorted(OVERFLOWING))
+def test_overflowing_grid_file_is_one_validation_error(tmp_path, capsys, name):
+    kernel = OVERFLOWING[name]["kernel"]
+    labels = GridSpec.from_dict(kernel["x_grid"]).labels()
+    doc = {"kernel": kernel, "g": dict.fromkeys(labels, 0)}
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "solve", str(path))
+    assert code == 2 and out == ""
+    assert re.fullmatch(r"validation error: \w+\(.*\) overflows on these grids: .*\n", err)
 
 
 def _moreau(**labels):

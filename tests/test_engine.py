@@ -29,6 +29,7 @@ from galois_solve.engine import (
 )
 from galois_solve.errors import ValidationError
 from galois_solve.kernel import (
+    CouplingTable,
     FenchelDot,
     GridSpec,
     Kernel,
@@ -364,9 +365,9 @@ def test_envelope_path_matches_blocked_reduction(monkeypatch, lazy, a):
         x_grid = _random_line(rng, dyadic)
         y_grid = x_grid if case % 4 < 2 else _random_line(rng, dyadic)
         k = build_grid_kernel(OmegaLipschitz(a, 1.0), x_grid, y_grid)
-        assert k.lipschitz_line is not None and (k._bbar is None) == lazy
+        assert k.lipschitz_line is not None and k.is_lazy == lazy
         table = np.array(k.bbar_row(slice(None)))
-        oracle = Kernel(k.x_labels, k.y_labels, bbar=table)
+        oracle = Kernel(k.x_labels, k.y_labels, CouplingTable.stored(table))
         assert oracle.lipschitz_line is None
         for kind in ("integer", "normal", "inf"):
             for forward in (True, False):

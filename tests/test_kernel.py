@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 from conftest import FAMILY_GRIDS, FAMILY_IDS, dense_and_lazy, random_moreau_kernel
+from galois_solve import kernel as kernel_mod
 from galois_solve.errors import ValidationError
 from galois_solve.kernel import (
     DENSE_LIMIT,
+    CouplingTable,
     FenchelDot,
     GridSpec,
     Kernel,
@@ -57,13 +59,23 @@ def test_build_moreau_takes_numpy_scalars():
 
 def test_coupling_table_is_copied_and_checked():
     arr = np.array([[0.0, -math.inf], [1.0, 2.0]])
-    k = Kernel(("a", "b"), ("c", "d"), bbar=arr)
+    k = Kernel(("a", "b"), ("c", "d"), CouplingTable.stored(arr))
     arr[0, 0] = 5.0
     assert k.bbar_row(0)[0] == 0.0 and arr.flags.writeable
     for bad, msg in ((math.inf, "R u"), (math.nan, "NaN")):
         arr[1, 1] = bad
         with pytest.raises(ValidationError, match=msg):
-            Kernel(("a", "b"), ("c", "d"), bbar=arr)
+            Kernel(("a", "b"), ("c", "d"), CouplingTable.stored(arr))
+
+
+@pytest.mark.parametrize("form", [
+    {"type": "affine", "c": 0, "m": 2.2250738585e-313},
+    {"type": "affine", "c": 1e300, "m": 1e-10},
+    {"type": "signed_power", "c": 0, "p": 1e-320},
+], ids=["affine-slope", "affine-offset", "power-exponent"])
+def test_forms_whose_adjoint_overflows_are_refused(form):
+    with pytest.raises(ValidationError, match="adjoint overflows"):
+        build_table([[form, {"type": "affine", "c": 0, "m": 1}]])
 
 
 def test_build_table_rejects_other_forms():
@@ -232,7 +244,7 @@ def test_lazy_kernel_above_limit():
     g = GridSpec.line(0.0, 1.0, 1.0 / (n - 1))
     k = build_grid_kernel(FenchelDot(), g, g)
     assert k.shape[0] * k.shape[1] > DENSE_LIMIT
-    assert k._bbar is None  # lazily computed
+    assert k.is_lazy  # lazily computed
     assert k.bbar_row(5)[7] == pytest.approx(g.points()[5] * g.points()[7])
     r = k.restrict(k.y_labels[:100])
     assert r.shape == (k.shape[0], 100)
@@ -262,3 +274,90 @@ def test_lazy_blocks_equal_dense_table(monkeypatch, family, x_grid, y_grid):
     assert np.array_equal(r_lazy.bbar_row(slice(None)), table[:, ::3])
     assert np.array_equal(r_lazy.bbar_col(slice(2, 7)), table[:, ::3][:, 2:7].T)
     assert np.array_equal(r_dense.bbar_row(slice(None)), table[:, ::3])
+
+
+# -- grid families are checked at build, for both storages
+
+
+@pytest.mark.parametrize("a", [1 / 3, 0.7])
+@pytest.mark.parametrize("q", [1.0, 0.5])
+def test_lipschitz_grids_are_accepted_at_every_scale(a, q):
+    for e in range(13):
+        s = 10.0 ** e
+        g = GridSpec.line(-s, s, s / 50)
+        k = build_grid_kernel(OmegaLipschitz(a, q), g, g)
+        assert np.isfinite(k.bbar_row(slice(None))).all()
+
+
+OVERFLOWING = [
+    (Quadratic(1e308), GridSpec.line(-2, 2, 0.04), GridSpec.line(-2, 2, 0.04)),
+    (FenchelDot(), GridSpec.line(-1e200, 1e200, 4e198), GridSpec.line(-1e200, 1e200, 4e198)),
+    (OmegaLipschitz(1e300), GridSpec.line(-1e10, 1e10, 1e9), GridSpec.line(-1e10, 1e10, 1e9)),
+    (WeightedPower(1000.0), GridSpec(((-2.0, 2.0, 1.0), (1.0, 3.0, 1.0))),
+     GridSpec.line(-2, 2, 1.0)),
+]
+
+
+def _build_outcome(family, x_grid, y_grid):
+    """The kernel built, or the message it was refused with."""
+    try:
+        return build_grid_kernel(family, x_grid, y_grid)
+    except ValidationError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("family,x_grid,y_grid", FAMILY_GRIDS + OVERFLOWING,
+                         ids=FAMILY_IDS + [f"overflow-{f!r}" for f, _, _ in OVERFLOWING])
+def test_stored_and_generated_grid_tables_accept_the_same_inputs(
+        monkeypatch, family, x_grid, y_grid):
+    stored = _build_outcome(family, x_grid, y_grid)
+    monkeypatch.setattr(kernel_mod, "DENSE_LIMIT", 0)
+    generated = _build_outcome(family, x_grid, y_grid)
+    if isinstance(stored, str) or isinstance(generated, str):
+        assert stored == generated and "overflows" in stored
+        return
+    assert not stored.is_lazy and generated.is_lazy
+    assert np.isfinite(stored.bbar_row(slice(None))).all()
+
+
+def _random_grid(rng, ndim, u):
+    """A grid of 2 to 6 points per axis, its bounds near -10^u and 10^u."""
+    dims = []
+    for _ in range(ndim):
+        lo, hi = -(10.0 ** (u - rng.uniform(0, 1))), 10.0 ** (u - rng.uniform(0, 1))
+        dims.append((lo, hi, (hi - lo) / (rng.integers(2, 7) - 0.5)))
+    return GridSpec(tuple(dims))
+
+
+def test_corner_check_refuses_exactly_the_tables_that_overflow():
+    """The build refuses exactly the families and grids whose whole
+    table, by the family's own formula, has an entry that is not finite.
+    Their largest entries are aimed at 10^t, t from 305 to 311, around
+    the end of the float range."""
+    rng = np.random.default_rng(5)
+    refused = 0
+    for case in range(400):
+        kind, ndim, t = case % 4, int(rng.integers(1, 3)), rng.uniform(305, 311)
+        u = max(rng.uniform(0, 150), t - 300)  # every bound stays below 1e300
+        y_grid = _random_grid(rng, 1 if kind == 3 else ndim, u)
+        if kind == 0:
+            family, x_grid = FenchelDot(), _random_grid(rng, ndim, t - u)
+        elif kind == 1:
+            family = Quadratic(float(rng.choice([-1, 1]) * 10.0 ** min(t - 2 * u, 307)))
+            x_grid = _random_grid(rng, ndim, u)
+        elif kind == 2:
+            q = rng.uniform(0.05, 1.0)
+            family = OmegaLipschitz(10.0 ** min(t - q * u, 307), q)
+            x_grid = _random_grid(rng, ndim, u)
+        else:
+            family, v = WeightedPower(10.0 ** rng.uniform(-1, 2.5)), rng.uniform(0, 50)
+            y_grid = _random_grid(rng, 1, min((t - v) / family.p, 200))
+            n = rng.integers(2, 7)
+            x_grid = GridSpec(y_grid.dims + ((10.0 ** v, 10.0 ** v * (n - 0.5), 10.0 ** v),))
+        with np.errstate(all="ignore"):
+            table = kernel_mod._family_block(family, x_grid.points(), y_grid.points())(
+                slice(None), True)
+        outcome = _build_outcome(family, x_grid, y_grid)
+        assert isinstance(outcome, str) == (not np.isfinite(table).all()), (family, x_grid)
+        refused += isinstance(outcome, str)
+    assert 100 < refused < 300

@@ -14,6 +14,7 @@ from galois_solve import kernel as kernel_mod
 from galois_solve.engine import FunctionOnSpace, apply_forward, projector
 from galois_solve.errors import InternalError, NoSolutionError, ValidationError
 from galois_solve.kernel import (
+    CouplingTable,
     GridSpec,
     Kernel,
     OmegaLipschitz,
@@ -252,8 +253,8 @@ def _threaded_cases(monkeypatch):
     assert np.isposinf(g[5:9]).all() and np.isneginf(g[11])
     yield moreau, g
     # the same table generated block by block, which the pool runs on
-    lazy = Kernel(moreau.x_labels, moreau.y_labels, block_fn=lambda k, by_rows: (
-        bbar[k] if by_rows else bbar[:, k].T).copy())
+    lazy = Kernel(moreau.x_labels, moreau.y_labels, CouplingTable(lambda k, by_rows: (
+        bbar[k] if by_rows else bbar[:, k].T).copy(), bbar.shape))
     assert lazy.is_lazy
     yield lazy, g
 
@@ -336,7 +337,7 @@ def test_solve_on_lipschitz_line_matches_blocked_reduction(tol, offset):
         a = [1.0, 0.5, 2.0, 1 / 3][case % 4]
         k = build_grid_kernel(OmegaLipschitz(a, 1.0), grid, grid)
         plain = Kernel(k.x_labels, k.y_labels,
-                       bbar=np.array(k.bbar_row(slice(None))), is_grid=True)
+                       CouplingTable.stored(k.bbar_row(slice(None))), is_grid=True)
         assert k.lipschitz_line is not None and plain.lipschitz_line is None
         # a sparse f leaves stretches of slope a in g: many solutions
         f0 = offset + 3.0 * rng.normal(size=n)
