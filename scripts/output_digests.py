@@ -13,9 +13,7 @@ moreau and table file of cli-files is also given to ``apply``, with
 ``--direction B`` with f = 0 on every y.  Every call runs in this
 process through ``galois_solve.cli.main``, once with the process
 pinned to one CPU and once on every CPU it may use, which sets the
-thread count of the lazy passes.  Source trees from before that rule
-read the thread count from GALOIS_SOLVE_THREADS instead, so the script
-also sets it, to 1 and then 2.  Each output line is
+thread count of the lazy passes.  Each output line is
 
     RUN CALL EXIT_CODE SHA256_OF_STDOUT
 
@@ -75,25 +73,19 @@ def main(argv=None) -> int:
     from galois_solve import cli
 
     cpus = os.sched_getaffinity(0)
-    saved = os.environ.get("GALOIS_SOLVE_THREADS")
     try:
         with tempfile.TemporaryDirectory() as inputs:
             todo = calls(args.seed, inputs)
-            for threads, pinned in (("1", {min(cpus)}), ("2", cpus)):
+            for run, pinned in (("1", {min(cpus)}), ("2", cpus)):
                 os.sched_setaffinity(0, pinned)
-                os.environ["GALOIS_SOLVE_THREADS"] = threads
                 for name, call in todo:
                     out = io.StringIO()
                     with contextlib.redirect_stdout(out):
                         code = cli.main(call)
                     digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
-                    print(threads, name.replace(" ", "_"), code, digest)
+                    print(run, name.replace(" ", "_"), code, digest)
     finally:
         os.sched_setaffinity(0, cpus)
-        if saved is None:
-            os.environ.pop("GALOIS_SOLVE_THREADS", None)
-        else:
-            os.environ["GALOIS_SOLVE_THREADS"] = saved
     return 0
 
 

@@ -11,21 +11,16 @@ from .covering import (
     CoverReport,
     check_cover,
     irredundant_subcover,
-    smallest_subcover,
 )
 from .engine import (
-    DomainReport,
     FunctionOnSpace,
     apply_adjoint,
     apply_forward,
-    domain_report,
     projector,
-    subdiff,
     subdiff_inverse,
 )
 from .errors import (
     InternalError,
-    LimitExceeded,
     NoSolutionError,
     NotACoverError,
     NotLipschitzError,
@@ -56,7 +51,6 @@ from .lab import (
 )
 from .scalar import (
     Affine,
-    DualPair,
     Off,
     ScalarConnection,
     SignedPower,

@@ -16,15 +16,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, combinations, compress
+from itertools import chain, compress
 from typing import Dict, Iterable, Mapping, Optional, Tuple
 
 import numpy as np
 
-from .errors import LimitExceeded, NotACoverError, ValidationError
-
-#: Exhaustive subset search is only promised at desk scale.
-EXACT_LIMIT = 20
+from .errors import NotACoverError, ValidationError
 
 
 def offsets(lengths) -> np.ndarray:
@@ -92,15 +89,6 @@ class CoverFamily:
         hits = self.indices[np.repeat(rows, np.diff(self.indptr))]
         return bool(np.bincount(hits, minlength=len(self.universe)).all())
 
-    def invert(self) -> "CoverFamily":
-        """The transposed family: indexed by the universe, over the pool,
-        each point's set being the indices whose sets hold it."""
-        owner = np.repeat(np.arange(len(self.index_pool)), np.diff(self.indptr))
-        # a stable sort by point keeps each point's indices ascending
-        order = np.argsort(self.indices, kind="stable")
-        return CoverFamily(self.index_pool, self.universe,
-                           offsets(self._counts), owner[order])
-
     def cut(self, pool: np.ndarray, points: np.ndarray) -> "CoverFamily":
         """The family of the indices where the mask ``pool`` holds, over
         the points where the mask ``points`` holds, renumbered.  When
@@ -164,20 +152,3 @@ def irredundant_subcover(family: CoverFamily) -> Tuple[str, ...]:
         else:
             keep[k] = True
     return tuple(compress(family.index_pool, keep))
-
-
-def smallest_subcover(family: CoverFamily, limit: int = EXACT_LIMIT) -> Tuple[str, ...]:
-    """Exact minimum-cardinality subcover by exhaustive search in size
-    order, ties broken lexicographically by index order.  Set cover is
-    NP-hard, so instances beyond ``limit`` indices are refused."""
-    if len(family.index_pool) > limit:
-        raise LimitExceeded(
-            f"{len(family.index_pool)} sets exceed the exact-search limit {limit}"
-        )
-    if not check_cover(family).is_cover:
-        raise NotACoverError("family does not cover the universe")
-    for k in range(len(family.index_pool) + 1):
-        for combo in combinations(family.index_pool, k):
-            if family.covers(combo):
-                return combo
-    raise NotACoverError("unreachable: full pool fails to cover")  # pragma: no cover

@@ -1,5 +1,6 @@
 """Core transforms of a kernel: the forward map, its adjoint, the
-projector, subdifferentials and their inverse maps, and domain taxonomy.
+projector, and the inverse subdifferentials of a target, which are the
+covering sets of the existence criterion.
 
 All operations are pure functions of immutable inputs.  Every argmax
 set, and every transform of a kernel without recorded structure, comes
@@ -40,7 +41,7 @@ import numpy as np
 
 from .covering import CoverFamily, offsets
 from .errors import ValidationError
-from .extreal import DEFAULT_TOL, INFINITIES, ExtReal, close, parse
+from .extreal import DEFAULT_TOL, INFINITIES, ExtReal, parse
 from .kernel import Kernel, LipschitzLine
 
 _BLOCK = 256
@@ -88,22 +89,6 @@ class FunctionOnSpace:
         vals = [parse(mapping[l], f"value at {l!r}", INFINITIES) for l in labels]
         return cls(labels, np.array(vals))
 
-    @classmethod
-    def constant(cls, labels: Iterable[str], value) -> "FunctionOnSpace":
-        labels = tuple(labels)
-        return cls(labels, np.full(len(labels), parse(value, "value", INFINITIES)))
-
-    @classmethod
-    def dirac(cls, labels: Iterable[str], at: str, value) -> "FunctionOnSpace":
-        """The function equal to ``value`` at ``at`` and +inf elsewhere."""
-        labels = tuple(labels)
-        vals = np.full(len(labels), math.inf)
-        try:
-            vals[labels.index(at)] = parse(value, "value", INFINITIES)
-        except ValueError:
-            raise ValidationError(f"unknown label: {at!r}") from None
-        return cls(labels, vals)
-
     def value(self, label: str) -> ExtReal:
         return ExtReal(self.values[self._index[label]])
 
@@ -115,22 +100,10 @@ class FunctionOnSpace:
         vals[self._index[label]] = parse(value, f"value at {label!r}", INFINITIES)
         return FunctionOnSpace(self.labels, vals)
 
-    def pointwise_max(self, other: "FunctionOnSpace") -> "FunctionOnSpace":
-        self._require_same_space(other)
-        return FunctionOnSpace(self.labels, np.maximum(self.values, other.values))
-
-    def pointwise_min(self, other: "FunctionOnSpace") -> "FunctionOnSpace":
-        self._require_same_space(other)
-        return FunctionOnSpace(self.labels, np.minimum(self.values, other.values))
-
     def leq(self, other: "FunctionOnSpace", tol: float = 0.0) -> bool:
         """Pointwise order, with ``tol`` of slack on finite comparisons."""
         self._require_same_space(other)
         return bool(np.all(self.values <= other.values + tol))
-
-    def approx_eq(self, other: "FunctionOnSpace", tol: float = DEFAULT_TOL) -> bool:
-        self._require_same_space(other)
-        return bool(np.all(close(self.values, other.values, tol)))
 
     def _require_same_space(self, other: "FunctionOnSpace"):
         if self.labels != other.labels:
@@ -139,15 +112,6 @@ class FunctionOnSpace:
     def __repr__(self):
         inner = ", ".join(f"{l}={ExtReal(v)}" for l, v in zip(self.labels, self.values))
         return f"FunctionOnSpace({inner})"
-
-
-@dataclass(frozen=True)
-class DomainReport:
-    """The four domain sets of a function on a finite (discrete) space."""
-
-    ldom: Tuple[str, ...]
-    udom: Tuple[str, ...]
-    dom: Tuple[str, ...]
 
 
 # ----------------------------------------------------------------------
@@ -319,23 +283,3 @@ def subdiff_inverse(kernel: Kernel, g: FunctionOnSpace,
     if g.labels != kernel.x_labels:
         raise ValidationError("function labels do not match the kernel's x side")
     return sup_pass(kernel, g.values, False, tol)
-
-
-def subdiff(kernel: Kernel, f: FunctionOnSpace,
-            tol: float = DEFAULT_TOL) -> CoverFamily:
-    """For each y, the set of x in the support where the supremum
-    defining the forward transform is attained at y, within ``tol``.
-    The family is indexed by y over X."""
-    if f.labels != kernel.y_labels:
-        raise ValidationError("function labels do not match the kernel's y side")
-    return sup_pass(kernel, f.values, True, tol)[1].invert()
-
-
-def domain_report(h: FunctionOnSpace) -> DomainReport:
-    """Lower/upper/two-sided domains.  On a discrete space the inner
-    domain coincides with the domain, so it is not reported apart."""
-    ldom = tuple(l for l, v in zip(h.labels, h.values) if v < math.inf)
-    udom = tuple(l for l, v in zip(h.labels, h.values) if v > -math.inf)
-    both = set(ldom) & set(udom)
-    dom = tuple(l for l in h.labels if l in both)
-    return DomainReport(ldom=ldom, udom=udom, dom=dom)

@@ -21,10 +21,6 @@ class NotACoverError(ValueError):
     """A covering operation was asked of a family that does not cover."""
 
 
-class LimitExceeded(ValueError):
-    """Exact enumeration requested beyond the configured instance size."""
-
-
 class NoSolutionError(ValueError):
     """Structure of the solution set requested for an unsolvable problem."""
 

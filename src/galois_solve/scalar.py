@@ -6,19 +6,19 @@ decreasing bijections of the extended real line, so each has an exact
 functional inverse (its adjoint under residuation).
 
 The forms are a closed DSL rather than arbitrary callables: that keeps
-adjoints exact and everything serializable.
+adjoints exact and every form readable from a problem file.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from .errors import ValidationError
-from .extreal import DEFAULT_TOL, ExtReal, as_extreal, parse
+from .extreal import parse
 
 
 class ScalarConnection:
@@ -30,13 +30,7 @@ class ScalarConnection:
     def eval_float(self, lam: float) -> float:
         raise NotImplementedError
 
-    def eval(self, lam) -> ExtReal:
-        return ExtReal(self.eval_float(float(as_extreal(lam))))
-
     def adjoint(self) -> "ScalarConnection":
-        raise NotImplementedError
-
-    def to_dict(self) -> dict:
         raise NotImplementedError
 
 
@@ -56,9 +50,6 @@ class Off(ScalarConnection):
 
     def adjoint(self) -> "Off":
         return self
-
-    def to_dict(self) -> dict:
-        return {"type": "off"}
 
 
 @dataclass(frozen=True, slots=True)
@@ -91,9 +82,6 @@ class Affine(ScalarConnection):
 
     def adjoint(self) -> "Affine":
         return Affine(self.c / self.m, 1.0 / self.m)
-
-    def to_dict(self) -> dict:
-        return {"type": "affine", "c": self.c, "m": self.m}
 
 
 @dataclass(frozen=True, slots=True)
@@ -130,12 +118,6 @@ class SignedPower(ScalarConnection):
 
     def adjoint(self) -> "SignedPower":
         return SignedPower(self.shift, 1.0 / self.p, self.c)
-
-    def to_dict(self) -> dict:
-        d = {"type": "signed_power", "c": self.c, "p": self.p}
-        if self.shift != 0.0:
-            d["shift"] = self.shift
-        return d
 
 
 @dataclass(frozen=True, slots=True)
@@ -190,9 +172,6 @@ class TabulatedDecreasing(ScalarConnection):
 
     def adjoint(self) -> "TabulatedDecreasing":
         return TabulatedDecreasing(tuple((t, s) for s, t in reversed(self.points)))
-
-    def to_dict(self) -> dict:
-        return {"type": "table", "points": [list(p) for p in self.points]}
 
 
 def _power(x: float, p: float) -> float:
@@ -275,62 +254,3 @@ def conn_from_dict(d: dict) -> ScalarConnection:
     except KeyError as exc:
         raise ValidationError(f"scalar form {kind!r} missing field {exc}") from exc
     raise ValidationError(f"unknown scalar form type: {kind!r}")
-
-
-#: Finite abscissas used by the adjunction grid check, spanning several
-#: orders of magnitude on both sides of zero.
-_CHECK_FINITE = (0.0, 1e11) + tuple(
-    x for mag in (1e-4, 1e-3, 0.01, 0.05, 0.1, 0.25, 0.5, 0.75, 1.0, 4 / 3, 1.5,
-                  2.0, 2.5, 3.0, 4.0, 5.0, 6.0, 8.0, 13.0, 20.0, 25.0, 40.0,
-                  60.0, 1e2, 3e2, 1e3, 1e4, 1e5, 1e7, 1e9)
-    for x in (-mag, mag)
-)
-
-
-def adjunction_grid() -> Tuple[float, ...]:
-    """64 sorted test values spanning a finite range plus both infinities."""
-    return tuple([-math.inf] + sorted(_CHECK_FINITE) + [math.inf])
-
-
-@dataclass(frozen=True)
-class DualPair:
-    """A slice together with its adjoint.
-
-    The normative contract is the adjunction: for all s, t on the check
-    grid, t >= forward(s) iff s >= adjoint(t).
-    """
-
-    forward: ScalarConnection
-    adjoint: ScalarConnection
-
-    @classmethod
-    def of(cls, conn: ScalarConnection) -> "DualPair":
-        return cls(conn, conn.adjoint())
-
-    def adjunction_holds(self, grid: Sequence[float] = None,
-                         tol: float = DEFAULT_TOL) -> bool:
-        """Check the adjunction on a grid of (s, t) pairs.
-
-        Floating-point evaluation can flip either inequality when the
-        pair sits within rounding distance of the boundary (where one
-        side holds with equality), so disagreements are tolerated only
-        there; anywhere else they refute the adjunction.
-        """
-        pts = adjunction_grid() if grid is None else grid
-        fwd = [self.forward.eval_float(s) for s in pts]
-        adj = [self.adjoint.eval_float(t) for t in pts]
-        for i, s in enumerate(pts):
-            for j, t in enumerate(pts):
-                if (t >= fwd[i]) == (s >= adj[j]):
-                    continue
-                if not (_near(t, fwd[i], tol) or _near(s, adj[j], tol)):
-                    return False
-        return True
-
-
-def _near(a: float, b: float, tol: float) -> bool:
-    if a == b:
-        return True
-    if math.isinf(a) or math.isinf(b):
-        return False
-    return abs(a - b) <= tol * max(1.0, abs(a), abs(b))

@@ -7,6 +7,7 @@ import pytest
 import galois_solve.engine as engine
 import galois_solve.kernel as kernel_mod
 from galois_solve import FunctionOnSpace, build_moreau, build_table
+from galois_solve.extreal import DEFAULT_TOL, close
 from galois_solve.kernel import (
     FenchelDot,
     GridSpec,
@@ -55,6 +56,24 @@ def random_moreau_kernel(rng: random.Random, max_side: int = 6):
         if all(bbar[i][j] == -math.inf for i in range(nx)):
             bbar[rng.randrange(nx)][j] = rng.randint(-3, 3)
     return build_moreau(bbar)
+
+
+def constant(labels, value):
+    """The function equal to ``value`` on every label."""
+    return FunctionOnSpace(labels, np.full(len(labels), float(value)))
+
+
+def dirac(labels, at, value):
+    """The function equal to ``value`` at ``at`` and +inf elsewhere."""
+    vals = np.full(len(labels), math.inf)
+    vals[list(labels).index(at)] = value
+    return FunctionOnSpace(labels, vals)
+
+
+def approx_eq(a, b, tol=DEFAULT_TOL):
+    """Equality of two functions on one space up to ``extreal.close``."""
+    assert a.labels == b.labels
+    return bool(close(a.values, b.values, tol).all())
 
 
 def random_function(rng: random.Random, labels, allow_inf=True):

@@ -753,8 +753,6 @@ def test_one_accept_rule_at_every_input_site(tmp_path_factory, value):
 
     ok = _parses(value, ALL_INF)
     for build in (lambda: FunctionOnSpace.from_mapping(["a", "b"], {"a": value, "b": 0}),
-                  lambda: FunctionOnSpace.constant(["a"], value),
-                  lambda: FunctionOnSpace.dirac(["a", "b"], "a", value),
                   lambda: FunctionOnSpace(("a",), [0.0]).with_value("a", value)):
         if ok:
             assert build().values[0] == float(INF_VALUES.get(value, value))

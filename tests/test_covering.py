@@ -8,9 +8,8 @@ from galois_solve.covering import (
     CoverReport,
     check_cover,
     irredundant_subcover,
-    smallest_subcover,
 )
-from galois_solve.errors import LimitExceeded, NotACoverError
+from galois_solve.errors import NotACoverError
 
 DEMO = CoverFamily.build(
     ["x1", "x2"],
@@ -64,29 +63,6 @@ def test_irredundant_requires_cover():
         irredundant_subcover(fam)
 
 
-def test_smallest_demo():
-    assert smallest_subcover(DEMO) == ("y3",)
-
-
-def test_smallest_disjoint_singletons():
-    fam = CoverFamily.build(
-        ["a", "b", "c"], {f"y{i}": {p} for i, p in enumerate("abc")}
-    )
-    assert set(smallest_subcover(fam)) == {"y0", "y1", "y2"}
-
-
-def test_smallest_empty_universe():
-    fam = CoverFamily.build([], {"y1": {"x"}})
-    assert smallest_subcover(fam) == ()
-
-
-def test_smallest_limit():
-    fam = CoverFamily.build(["p"], {f"y{i}": {"p"} for i in range(25)})
-    with pytest.raises(LimitExceeded):
-        smallest_subcover(fam)
-    assert smallest_subcover(fam, limit=25) == ("y0",)
-
-
 families = st.integers(1, 5).flatmap(
     lambda n: st.fixed_dictionaries({}).flatmap(
         lambda _: st.lists(
@@ -125,13 +101,12 @@ def test_subcover_chain(fam):
     if not check_cover(fam).is_cover:
         return
     irr = irredundant_subcover(fam)
-    small = smallest_subcover(fam)
-    assert len(small) <= len(irr) <= len(fam.index_pool)
+    assert len(irr) <= len(fam.index_pool)
     # irredundant means: within the subfamily every index is essential
     sub = CoverFamily.build(fam.universe, {z: fam.sets[z] for z in irr}, irr)
     rep = check_cover(sub)
     assert rep.is_cover and rep.is_minimal
-    assert fam.covers(small)
+    assert fam.covers(irr)
 
 
 # -- the label-set implementation the index-array one replaced, kept as
@@ -201,12 +176,6 @@ def test_index_arrays_match_label_set_oracle(data):
         with pytest.raises(NotACoverError):
             irredundant_subcover(fam)
 
-    inv = fam.invert()
-    assert inv.index_pool == universe and inv.universe == tuple(pool)
-    assert inv.sets == {w: frozenset(z for z in pool if w in clipped[z])
-                        for w in universe}
-    assert _rows_ascending(inv)
-
     def mask(n):
         kind = rnd.choice(["none", "all", "some"])
         return np.array([kind == "all" or (kind == "some" and rnd.random() < 0.5)
@@ -225,8 +194,3 @@ def test_index_arrays_match_label_set_oracle(data):
         want.universe, want.sets, sub_pool)
     if in_pool.all() and in_universe.all():
         assert cut is fam
-
-
-def _rows_ascending(fam):
-    return all(np.all(np.diff(fam.indices[a:b]) > 0)
-               for a, b in zip(fam.indptr, fam.indptr[1:]))

@@ -9,25 +9,27 @@ from hypothesis import strategies as st
 from conftest import (
     FAMILY_GRIDS,
     FAMILY_IDS,
+    approx_eq,
+    constant,
     dense_and_lazy,
+    dirac,
     random_function,
     random_moreau_kernel,
     use_cpus,
 )
 import galois_solve.engine as engine
 import galois_solve.kernel as kernel_mod
-from galois_solve.covering import CoverFamily, offsets
 from galois_solve.engine import (
     FunctionOnSpace,
     apply_adjoint,
     apply_forward,
-    domain_report,
     projector,
     slice_table,
-    subdiff,
     subdiff_inverse,
+    sup_pass,
 )
 from galois_solve.errors import ValidationError
+from galois_solve.extreal import DEFAULT_TOL
 from galois_solve.kernel import (
     CouplingTable,
     FenchelDot,
@@ -47,6 +49,14 @@ def fos(labels, *vals):
     return FunctionOnSpace(tuple(labels), np.array(vals, dtype=float))
 
 
+def forward_ties(kernel, f, tol=DEFAULT_TOL):
+    """For each y, the x whose forward supremum at f is attained at y
+    within ``tol``: the forward tie family of ``sup_pass``, by y."""
+    by_x = sup_pass(kernel, f.values, True, tol)[1].sets
+    return {y: frozenset(x for x, ys in by_x.items() if y in ys)
+            for y in kernel.y_labels}
+
+
 # -- the worked 2x3 example
 
 
@@ -57,13 +67,13 @@ def test_forward_on_alternate_solution(demo_kernel):
 
 
 def test_forward_of_top_is_bottom(demo_kernel):
-    f = FunctionOnSpace.constant(demo_kernel.y_labels, math.inf)
+    f = constant(demo_kernel.y_labels, math.inf)
     g = apply_forward(demo_kernel, f)
     assert np.all(np.isneginf(g.values))
 
 
 def test_dirac_column(demo_kernel):
-    f = FunctionOnSpace.dirac(demo_kernel.y_labels, "y2", 0)
+    f = dirac(demo_kernel.y_labels, "y2", 0)
     g = apply_forward(demo_kernel, f)
     assert np.allclose(g.values, [4, 3])
 
@@ -79,7 +89,7 @@ def test_adjoint_on_bad_target(demo_kernel, demo_g_bad):
 
 
 def test_adjoint_of_top_is_bottom(demo_kernel):
-    g = FunctionOnSpace.constant(demo_kernel.x_labels, math.inf)
+    g = constant(demo_kernel.x_labels, math.inf)
     out = apply_adjoint(demo_kernel, g)
     assert np.all(np.isneginf(out.values))
 
@@ -112,7 +122,7 @@ def test_subdiff_inverse_demo_bad(demo_kernel, demo_g_bad):
 
 
 def test_subdiff_inverse_of_top(demo_kernel):
-    g = FunctionOnSpace.constant(demo_kernel.x_labels, math.inf)
+    g = constant(demo_kernel.x_labels, math.inf)
     _, inv = subdiff_inverse(demo_kernel, g)
     for j, y in enumerate(demo_kernel.y_labels):
         expected = {demo_kernel.x_labels[i] for i in demo_kernel.support_col(j)}
@@ -121,19 +131,16 @@ def test_subdiff_inverse_of_top(demo_kernel):
 
 def test_subdiff_inverts_subdiff_inverse(demo_kernel, demo_g):
     f = apply_adjoint(demo_kernel, demo_g)
-    sd = subdiff(demo_kernel, f)
     _, inv = subdiff_inverse(demo_kernel, demo_g)
-    assert sd.sets == inv.sets
-    # and the inverse relation is consistent both ways
-    assert sd.invert().invert().sets == sd.sets
+    assert forward_ties(demo_kernel, f) == inv.sets
 
 
 def test_subdiff_of_top(demo_kernel):
-    f = FunctionOnSpace.constant(demo_kernel.y_labels, math.inf)
-    sd = subdiff(demo_kernel, f)
+    f = constant(demo_kernel.y_labels, math.inf)
+    ties = forward_ties(demo_kernel, f)
     for j, y in enumerate(demo_kernel.y_labels):
         expected = {demo_kernel.x_labels[i] for i in demo_kernel.support_col(j)}
-        assert sd.sets[y] == expected
+        assert ties[y] == expected
 
 
 def test_subdiff_on_conjugate_grid():
@@ -141,42 +148,16 @@ def test_subdiff_on_conjugate_grid():
     k = build_grid_kernel(FenchelDot(), grid, grid)
     pts = grid.points()
     f = FunctionOnSpace(grid.labels(), 0.5 * pts * pts)
-    sd = subdiff(k, f)
+    ties = forward_ties(k, f)
     centres = []
     for j, y in enumerate(grid.labels()):
-        members = sorted(float(m) for m in sd.sets[y])
+        members = sorted(float(m) for m in ties[y])
         # gradient map: the maximiser sits at (or next to) the slope point
         oracle = pts[np.argmax(pts[j] * pts - 0.5 * pts * pts)]
         assert members, y
         assert min(abs(m - oracle) for m in members) <= 0.01 + 1e-9
         centres.append(0.5 * (members[0] + members[-1]))
     assert all(a <= b + 1e-9 for a, b in zip(centres, centres[1:]))
-
-
-def test_invert_matches_label_sets():
-    rng = np.random.default_rng(17)
-    for _ in range(50):
-        ns, nt = rng.integers(1, 8, 2)
-        ties = [np.flatnonzero(rng.random(nt) < 0.4) for _ in range(ns)]
-        src = tuple(f"s{k}" for k in range(ns))
-        tgt = tuple(f"t{k}" for k in range(nt))
-        fwd = CoverFamily(tgt, src, offsets([len(t) for t in ties]),
-                          np.concatenate([np.empty(0, np.intp), *ties]))
-        inv = fwd.invert()
-        assert inv.index_pool == tgt and inv.universe == src
-        assert inv.sets == {t: frozenset(s for s in src if t in fwd.sets[s])
-                            for t in tgt}
-        assert all(np.all(np.diff(inv.indices[a:b]) > 0)
-                   for a, b in zip(inv.indptr, inv.indptr[1:]))
-
-
-def test_domain_report(demo_g, demo_kernel):
-    rep = domain_report(demo_g)
-    assert rep.ldom == rep.udom == rep.dom == ("x1", "x2")
-    g2 = fos(demo_kernel.x_labels, -math.inf, 2)
-    assert domain_report(g2).udom == ("x2",)
-    bstar = fos(demo_kernel.y_labels, math.sqrt(3), 6, 3)
-    assert domain_report(bstar).ldom == ("y1", "y2", "y3")
 
 
 def test_label_mismatch_raises(demo_kernel, demo_g):
@@ -196,9 +177,9 @@ def test_galois_laws_random():
         g = random_function(rng, k.x_labels)
         bf = apply_forward(k, f)
         bstar_bf = apply_adjoint(k, bf)
-        assert apply_forward(k, bstar_bf).approx_eq(bf)
+        assert approx_eq(apply_forward(k, bstar_bf), bf)
         ag = apply_adjoint(k, g)
-        assert apply_adjoint(k, projector(k, g)).approx_eq(ag)
+        assert approx_eq(apply_adjoint(k, projector(k, g)), ag)
         # adjunction: g above the transform of f iff f above the adjoint of g
         assert bf.leq(g, 1e-12) == ag.leq(f, 1e-12)
 
@@ -209,20 +190,22 @@ def test_antitone_and_sup_morphism():
         k = random_moreau_kernel(rng, max_side=5)
         f1 = random_function(rng, k.y_labels)
         f2 = random_function(rng, k.y_labels)
-        lo, hi = f1.pointwise_min(f2), f1.pointwise_max(f2)
+        lo = FunctionOnSpace(k.y_labels, np.minimum(f1.values, f2.values))
+        hi = FunctionOnSpace(k.y_labels, np.maximum(f1.values, f2.values))
         b_lo, b_hi = apply_forward(k, lo), apply_forward(k, hi)
         b1, b2 = apply_forward(k, f1), apply_forward(k, f2)
         assert b_hi.leq(b1) and b_hi.leq(b2)
-        assert b_lo.approx_eq(b1.pointwise_max(b2))
+        assert approx_eq(b_lo, FunctionOnSpace(k.x_labels,
+                                               np.maximum(b1.values, b2.values)))
 
 
 def test_degenerate_laws():
     rng = random.Random(17)
     for _ in range(30):
         k = random_moreau_kernel(rng, max_side=5)
-        top_g = FunctionOnSpace.constant(k.x_labels, math.inf)
+        top_g = constant(k.x_labels, math.inf)
         assert np.all(np.isneginf(apply_adjoint(k, top_g).values))
-        bot_g = FunctionOnSpace.constant(k.x_labels, -math.inf)
+        bot_g = constant(k.x_labels, -math.inf)
         a = apply_adjoint(k, bot_g)
         assert np.all(np.isposinf(a.values))
         assert np.all(np.isneginf(apply_forward(k, a).values))
@@ -234,7 +217,7 @@ def test_dirac_identity_random():
         k = random_moreau_kernel(rng, max_side=4)
         for j, y in enumerate(k.y_labels):
             for s in (-1.0, 0.0, 1.0, math.inf, -math.inf):
-                d = FunctionOnSpace.dirac(k.y_labels, y, s)
+                d = dirac(k.y_labels, y, s)
                 got = apply_forward(k, d)
                 want = [k.entry(i, j).eval_float(s) for i in range(k.shape[0])]
                 assert np.array_equal(got.values, want)
@@ -417,7 +400,7 @@ def test_envelope_path_selection(monkeypatch, family, x_grid, y_grid):
         f = FunctionOnSpace(k.y_labels, rng.normal(size=k.shape[1]))
         # tie sets always come from the blocked reduction
         subdiff_inverse(k, g)
-        subdiff(k, f)
+        sup_pass(k, f.values, True, DEFAULT_TOL)
         if k.lipschitz_line is None:
             apply_forward(k, f)
             apply_adjoint(k, g)
@@ -589,6 +572,6 @@ def test_one_tie_rule_matches_the_scalar_forms(case):
         assert family.sets == {y[j]: frozenset(x[i] for i in t)
                                for j, t in enumerate(ties)}
         _, ties = _brute_ties(kernel, f.values, True, tol)
-        assert subdiff(kernel, f, tol).sets == {
+        assert forward_ties(kernel, f, tol) == {
             y[j]: frozenset(x[i] for i, t in enumerate(ties) if j in t)
             for j in range(len(y))}

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import FAMILY_GRIDS, FAMILY_IDS, dense_and_lazy, random_moreau_kernel
+from test_scalar import adjunction_holds
 from galois_solve import kernel as kernel_mod
 from galois_solve.errors import ValidationError
 from galois_solve.kernel import (
@@ -20,7 +21,7 @@ from galois_solve.kernel import (
     build_moreau,
     build_table,
 )
-from galois_solve.scalar import Affine, DualPair, Off, SignedPower
+from galois_solve.scalar import Affine, Off, SignedPower
 
 
 def test_build_moreau_identity_like():
@@ -124,7 +125,7 @@ def test_support_entries_pass_adjunction():
         k = random_moreau_kernel(rng, max_side=4)
         for i in range(k.shape[0]):
             for j in k.support_row(i):
-                assert DualPair.of(k.entry(i, j)).adjunction_holds()
+                assert adjunction_holds(k.entry(i, j))
 
 
 def test_restrict_demo(demo_kernel):

@@ -3,16 +3,20 @@ import importlib.util
 import math
 import pathlib
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import random_function, random_moreau_kernel, use_cpus
+from conftest import approx_eq, constant, random_function, random_moreau_kernel, use_cpus
 from galois_solve import covering, engine
 from galois_solve import solver as solver_mod
 from galois_solve import kernel as kernel_mod
 from galois_solve.engine import FunctionOnSpace, apply_forward, projector
 from galois_solve.errors import InternalError, NoSolutionError, ValidationError
+from galois_solve.extreal import DEFAULT_TOL
 from galois_solve.kernel import (
     CouplingTable,
     GridSpec,
@@ -68,7 +72,7 @@ def test_verify_known_solutions(demo_kernel, demo_g):
     assert verify(prob, f1).is_solution
     f2 = FunctionOnSpace(demo_kernel.y_labels, np.array([math.inf, math.inf, -6]))
     assert verify(prob, f2).is_solution
-    f3 = FunctionOnSpace.constant(demo_kernel.y_labels, 0)
+    f3 = constant(demo_kernel.y_labels, 0)
     rep = verify(prob, f3)
     assert not rep.is_solution
     assert float(rep.transformed.value("x1")) == 4  # max(0, 4, 2)
@@ -118,7 +122,7 @@ def test_solution_structure_requires_solvable(demo_kernel, demo_g_bad):
 
 
 def test_degenerate_bottom_target(demo_kernel):
-    g = FunctionOnSpace.constant(demo_kernel.x_labels, -math.inf)
+    g = constant(demo_kernel.x_labels, -math.inf)
     sol = solve(Problem(demo_kernel, g))
     # the top function is forced at every index, hence uniqueness
     assert sol.status is Status.UNIQUE
@@ -129,7 +133,7 @@ def test_degenerate_bottom_target(demo_kernel):
 
 
 def test_degenerate_top_target(demo_kernel):
-    g = FunctionOnSpace.constant(demo_kernel.x_labels, math.inf)
+    g = constant(demo_kernel.x_labels, math.inf)
     sol = solve(Problem(demo_kernel, g))
     assert sol.status is not Status.NO_SOLUTION
     assert np.all(np.isneginf(sol.f_min.values))
@@ -146,7 +150,7 @@ def test_oracle_rejects_large_instances():
     from galois_solve import build_moreau
 
     big = build_moreau([[0] * 7 for _ in range(7)])
-    prob = Problem(big, FunctionOnSpace.constant(big.x_labels, 0))
+    prob = Problem(big, constant(big.x_labels, 0))
     with pytest.raises(ValidationError):
         oracle_check(prob)
 
@@ -186,7 +190,7 @@ def test_minimal_solution_is_least():
         assert verify(prob, sol.f_min).is_solution
         if sol.witness_alt is not None:
             assert verify(prob, sol.witness_alt).is_solution
-            assert not sol.witness_alt.approx_eq(sol.f_min)
+            assert not approx_eq(sol.witness_alt, sol.f_min)
             assert sol.f_min.leq(sol.witness_alt)
         # forced indices agree across solutions
         for y in sol.cover.essential:
@@ -471,3 +475,105 @@ def test_unit_affine_table_matches_moreau():
             else:
                 assert a.witness_alt.values.tobytes() == b.witness_alt.values.tobytes()
     assert statuses == set(Status)
+
+
+# -- permuting and relabelling X and Y changes no verdict
+
+
+def _permutable_case(rng, kind):
+    """Rows of a random table of the given kind, every row and column
+    supported, with a target g = B f0 that is lowered by 1 at one x on
+    about a third of the cases, and X' restricted on about a quarter."""
+    nx, ny = (int(v) for v in rng.integers(1, 7, 2))
+    support = rng.random((nx, ny)) < 0.7
+    support[np.arange(nx), rng.integers(0, ny, nx)] = True
+    support[rng.integers(0, nx, ny), np.arange(ny)] = True
+    c = rng.integers(-4, 5, (nx, ny)).astype(float)
+    if kind == "moreau":
+        rows = np.where(support, c, -math.inf).tolist()
+    elif kind == "dyadic affine":
+        m = rng.choice([0.25, 0.5, 1.0, 2.0, 4.0], (nx, ny))
+        rows = [[Affine(cv / 4, mv) if sv else Off() for cv, mv, sv in zip(*row)]
+                for row in zip(c.tolist(), m.tolist(), support.tolist())]
+    else:
+        p = rng.choice([0.5, 1.0, 2.0, 3.0], (nx, ny))
+        shift = rng.integers(-2, 3, (nx, ny)).astype(float)
+        rows = [[SignedPower(cv, pv, hv) if sv else Off()
+                 for cv, pv, hv, sv in zip(*row)]
+                for row in zip(c.tolist(), p.tolist(), shift.tolist(), support.tolist())]
+    build = build_moreau if kind == "moreau" else build_table
+    f0 = rng.integers(-3, 4, ny).astype(float)
+    f0[rng.random(ny) < 0.15] = math.inf
+    kernel = build(rows)
+    g = apply_forward(kernel, FunctionOnSpace(kernel.y_labels, f0)).values.copy()
+    if rng.random() < 0.3:
+        g[rng.integers(nx)] -= 1.0
+    x_restrict = None
+    if rng.random() < 0.25:
+        x_restrict = [x for x in kernel.x_labels if rng.random() < 0.6]
+    return build, rows, g, x_restrict
+
+
+def _by_label(sol, x_name, y_name):
+    return (sol.status,
+            {y_name[y]: v for y, v in zip(sol.f_min.labels, sol.f_min.values.tolist())},
+            {y_name[y]: frozenset(map(x_name.get, s)) for y, s in sol.family.sets.items()},
+            {x_name[x]: (float(gv), float(pv)) for x, (gv, pv) in sol.residual.items()},
+            frozenset(map(y_name.get, sol.cover.essential)),
+            frozenset(map(x_name.get, sol.cover.uncovered)))
+
+
+# the witness is left out, and not built: its greedy subcover follows
+# the index order, and on signed-power tables it can fail re-verification
+# (pinned below)
+@pytest.mark.parametrize("kind,tols", [("moreau", (0.0, 1e-9)),
+                                       ("dyadic affine", (0.0, 1e-9)),
+                                       ("signed power", (1e-9,))])
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_permuting_and_relabelling_changes_no_verdict(kind, tols, seed):
+    rng = np.random.default_rng(seed)
+    build, rows, g, x_restrict = _permutable_case(rng, kind)
+    nx, ny = len(rows), len(rows[0])
+    px, py = rng.permutation(nx), rng.permutation(ny)
+    # new names whose order is neither the old one nor the new positions
+    x_new = [f"u{k}" for k in rng.permutation(nx)]
+    y_new = [f"v{k}" for k in rng.permutation(ny)]
+    kernel = build(rows)
+    x_name = dict(zip(kernel.x_labels, x_new))
+    y_name = dict(zip(kernel.y_labels, y_new))
+    moved = build([[rows[i][j] for j in py] for i in px],
+                  [x_new[i] for i in px], [y_new[j] for j in py])
+    same_x, same_y = (dict(zip(labels, labels)) for labels in (x_new, y_new))
+    restrict_moved = None if x_restrict is None else [x_name[x] for x in x_restrict]
+    for tol in tols:
+        with mock.patch.object(solver_mod, "_alternate_witness", lambda *args: None):
+            one = solve(Problem(kernel, FunctionOnSpace(kernel.x_labels, g),
+                                x_restrict, tol))
+            two = solve(Problem(moved, FunctionOnSpace(moved.x_labels, g[px]),
+                                restrict_moved, tol))
+        assert _by_label(one, x_name, y_name) == _by_label(two, same_x, same_y)
+
+
+# The tie test compares fl(b°(y, x, g(x))) with f_min(y) - tol on the
+# adjoint side, while verify compares fl(b(x, y, f_min(y))) with g(x) on
+# the forward side, so a witness built from the ties can fail verify.
+# At tol 0, (sqrt 5)**2 rounds to 5.000000000000001 and the witness that
+# keeps only y2 misses g(x1) = 4 by one ulp.  At the default tol, x1 ties
+# for y1 within 1e-9 of the adjoint, but the square root's slope there
+# turns that into a miss of 2e-8 on the forward side.
+@pytest.mark.xfail(strict=True, raises=InternalError,
+                   reason="the tie test and verify measure ties on different sides")
+@pytest.mark.parametrize("rows,g,tol", [
+    ([[SignedPower(0, 2), SignedPower(-1, 2)]], [4.0], 0.0),
+    ([[SignedPower(-2, 0.5, -2), SignedPower(2, 3, -2)],
+      [SignedPower(-3, 3, 2), SignedPower(2, 0.5, 1)]], [-2.0, 61.0], DEFAULT_TOL),
+], ids=["tol-0", "default-tol"])
+def test_witness_of_a_signed_power_table_passes_verify(rows, g, tol):
+    # g = B f0 for f0 = (-2, 2)
+    kernel = build_table(rows)
+    problem = Problem(kernel, FunctionOnSpace(kernel.x_labels, np.array(g)),
+                      tolerance=tol)
+    sol = solve(problem)
+    assert verify(problem, sol.f_min).is_solution
+    assert sol.witness_alt is None or verify(problem, sol.witness_alt).is_solution
