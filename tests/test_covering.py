@@ -57,6 +57,30 @@ def test_irredundant_duplicate_sets_first_removed():
     assert irredundant_subcover(fam) == ("b",)
 
 
+def test_irredundant_disjoint_singletons():
+    fam = CoverFamily.build(
+        ["a", "b", "c"], {f"y{i}": {p} for i, p in enumerate("abc")}
+    )
+    rep = check_cover(fam)
+    assert rep.is_minimal and rep.essential == ("y0", "y1", "y2")
+    assert irredundant_subcover(fam) == ("y0", "y1", "y2")
+
+
+def test_irredundant_empty_universe():
+    # every family covers the empty universe, and no index is needed
+    fam = CoverFamily.build([], {"y1": {"x"}})
+    rep = check_cover(fam)
+    assert rep.is_cover and rep.essential == () and not rep.is_minimal
+    assert irredundant_subcover(fam) == ()
+
+
+def test_irredundant_many_duplicate_sets_keeps_the_last():
+    fam = CoverFamily.build(["p"], {f"y{i}": {"p"} for i in range(25)})
+    rep = check_cover(fam)
+    assert rep.is_cover and rep.essential == ()
+    assert irredundant_subcover(fam) == ("y24",)
+
+
 def test_irredundant_requires_cover():
     fam = CoverFamily.build(["x1", "x2"], {"y1": {"x2"}})
     with pytest.raises(NotACoverError):
