@@ -12,6 +12,7 @@ ran but failed its tolerance.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import replace
 
@@ -157,10 +158,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call in a process, not at import."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on bad flags, which matches the contract
         return exc.code if isinstance(exc.code, int) else EXIT_VALIDATION

@@ -17,7 +17,12 @@ blocks is deterministic.  A kernel that generates its table block by
 block (:attr:`~galois_solve.kernel.Kernel.is_lazy`) evaluates its
 blocks on as many threads as the process may use CPUs, capped at the
 number of blocks.  A stored table, of couplings or of forms, runs
-serially: threads were measured to gain nothing on one.
+serially: threads were measured to gain nothing on one.  A pass over a
+stored table writes its blocks into one scratch array per thread,
+reused from block to block; a generated block is a fresh array,
+evaluated in place.  What :func:`sup_pass` and :func:`slice_table`
+return is fresh and the caller's own: it aliases no scratch block and
+no table.
 
 Argmax sets travel as one flat array of sorted indices with row offsets,
 in a :class:`~galois_solve.covering.CoverFamily`, which turns them into
@@ -32,6 +37,7 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
@@ -120,26 +126,40 @@ class FunctionOnSpace:
 
 def _blocks(kernel: Kernel, lam: np.ndarray, by_rows: bool):
     """Blocks of the kernel's slices evaluated at ``lam``, one row per
-    output index.
+    output index, as ``block(lo, hi, out=None)``.
 
     Every entry is first taken as c - m*lam, with -inf absorbing: c
     never holds +inf, so a +inf in ``lam`` already yields -inf, and only
     -inf - (-inf) needs mending, in the columns where ``lam`` is -inf.
     The signed-power and tabulated entries are then overwritten by
     their own closed forms.
+
+    A block the table hands out fresh (a generated table's) is evaluated
+    in place and returned.  Otherwise the block is written into the
+    leading ``hi - lo`` rows of ``out``, a scratch array of the caller's
+    with at least that many rows, and that view of it is returned; the
+    caller owns it, and the next block written there overwrites it.
+    Without ``out`` every block is a fresh array.  The offsets a table
+    hands out read-only are never written to.
     """
     side = kernel.slices(by_rows)
     n_in = len(lam)
     neg = np.flatnonzero(np.isneginf(lam))
 
-    def block(lo: int, hi: int) -> np.ndarray:
+    def block(lo: int, hi: int, out: Optional[np.ndarray] = None) -> np.ndarray:
         src = side.offsets(slice(lo, hi))
-        out = src if src.flags.writeable else np.empty(src.shape)
+        if src.flags.writeable:
+            out = src
+        elif out is None:
+            out = np.empty(src.shape)
+        else:
+            out = out[:hi - lo]
         with np.errstate(invalid="ignore", over="ignore"):
             if side.m is None:
                 np.subtract(src, lam, out=out)
-            else:
-                np.subtract(src, side.m[lo:hi] * lam, out=out)
+            else:  # only read-only offsets come with slopes, so out is not src
+                np.multiply(side.m[lo:hi], lam, out=out)
+                np.subtract(src, out, out=out)
             if neg.size:
                 sub = out[:, neg]
                 sub[np.isnan(sub)] = -math.inf
@@ -217,20 +237,26 @@ def sup_pass(kernel: Kernel, lam: np.ndarray, by_rows: bool,
     block = _blocks(kernel, lam, by_rows)
     support = kernel.support_row if by_rows else kernel.support_col
 
+    n_in = len(lam)
+    rows = min(_BLOCK, n_out)
+    scratch = threading.local()  # one value block and tie mask per thread
+
     def run(span: Tuple[int, int]):
         lo, hi = span
-        vals = block(lo, hi)
+        if not hasattr(scratch, "vals"):
+            scratch.vals = np.empty((rows, n_in))
+        vals = block(lo, hi, scratch.vals)
         top = vals.max(axis=1)
         if tol is None:
             return top, None, None
-        hit = vals >= (top - tol)[:, None]
+        if not hasattr(scratch, "hit"):
+            scratch.hit = np.empty((rows, n_in), dtype=bool)
+        hit = np.greater_equal(vals, (top - tol)[:, None], out=scratch.hit[:hi - lo])
         for r in np.flatnonzero(np.isneginf(top)):
             hit[r] = False
             hit[r, list(support(lo + r))] = True
-        rows, cols = np.nonzero(hit)
-        # both are strided views of one (n, 2) array: a contiguous copy
-        # of the columns lets the pair go
-        return top, np.bincount(rows, minlength=hi - lo), cols.copy()
+        # flat positions in row-major order: each row's columns ascending
+        return top, np.count_nonzero(hit, axis=1), np.flatnonzero(hit) % n_in
 
     spans = [(lo, min(lo + _BLOCK, n_out)) for lo in range(0, n_out, _BLOCK)]
     threads = min(_cpus(), len(spans)) if kernel.is_lazy else 1

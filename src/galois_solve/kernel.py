@@ -372,8 +372,12 @@ def _reversed(rows: np.ndarray, n: np.ndarray) -> np.ndarray:
 class CouplingTable:
     """A coupling table bbar(x, y), every slope 1, as ``fn(index,
     by_rows)``: for a slice or an integer array of rows (``by_rows``) or
-    columns, a 2-D array with one row per index.  A stored table gives
-    read-only views of its array, a generated one (``lazy``) fresh arrays."""
+    columns, a 2-D array with one row per index.  A stored table keeps
+    both orientations, its array and a C-contiguous copy of its
+    transpose (twice the memory of one), and gives read-only views of
+    them, which the table owns: a slice of rows or of columns is
+    contiguous.  A generated one (``lazy``) gives fresh arrays, which
+    the caller owns and may overwrite."""
 
     fn: Callable[[object, bool], np.ndarray]
     shape: Tuple[int, int]
@@ -413,8 +417,9 @@ def _stored(arr: np.ndarray) -> CouplingTable:
         if np.isposinf(arr).any():
             raise ValidationError("coupling entries must lie in R u {-inf}")
         raise ValidationError("coupling entries may not be NaN")
-    _frozen(arr)
-    return CouplingTable(lambda k, by_rows: arr[k] if by_rows else arr.T[k], arr.shape, False)
+    arr = _frozen(np.ascontiguousarray(arr))  # a gather of columns comes in F order
+    cols = _frozen(arr.T.copy())  # columns read as contiguous rows
+    return CouplingTable(lambda k, by_rows: arr[k] if by_rows else cols[k], arr.shape, False)
 
 
 class Kernel:

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import galois_solve.cli as cli
 from galois_solve.cli import main
 from galois_solve.engine import FunctionOnSpace
 from galois_solve.kernel import GridSpec, build_table
@@ -159,6 +160,21 @@ def test_bad_flags_exit_code(capsys):
     code = main(["lab", "not-an-experiment"])
     capsys.readouterr()
     assert code == 2
+
+
+def test_parser_is_built_once_per_process(capsys, monkeypatch):
+    builds = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+    cli._parser.cache_clear()
+    assert main(["--help"]) == 0
+    assert capsys.readouterr().out == build().format_help()
+    for _ in range(2):
+        assert main(["lab", "not-an-experiment"]) == 2
+        assert "invalid choice" in capsys.readouterr().err
+    assert main(["solve", DEMO, "--json"]) == 0
+    capsys.readouterr()
+    assert builds == [1]
 
 
 def test_lab_step_too_fine_for_a_float_count(capsys):

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -575,3 +576,163 @@ def test_one_tie_rule_matches_the_scalar_forms(case):
         assert forward_ties(kernel, f, tol) == {
             y[j]: frozenset(x[i] for i, t in enumerate(ties) if j in t)
             for j in range(len(y))}
+
+
+# -- sup_pass against a plain numpy reduction of the whole table
+
+
+def _coupling_case(rng, nx, ny):
+    """A stored integer coupling table with -inf entries, every row and
+    column repaired to keep a finite entry."""
+    bbar = rng.integers(-3, 4, (nx, ny)).astype(float)
+    bbar[rng.random((nx, ny)) < 0.3] = -math.inf
+    bbar[np.arange(nx), np.arange(nx) % ny] = 0.0
+    bbar[np.arange(ny) % nx, np.arange(ny)] = 1.0
+    return build_moreau(bbar.tolist())
+
+
+def _form_case(rng, nx, ny):
+    """A table of all four kinds of forms, every row and column repaired
+    to keep an affine entry."""
+    def form():
+        kind = rng.integers(4)
+        c = float(rng.integers(-3, 4))
+        if kind == 0:
+            return Off()
+        if kind == 1:
+            return Affine(c, 1.0 if rng.random() < 0.5 else float(rng.uniform(0.125, 8)))
+        if kind == 2:
+            return SignedPower(c, float(rng.uniform(0.25, 4)), float(rng.integers(-2, 3)))
+        return TabulatedDecreasing(((c, 1.0), (c + 1, -1.0), (c + 2.5, -4.0)))
+
+    rows = [[form() for _ in range(ny)] for _ in range(nx)]
+    for i in range(nx):
+        rows[i][i % ny] = Affine(float(rng.integers(-3, 4)), 1.0)
+    for j in range(ny):
+        rows[j % nx][j] = Affine(float(rng.integers(-3, 4)), 2.0)
+    return build_table(rows)
+
+
+def _whole_table(kernel, lam, by_rows):
+    """The slices at ``lam``, one row per output index, and their
+    support: from the stored array, or from the scalar forms one by one."""
+    if isinstance(kernel.table, CouplingTable):
+        bbar = kernel.table.fn(slice(None), True)
+        bbar = bbar if by_rows else bbar.T
+        with np.errstate(invalid="ignore"):
+            vals = bbar - lam
+        vals[np.isnan(vals)] = -math.inf
+        return vals, np.isfinite(bbar)
+    n_out, n_in = kernel.shape if by_rows else kernel.shape[::-1]
+    forms = [[kernel.entry(o, k) if by_rows else kernel.adjoint_entry(o, k)
+              for k in range(n_in)] for o in range(n_out)]
+    vals = np.array([[e.eval_float(lam[k]) for k, e in enumerate(row)] for row in forms])
+    return vals, np.array([[not isinstance(e, Off) for e in row] for row in forms])
+
+
+def _numpy_reduction(vals, support, tol):
+    """The supremum of each row, and the CSR rows of its entries within
+    ``tol`` of it, or of its support when the supremum is -inf."""
+    top = vals.max(axis=1)
+    hit = vals >= (top - tol)[:, None]
+    empty = np.isneginf(top)
+    hit[empty] = support[empty]
+    indptr = np.concatenate(([0], np.cumsum(hit.sum(axis=1))))
+    return top, indptr, np.nonzero(hit)[1]
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (255, 3), (256, 3), (257, 3), (3, 513)])
+@pytest.mark.parametrize("make", [_coupling_case, _form_case], ids=["coupling", "forms"])
+@pytest.mark.parametrize("by_rows", [True, False], ids=["forward", "adjoint"])
+def test_sup_pass_matches_numpy_reduction_of_whole_table(shape, make, by_rows):
+    rng = np.random.default_rng(shape[0] * 1000 + shape[1])
+    kernel = make(rng, *shape)
+    n_in = kernel.shape[1 if by_rows else 0]
+    draws = [np.full(n_in, math.inf), np.full(n_in, -math.inf)]
+    for _ in range(3):
+        # integers moved by fractions of 1e-9, with both infinities
+        lam = rng.integers(-3, 4, n_in) + rng.choice([0.0, 5e-10, 1e-9, 1.5e-9], n_in)
+        lam[rng.random(n_in) < 0.15] = math.inf
+        lam[rng.random(n_in) < 0.15] = -math.inf
+        draws.append(lam)
+    for lam in draws:
+        vals, support = _whole_table(kernel, lam, by_rows)
+        for tol in (0.0, 1e-9):
+            top, family = sup_pass(kernel, lam, by_rows, tol)
+            want_top, indptr, indices = _numpy_reduction(vals, support, tol)
+            assert np.array_equal(top, want_top)
+            assert np.array_equal(family.indptr, indptr)
+            assert np.array_equal(family.indices, indices)
+        assert np.array_equal(sup_pass(kernel, lam, by_rows)[0], want_top)
+
+
+def _grid_lazy(monkeypatch):
+    monkeypatch.setattr(kernel_mod, "DENSE_LIMIT", 0)
+    grid = GridSpec.line(-3, 3, 0.01)
+    return build_grid_kernel(FenchelDot(), grid, grid)
+
+
+@pytest.mark.parametrize("make", [
+    lambda mp: _coupling_case(np.random.default_rng(1), 600, 40),
+    lambda mp: _form_case(np.random.default_rng(2), 40, 600),
+    _grid_lazy,
+], ids=["coupling", "forms", "lazy"])
+def test_first_pass_results_survive_later_passes(monkeypatch, make):
+    """No result of a pass aliases a scratch block that a later pass
+    writes to, nor a block that the table hands out."""
+    kernel = make(monkeypatch)
+    use_cpus(monkeypatch, 2)
+    rng = np.random.default_rng(4)
+    nx, ny = kernel.shape
+    g = rng.integers(-3, 4, nx).astype(float)
+    top, family = sup_pass(kernel, g, False, 1e-9)
+    ftop, ffamily = sup_pass(kernel, rng.normal(size=ny), True, 1e-9)
+    table = slice_table(kernel, g, False)
+    kept = [a.copy() for a in (top, family.indptr, family.indices,
+                               ftop, ffamily.indptr, ffamily.indices, table)]
+    sup_pass(kernel, rng.normal(size=nx), False, 0.0)
+    sup_pass(kernel, rng.normal(size=ny), True, 1e-9)
+    sup_pass(kernel, rng.normal(size=nx), False)
+    for was, now in zip(kept, (top, family.indptr, family.indices,
+                               ftop, ffamily.indptr, ffamily.indices, table)):
+        assert now.tobytes() == was.tobytes()
+
+
+def test_scratch_blocks_are_per_thread(monkeypatch):
+    """More threads than cores, switching often: every thread writes
+    its blocks and tie masks into its own scratch, so the threaded
+    pass gives the serial one's bytes."""
+    monkeypatch.setattr(kernel_mod, "DENSE_LIMIT", 0)
+    grid = GridSpec.line(-3, 3, 0.0025)  # 2401 points: 10 blocks
+    kernel = build_grid_kernel(FenchelDot(), grid, grid)
+    g = np.round(np.abs(grid.points()), 1)
+    use_cpus(monkeypatch, 1)
+    serial = sup_pass(kernel, g, False, 1e-9)
+    use_cpus(monkeypatch, 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = sup_pass(kernel, g, False, 1e-9)
+    finally:
+        sys.setswitchinterval(interval)
+    for a, b in zip((serial[0], serial[1].indptr, serial[1].indices),
+                    (threaded[0], threaded[1].indptr, threaded[1].indices)):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_stored_coupling_table_keeps_both_orientations():
+    rng = np.random.default_rng(6)
+    bbar = rng.integers(-3, 4, (7, 5)).astype(float)
+    bbar[0, 1:] = -math.inf
+    kernel = build_moreau(bbar.tolist())
+    keep = [0, 2, 3]
+    restricted = kernel.restrict([kernel.y_labels[j] for j in keep])
+    for k, arr in ((kernel, bbar), (restricted, bbar[:, keep])):
+        for by_rows, want in ((True, arr), (False, arr.T)):
+            whole = k.table.fn(slice(None), by_rows)
+            assert not whole.flags.writeable
+            assert whole.flags.c_contiguous
+            assert np.array_equal(whole, want)
+            part = k.table.fn(slice(1, 3), by_rows)
+            assert not part.flags.writeable and part.flags.c_contiguous
+            assert np.array_equal(part, want[1:3])
