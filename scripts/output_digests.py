@@ -13,7 +13,7 @@ moreau and table file of cli-files is also given to ``apply``, with
 ``--direction B`` with f = 0 on every y.  Every call runs in this
 process through ``galois_solve.cli.main``, once with the process
 pinned to one CPU and once on every CPU it may use, which sets the
-thread count of the lazy passes.  Each output line is
+thread count of the passes over large grid tables.  Each output line is
 
     RUN CALL EXIT_CODE SHA256_OF_STDOUT
 

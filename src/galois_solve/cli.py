@@ -54,8 +54,9 @@ def _assignments(f, sep: str = " = "):
 
 def cmd_solve(args) -> int:
     problem = load_problem(args.file)
-    if args.x_restrict:
-        problem = replace(problem, x_restrict=tuple(args.x_restrict.split(",")))
+    if args.x_restrict is not None:  # '' is the empty X'
+        labels = tuple(args.x_restrict.split(",")) if args.x_restrict else ()
+        problem = replace(problem, x_restrict=labels)
     if args.tol is not None:
         problem = replace(problem, tolerance=args.tol)
     sol = solve(problem)
@@ -106,7 +107,9 @@ def cmd_apply(args) -> int:
 
 def cmd_lab(args) -> int:
     result = run_experiment(args.name, step=args.step, a=args.a, curve=args.curve)
-    if args.csv and result.curves:
+    if args.csv is not None:
+        if not result.curves:
+            raise ValidationError(f"lab {args.name} samples no curves to write to --csv")
         write_curves_csv(args.csv, result.curves)
     if args.json:
         print(render_report(result.to_dict()))

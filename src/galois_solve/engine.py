@@ -13,16 +13,18 @@ offsets minus the input (times the slopes, when some slope is not 1),
 then the signed-power and tabulated entries of a table of scalar forms
 overwritten from their parameter arrays.
 Maxima are order-independent, so data-parallel evaluation of the
-blocks is deterministic.  A kernel that generates its table block by
-block (:attr:`~galois_solve.kernel.Kernel.is_lazy`) evaluates its
-blocks on as many threads as the process may use CPUs, capped at the
-number of blocks.  A stored table, of couplings or of forms, runs
-serially: threads were measured to gain nothing on one.  A pass over a
-stored table writes its blocks into one scratch array per thread,
-reused from block to block; a generated block is a fresh array,
-evaluated in place.  What :func:`sup_pass` and :func:`slice_table`
-return is fresh and the caller's own: it aliases no scratch block and
-no table.
+blocks is deterministic.  A pass over more than
+:data:`~galois_solve.kernel.DENSE_LIMIT` entries of a table that a grid
+family generates block by block
+(:attr:`~galois_solve.kernel.Kernel.is_grid`) evaluates its blocks on as
+many threads as the process may use CPUs, capped at the number of
+blocks.  Every other pass runs serially: threads were measured to gain
+nothing on a stored table, of couplings or of forms, and a small pass
+gains little next to the start of a pool.  A pass over a stored table
+writes its blocks into one scratch array per thread, reused from block
+to block; a generated block is a fresh array, evaluated in place.  What
+:func:`sup_pass` and :func:`slice_table` return is fresh and the
+caller's own: it aliases no scratch block and no table.
 
 Argmax sets travel as one flat array of sorted indices with row offsets,
 in a :class:`~galois_solve.covering.CoverFamily`, which turns them into
@@ -48,6 +50,7 @@ import numpy as np
 from .covering import CoverFamily, offsets
 from .errors import ValidationError
 from .extreal import DEFAULT_TOL, INFINITIES, ExtReal, parse
+from . import kernel as kernel_mod
 from .kernel import Kernel, LipschitzLine
 
 _BLOCK = 256
@@ -259,7 +262,9 @@ def sup_pass(kernel: Kernel, lam: np.ndarray, by_rows: bool,
         return top, np.count_nonzero(hit, axis=1), np.flatnonzero(hit) % n_in
 
     spans = [(lo, min(lo + _BLOCK, n_out)) for lo in range(0, n_out, _BLOCK)]
-    threads = min(_cpus(), len(spans)) if kernel.is_lazy else 1
+    threads = 1
+    if kernel.is_grid and n_out * n_in > kernel_mod.DENSE_LIMIT:
+        threads = min(_cpus(), len(spans))
     if threads <= 1:
         parts = [run(s) for s in spans]
     else:

@@ -12,9 +12,10 @@ or a :class:`CouplingTable` bbar(x, y), every slope 1, stored or
 generated in blocks of rows or columns.  Both give the engine their
 slices as :class:`Slices`: per orientation, blocks of offsets c with
 the slices c - m*lam, plus the entries of other forms as typed
-parameter arrays.  The kernel checks A1 and A2 on every stored table; a
-grid family is checked at its grids' corners, so that its table is
-finite however it is stored.
+parameter arrays.  A table read from a file is stored; a grid family's
+table is generated.  The kernel checks A1 and A2 on every stored table;
+a grid family is checked at its grids' corners, so that its table is
+finite.
 """
 
 from __future__ import annotations
@@ -41,8 +42,9 @@ from .scalar import (
     tabulated_values,
 )
 
-#: Above this many entries a coupling-table kernel computes rows/columns
-#: on demand instead of storing the dense matrix.
+#: A pass over more than this many entries of a generated table runs on
+#: threads (see :func:`galois_solve.engine.sup_pass`); smaller ones and
+#: every pass over a stored table run serially.
 DENSE_LIMIT = 10**6
 
 #: Hard cap on grid sizes (per GridSpec, all dimensions multiplied).
@@ -426,10 +428,11 @@ class Kernel:
     """Immutable kernel; construct through the ``build_*`` helpers."""
 
     def __init__(self, x_labels: Sequence[str], y_labels: Sequence[str], table, *,
-                 is_grid: bool = False, line: Optional[LipschitzLine] = None):
+                 line: Optional[LipschitzLine] = None):
         """The kernel of a :class:`FormTable` or :class:`CouplingTable`.
-        ``line``, kept as ``lipschitz_line``, is the structure of a 1-D
-        Lipschitz distance table (see :class:`LipschitzLine`), which
+        A generated table is a grid family's (``is_grid``).  ``line``,
+        kept as ``lipschitz_line``, is the structure of a 1-D Lipschitz
+        distance table (see :class:`LipschitzLine`), which
         :func:`build_grid_kernel` derives from the family and the grids."""
         self.x_labels = tuple(map(str, x_labels))
         self.y_labels = tuple(map(str, y_labels))
@@ -439,12 +442,12 @@ class Kernel:
             if len(set(labels)) != len(labels):
                 raise ValidationError(f"duplicate {side} labels")
         self.table = table
-        self.is_grid = is_grid
+        self.is_grid = table.lazy
         self.lipschitz_line = line
         if table.shape != self.shape:
             what = "coupling" if self.is_moreau else "entry"
             raise ValidationError(f"{what} table shape does not match labels")
-        if table.lazy:  # a grid family's table, finite by build_grid_kernel
+        if self.is_grid:  # finite by build_grid_kernel
             return
         # A1 and A2 on the support mask.  A3 holds by construction: the
         # supported slices are affine, signed-power or tabulated forms,
@@ -460,13 +463,6 @@ class Kernel:
     @property
     def shape(self) -> Tuple[int, int]:
         return len(self.x_labels), len(self.y_labels)
-
-    @property
-    def is_lazy(self) -> bool:
-        """True when the kernel generates its coupling table block by
-        block instead of storing it (grid tables over
-        :data:`DENSE_LIMIT` entries)."""
-        return self.table.lazy
 
     @property
     def is_moreau(self) -> bool:
@@ -511,7 +507,7 @@ class Kernel:
 
         Semantically this forces f(y) = +inf off the subset.  Raises
         when a row loses all of its support (A1 would break).  The
-        result records no grid structure.
+        result records no Lipschitz line; a grid table stays generated.
         """
         wanted = set(y_subset)
         unknown = wanted - set(self.y_labels)
@@ -522,7 +518,7 @@ class Kernel:
             raise ValidationError("restriction to an empty column set")
         # a stored table is checked for A1 again; a grid table is finite
         return Kernel(self.x_labels, [self.y_labels[j] for j in keep],
-                      self.table.take_columns(np.asarray(keep)), is_grid=self.is_grid)
+                      self.table.take_columns(np.asarray(keep)))
 
 
 # ----------------------------------------------------------------------
@@ -582,13 +578,13 @@ def build_table(entries, x_labels=None, y_labels=None) -> Kernel:
 
 
 def build_grid_kernel(family, x_grid: GridSpec, y_grid: GridSpec) -> Kernel:
-    """Coupling-table kernel for one of the parametric families.
+    """Coupling-table kernel for one of the parametric families, its
+    rows and columns generated on demand.
 
-    Below :data:`DENSE_LIMIT` entries the table is materialised densely;
-    above it rows and columns are computed on demand.  Either way the
-    family is refused if it is not finite at the corners of the grids'
-    boxes, where each of its intermediates (x*y, (a/2)|y|^2, |y - x|, its
-    square and power, x''*|y - x'|^p) is largest: so the table is finite.
+    The family is refused if it is not finite at the corners of the
+    grids' boxes, where each of its intermediates (x*y, (a/2)|y|^2,
+    |y - x|, its square and power, x''*|y - x'|^p) is largest: so the
+    table is finite.
     """
     if isinstance(family, WeightedPower):
         if x_grid.ndim != 2:
@@ -612,18 +608,11 @@ def build_grid_kernel(family, x_grid: GridSpec, y_grid: GridSpec) -> Kernel:
 
     xp = x_grid.points()
     yp = y_grid.points()
-    block = _family_block(family, xp, yp)
-    nx, ny = x_grid.size(), y_grid.size()
-
     line = None
     if isinstance(family, OmegaLipschitz) and family.q == 1 and x_grid.ndim == 1:
         line = LipschitzLine(family.a, xp, yp)
-
-    if nx * ny <= DENSE_LIMIT:
-        table = _stored(block(slice(None), True))
-    else:
-        table = CouplingTable(block, (nx, ny))
-    return Kernel(x_grid.labels(), y_grid.labels(), table, is_grid=True, line=line)
+    table = CouplingTable(_family_block(family, xp, yp), (x_grid.size(), y_grid.size()))
+    return Kernel(x_grid.labels(), y_grid.labels(), table, line=line)
 
 
 def _corners(grid: GridSpec) -> np.ndarray:

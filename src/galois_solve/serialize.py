@@ -171,8 +171,11 @@ def render_report(report, sort_keys: bool = True) -> str:
     With an indent, the json module encodes in pure Python.  Here a list
     or dict of scalars, and a dict of such lists, goes through its C
     encoder in one call, with the line break and indent of its depth as
-    the item separator; only the other containers are joined in Python.
+    the item separator; only the other containers are joined in Python,
+    and their keys are strings, as every report's are.
     """
+    if c_make_encoder is None:  # an interpreter without the C encoder
+        return json.dumps(report, indent=2, sort_keys=sort_keys)
     encoders = {}
 
     def c_encode(o, item_sep: str, key_sep: str = ": ") -> str:
@@ -202,8 +205,6 @@ def render_report(report, sort_keys: bool = True) -> str:
             return _lists_by_key(c_encode(o, ",\0", "\1"), outer, ind,
                                  ind + "  ")
         if isinstance(o, dict):
-            if not all(isinstance(k, str) for k in o):
-                raise _KeyNotStr
             items = sorted(o.items()) if sort_keys else o.items()
             body = ("," + ind).join(
                 encode_basestring_ascii(k) + ": " + encode(v, depth + 1)
@@ -212,22 +213,11 @@ def render_report(report, sort_keys: bool = True) -> str:
         body = ("," + ind).join(encode(v, depth + 1) for v in o)
         return "[" + ind + body + outer + "]"
 
-    try:
-        if c_make_encoder is not None:
-            return encode(report, 0)
-    except _KeyNotStr:
-        pass
-    # keys that are not strings, which the json module converts first,
-    # and interpreters without its C encoder take the json module's path
-    return json.dumps(report, indent=2, sort_keys=sort_keys)
+    return encode(report, 0)
 
 
 _SCALAR = json.JSONEncoder()
 _SCALARS = frozenset((str, int, float, bool, type(None)))
-
-
-class _KeyNotStr(Exception):
-    pass
 
 
 def _lists_by_key(text: str, outer: str, ind: str, inner: str) -> str:

@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 
 import galois_solve.engine as engine
-import galois_solve.kernel as kernel_mod
 from galois_solve import FunctionOnSpace, build_moreau, build_table
 from galois_solve.extreal import DEFAULT_TOL, close
 from galois_solve.kernel import (
+    CouplingTable,
     FenchelDot,
     GridSpec,
+    Kernel,
     OmegaLipschitz,
     Quadratic,
     WeightedPower,
@@ -86,7 +87,7 @@ def random_function(rng: random.Random, labels, allow_inf=True):
 
 
 # grid kernels of every family and supported dimension, small enough to
-# store densely
+# store as an oracle
 
 LINE_X = GridSpec.line(-1.3, 1.7, 0.1)
 LINE_Y = GridSpec.line(-2.0, 2.0, 0.125)
@@ -115,10 +116,13 @@ def use_cpus(monkeypatch, n):
                         raising=False)
 
 
-def dense_and_lazy(monkeypatch, family, x_grid, y_grid):
-    """The family's kernel stored densely, and computed lazily in blocks."""
-    dense = build_grid_kernel(family, x_grid, y_grid)
-    monkeypatch.setattr(kernel_mod, "DENSE_LIMIT", 0)
-    lazy = build_grid_kernel(family, x_grid, y_grid)
-    assert not dense.is_lazy and lazy.is_lazy
-    return dense, lazy
+def stored_and_generated(family, x_grid, y_grid):
+    """The family's kernel with its table stored, the oracle, and as
+    built, its table generated in blocks.  The oracle keeps the
+    kernel's Lipschitz line, so that both take the same transforms."""
+    generated = build_grid_kernel(family, x_grid, y_grid)
+    stored = Kernel(generated.x_labels, generated.y_labels,
+                    CouplingTable.stored(generated.bbar_row(slice(None))),
+                    line=generated.lipschitz_line)
+    assert generated.table.lazy and not stored.table.lazy
+    return stored, generated

@@ -76,6 +76,18 @@ def test_solve_restricted_unique(capsys):
     assert json.loads(out)["status"] == "multiple"
 
 
+def test_empty_x_restrict_flag_is_the_empty_restriction(tmp_path, capsys):
+    """``--x-restrict ''`` is the file's ``"x_restrict": []``, and both
+    differ from no restriction on a target that has no solution."""
+    doc = json.loads(Path(DEMO_BAD).read_text())
+    restricted = tmp_path / "restricted.json"
+    restricted.write_text(json.dumps({**doc, "x_restrict": []}))
+    flag = run(capsys, "solve", DEMO_BAD, "--x-restrict", "", "--json")
+    assert flag == run(capsys, "solve", str(restricted), "--json")
+    assert flag[0] == 0
+    assert run(capsys, "solve", DEMO_BAD, "--json")[0] == 3
+
+
 def test_solve_no_solution_exit_code(capsys):
     code, out, _ = run(capsys, "solve", DEMO_BAD, "--json")
     assert code == 3
@@ -275,6 +287,14 @@ def test_lab_csv_dump(tmp_path, capsys):
     assert code == 0
     header = csv_path.read_text().splitlines()[0]
     assert "x" in header.split(",")
+
+
+def test_lab_csv_without_curves_is_refused(tmp_path, capsys):
+    csv_path = tmp_path / "out.csv"
+    code, out, err = run(capsys, "lab", "weighted-power", "--csv", str(csv_path))
+    assert code == 2 and out == ""
+    assert re.fullmatch(r"validation error: lab weighted-power samples no curves.*\n", err)
+    assert not csv_path.exists()
 
 
 @pytest.mark.parametrize("argv", [
@@ -817,7 +837,9 @@ def test_render_report_matches_json_dumps(doc, sort_keys):
     assert render_report(doc, sort_keys) == _dumps(doc, sort_keys)
 
 
-def test_render_report_with_keys_that_are_not_strings():
-    doc = {1: [1.5, "a"], 2: {"b": [], "a": {}}, 0.5: None}
-    assert render_report({"k": doc}) == _dumps({"k": doc})
-    assert render_report({"k": [doc, {True: [1]}]}) == _dumps({"k": [doc, {True: [1]}]})
+def test_render_report_without_the_c_encoder(monkeypatch):
+    import galois_solve.serialize as serialize
+    monkeypatch.setattr(serialize, "c_make_encoder", None)
+    doc = {"b": [1.5, "a", None], "a": {"y": [], "x": {"k": [True, 2]}}}
+    assert render_report(doc) == _dumps(doc)
+    assert render_report(doc, sort_keys=False) == _dumps(doc, sort_keys=False)

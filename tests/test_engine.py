@@ -12,10 +12,10 @@ from conftest import (
     FAMILY_IDS,
     approx_eq,
     constant,
-    dense_and_lazy,
     dirac,
     random_function,
     random_moreau_kernel,
+    stored_and_generated,
     use_cpus,
 )
 import galois_solve.engine as engine
@@ -226,9 +226,8 @@ def test_dirac_identity_random():
 
 def test_threaded_pass_gives_same_answer(monkeypatch):
     grid = GridSpec.line(-2, 2, 0.005)
-    monkeypatch.setattr(kernel_mod, "DENSE_LIMIT", 0)
+    monkeypatch.setattr(kernel_mod, "DENSE_LIMIT", 0)  # threads at any size
     k = build_grid_kernel(FenchelDot(), grid, grid)
-    assert k.is_lazy
     pts = grid.points()
     f = FunctionOnSpace(grid.labels(), 0.5 * pts * pts)
     g = FunctionOnSpace(grid.labels(), np.abs(pts))
@@ -264,7 +263,6 @@ def test_thread_count_is_capped_at_cpus_and_blocks(monkeypatch, n_out):
     bbar = rng.integers(-3, 3, (4, n_out)).astype(float)
     moreau = build_moreau(bbar.tolist())
     forms = build_table([[Affine(v, 2.0) for v in row] for row in bbar.tolist()])
-    monkeypatch.setattr(kernel_mod, "DENSE_LIMIT", 0)
     lazy = build_grid_kernel(FenchelDot(), GridSpec.line(0, 3, 1),
                              GridSpec.line(0, n_out - 1, 1))
     kernels = (moreau, forms, lazy)
@@ -274,23 +272,27 @@ def test_thread_count_is_capped_at_cpus_and_blocks(monkeypatch, n_out):
     monkeypatch.setattr(engine, "ThreadPoolExecutor", _SerialPool)
     use_cpus(monkeypatch, 4)
     blocks = -(-n_out // engine._BLOCK)
-    # stored tables, of couplings or of forms, run serially
-    for k, want, workers in zip(kernels, serial, ([], [], [min(4, blocks)])):
-        _SerialPool.workers = []
-        pooled = apply_adjoint(k, FunctionOnSpace(k.x_labels, gv))
-        assert _SerialPool.workers == workers
-        assert np.array_equal(pooled.values, want.values)
+    # stored tables, of couplings or of forms, run serially at any size; a
+    # generated one on the pool above DENSE_LIMIT entries, read at the call
+    for limit in (4 * n_out - 1, 4 * n_out):
+        monkeypatch.setattr(kernel_mod, "DENSE_LIMIT", limit)
+        pool = [min(4, blocks)] if 4 * n_out > limit else []
+        for k, want, workers in zip(kernels, serial, ([], [], pool)):
+            _SerialPool.workers = []
+            pooled = apply_adjoint(k, FunctionOnSpace(k.x_labels, gv))
+            assert _SerialPool.workers == workers
+            assert np.array_equal(pooled.values, want.values)
 
 
-# -- lazy and dense kernels agree, bit for bit
+# -- generated grid tables and their stored oracles agree, bit for bit
 
 def _same_map(a, b):
     return a[1].sets == b[1].sets and np.array_equal(a[0], b[0])
 
 
 @pytest.mark.parametrize("family,x_grid,y_grid", FAMILY_GRIDS, ids=FAMILY_IDS)
-def test_lazy_and_dense_transforms_agree(monkeypatch, family, x_grid, y_grid):
-    dense, lazy = dense_and_lazy(monkeypatch, family, x_grid, y_grid)
+def test_lazy_and_dense_transforms_agree(family, x_grid, y_grid):
+    dense, lazy = stored_and_generated(family, x_grid, y_grid)
     rng = np.random.default_rng(5)
     g = FunctionOnSpace(dense.x_labels, rng.normal(size=dense.shape[0]))
     f = FunctionOnSpace(dense.y_labels, rng.normal(size=dense.shape[1]))
@@ -337,19 +339,16 @@ def _random_lam(rng, n, kind):
     return lam
 
 
-@pytest.mark.parametrize("lazy", [False, True], ids=["dense", "lazy"])
 @pytest.mark.parametrize("a", [1.0, 0.5, 2.0, 1.0 / 3.0])
-def test_envelope_path_matches_blocked_reduction(monkeypatch, lazy, a):
-    if lazy:
-        monkeypatch.setattr(kernel_mod, "DENSE_LIMIT", 0)
-    rng = np.random.default_rng(int(a * 96) + lazy)
+def test_envelope_path_matches_blocked_reduction(a):
+    rng = np.random.default_rng(int(a * 96) + 1)
     eps = np.finfo(float).eps
     for case in range(120):
         dyadic = case % 2 == 0
         x_grid = _random_line(rng, dyadic)
         y_grid = x_grid if case % 4 < 2 else _random_line(rng, dyadic)
         k = build_grid_kernel(OmegaLipschitz(a, 1.0), x_grid, y_grid)
-        assert k.lipschitz_line is not None and k.is_lazy == lazy
+        assert k.lipschitz_line is not None
         table = np.array(k.bbar_row(slice(None)))
         oracle = Kernel(k.x_labels, k.y_labels, CouplingTable.stored(table))
         assert oracle.lipschitz_line is None
@@ -383,7 +382,7 @@ def test_envelope_path_matches_blocked_reduction(monkeypatch, lazy, a):
 
 @pytest.mark.parametrize("family,x_grid,y_grid", FAMILY_GRIDS, ids=FAMILY_IDS)
 def test_envelope_path_selection(monkeypatch, family, x_grid, y_grid):
-    dense, lazy = dense_and_lazy(monkeypatch, family, x_grid, y_grid)
+    dense, lazy = stored_and_generated(family, x_grid, y_grid)
     structured = (isinstance(family, OmegaLipschitz) and family.q == 1
                   and x_grid.ndim == 1)
     restricted = [k.restrict(k.y_labels[::2]) for k in (dense, lazy)]
@@ -667,7 +666,7 @@ def test_sup_pass_matches_numpy_reduction_of_whole_table(shape, make, by_rows):
 
 
 def _grid_lazy(monkeypatch):
-    monkeypatch.setattr(kernel_mod, "DENSE_LIMIT", 0)
+    monkeypatch.setattr(kernel_mod, "DENSE_LIMIT", 0)  # threads at any size
     grid = GridSpec.line(-3, 3, 0.01)
     return build_grid_kernel(FenchelDot(), grid, grid)
 

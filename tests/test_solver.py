@@ -235,7 +235,9 @@ def test_x_restrict_changes_verdict(demo_kernel, demo_g_bad):
 
 def _threaded_cases(monkeypatch):
     """Kernels with more than one block of outputs on both sides, so the
-    pool runs in both directions, each with a target."""
+    pool runs in both directions on generated tables, each with a
+    target."""
+    monkeypatch.setattr(kernel_mod, "DENSE_LIMIT", 0)  # threads at any size
     rng = np.random.default_rng(23)
     n = engine._BLOCK + 44
     # dense coupling table with -inf entries, and a planted target with
@@ -259,7 +261,7 @@ def _threaded_cases(monkeypatch):
     # the same table generated block by block, which the pool runs on
     lazy = Kernel(moreau.x_labels, moreau.y_labels, CouplingTable(lambda k, by_rows: (
         bbar[k] if by_rows else bbar[:, k].T).copy(), bbar.shape))
-    assert lazy.is_lazy
+    assert lazy.is_grid
     yield lazy, g
 
     # table of scalar forms, mostly off the support
@@ -289,8 +291,7 @@ def _threaded_cases(monkeypatch):
     f0 = rng.integers(-2, 3, n + 3).astype(float)
     yield mixed, apply_forward(mixed, FunctionOnSpace(mixed.y_labels, f0)).values
 
-    # lazy grid kernel
-    monkeypatch.setattr(kernel_mod, "DENSE_LIMIT", 0)
+    # grid kernel
     grid = GridSpec.line(-3.0, 3.0, 0.02)
     lazy = build_grid_kernel(OmegaLipschitz(1.0, 1.0), grid, grid)
     pts = grid.points()
@@ -341,7 +342,7 @@ def test_solve_on_lipschitz_line_matches_blocked_reduction(tol, offset):
         a = [1.0, 0.5, 2.0, 1 / 3][case % 4]
         k = build_grid_kernel(OmegaLipschitz(a, 1.0), grid, grid)
         plain = Kernel(k.x_labels, k.y_labels,
-                       CouplingTable.stored(k.bbar_row(slice(None))), is_grid=True)
+                       CouplingTable.stored(k.bbar_row(slice(None))))
         assert k.lipschitz_line is not None and plain.lipschitz_line is None
         # a sparse f leaves stretches of slope a in g: many solutions
         f0 = offset + 3.0 * rng.normal(size=n)
