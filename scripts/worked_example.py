@@ -2,7 +2,11 @@
 """Walk through the 2x3 demo kernel end to end.
 
 Shows the three regimes on one kernel: a target with many solutions, a
-column restriction that forces uniqueness, and a target with none.
+restriction of Y to the columns y1 and y2 that forces uniqueness (the
+minimal solution is +inf off them, at y3), and a target with none.
+
+Usage:
+    python scripts/worked_example.py
 """
 
 import sys
@@ -49,7 +53,7 @@ def main() -> int:
     print("   minimal active sets:", structure.minimal_active_sets)
 
     show("restricted to two columns: unique",
-         Problem(kernel.restrict(["y1", "y2"]), g))
+         Problem(kernel, g, y_restrict=("y1", "y2")))
     show("unsolvable target", Problem(kernel, g_bad))
     return 0
 

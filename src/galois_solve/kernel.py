@@ -15,7 +15,8 @@ the slices c - m*lam, plus the entries of other forms as typed
 parameter arrays.  A table read from a file is stored; a grid family's
 table is generated.  The kernel checks A1 and A2 on every stored table;
 a grid family is checked at its grids' corners, so that its table is
-finite.
+finite.  A kernel always spans the whole of X and Y: a restriction of
+either side belongs to the problem (see :class:`galois_solve.solver.Problem`).
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -103,13 +104,24 @@ class GridSpec:
 
     @cached_property
     def _labels(self) -> Tuple[str, ...]:
-        # formatted once per grid, however many kernels and targets use it
-        pts = self.points()
+        # formatted once per grid, however many kernels and targets use it:
+        # each coordinate to 12 significant digits, axis by axis
+        axes = []
+        for k in range(self.ndim):
+            pts = self.axis(k).tolist()
+            labels = [format(v, ".12g") for v in pts]
+            # rounding keeps the order, so points that share a label are adjacent
+            same = list(map(str.__eq__, labels, labels[1:]))
+            if any(same):
+                i = same.index(True)
+                raise ValidationError(
+                    f"grid {self.dims} has a step below label precision: on axis {k} "
+                    f"the points {pts[i]!r} and {pts[i + 1]!r} share the label "
+                    f"{labels[i]!r}")
+            axes.append(labels)
         if self.ndim == 1:
-            return tuple(format(v, ".12g") for v in pts)
-        return tuple(
-            "(" + ",".join(format(c, ".12g") for c in row) + ")" for row in pts
-        )
+            return tuple(axes[0])
+        return tuple("(" + ",".join(c) + ")" for c in itertools.product(*axes))
 
     def size(self) -> int:
         return math.prod(_axis_count(*d) for d in self.dims)
@@ -287,7 +299,7 @@ class FormTable:
         """The table of the scalar forms ``rows``, one row per x."""
         nx, ny = len(rows), len(rows[0])
         if any(len(r) != ny for r in rows):
-            raise ValidationError("entry table shape does not match labels")
+            raise ValidationError("entry table must be rectangular")
         params, points = [], []
         add = params.extend
         for e in itertools.chain.from_iterable(rows):
@@ -330,14 +342,6 @@ class FormTable:
         n = self.n[k]
         return TabulatedDecreasing(tuple(zip(self.s[k, :n].tolist(),
                                              self.t[k, :n].tolist())))
-
-    def take_columns(self, keep: np.ndarray) -> "FormTable":
-        """The table of the columns ``keep``, in ascending order."""
-        kept = np.zeros(self.kind.shape[1], dtype=bool)
-        kept[keep] = True
-        tab = kept[self._tab % self.kind.shape[1]]
-        return FormTable(self.kind[:, keep], self.c[:, keep], self.m[:, keep],
-                         self.shift[:, keep], self.s[tab], self.t[tab], self.n[tab])
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -387,8 +391,16 @@ class CouplingTable:
 
     @classmethod
     def stored(cls, values) -> "CouplingTable":
-        """The table of ``values``, copied into a float array of its own."""
-        return _stored(np.array(values, dtype=float))
+        """The table of ``values``, copied into a float array of its own;
+        refuses +inf and NaN."""
+        arr = _frozen(np.array(values, dtype=float, order="C"))
+        top = arr.max(initial=-math.inf)  # NaN if an entry is, else +inf if one is
+        if not top < math.inf:
+            if np.isposinf(arr).any():
+                raise ValidationError("coupling entries must lie in R u {-inf}")
+            raise ValidationError("coupling entries may not be NaN")
+        cols = _frozen(arr.T.copy())  # columns read as contiguous rows
+        return cls(lambda k, by_rows: arr[k] if by_rows else cols[k], arr.shape, False)
 
     def block(self, k, by_rows: bool) -> np.ndarray:
         """Rows (``by_rows``) or columns ``k``; an integer gives one row."""
@@ -402,30 +414,10 @@ class CouplingTable:
     def entry(self, i: int, j: int) -> ScalarConnection:
         return make_affine(float(self.block(i, True)[j]), 1.0)
 
-    def take_columns(self, keep: np.ndarray) -> "CouplingTable":
-        """The table of the columns ``keep``, in ascending order."""
-        if not self.lazy:  # one gathered copy, not a gather on every block read
-            return _stored(self.fn(slice(None), True)[:, keep])
-        fn = self.fn
-        return CouplingTable(
-            lambda k, by_rows: fn(k, True)[:, keep] if by_rows else fn(keep[k], False),
-            (self.shape[0], len(keep)))
-
-
-def _stored(arr: np.ndarray) -> CouplingTable:
-    """The stored table of ``arr``, built for it; refuses +inf and NaN."""
-    top = arr.max(initial=-math.inf)  # NaN if an entry is, else +inf if one is
-    if not top < math.inf:
-        if np.isposinf(arr).any():
-            raise ValidationError("coupling entries must lie in R u {-inf}")
-        raise ValidationError("coupling entries may not be NaN")
-    arr = _frozen(np.ascontiguousarray(arr))  # a gather of columns comes in F order
-    cols = _frozen(arr.T.copy())  # columns read as contiguous rows
-    return CouplingTable(lambda k, by_rows: arr[k] if by_rows else cols[k], arr.shape, False)
-
 
 class Kernel:
-    """Immutable kernel; construct through the ``build_*`` helpers."""
+    """Immutable kernel over all of X and Y; construct through the
+    ``build_*`` helpers."""
 
     def __init__(self, x_labels: Sequence[str], y_labels: Sequence[str], table, *,
                  line: Optional[LipschitzLine] = None):
@@ -501,25 +493,6 @@ class Kernel:
     def support_col(self, j: int) -> Tuple[int, ...]:
         return tuple(np.nonzero(np.isfinite(self.slices(False).offsets(j)))[0])
 
-    # ------------------------------------------------------------------
-    def restrict(self, y_subset: Iterable[str]) -> "Kernel":
-        """Kernel on X x Y', keeping the original column order.
-
-        Semantically this forces f(y) = +inf off the subset.  Raises
-        when a row loses all of its support (A1 would break).  The
-        result records no Lipschitz line; a grid table stays generated.
-        """
-        wanted = set(y_subset)
-        unknown = wanted - set(self.y_labels)
-        if unknown:
-            raise ValidationError(f"unknown y labels: {sorted(unknown)}")
-        keep = [j for j, l in enumerate(self.y_labels) if l in wanted]
-        if not keep:
-            raise ValidationError("restriction to an empty column set")
-        # a stored table is checked for A1 again; a grid table is finite
-        return Kernel(self.x_labels, [self.y_labels[j] for j in keep],
-                      self.table.take_columns(np.asarray(keep)))
-
 
 # ----------------------------------------------------------------------
 # builders
@@ -532,10 +505,17 @@ def _default_labels(prefix: str, n: int) -> Tuple[str, ...]:
 def build_moreau(bbar, x_labels=None, y_labels=None) -> Kernel:
     """Kernel of the conjugacy Bf(x) = sup_y (bbar(x,y) - f(y)).
 
-    Entries may be numbers or ``"-inf"``; a value of +inf is rejected.
-    Finite entries become unit-slope affine slices, -inf entries are Off.
+    Entries may be numbers or ``"-inf"``; anything else (+inf, NaN, other
+    strings, None, an integer too large for a float, a row that is not a
+    list) is a ValidationError naming the coupling table.  Finite entries
+    become unit-slope affine slices, -inf entries are Off.
     """
-    rows = [[float(as_extreal(_accept_neg_inf(v))) for v in row] for row in bbar]
+    try:
+        rows = [[float(as_extreal(_accept_neg_inf(v))) for v in row] for row in bbar]
+    except ValidationError:
+        raise
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"malformed coupling table: {exc}") from exc
     if not rows or not rows[0]:
         raise ValidationError("coupling table must be nonempty")
     nx, ny = len(rows), len(rows[0])

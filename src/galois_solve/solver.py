@@ -2,7 +2,8 @@
 
 Given a kernel and a target g, the equation asks for f with the forward
 transform of f equal to g (on a restriction X' of the x side, with the
-inequality <= holding globally).  The decision procedure:
+inequality <= holding globally), and f = +inf off a restriction Y' of
+the y side.  The decision procedure:
 
 * the adjoint transform of g is the candidate minimal solution;
 * a solution exists iff the inverse subdifferential sets, indexed by the
@@ -12,8 +13,8 @@ inequality <= holding globally).  The decision procedure:
   essential) -- the finite-index criterion, used here verbatim.
 
 Points where g is -inf are automatically satisfied and excluded from
-the universe; indices where the candidate is +inf are excluded from the
-pool.
+the universe; indices where the candidate is +inf, among them every
+index off Y', are excluded from the pool.
 """
 
 from __future__ import annotations
@@ -21,16 +22,16 @@ from __future__ import annotations
 import enum
 import math
 import random
-from dataclasses import dataclass
-from functools import cached_property
-from typing import Dict, Optional, Tuple
+from dataclasses import dataclass, field
+from itertools import compress
+from typing import Optional, Tuple
 
 import numpy as np
 
 from .covering import CoverFamily, CoverReport, check_cover, irredundant_subcover
 from .engine import FunctionOnSpace, apply_forward, subdiff_inverse
 from .errors import InternalError, NoSolutionError, ValidationError
-from .extreal import DEFAULT_TOL, ExtReal, close
+from .extreal import DEFAULT_TOL, close
 from .kernel import Kernel
 
 
@@ -42,36 +43,45 @@ class Status(str, enum.Enum):
 
 @dataclass(frozen=True)
 class Problem:
+    """A kernel, a target g on its x side, the restrictions X' of x and
+    Y' of y (None for the whole side) and a tolerance.  Restricting Y
+    forces f = +inf off Y'.  ``x_mask`` and ``y_mask`` hold X' and Y'
+    as masks over the kernel's sides."""
+
     kernel: Kernel
     g: FunctionOnSpace
     x_restrict: Optional[Tuple[str, ...]] = None
+    y_restrict: Optional[Tuple[str, ...]] = None
     tolerance: float = DEFAULT_TOL
+    x_mask: np.ndarray = field(init=False, repr=False, compare=False)
+    y_mask: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.g.labels != self.kernel.x_labels:
             raise ValidationError("target labels do not match the kernel's x side")
-        if self.x_restrict is not None:
-            xr = tuple(self.x_restrict)
-            unknown = set(xr) - set(self.kernel.x_labels)
-            if unknown:
-                raise ValidationError(f"unknown x labels: {sorted(unknown)}")
-            object.__setattr__(self, "x_restrict", xr)
+        for side, labels in (("x", self.kernel.x_labels), ("y", self.kernel.y_labels)):
+            restrict = getattr(self, side + "_restrict")
+            if restrict is None:
+                mask = np.ones(len(labels), dtype=bool)
+            else:
+                restrict = tuple(restrict)
+                keep = set(restrict)
+                mask = np.fromiter((l in keep for l in labels), bool, len(labels))
+                if mask.sum() != len(keep):
+                    raise ValidationError(
+                        f"unknown {side} labels: {sorted(keep - set(labels))}")
+                object.__setattr__(self, side + "_restrict", restrict)
+            mask.flags.writeable = False
+            object.__setattr__(self, side + "_mask", mask)
         if not (math.isfinite(self.tolerance) and self.tolerance >= 0):
             raise ValidationError(
                 f"tolerance must be finite and nonnegative, not {self.tolerance!r}")
-
-    def _x_mask(self) -> np.ndarray:
-        """X' as a mask over the kernel's x side."""
-        if self.x_restrict is None:
-            return np.ones(len(self.kernel.x_labels), dtype=bool)
-        keep = set(self.x_restrict)
-        return np.array([l in keep for l in self.kernel.x_labels], dtype=bool)
 
 
 @dataclass(frozen=True, eq=False)
 class Solution:
     """``transformed`` is the forward transform of ``f_min``, to compare
-    with the ``target`` g; ``residual`` is the same pair by label."""
+    with the ``target`` g."""
 
     status: Status
     f_min: FunctionOnSpace
@@ -82,22 +92,19 @@ class Solution:
     transformed: FunctionOnSpace
     caveats: Tuple[str, ...]
 
-    @cached_property
-    def residual(self) -> Dict[str, Tuple[ExtReal, ExtReal]]:
-        return {l: (ExtReal(gv), ExtReal(pv)) for l, gv, pv in zip(
-            self.target.labels, self.target.values, self.transformed.values)}
-
 
 def solve(problem: Problem) -> Solution:
     """Full decision: status, minimal solution, covering certificate,
     and (when solutions are not unique) a distinct verified witness.
 
     The minimal solution and the covering sets come from one pass of
-    the adjoint reduction."""
+    the adjoint reduction; off Y' the minimal solution is +inf, which
+    takes those indices out of the pool."""
     kernel, g = problem.kernel, problem.g
     top, family = subdiff_inverse(kernel, g, problem.tolerance)
+    top = np.where(problem.y_mask, top, math.inf)
     f_min = FunctionOnSpace(kernel.y_labels, top)
-    family = family.cut(top < math.inf, problem._x_mask() & (g.values > -math.inf))
+    family = family.cut(top < math.inf, problem.x_mask & (g.values > -math.inf))
     report = check_cover(family)
 
     pg = apply_forward(kernel, f_min)
@@ -151,11 +158,15 @@ class VerifyReport:
 
 
 def verify(problem: Problem, f: FunctionOnSpace) -> VerifyReport:
-    """Direct check that f solves the (possibly restricted) problem:
-    the transform must be <= g everywhere and equal to g on X'."""
-    g, tol = problem.g, problem.tolerance
-    bf = apply_forward(problem.kernel, f)
-    holds = np.where(problem._x_mask(), close(bf.values, g.values, tol),
+    """Direct check that f, taken as +inf off Y', solves the (possibly
+    restricted) problem: the transform must be <= g everywhere and equal
+    to g on X'."""
+    g, tol, kernel = problem.g, problem.tolerance, problem.kernel
+    if f.labels != kernel.y_labels:
+        raise ValidationError("function labels do not match the kernel's y side")
+    bf = apply_forward(kernel, FunctionOnSpace(
+        f.labels, np.where(problem.y_mask, f.values, math.inf)))
+    holds = np.where(problem.x_mask, close(bf.values, g.values, tol),
                      bf.values <= g.values + tol)
     return VerifyReport(bool(holds.all()), bf, g, holds)
 
@@ -220,19 +231,19 @@ def oracle_check(problem: Problem, trials: int = 200, seed: int = 0) -> bool:
 
     Existence must agree with the projector fixed-point test; uniqueness
     must agree with a perturbation search (systematic +inf bumps at each
-    index, then random positive bumps) for a second solution.  Intended
-    for desk-scale instances.
+    index, then random positive bumps of the indices in Y') for a second
+    solution.  Intended for desk-scale instances.
     """
-    nx, ny = problem.kernel.shape
-    if nx > 6 or ny > 6:
-        raise ValidationError("oracle check is limited to |X|, |Y| <= 6")
+    y_labels = tuple(compress(problem.kernel.y_labels, problem.y_mask))
+    if problem.kernel.shape[0] > 6 or len(y_labels) > 6:
+        raise ValidationError("oracle check is limited to |X|, |Y'| <= 6")
     tol = problem.tolerance
     sol = solve(problem)
     g = problem.g
     f_min = sol.f_min
 
     pg = apply_forward(problem.kernel, f_min)
-    in_universe = problem._x_mask() & (g.values > -math.inf)
+    in_universe = problem.x_mask & (g.values > -math.inf)
     exists_oracle = pg.leq(g, tol) and bool(
         close(pg.values, g.values, tol)[in_universe].all()
     )
@@ -247,8 +258,8 @@ def oracle_check(problem: Problem, trials: int = 200, seed: int = 0) -> bool:
     found_second = any(solves(y, math.inf) for y, v in zip(f_min.labels, f_min.values)
                        if v < math.inf)
     rng = random.Random(seed)
-    for _ in range(0 if found_second else trials):
-        y = rng.choice(problem.kernel.y_labels)
+    for _ in range(0 if found_second or not y_labels else trials):
+        y = rng.choice(y_labels)
         old = f_min.value(y).v
         new = math.inf if rng.random() < 0.5 else old + rng.uniform(1e-6, 4.0)
         if new != old and solves(y, new):

@@ -79,11 +79,12 @@ def test_criterion_1_worked_example(demo_kernel, demo_g):
 
 
 def test_criterion_2_restricted_unique(demo_kernel, demo_g):
-    sol = solve(Problem(demo_kernel.restrict(["y1", "y2"]), demo_g))
+    sol = solve(Problem(demo_kernel, demo_g, y_restrict=("y1", "y2")))
     closed = np.array([-SQRT6, -4.0 / 3.0])
     ok = (
         sol.status is Status.UNIQUE
-        and bool(np.all(np.abs(sol.f_min.values - closed) <= 1e-12))
+        and bool(np.all(np.abs(sol.f_min.values[:2] - closed) <= 1e-12))
+        and sol.f_min.values[2] == math.inf
         and sol.cover.is_minimal
         and dict(sol.family.sets) == {
             "y1": frozenset({"x2"}), "y2": frozenset({"x1"})
@@ -98,7 +99,7 @@ def test_criterion_3_no_solution(demo_kernel, demo_g_bad):
     closed = np.array([SQRT3, 6.0, 3.0])
     ok_adj = bool(np.all(np.abs(sol.f_min.values - closed) <= 1e-12))
     union = frozenset().union(*sol.family.sets.values())
-    g_val, p_val = sol.residual["x1"]
+    g_val, p_val = sol.target.value("x1"), sol.transformed.value("x1")
     ok = (
         ok_adj
         and union == {"x2"}

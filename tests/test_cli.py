@@ -369,7 +369,6 @@ def test_problem_file_moreau_and_grid(tmp_path):
 def test_report_round_trip(capsys):
     for path in (DEMO, DEMO_BAD):
         sol = solve(load_problem(path))
-        assert "residual" not in vars(sol)  # built when a report reads it
         rep = solution_to_report(sol)
         assert json.loads(render_report(rep)) == rep
 
@@ -474,6 +473,18 @@ def test_malformed_problem_file_exits_2(tmp_path, capsys, name):
     assert code == 2
     assert err.startswith("validation error:")
     assert "Traceback" not in out + err
+
+
+def test_grid_finer_than_its_labels_exits_2(tmp_path, capsys):
+    line = {"min": 1e6, "max": 1e6 + 1e-5, "step": 1e-7}  # 100 points, 2 labels
+    path = tmp_path / "fine.json"
+    path.write_text(json.dumps({"kernel": {"type": "grid", "family": "fenchel_dot",
+                                           "x_grid": line, "y_grid": line}, "g": {}}))
+    code, out, err = run(capsys, "solve", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("validation error: grid ((1000000.0, 1000000.00001, 1e-07),) "
+                          "has a step below label precision")
+    assert "Traceback" not in err
 
 
 # -- malformed table entries, generated

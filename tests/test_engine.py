@@ -304,15 +304,6 @@ def test_lazy_and_dense_transforms_agree(family, x_grid, y_grid):
     assert _same_map(subdiff_inverse(lazy, g), inv)
     assert np.array_equal(inv[0], apply_adjoint(dense, g).values)
 
-    keep = dense.y_labels[1::2]
-    r_dense, r_lazy = dense.restrict(keep), lazy.restrict(keep)
-    f_r = FunctionOnSpace(r_dense.y_labels, f.values[1::2])
-    assert np.array_equal(apply_forward(r_lazy, f_r).values,
-                          apply_forward(r_dense, f_r).values)
-    assert np.array_equal(apply_adjoint(r_lazy, g).values,
-                          apply_adjoint(r_dense, g).values)
-    assert _same_map(subdiff_inverse(r_lazy, g), subdiff_inverse(r_dense, g))
-
 
 # -- the O(n + m) envelope path for 1-D Lipschitz kernels, against the
 #    blocked reduction over the same table without the structure
@@ -385,17 +376,15 @@ def test_envelope_path_selection(monkeypatch, family, x_grid, y_grid):
     dense, lazy = stored_and_generated(family, x_grid, y_grid)
     structured = (isinstance(family, OmegaLipschitz) and family.q == 1
                   and x_grid.ndim == 1)
-    restricted = [k.restrict(k.y_labels[::2]) for k in (dense, lazy)]
     for k in (dense, lazy):
         assert (k.lipschitz_line is not None) == structured
-    assert all(k.lipschitz_line is None for k in restricted)
 
     def refuse(*args):
         raise AssertionError("took the envelope path")
 
     monkeypatch.setattr(engine, "_envelope_pass", refuse)
     rng = np.random.default_rng(3)
-    for k in [dense, lazy] + restricted:
+    for k in (dense, lazy):
         g = FunctionOnSpace(k.x_labels, rng.normal(size=k.shape[0]))
         f = FunctionOnSpace(k.y_labels, rng.normal(size=k.shape[1]))
         # tie sets always come from the blocked reduction
@@ -443,7 +432,7 @@ def _inputs(draw, columns):
 @st.composite
 def form_tables(draw):
     """A table of all four kinds of forms with its support repaired, an
-    input on each side, a column subset and a block size."""
+    input on each side and a block size."""
     nx, ny = draw(st.integers(1, 5)), draw(st.integers(1, 5))
     slope = st.just(1.0) if draw(st.booleans()) else st.floats(0.125, 8)
     form = st.one_of(st.just(Off()), st.builds(Affine, finite, slope),
@@ -455,8 +444,7 @@ def form_tables(draw):
         rows[draw(st.integers(0, nx - 1))][j] = draw(st.builds(Affine, finite, slope))
     lam_y = _inputs(draw, [[r[j] for r in rows] for j in range(ny)])
     lam_x = _inputs(draw, [[e.adjoint() for e in r] for r in rows])
-    keep = sorted(draw(st.sets(st.integers(0, ny - 1), min_size=1)))
-    return rows, lam_y, lam_x, keep, draw(st.integers(1, 4))
+    return rows, lam_y, lam_x, draw(st.integers(1, 4))
 
 
 def _evaluated_blocks(kernel, lam, by_rows, size):
@@ -469,32 +457,24 @@ def _evaluated_blocks(kernel, lam, by_rows, size):
 @settings(max_examples=80, deadline=None)
 @given(form_tables())
 def test_table_blocks_match_scalar_forms_bitwise(case):
-    rows, lam_y, lam_x, keep, size = case
-    kernel = build_table(rows)
-    sub = [[r[j] for j in keep] for r in rows]
-    try:
-        restricted = kernel.restrict([kernel.y_labels[j] for j in keep])
-    except ValidationError:
-        restricted = None  # a row lost its support
-    for k, forms, lam in ((kernel, rows, lam_y), (restricted, sub, lam_y[keep])):
-        if k is None:
-            continue
-        nx, ny = k.shape
-        assert all(k.entry(i, j) == forms[i][j] for i in range(nx) for j in range(ny))
-        forward = [[e.eval_float(lam[j]) for j, e in enumerate(r)] for r in forms]
-        adjoint = [[forms[i][j].adjoint().eval_float(lam_x[i]) for i in range(nx)]
-                   for j in range(ny)]
-        got = _evaluated_blocks(k, lam, True, size)
-        assert got.tobytes() == np.array(forward).tobytes()
-        got = _evaluated_blocks(k, lam_x, False, size)
-        assert got.tobytes() == np.array(adjoint).tobytes()
-        # the whole table, as the text report prints it, against the
-        # kernel's own adjoint slices
-        oracle = [[k.adjoint_entry(j, i).eval_float(lam_x[i]) for i in range(nx)]
-                  for j in range(ny)]
-        assert np.array(oracle).tobytes() == np.array(adjoint).tobytes()
-        assert slice_table(k, lam_x, False).tobytes() == np.array(adjoint).tobytes()
-        assert slice_table(k, lam, True).tobytes() == np.array(forward).tobytes()
+    rows, lam, lam_x, size = case
+    k = build_table(rows)
+    nx, ny = k.shape
+    assert all(k.entry(i, j) == rows[i][j] for i in range(nx) for j in range(ny))
+    forward = [[e.eval_float(lam[j]) for j, e in enumerate(r)] for r in rows]
+    adjoint = [[rows[i][j].adjoint().eval_float(lam_x[i]) for i in range(nx)]
+               for j in range(ny)]
+    got = _evaluated_blocks(k, lam, True, size)
+    assert got.tobytes() == np.array(forward).tobytes()
+    got = _evaluated_blocks(k, lam_x, False, size)
+    assert got.tobytes() == np.array(adjoint).tobytes()
+    # the whole table, as the text report prints it, against the
+    # kernel's own adjoint slices
+    oracle = [[k.adjoint_entry(j, i).eval_float(lam_x[i]) for i in range(nx)]
+              for j in range(ny)]
+    assert np.array(oracle).tobytes() == np.array(adjoint).tobytes()
+    assert slice_table(k, lam_x, False).tobytes() == np.array(adjoint).tobytes()
+    assert slice_table(k, lam, True).tobytes() == np.array(forward).tobytes()
 
 
 def test_table_blocks_call_no_scalar_form(monkeypatch):
@@ -555,7 +535,7 @@ def tie_cases(draw):
         f, g = (random_function(rng, labels) for labels in (k.y_labels, k.x_labels))
         return k, *(FunctionOnSpace(h.labels, h.values + [
             rng.choice((0.0, 5e-10, 1e-9, 1.5e-9)) for _ in h.labels]) for h in (f, g))
-    rows, lam_y, lam_x, _, _ = draw(form_tables())
+    rows, lam_y, lam_x, _ = draw(form_tables())
     k = build_table(rows)
     return k, FunctionOnSpace(k.y_labels, lam_y), FunctionOnSpace(k.x_labels, lam_x)
 
@@ -723,15 +703,14 @@ def test_stored_coupling_table_keeps_both_orientations():
     rng = np.random.default_rng(6)
     bbar = rng.integers(-3, 4, (7, 5)).astype(float)
     bbar[0, 1:] = -math.inf
-    kernel = build_moreau(bbar.tolist())
-    keep = [0, 2, 3]
-    restricted = kernel.restrict([kernel.y_labels[j] for j in keep])
-    for k, arr in ((kernel, bbar), (restricted, bbar[:, keep])):
-        for by_rows, want in ((True, arr), (False, arr.T)):
-            whole = k.table.fn(slice(None), by_rows)
+    # an array in Fortran order is stored C-contiguous too
+    for table in (build_moreau(bbar.tolist()).table,
+                  CouplingTable.stored(np.asfortranarray(bbar))):
+        for by_rows, want in ((True, bbar), (False, bbar.T)):
+            whole = table.fn(slice(None), by_rows)
             assert not whole.flags.writeable
             assert whole.flags.c_contiguous
             assert np.array_equal(whole, want)
-            part = k.table.fn(slice(1, 3), by_rows)
+            part = table.fn(slice(1, 3), by_rows)
             assert not part.flags.writeable and part.flags.c_contiguous
             assert np.array_equal(part, want[1:3])

@@ -21,7 +21,7 @@ from galois_solve.kernel import (
     build_moreau,
     build_table,
 )
-from galois_solve.scalar import Affine, Off, SignedPower
+from galois_solve.scalar import Affine, Off
 
 
 def test_build_moreau_identity_like():
@@ -50,6 +50,18 @@ def test_build_moreau_rejects_pos_inf():
 def test_build_moreau_entries_are_numbers_or_neg_inf(entry):
     with pytest.raises(ValidationError):
         build_moreau([[0, entry]])
+
+
+@pytest.mark.parametrize("bbar", [[[0, math.nan]], [[0, None]], [[0, 10**400]], 5, [5]],
+                         ids=["nan", "none", "huge-int", "not-a-list", "row-not-a-list"])
+def test_build_moreau_refuses_malformed_tables_as_validation_errors(bbar):
+    with pytest.raises(ValidationError, match="coupling table"):
+        build_moreau(bbar)
+
+
+def test_build_table_refuses_a_ragged_table():
+    with pytest.raises(ValidationError, match="entry table must be rectangular"):
+        build_table([[Affine(0, 1), Affine(1, 1)], [Affine(2, 1)]])
 
 
 def test_build_moreau_takes_numpy_scalars():
@@ -128,38 +140,6 @@ def test_support_entries_pass_adjunction():
                 assert adjunction_holds(k.entry(i, j))
 
 
-def test_restrict_demo(demo_kernel):
-    k12 = demo_kernel.restrict(["y1", "y2"])
-    assert k12.y_labels == ("y1", "y2")
-    assert k12.x_labels == demo_kernel.x_labels
-    assert isinstance(k12.entry(1, 0), SignedPower)
-
-
-def test_restrict_full_is_identity(demo_kernel):
-    k = demo_kernel.restrict(demo_kernel.y_labels)
-    assert k.y_labels == demo_kernel.y_labels
-    for i in range(2):
-        for j in range(3):
-            assert k.entry(i, j) == demo_kernel.entry(i, j)
-
-
-def test_restrict_idempotent_on_nested(demo_kernel):
-    a = demo_kernel.restrict(["y1", "y2"]).restrict(["y1"])
-    b = demo_kernel.restrict(["y1"])
-    assert a.y_labels == b.y_labels == ("y1",)
-
-
-def test_restrict_empty_fails(demo_kernel):
-    with pytest.raises(ValidationError):
-        demo_kernel.restrict([])
-
-
-def test_restrict_breaking_a1_fails():
-    k = build_moreau([[0, "-inf"], ["-inf", 1]])
-    with pytest.raises(ValidationError, match="A1"):
-        k.restrict([k.y_labels[0]])
-
-
 # -- grids
 
 
@@ -177,6 +157,17 @@ def test_gridspec_labels_cached_per_grid():
     plane = GridSpec(((0, 1, 0.5), (0, 1, 1)))
     assert plane.labels() is plane.labels()
     assert plane.labels()[:2] == ("(0,0)", "(0,1)")
+
+
+def test_grid_finer_than_its_labels_is_refused():
+    # 100 points, but only 2 distinct labels at 12 significant digits
+    g = GridSpec.line(1e6, 1e6 + 1e-5, 1e-7)
+    assert g.size() == 100
+    with pytest.raises(ValidationError, match=r"grid .* step below label precision"):
+        build_grid_kernel(FenchelDot(), g, GridSpec.line(0, 1, 0.5))
+    plane = GridSpec(((0, 1, 0.5), (1e6, 1e6 + 1e-5, 1e-7)))
+    with pytest.raises(ValidationError, match="on axis 1"):
+        plane.labels()
 
 
 def test_gridspec_validation():
@@ -247,10 +238,6 @@ def test_lazy_kernel_above_limit():
     assert k.shape[0] * k.shape[1] > DENSE_LIMIT
     assert k.is_grid  # lazily computed
     assert k.bbar_row(5)[7] == pytest.approx(g.points()[5] * g.points()[7])
-    r = k.restrict(k.y_labels[:100])
-    assert r.shape == (k.shape[0], 100)
-    assert r.is_grid  # a restricted grid table stays generated
-    assert r.bbar_row(5)[7] == k.bbar_row(5)[7]
 
 
 # -- lazy blocks against the stored table, bit for bit
@@ -271,11 +258,6 @@ def test_lazy_blocks_equal_dense_table(family, x_grid, y_grid):
     for j in (0, ny // 2, ny - 1):
         assert np.array_equal(lazy.bbar_col(j), table[:, j])
         assert np.array_equal(dense.bbar_col(j), table[:, j])
-    keep = lazy.y_labels[::3]
-    r_dense, r_lazy = dense.restrict(keep), lazy.restrict(keep)
-    assert np.array_equal(r_lazy.bbar_row(slice(None)), table[:, ::3])
-    assert np.array_equal(r_lazy.bbar_col(slice(2, 7)), table[:, ::3][:, 2:7].T)
-    assert np.array_equal(r_dense.bbar_row(slice(None)), table[:, ::3])
 
 
 # -- grid families are checked at build, at their grids' corners

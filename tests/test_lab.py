@@ -398,6 +398,11 @@ def test_run_labs_script_json(capsys):
     report = json.loads(capsys.readouterr().out)
     assert sorted(report) == sorted(EXPERIMENTS)
     assert all(r["pass"] for r in report.values())
+    # the text table: a header, then one PASS row per experiment
+    assert script.main([]) == 0
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert header.split() == ["experiment", "result", "max", "error", "tolerance", "time"]
+    assert [r.split()[:2] for r in rows] == [[name, "PASS"] for name in EXPERIMENTS]
 
 
 def test_run_experiment_dispatch():

@@ -19,6 +19,7 @@ from galois_solve.errors import InternalError, NoSolutionError, ValidationError
 from galois_solve.extreal import DEFAULT_TOL
 from galois_solve.kernel import (
     CouplingTable,
+    FenchelDot,
     GridSpec,
     Kernel,
     OmegaLipschitz,
@@ -50,9 +51,9 @@ def test_demo_solution_is_multiple(demo_kernel, demo_g):
 
 
 def test_demo_restricted_is_unique(demo_kernel, demo_g):
-    sol = solve(Problem(demo_kernel.restrict(["y1", "y2"]), demo_g))
+    sol = solve(Problem(demo_kernel, demo_g, y_restrict=("y1", "y2")))
     assert sol.status is Status.UNIQUE
-    assert np.allclose(sol.f_min.values, [-SQRT6, -4 / 3], atol=1e-12)
+    assert np.allclose(sol.f_min.values, [-SQRT6, -4 / 3, math.inf], atol=1e-12)
     assert sol.cover.is_minimal
     assert sol.cover.privately_covered == {"y1": "x2", "y2": "x1"}
     assert sol.witness_alt is None
@@ -62,8 +63,8 @@ def test_demo_bad_target_has_no_solution(demo_kernel, demo_g_bad):
     sol = solve(Problem(demo_kernel, demo_g_bad))
     assert sol.status is Status.NO_SOLUTION
     assert sol.cover.uncovered == ("x1",)
-    g_val, p_val = sol.residual["x1"]
-    assert float(p_val) - float(g_val) < 0  # strictly negative residual
+    # B f_min falls strictly below the target at the uncovered point
+    assert sol.transformed.value("x1") < sol.target.value("x1")
 
 
 def test_verify_known_solutions(demo_kernel, demo_g):
@@ -94,6 +95,15 @@ def test_verify_respects_restriction(demo_kernel, demo_g):
     assert float(rep_bad.transformed.value("x1")) > 8
 
 
+def test_verify_takes_f_as_inf_off_y_restrict(demo_kernel, demo_g):
+    # y3 at -100 lifts B f(x1) to 102 > 8, unless f is +inf off Y'
+    f = FunctionOnSpace(demo_kernel.y_labels, np.array([-SQRT6, -4 / 3, -100.0]))
+    assert not verify(Problem(demo_kernel, demo_g), f).is_solution
+    rep = verify(Problem(demo_kernel, demo_g, y_restrict=("y1", "y2")), f)
+    assert rep.is_solution
+    assert np.allclose(rep.transformed.values, [8, 6], atol=1e-12)
+
+
 def test_solution_structure_demo(demo_kernel, demo_g):
     rep = solution_structure(Problem(demo_kernel, demo_g))
     assert rep.forced == ()
@@ -111,7 +121,7 @@ def test_solution_structure_demo(demo_kernel, demo_g):
 
 
 def test_solution_structure_restricted(demo_kernel, demo_g):
-    rep = solution_structure(Problem(demo_kernel.restrict(["y1", "y2"]), demo_g))
+    rep = solution_structure(Problem(demo_kernel, demo_g, y_restrict=("y1", "y2")))
     assert rep.forced == ("y1", "y2")
     assert rep.admissible_active_sets == (("y1", "y2"),)
 
@@ -142,7 +152,7 @@ def test_degenerate_top_target(demo_kernel):
 
 def test_oracle_agreement_demo(demo_kernel, demo_g, demo_g_bad):
     assert oracle_check(Problem(demo_kernel, demo_g), trials=200, seed=1)
-    assert oracle_check(Problem(demo_kernel.restrict(["y1", "y2"]), demo_g))
+    assert oracle_check(Problem(demo_kernel, demo_g, y_restrict=("y1", "y2")))
     assert oracle_check(Problem(demo_kernel, demo_g_bad))
 
 
@@ -229,6 +239,115 @@ def test_x_restrict_changes_verdict(demo_kernel, demo_g_bad):
     assert verify(
         Problem(demo_kernel, demo_g_bad, x_restrict=("x2",)), sol.f_min
     ).is_solution
+
+
+# -- restricting Y: f = +inf off Y', against the kernel of the kept columns
+
+
+def _kept_columns(kind, rng):
+    """A kernel of the given kind, Y' as a mask over its columns, the
+    kernel built from the kept columns alone (None when a row has no
+    support there), a target and X'.  The target is B f0 for an f0 that
+    is +inf off Y' on half of the cases, lowered by 1 at one x on a
+    third of them."""
+    if kind == "grid":
+        grid = GridSpec.line(-2.0, 2.0, 0.25)
+        family = FenchelDot() if rng.random() < 0.5 else OmegaLipschitz(1.0, 1.0)
+        kernel = build_grid_kernel(family, grid, grid)
+        table = kernel.bbar_row(slice(None))
+        nx, ny = kernel.shape
+        x_restrict = None
+    else:
+        build, rows, _, x_restrict = _permutable_case(rng, kind)
+        kernel = build(rows)
+        nx, ny = kernel.shape
+    keep = rng.random(ny) < (0.2 if kind == "grid" else 0.6)
+    keep[rng.integers(ny)] = True
+    y_kept = [y for y, k in zip(kernel.y_labels, keep) if k]
+    try:
+        if kind == "grid":
+            kept = Kernel(kernel.x_labels, y_kept, CouplingTable.stored(table[:, keep]))
+        else:
+            kept = build([list(np.array(r, dtype=object)[keep]) for r in rows],
+                         kernel.x_labels, y_kept)
+    except ValidationError:
+        kept = None  # a row has no support in Y'
+    f0 = rng.integers(-12, 13, ny) / 4
+    if kind == "grid" and rng.random() < 0.5:
+        f0 = 0.5 * grid.points() ** 2  # strictly convex: every y an argmax alone
+    if rng.random() < 0.5:
+        f0[~keep] = math.inf
+    g = apply_forward(kernel, FunctionOnSpace(kernel.y_labels, f0)).values.copy()
+    if rng.random() < 0.3:
+        g[rng.integers(nx)] -= 1.0
+    return kernel, keep, kept, FunctionOnSpace(kernel.x_labels, g), x_restrict
+
+
+@pytest.mark.parametrize("kind,cases", [("moreau", 300), ("dyadic affine", 300),
+                                        ("grid", 40)])
+def test_y_restrict_matches_the_kernel_of_the_kept_columns(kind, cases):
+    rng = np.random.default_rng(17)
+    statuses = set()
+    for _ in range(cases):
+        kernel, keep, kept, g, x_restrict = _kept_columns(kind, rng)
+        if kept is None:
+            continue
+        y_kept = kept.y_labels
+        one = solve(Problem(kernel, g, x_restrict, y_kept))
+        two = solve(Problem(kept, g, x_restrict))
+        assert one.status == two.status
+        statuses.add(one.status)
+        assert one.f_min.values[keep].tobytes() == two.f_min.values.tobytes()
+        assert np.all(np.isposinf(one.f_min.values[~keep]))
+        assert one.family.index_pool == two.family.index_pool
+        assert one.family.sets == two.family.sets
+        assert one.cover == two.cover
+        if kind == "grid":
+            # equal up to a zero's sign: grid tables hold -0.0, and which
+            # zero a row's maximum returns follows the reduction order,
+            # which the columns off Y' (and the envelope path) change
+            assert np.array_equal(one.transformed.values, two.transformed.values)
+        else:
+            assert one.transformed.values.tobytes() == two.transformed.values.tobytes()
+        if two.witness_alt is None:
+            assert one.witness_alt is None
+        else:
+            assert (one.witness_alt.values[keep].tobytes()
+                    == two.witness_alt.values.tobytes())
+            assert np.all(np.isposinf(one.witness_alt.values[~keep]))
+    assert statuses == set(Status)
+
+
+def test_rows_without_support_in_y_restrict_get_a_verdict():
+    # x2 meets Y' = {y1} only at -inf: the kept columns break A1, but
+    # f = +inf off Y' gives B f(x2) = -inf, a solution exactly when g(x2) is
+    k = build_moreau([[0, "-inf"], ["-inf", 1]])
+    with pytest.raises(ValidationError, match="A1"):
+        build_moreau([[0], ["-inf"]])
+    for g2, status, uncovered in ((1, Status.NO_SOLUTION, ("x2",)),
+                                  ("-inf", Status.UNIQUE, ())):
+        problem = Problem(k, FunctionOnSpace.from_mapping(k.x_labels, {"x1": 0, "x2": g2}),
+                          y_restrict=("y1",))
+        sol = solve(problem)
+        assert sol.status is status
+        assert sol.cover.uncovered == uncovered
+        assert sol.f_min.values.tolist() == [0.0, math.inf]
+        assert oracle_check(problem)
+
+
+def test_y_restrict_labels_are_checked_and_may_be_empty(demo_kernel, demo_g):
+    with pytest.raises(ValidationError, match=r"unknown y labels: \['y9'\]"):
+        Problem(demo_kernel, demo_g, y_restrict=("y1", "y9"))
+    # no index is left for a finite target; an all -inf target needs none
+    empty = Problem(demo_kernel, demo_g, y_restrict=())
+    assert empty.y_restrict == () and not empty.y_mask.any()
+    sol = solve(empty)
+    assert sol.status is Status.NO_SOLUTION
+    assert sol.cover.uncovered == ("x1", "x2") and sol.family.index_pool == ()
+    assert np.all(np.isposinf(sol.f_min.values))
+    bottom = Problem(demo_kernel, constant(demo_kernel.x_labels, -math.inf), y_restrict=[])
+    assert solve(bottom).status is Status.UNIQUE
+    assert oracle_check(empty) and oracle_check(bottom)
 
 
 # -- the thread pool gives the same answers as one thread
@@ -362,8 +481,7 @@ def test_solve_on_lipschitz_line_matches_blocked_reduction(tol, offset):
             assert np.array_equal(fast.witness_alt.values,
                                   dense.witness_alt.values)
         # the residual B f_min, within the envelope's rounding bound
-        pf = np.array([pv.v for _, pv in fast.residual.values()])
-        pd = np.array([pv.v for _, pv in dense.residual.values()])
+        pf, pd = fast.transformed.values, dense.transformed.values
         fin = np.isfinite(pd)
         assert np.array_equal(pf[~fin], pd[~fin]) and np.all(pf <= pd)
         lam = fast.f_min.values
@@ -381,10 +499,9 @@ def test_solve_never_reads_label_sets(monkeypatch, demo_kernel, demo_g, demo_g_b
         raise AssertionError("label sets built inside solve")
 
     monkeypatch.setattr(covering.CoverFamily, "sets", property(refuse))
-    monkeypatch.setattr(solver_mod.Solution, "residual", property(refuse))
     assert solve(Problem(demo_kernel, demo_g)).status is Status.MULTIPLE
-    restricted = demo_kernel.restrict(["y1", "y2"])
-    assert solve(Problem(restricted, demo_g)).status is Status.UNIQUE
+    restricted = Problem(demo_kernel, demo_g, y_restrict=("y1", "y2"))
+    assert solve(restricted).status is Status.UNIQUE
     assert solve(Problem(demo_kernel, demo_g_bad)).status is Status.NO_SOLUTION
 
 
@@ -439,9 +556,14 @@ def test_worked_example_script(capsys):
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
     assert script.main() == 0
-    out = capsys.readouterr().out
-    for status in ("multiple", "unique", "no_solution"):
-        assert f"status: {status}" in out
+    sections = capsys.readouterr().out.split("== ")[1:]
+    assert [s.split("status: ")[1].split()[0] for s in sections] == [
+        "multiple", "unique", "no_solution"]
+    # restricted to Y' = {y1, y2}, the minimal solution is +inf at y3
+    restricted = sections[1]
+    assert restricted.startswith("restricted to two columns")
+    assert "minimal solution: y1=-2.44948974278, y2=-1.33333333333, y3=+inf" in restricted
+    assert "covering sets: {'y1': ['x2'], 'y2': ['x1']}" in restricted
 
 
 # -- a table of unit-slope affine and off forms is a coupling table
@@ -519,7 +641,8 @@ def _by_label(sol, x_name, y_name):
     return (sol.status,
             {y_name[y]: v for y, v in zip(sol.f_min.labels, sol.f_min.values.tolist())},
             {y_name[y]: frozenset(map(x_name.get, s)) for y, s in sol.family.sets.items()},
-            {x_name[x]: (float(gv), float(pv)) for x, (gv, pv) in sol.residual.items()},
+            {x_name[x]: (gv, pv) for x, gv, pv in zip(
+                sol.target.labels, sol.target.values.tolist(), sol.transformed.values.tolist())},
             frozenset(map(y_name.get, sol.cover.essential)),
             frozenset(map(x_name.get, sol.cover.uncovered)))
 
@@ -550,9 +673,9 @@ def test_permuting_and_relabelling_changes_no_verdict(kind, tols, seed):
     for tol in tols:
         with mock.patch.object(solver_mod, "_alternate_witness", lambda *args: None):
             one = solve(Problem(kernel, FunctionOnSpace(kernel.x_labels, g),
-                                x_restrict, tol))
+                                x_restrict, tolerance=tol))
             two = solve(Problem(moved, FunctionOnSpace(moved.x_labels, g[px]),
-                                restrict_moved, tol))
+                                restrict_moved, tolerance=tol))
         assert _by_label(one, x_name, y_name) == _by_label(two, same_x, same_y)
 
 
