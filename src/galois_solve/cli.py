@@ -39,7 +39,7 @@ def _print_adjoint_table(problem: Problem, sol):
     """Adjoint evaluation table, one row per y, maximisers starred."""
     kernel = problem.kernel
     width = max(len(l) for l in kernel.y_labels)
-    table = slice_table(kernel, problem.g.values, False)
+    table = slice_table(kernel.dual, problem.g.values)
     print("adjoint evaluation (rows y, maximisers marked *):")
     for yl, row in zip(kernel.y_labels, table):
         members = sol.family.sets.get(yl, frozenset())

@@ -6,14 +6,15 @@ All operations are pure functions of immutable inputs.  Every argmax
 set, and every transform of a kernel without recorded structure, comes
 from one blocked max-plus reduction, :func:`sup_pass`, which the grid
 experiments in :mod:`galois_solve.lab` call too: a block holds the
-slices evaluated at one output index per row, and its rows are reduced
-to their maxima and, on request, near-maximisers.  Every kernel builds
-its blocks the same way from its :class:`~galois_solve.kernel.Slices`:
-offsets minus the input (times the slopes, when some slope is not 1),
-then the signed-power and tabulated entries of a table of scalar forms
-overwritten from their parameter arrays.
-Maxima are order-independent, so data-parallel evaluation of the
-blocks is deterministic.  A pass over more than
+slices evaluated at one x per row, and its rows are reduced to their
+maxima and, on request, near-maximisers.  The adjoint is the forward
+map of the dual kernel (:attr:`~galois_solve.kernel.Kernel.dual`).
+Every kernel builds its blocks the same way from its
+:class:`~galois_solve.kernel.Slices`: offsets minus the input (times
+the slopes, when some slope is not 1), then the signed-power and
+tabulated entries of a table of scalar forms overwritten from their
+parameter arrays.  Maxima are order-independent, so data-parallel
+evaluation of the blocks is deterministic.  A pass over more than
 :data:`~galois_solve.kernel.DENSE_LIMIT` entries of a table that a grid
 family generates block by block
 (:attr:`~galois_solve.kernel.Kernel.is_grid`) evaluates its blocks on as
@@ -127,9 +128,9 @@ class FunctionOnSpace:
 # the sup-of-slices transforms
 
 
-def _blocks(kernel: Kernel, lam: np.ndarray, by_rows: bool):
+def _blocks(kernel: Kernel, lam: np.ndarray):
     """Blocks of the kernel's slices evaluated at ``lam``, one row per
-    output index, as ``block(lo, hi, out=None)``.
+    x, as ``block(lo, hi, out=None)``.
 
     Every entry is first taken as c - m*lam, with -inf absorbing: c
     never holds +inf, so a +inf in ``lam`` already yields -inf, and only
@@ -145,12 +146,12 @@ def _blocks(kernel: Kernel, lam: np.ndarray, by_rows: bool):
     Without ``out`` every block is a fresh array.  The offsets a table
     hands out read-only are never written to.
     """
-    side = kernel.slices(by_rows)
+    slices = kernel.slices()
     n_in = len(lam)
     neg = np.flatnonzero(np.isneginf(lam))
 
     def block(lo: int, hi: int, out: Optional[np.ndarray] = None) -> np.ndarray:
-        src = side.offsets(slice(lo, hi))
+        src = slices.offsets(slice(lo, hi))
         if src.flags.writeable:
             out = src
         elif out is None:
@@ -158,16 +159,16 @@ def _blocks(kernel: Kernel, lam: np.ndarray, by_rows: bool):
         else:
             out = out[:hi - lo]
         with np.errstate(invalid="ignore", over="ignore"):
-            if side.m is None:
+            if slices.m is None:
                 np.subtract(src, lam, out=out)
             else:  # only read-only offsets come with slopes, so out is not src
-                np.multiply(side.m[lo:hi], lam, out=out)
+                np.multiply(slices.m[lo:hi], lam, out=out)
                 np.subtract(src, out, out=out)
             if neg.size:
                 sub = out[:, neg]
                 sub[np.isnan(sub)] = -math.inf
                 out[:, neg] = sub
-            for forms in side.forms:
+            for forms in slices.forms:
                 a, b = np.searchsorted(forms.at, (lo * n_in, hi * n_in))
                 pos = forms.at[a:b] - lo * n_in
                 np.put(out, pos, forms.values(
@@ -177,10 +178,10 @@ def _blocks(kernel: Kernel, lam: np.ndarray, by_rows: bool):
     return block
 
 
-def slice_table(kernel: Kernel, lam: np.ndarray, by_rows: bool) -> np.ndarray:
+def slice_table(kernel: Kernel, lam: np.ndarray) -> np.ndarray:
     """The whole table of the kernel's slices at ``lam`` that the
-    reduction maximises, one row per output index."""
-    return _blocks(kernel, lam, by_rows)(0, kernel.shape[0 if by_rows else 1])
+    reduction maximises, one row per x."""
+    return _blocks(kernel, lam)(0, kernel.shape[0])
 
 
 def _prefix_argmax(s: np.ndarray) -> np.ndarray:
@@ -189,58 +190,52 @@ def _prefix_argmax(s: np.ndarray) -> np.ndarray:
     return np.maximum.accumulate(np.where(at_top, np.arange(len(s)), 0))
 
 
-def _envelope_pass(line: LipschitzLine, lam: np.ndarray,
-                   by_rows: bool) -> np.ndarray:
-    """The transform of a 1-D Lipschitz distance kernel in O(n + m).
+def _envelope_pass(line: LipschitzLine, lam: np.ndarray) -> np.ndarray:
+    """The forward map of a 1-D Lipschitz distance kernel in O(n + m).
 
-    With bbar = -a|inner - out| over ascending points, the supremum at
-    an output point splits at that point: to its left the entries are
-    (a*inner - lam) - a*out, to its right (-a*inner - lam) + a*out.  A
-    prefix and a suffix argmax pick one maximiser per side, and the
-    result is the larger of the two table entries there, evaluated with
-    the table's own operations.  Each value is therefore an entry of its
-    row; where the two splits round differently it can sit below the
-    row maximum by a few ulps of a*(|x| + |y|) + |lam|.
+    With bbar = -a|y - x| over ascending points, the supremum at an x
+    splits at that point: to its left the entries are (a*y - lam) - a*x,
+    to its right (-a*y - lam) + a*x.  A prefix and a suffix argmax pick
+    one maximiser per side, and the result is the larger of the two
+    table entries there, evaluated with the table's own operations.
+    Each value is therefore an entry of its row; where the two splits
+    round differently it can sit below the row maximum by a few ulps of
+    a*(|x| + |y|) + |lam|.
     """
-    out, inner = (line.xp, line.yp) if by_rows else (line.yp, line.xp)
-    a, m = line.a, len(inner)
-    left = _prefix_argmax(a * inner - lam)
-    right = m - 1 - _prefix_argmax((-a * inner - lam)[::-1])[::-1]
-    # inner[:n_left] <= out, and inner[n_below:] >= out
-    n_left = np.searchsorted(inner, out, side="right")
-    n_below = np.searchsorted(inner, out, side="left")
+    x, y, a = line.xp, line.yp, line.a
+    m = len(y)
+    left = _prefix_argmax(a * y - lam)
+    right = m - 1 - _prefix_argmax((-a * y - lam)[::-1])[::-1]
+    # y[:n_left] <= x, and y[n_below:] >= x
+    n_left = np.searchsorted(y, x, side="right")
+    n_below = np.searchsorted(y, x, side="left")
     jr = right[np.minimum(n_below, m - 1)]
     jl = np.where(n_left > 0, left[np.maximum(n_left - 1, 0)], jr)
     jr = np.where(n_below < m, jr, jl)
 
     def value(j: np.ndarray) -> np.ndarray:
-        x, y = (out, inner[j]) if by_rows else (inner[j], out)
-        return line.entries(x, y) - lam[j]
+        return line.entries(x, y[j]) - lam[j]
 
     return np.maximum(value(jl), value(jr))
 
 
-def sup_pass(kernel: Kernel, lam: np.ndarray, by_rows: bool,
-             tol: Optional[float] = None):
-    """The one max-plus reduction behind both transforms.
+def sup_pass(kernel: Kernel, lam: np.ndarray, tol: Optional[float] = None):
+    """The one max-plus reduction behind both transforms: the forward
+    map of ``kernel``, and the adjoint as the forward map of its dual.
 
-    For each output index (x for the forward map, y for the adjoint) it
-    returns the supremum over the other side of the slices evaluated at
-    ``lam``.  With ``tol`` it also returns the sets of input indices
-    attaining it, one per output index as a :class:`CoverFamily` over
-    the input labels: the entries with ``value >= sup - tol``, so that
-    ``tol=0`` keeps the exact maximisers and a +inf supremum only the
-    entries equal to it.  A supremum of -inf is attained by the whole
-    support.  Without ``tol`` the family is None, and kernels that
-    record a :class:`LipschitzLine` take :func:`_envelope_pass` instead.
+    For each x it returns the supremum over y of the slices evaluated
+    at ``lam``.  With ``tol`` it also returns the sets of y attaining
+    it, one per x as a :class:`CoverFamily` over the y labels: the
+    entries with ``value >= sup - tol``, so that ``tol=0`` keeps the
+    exact maximisers and a +inf supremum only the entries equal to it.
+    A supremum of -inf is attained by the whole support.  Without
+    ``tol`` the family is None, and kernels that record a
+    :class:`LipschitzLine` take :func:`_envelope_pass` instead.
     """
     if tol is None and kernel.lipschitz_line is not None:
-        return _envelope_pass(kernel.lipschitz_line, lam, by_rows), None
-    n_out = kernel.shape[0 if by_rows else 1]
-    block = _blocks(kernel, lam, by_rows)
-    support = kernel.support_row if by_rows else kernel.support_col
-
-    n_in = len(lam)
+        return _envelope_pass(kernel.lipschitz_line, lam), None
+    n_out, n_in = kernel.shape
+    block = _blocks(kernel, lam)
     rows = min(_BLOCK, n_out)
     scratch = threading.local()  # one value block and tie mask per thread
 
@@ -257,7 +252,7 @@ def sup_pass(kernel: Kernel, lam: np.ndarray, by_rows: bool,
         hit = np.greater_equal(vals, (top - tol)[:, None], out=scratch.hit[:hi - lo])
         for r in np.flatnonzero(np.isneginf(top)):
             hit[r] = False
-            hit[r, list(support(lo + r))] = True
+            hit[r, list(kernel.support_row(lo + r))] = True
         # flat positions in row-major order: each row's columns ascending
         return top, np.count_nonzero(hit, axis=1), np.flatnonzero(hit) % n_in
 
@@ -274,24 +269,23 @@ def sup_pass(kernel: Kernel, lam: np.ndarray, by_rows: bool,
     top = np.concatenate(tops)
     if tol is None:
         return top, None
-    out_labels, in_labels = ((kernel.x_labels, kernel.y_labels) if by_rows
-                             else (kernel.y_labels, kernel.x_labels))
-    return top, CoverFamily(in_labels, out_labels, offsets(np.concatenate(lengths)),
-                            np.concatenate(cols))
+    return top, CoverFamily(kernel.y_labels, kernel.x_labels,
+                            offsets(np.concatenate(lengths)), np.concatenate(cols))
 
 
 def apply_forward(kernel: Kernel, f: FunctionOnSpace) -> FunctionOnSpace:
     """The connection itself: (Bf)(x) = sup_y b(x, y, f(y))."""
     if f.labels != kernel.y_labels:
         raise ValidationError("function labels do not match the kernel's y side")
-    return FunctionOnSpace(kernel.x_labels, sup_pass(kernel, f.values, True)[0])
+    return FunctionOnSpace(kernel.x_labels, sup_pass(kernel, f.values)[0])
 
 
 def apply_adjoint(kernel: Kernel, g: FunctionOnSpace) -> FunctionOnSpace:
-    """The adjoint connection: (B°g)(y) = sup_x b°(y, x, g(x))."""
+    """The adjoint connection: (B°g)(y) = sup_x b°(y, x, g(x)), the
+    forward map of ``kernel.dual``."""
     if g.labels != kernel.x_labels:
         raise ValidationError("function labels do not match the kernel's x side")
-    return FunctionOnSpace(kernel.y_labels, sup_pass(kernel, g.values, False)[0])
+    return FunctionOnSpace(kernel.y_labels, sup_pass(kernel.dual, g.values)[0])
 
 
 def projector(kernel: Kernel, g: FunctionOnSpace) -> FunctionOnSpace:
@@ -313,4 +307,4 @@ def subdiff_inverse(kernel: Kernel, g: FunctionOnSpace,
     included; +inf is attained only by the entries equal to it."""
     if g.labels != kernel.x_labels:
         raise ValidationError("function labels do not match the kernel's x side")
-    return sup_pass(kernel, g.values, False, tol)
+    return sup_pass(kernel.dual, g.values, tol)

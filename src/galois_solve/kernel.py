@@ -6,17 +6,17 @@ means: every row and every column meets the support (so the transforms
 never take an empty supremum), slices on the support are bijective, and
 slices off the support are Off.
 
-A :class:`Kernel` holds one table: a :class:`FormTable` of scalar
-forms as typed parameter arrays, adjoints computed once in closed form,
-or a :class:`CouplingTable` bbar(x, y), every slope 1, stored or
-generated in blocks of rows or columns.  Both give the engine their
-slices as :class:`Slices`: per orientation, blocks of offsets c with
-the slices c - m*lam, plus the entries of other forms as typed
-parameter arrays.  A table read from a file is stored; a grid family's
-table is generated.  The kernel checks A1 and A2 on every stored table;
-a grid family is checked at its grids' corners, so that its table is
-finite.  A kernel always spans the whole of X and Y: a restriction of
-either side belongs to the problem (see :class:`galois_solve.solver.Problem`).
+A :class:`Kernel` holds one table, stored (read from a file) or
+generated (a grid family's): a :class:`FormTable` of scalar forms as
+typed parameter arrays, or a :class:`CouplingTable` bbar(x, y), every
+slope 1.  Both give the engine their slices as :class:`Slices`: blocks
+of offsets c with the slices c - m*lam, plus the entries of other forms
+as typed parameter arrays.  The adjoint is the forward map of
+:attr:`Kernel.dual`, whose table is made at build.  The kernel checks
+A1 and A2 on every stored table; a grid family is checked at its
+grids' corners, so that its table is finite.  A kernel always spans
+the whole of X and Y: a restriction of either side belongs to the
+problem (see :class:`galois_solve.solver.Problem`).
 """
 
 from __future__ import annotations
@@ -183,7 +183,8 @@ class OmegaLipschitz:
 class LipschitzLine:
     """Structure of an ``OmegaLipschitz`` kernel with q = 1 on 1-D grids:
     bbar(x, y) = -a|y - x| with ascending x points ``xp`` and y points
-    ``yp``.  The engine reads it to reduce the transforms in O(n + m)."""
+    ``yp``; the dual's swaps them.  The engine reads it to reduce the
+    transforms in O(n + m)."""
 
     a: float
     xp: np.ndarray
@@ -222,10 +223,9 @@ OFF, AFFINE, POWER, TABULATED = 0, 1, 2, 3
 
 @dataclass(frozen=True, eq=False)
 class FormSet:
-    """The entries of one non-affine kind in one orientation of a table:
-    their flat positions in it (row-major, ascending) and their
-    parameters in the same order, as ``values(lam, *params)`` takes
-    them."""
+    """The entries of one non-affine kind in a table: their flat
+    positions in it (row-major, ascending) and their parameters in the
+    same order, as ``values(lam, *params)`` takes them."""
 
     at: np.ndarray
     params: Tuple[np.ndarray, ...]
@@ -234,9 +234,7 @@ class FormSet:
 
 @dataclass(frozen=True, eq=False)
 class Slices:
-    """The slices of one orientation of a kernel: one row per output
-    index (x for the forward map, y for the adjoint), one column per
-    input index.
+    """The slices of a kernel: one row per x, one column per y.
 
     ``offsets(index)`` gives those rows of the offsets c, which are -inf
     off the support.  Every entry evaluates to c - m*lam, with ``m``
@@ -257,19 +255,29 @@ class FormTable:
     signed-power exponent (1 otherwise) and ``shift`` the signed-power
     shift (0 otherwise).  The tabulated forms, in row-major order, have
     ``n`` breakpoints each in the rows of ``s`` and ``t``, padded with
-    +inf.  Both orientations are computed once; the adjoint one holds
-    the closed-form adjoints: affine (c/m, 1/m), signed power
-    (shift, 1/p, c), tabulated breakpoints swapped and reversed.
+    +inf.  ``dual`` is the table of the closed-form adjoints, one row
+    per y: affine (c/m, 1/m), signed power (shift, 1/p, c), tabulated
+    breakpoints swapped and reversed.  It is made here, unless given.
     """
 
     lazy = False
 
-    def __init__(self, kind, c, m, shift, s, t, n):
+    def __init__(self, kind, c, m, shift, s, t, n, dual: Optional["FormTable"] = None):
         for arr in (kind, c, m, shift, s, t, n):
             arr.flags.writeable = False
         self.kind, self.c, self.m, self.shift = kind, c, m, shift
         self.s, self.t, self.n = s, t, n
-        self.shape = nx, ny = kind.shape
+        self.shape = kind.shape
+        unit = not (m[kind == AFFINE] != 1.0).any()
+        power = np.flatnonzero(kind == POWER)
+        self._tab = np.flatnonzero(kind == TABULATED)
+        self._slices = Slices(
+            c.__getitem__, None if unit else m,
+            _form_sets(power, (c.flat[power], m.flat[power], shift.flat[power]),
+                       self._tab, (s, t, n)))
+        if dual is not None:
+            self.dual = dual
+            return
         with np.errstate(over="ignore"):
             inv_m = 1.0 / m
             adj_c = np.where(kind == POWER, shift, c / m)
@@ -277,22 +285,14 @@ class FormTable:
         if not (np.isfinite(inv_m).all() and (np.isfinite(adj_c) == np.isfinite(c)).all()):
             raise ValidationError("an affine slope or signed-power exponent is too small: "
                                   "its adjoint overflows")
-        unit = not (m[kind == AFFINE] != 1.0).any()
-        power = np.flatnonzero(kind == POWER)
-        self._tab = np.flatnonzero(kind == TABULATED)
-        self.forward = Slices(
-            c.__getitem__, None if unit else m,
-            _form_sets(power, (c.flat[power], m.flat[power], shift.flat[power]),
-                       self._tab, (s, t, n)))
-        p_at, p_order = _transposed(power, nx, ny)
-        t_at, t_order = _transposed(self._tab, nx, ny)
-        p = power[p_order]
-        s_t, t_t, n_t = s[t_order], t[t_order], n[t_order]
-        self.adjoint = Slices(
-            _frozen(adj_c.T.copy()).__getitem__,
-            None if unit else _frozen(inv_m.T.copy()),
-            _form_sets(p_at, (shift.flat[p], inv_m.flat[p], c.flat[p]),
-                       t_at, (_reversed(t_t, n_t), _reversed(s_t, n_t), n_t)))
+        # the tabulated forms in the row-major order of the transpose
+        i, j = np.divmod(self._tab, self.shape[1])
+        order = np.argsort(j * self.shape[0] + i)
+        s_t, t_t, n_t = s[order], t[order], n[order]
+        self.dual = FormTable(
+            kind.T.copy(), adj_c.T.copy(), inv_m.T.copy(),
+            np.where(kind == POWER, c, 0.0).T.copy(),
+            _reversed(t_t, n_t), _reversed(s_t, n_t), n_t, dual=self)
 
     @classmethod
     def pack(cls, rows: Sequence[Sequence[ScalarConnection]]) -> "FormTable":
@@ -326,8 +326,8 @@ class FormTable:
                    pts[..., 0].copy(), pts[..., 1].copy(),
                    np.fromiter(map(len, points), np.intp, len(points)))
 
-    def slices(self, by_rows: bool) -> Slices:
-        return self.forward if by_rows else self.adjoint
+    def slices(self) -> Slices:
+        return self._slices
 
     def entry(self, i: int, j: int) -> ScalarConnection:
         kind = self.kind[i, j]
@@ -344,11 +344,6 @@ class FormTable:
                                              self.t[k, :n].tolist())))
 
 
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    arr.flags.writeable = False
-    return arr
-
-
 def _form_sets(power_at, power_params, tab_at, tab_params) -> Tuple[FormSet, ...]:
     sets = []
     if power_at.size:
@@ -356,15 +351,6 @@ def _form_sets(power_at, power_params, tab_at, tab_params) -> Tuple[FormSet, ...
     if tab_at.size:
         sets.append(FormSet(tab_at, tab_params, tabulated_values))
     return tuple(sets)
-
-
-def _transposed(at: np.ndarray, nx: int, ny: int):
-    """The flat positions ``at`` of an (nx, ny) table, moved to its
-    transpose and sorted, with the order that sorts them."""
-    i, j = np.divmod(at, ny)
-    moved = j * nx + i
-    order = np.argsort(moved)
-    return moved[order], order
 
 
 def _reversed(rows: np.ndarray, n: np.ndarray) -> np.ndarray:
@@ -376,16 +362,15 @@ def _reversed(rows: np.ndarray, n: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class CouplingTable:
-    """A coupling table bbar(x, y), every slope 1, as ``fn(index,
-    by_rows)``: for a slice or an integer array of rows (``by_rows``) or
-    columns, a 2-D array with one row per index.  A stored table keeps
-    both orientations, its array and a C-contiguous copy of its
-    transpose (twice the memory of one), and gives read-only views of
-    them, which the table owns: a slice of rows or of columns is
-    contiguous.  A generated one (``lazy``) gives fresh arrays, which
-    the caller owns and may overwrite."""
+    """A coupling table bbar(x, y), every slope 1: for a slice or an
+    integer array of x (y) indices, ``rows`` (``cols``) gives a 2-D
+    array with one row per index.  A stored table keeps its array and a
+    C-contiguous copy of its transpose and gives read-only views of
+    them, which the table owns; a generated one (``lazy``) gives fresh
+    arrays, which the caller owns and may overwrite."""
 
-    fn: Callable[[object, bool], np.ndarray]
+    rows: Callable[[object], np.ndarray]
+    cols: Callable[[object], np.ndarray]
     shape: Tuple[int, int]
     lazy: bool = True
 
@@ -393,26 +378,31 @@ class CouplingTable:
     def stored(cls, values) -> "CouplingTable":
         """The table of ``values``, copied into a float array of its own;
         refuses +inf and NaN."""
-        arr = _frozen(np.array(values, dtype=float, order="C"))
+        arr = np.array(values, dtype=float, order="C")
         top = arr.max(initial=-math.inf)  # NaN if an entry is, else +inf if one is
         if not top < math.inf:
             if np.isposinf(arr).any():
                 raise ValidationError("coupling entries must lie in R u {-inf}")
             raise ValidationError("coupling entries may not be NaN")
-        cols = _frozen(arr.T.copy())  # columns read as contiguous rows
-        return cls(lambda k, by_rows: arr[k] if by_rows else cols[k], arr.shape, False)
+        cols = arr.T.copy()  # columns read as contiguous rows
+        arr.flags.writeable = cols.flags.writeable = False
+        return cls(arr.__getitem__, cols.__getitem__, arr.shape, False)
 
-    def block(self, k, by_rows: bool) -> np.ndarray:
-        """Rows (``by_rows``) or columns ``k``; an integer gives one row."""
+    @property
+    def dual(self) -> "CouplingTable":
+        return CouplingTable(self.cols, self.rows, self.shape[::-1], self.lazy)
+
+    def block(self, k) -> np.ndarray:
+        """Rows ``k``; an integer gives one row."""
         if isinstance(k, (int, np.integer)):
-            return self.fn(slice(k, k + 1), by_rows)[0]
-        return self.fn(k, by_rows)
+            return self.rows(slice(k, k + 1))[0]
+        return self.rows(k)
 
-    def slices(self, by_rows: bool) -> Slices:
-        return Slices(lambda k: self.block(k, by_rows))
+    def slices(self) -> Slices:
+        return Slices(self.block)
 
     def entry(self, i: int, j: int) -> ScalarConnection:
-        return make_affine(float(self.block(i, True)[j]), 1.0)
+        return make_affine(float(self.block(i)[j]), 1.0)
 
 
 class Kernel:
@@ -444,7 +434,7 @@ class Kernel:
         # A1 and A2 on the support mask.  A3 holds by construction: the
         # supported slices are affine, signed-power or tabulated forms,
         # which are bijections, and off-support entries are Off.
-        finite = np.isfinite(table.slices(True).offsets(slice(None)))
+        finite = np.isfinite(table.slices().offsets(slice(None)))
         for ok, labels, what in ((finite.any(axis=1), self.x_labels, "A1 violated: row"),
                                  (finite.any(axis=0), self.y_labels, "A2 violated: column")):
             if not ok.all():
@@ -462,36 +452,48 @@ class Kernel:
         slice on the support is lam -> bbar - lam."""
         return isinstance(self.table, CouplingTable)
 
+    @cached_property
+    def dual(self) -> "Kernel":
+        """The kernel b° over Y x X, b°(y, x, .) the inverse of b(x, y, .),
+        whose forward map is this kernel's adjoint; ``k.dual.dual is k``.
+        Its table is ``table.dual``, made at build, and is not checked again."""
+        dual, line = object.__new__(Kernel), self.lipschitz_line
+        vars(dual).update(
+            x_labels=self.y_labels, y_labels=self.x_labels, table=self.table.dual,
+            is_grid=self.is_grid, dual=self,
+            lipschitz_line=line and LipschitzLine(line.a, line.yp, line.xp))
+        return dual
+
     # ------------------------------------------------------------------
-    def slices(self, by_rows: bool) -> Slices:
-        """The slices of the forward map (``by_rows``) or of the adjoint."""
-        if self.is_moreau:  # read through bbar_row/bbar_col, which perfbench wraps
-            return Slices(self.bbar_row if by_rows else self.bbar_col)
-        return self.table.slices(by_rows)
+    def slices(self) -> Slices:
+        """The slices of the forward map."""
+        if self.is_moreau:  # read through bbar_row, which perfbench wraps
+            return Slices(self.bbar_row)
+        return self.table.slices()
 
     def bbar_row(self, i) -> np.ndarray:
         """Row i of the coupling table; a slice gives those rows as one
         2-D block (read-only when the table is stored)."""
-        return self.table.block(i, True)
+        return self.table.block(i)
 
     def bbar_col(self, j) -> np.ndarray:
-        """Column j of the coupling table; a slice gives those columns as
-        one 2-D block with one row per column."""
-        return self.table.block(j, False)
+        """Column j of the coupling table: row j of the dual's."""
+        return self.dual.bbar_row(j)
 
     def entry(self, i: int, j: int) -> ScalarConnection:
         """Slice at (x_i, y_j): lam -> b(x_i, y_j, lam)."""
         return self.table.entry(i, j)
 
     def adjoint_entry(self, j: int, i: int) -> ScalarConnection:
-        """Adjoint slice at (y_j, x_i): the inverse of ``entry(i, j)``."""
-        return self.entry(i, j).adjoint()
+        """Adjoint slice at (y_j, x_i): the dual's entry, the inverse of
+        ``entry(i, j)``."""
+        return self.dual.entry(j, i)
 
     def support_row(self, i: int) -> Tuple[int, ...]:
-        return tuple(np.nonzero(np.isfinite(self.slices(True).offsets(i)))[0])
+        return tuple(np.nonzero(np.isfinite(self.slices().offsets(i)))[0])
 
     def support_col(self, j: int) -> Tuple[int, ...]:
-        return tuple(np.nonzero(np.isfinite(self.slices(False).offsets(j)))[0])
+        return self.dual.support_row(j)
 
 
 # ----------------------------------------------------------------------
@@ -591,7 +593,9 @@ def build_grid_kernel(family, x_grid: GridSpec, y_grid: GridSpec) -> Kernel:
     line = None
     if isinstance(family, OmegaLipschitz) and family.q == 1 and x_grid.ndim == 1:
         line = LipschitzLine(family.a, xp, yp)
-    table = CouplingTable(_family_block(family, xp, yp), (x_grid.size(), y_grid.size()))
+    block = _family_block(family, xp, yp)
+    table = CouplingTable(lambda k: block(k, True), lambda k: block(k, False),
+                          (x_grid.size(), y_grid.size()))
     return Kernel(x_grid.labels(), y_grid.labels(), table, line=line)
 
 

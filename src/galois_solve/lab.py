@@ -126,7 +126,7 @@ def _jsonable(obj):
 # ----------------------------------------------------------------------
 # exact maxima through the engine's reduction: per x, the maximum over y
 # of bbar(x, y) - f(y) and the family of the y attaining it exactly, all
-# of them where it is -inf, from sup_pass(kernel, f, True, tol=0.0)
+# of them where it is -inf, from sup_pass(kernel, f, tol=0.0)
 
 
 def _touches(ties, where: np.ndarray) -> np.ndarray:
@@ -157,7 +157,7 @@ def _conjugate(pairing, f: GridFunction, x_grid: GridSpec):
     """max_y (<x, y> - f(y)) over the ``pairing`` kernel of x_grid and
     f's grid, the first argmax per x, and a flag for maxima also
     attained on the y-window edge."""
-    gvals, ties = sup_pass(pairing, f.samples, True, tol=0.0)
+    gvals, ties = sup_pass(pairing, f.samples, tol=0.0)
     boundary = _touches(ties, _edge_mask(f.grid.points()))
     return GridFunction(x_grid, gvals), ties.indices[ties.indptr[:-1]], boundary
 
@@ -256,7 +256,7 @@ def quadratic_reduction_check(f: GridFunction, a: float,
     fv = f.samples
 
     kernel = build_grid_kernel(Quadratic(a), x_grid, y_grid)
-    route_a, ties = sup_pass(kernel, fv, True, tol=0.0)
+    route_a, ties = sup_pass(kernel, fv, tol=0.0)
     arg_a = ties.indices[ties.indptr[:-1]]
 
     if y_grid.ndim == 1:
@@ -438,7 +438,7 @@ def weighted_power_domain(f: GridFunction, p: float,
     # x' major, x'' minor: the column k of a reshaped result is level k
     x_grid = GridSpec(xprime_grid.dims + xsecond_grid.dims)
     kernel = build_grid_kernel(WeightedPower(p), x_grid, f.grid)
-    top, ties = sup_pass(kernel, f.samples, True, tol=0.0)
+    top, ties = sup_pass(kernel, f.samples, tol=0.0)
     finite = np.isfinite(top).reshape(-1, len(levels)).all(axis=0)
     at_edge = _touches(ties, _edge_mask(f.grid.points()))
     at_edge = at_edge.reshape(-1, len(levels)).any(axis=0)

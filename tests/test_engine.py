@@ -53,7 +53,7 @@ def fos(labels, *vals):
 def forward_ties(kernel, f, tol=DEFAULT_TOL):
     """For each y, the x whose forward supremum at f is attained at y
     within ``tol``: the forward tie family of ``sup_pass``, by y."""
-    by_x = sup_pass(kernel, f.values, True, tol)[1].sets
+    by_x = sup_pass(kernel, f.values, tol)[1].sets
     return {y: frozenset(x for x, ys in by_x.items() if y in ys)
             for y in kernel.y_labels}
 
@@ -344,17 +344,12 @@ def test_envelope_path_matches_blocked_reduction(a):
         oracle = Kernel(k.x_labels, k.y_labels, CouplingTable.stored(table))
         assert oracle.lipschitz_line is None
         for kind in ("integer", "normal", "inf"):
-            for forward in (True, False):
-                rows = table if forward else table.T
-                lam = _random_lam(rng, rows.shape[1], kind)
-                if forward:
-                    f = FunctionOnSpace(k.y_labels, lam)
-                    fast = apply_forward(k, f).values
-                    dense = apply_forward(oracle, f).values
-                else:
-                    g = FunctionOnSpace(k.x_labels, lam)
-                    fast = apply_adjoint(k, g).values
-                    dense = apply_adjoint(oracle, g).values
+            # the adjoint is the forward map of the dual
+            for fk, dk, rows in ((k, oracle, table), (k.dual, oracle.dual, table.T)):
+                f = FunctionOnSpace(fk.y_labels, _random_lam(rng, rows.shape[1], kind))
+                lam = f.values
+                fast = apply_forward(fk, f).values
+                dense = apply_forward(dk, f).values
                 vals = rows - lam[None, :]
                 assert np.all((vals == fast[:, None]).any(axis=1))
                 assert np.all(fast <= dense)
@@ -389,7 +384,7 @@ def test_envelope_path_selection(monkeypatch, family, x_grid, y_grid):
         f = FunctionOnSpace(k.y_labels, rng.normal(size=k.shape[1]))
         # tie sets always come from the blocked reduction
         subdiff_inverse(k, g)
-        sup_pass(k, f.values, True, DEFAULT_TOL)
+        sup_pass(k, f.values, DEFAULT_TOL)
         if k.lipschitz_line is None:
             apply_forward(k, f)
             apply_adjoint(k, g)
@@ -447,9 +442,9 @@ def form_tables(draw):
     return rows, lam_y, lam_x, draw(st.integers(1, 4))
 
 
-def _evaluated_blocks(kernel, lam, by_rows, size):
-    block = engine._blocks(kernel, lam, by_rows)
-    n_out = kernel.shape[0 if by_rows else 1]
+def _evaluated_blocks(kernel, lam, size):
+    block = engine._blocks(kernel, lam)
+    n_out = kernel.shape[0]
     return np.vstack([block(lo, min(lo + size, n_out))
                       for lo in range(0, n_out, size)])
 
@@ -464,17 +459,17 @@ def test_table_blocks_match_scalar_forms_bitwise(case):
     forward = [[e.eval_float(lam[j]) for j, e in enumerate(r)] for r in rows]
     adjoint = [[rows[i][j].adjoint().eval_float(lam_x[i]) for i in range(nx)]
                for j in range(ny)]
-    got = _evaluated_blocks(k, lam, True, size)
+    got = _evaluated_blocks(k, lam, size)
     assert got.tobytes() == np.array(forward).tobytes()
-    got = _evaluated_blocks(k, lam_x, False, size)
+    got = _evaluated_blocks(k.dual, lam_x, size)
     assert got.tobytes() == np.array(adjoint).tobytes()
     # the whole table, as the text report prints it, against the
     # kernel's own adjoint slices
     oracle = [[k.adjoint_entry(j, i).eval_float(lam_x[i]) for i in range(nx)]
               for j in range(ny)]
     assert np.array(oracle).tobytes() == np.array(adjoint).tobytes()
-    assert slice_table(k, lam_x, False).tobytes() == np.array(adjoint).tobytes()
-    assert slice_table(k, lam, True).tobytes() == np.array(forward).tobytes()
+    assert slice_table(k.dual, lam_x).tobytes() == np.array(adjoint).tobytes()
+    assert slice_table(k, lam).tobytes() == np.array(forward).tobytes()
 
 
 def test_table_blocks_call_no_scalar_form(monkeypatch):
@@ -504,15 +499,14 @@ def test_table_blocks_call_no_scalar_form(monkeypatch):
 # -- the one tie rule of sup_pass, against the scalar forms entry by entry
 
 
-def _brute_ties(kernel, lam, by_rows, tol):
-    """Per output index, the supremum of its slices at ``lam`` and the
-    input indices with ``value >= sup - tol``, or the support when the
-    supremum is -inf, from the kernel's scalar forms one by one."""
-    n_out, n_in = kernel.shape if by_rows else kernel.shape[::-1]
+def _brute_ties(kernel, lam, tol):
+    """Per x, the supremum of its slices at ``lam`` and the y with
+    ``value >= sup - tol``, or the support when the supremum is -inf,
+    from the kernel's scalar forms one by one."""
+    n_out, n_in = kernel.shape
     tops, ties = [], []
     for o in range(n_out):
-        forms = [kernel.entry(o, k) if by_rows else kernel.adjoint_entry(o, k)
-                 for k in range(n_in)]
+        forms = [kernel.entry(o, k) for k in range(n_in)]
         vals = [e.eval_float(lam[k]) for k, e in enumerate(forms)]
         top = max(vals)
         if top == -math.inf:
@@ -547,11 +541,11 @@ def test_one_tie_rule_matches_the_scalar_forms(case):
     x, y = kernel.x_labels, kernel.y_labels
     for tol in (0.0, 1e-9):
         top, family = subdiff_inverse(kernel, g, tol)
-        want_top, ties = _brute_ties(kernel, g.values, False, tol)
+        want_top, ties = _brute_ties(kernel.dual, g.values, tol)
         assert np.array_equal(top, want_top)
         assert family.sets == {y[j]: frozenset(x[i] for i in t)
                                for j, t in enumerate(ties)}
-        _, ties = _brute_ties(kernel, f.values, True, tol)
+        _, ties = _brute_ties(kernel, f.values, tol)
         assert forward_ties(kernel, f, tol) == {
             y[j]: frozenset(x[i] for i, t in enumerate(ties) if j in t)
             for j in range(len(y))}
@@ -592,19 +586,17 @@ def _form_case(rng, nx, ny):
     return build_table(rows)
 
 
-def _whole_table(kernel, lam, by_rows):
-    """The slices at ``lam``, one row per output index, and their
-    support: from the stored array, or from the scalar forms one by one."""
-    if isinstance(kernel.table, CouplingTable):
-        bbar = kernel.table.fn(slice(None), True)
-        bbar = bbar if by_rows else bbar.T
+def _whole_table(kernel, lam):
+    """The slices at ``lam``, one row per x, and their support: from the
+    stored array, or from the scalar forms one by one."""
+    if kernel.is_moreau:
+        bbar = kernel.bbar_row(slice(None))
         with np.errstate(invalid="ignore"):
             vals = bbar - lam
         vals[np.isnan(vals)] = -math.inf
         return vals, np.isfinite(bbar)
-    n_out, n_in = kernel.shape if by_rows else kernel.shape[::-1]
-    forms = [[kernel.entry(o, k) if by_rows else kernel.adjoint_entry(o, k)
-              for k in range(n_in)] for o in range(n_out)]
+    n_out, n_in = kernel.shape
+    forms = [[kernel.entry(o, k) for k in range(n_in)] for o in range(n_out)]
     vals = np.array([[e.eval_float(lam[k]) for k, e in enumerate(row)] for row in forms])
     return vals, np.array([[not isinstance(e, Off) for e in row] for row in forms])
 
@@ -622,11 +614,13 @@ def _numpy_reduction(vals, support, tol):
 
 @pytest.mark.parametrize("shape", [(1, 1), (255, 3), (256, 3), (257, 3), (3, 513)])
 @pytest.mark.parametrize("make", [_coupling_case, _form_case], ids=["coupling", "forms"])
-@pytest.mark.parametrize("by_rows", [True, False], ids=["forward", "adjoint"])
-def test_sup_pass_matches_numpy_reduction_of_whole_table(shape, make, by_rows):
+@pytest.mark.parametrize("dual", [False, True], ids=["forward", "adjoint"])
+def test_sup_pass_matches_numpy_reduction_of_whole_table(shape, make, dual):
     rng = np.random.default_rng(shape[0] * 1000 + shape[1])
     kernel = make(rng, *shape)
-    n_in = kernel.shape[1 if by_rows else 0]
+    if dual:  # the adjoint is the forward map of the dual
+        kernel = kernel.dual
+    n_in = kernel.shape[1]
     draws = [np.full(n_in, math.inf), np.full(n_in, -math.inf)]
     for _ in range(3):
         # integers moved by fractions of 1e-9, with both infinities
@@ -635,14 +629,14 @@ def test_sup_pass_matches_numpy_reduction_of_whole_table(shape, make, by_rows):
         lam[rng.random(n_in) < 0.15] = -math.inf
         draws.append(lam)
     for lam in draws:
-        vals, support = _whole_table(kernel, lam, by_rows)
+        vals, support = _whole_table(kernel, lam)
         for tol in (0.0, 1e-9):
-            top, family = sup_pass(kernel, lam, by_rows, tol)
+            top, family = sup_pass(kernel, lam, tol)
             want_top, indptr, indices = _numpy_reduction(vals, support, tol)
             assert np.array_equal(top, want_top)
             assert np.array_equal(family.indptr, indptr)
             assert np.array_equal(family.indices, indices)
-        assert np.array_equal(sup_pass(kernel, lam, by_rows)[0], want_top)
+        assert np.array_equal(sup_pass(kernel, lam)[0], want_top)
 
 
 def _grid_lazy(monkeypatch):
@@ -664,14 +658,14 @@ def test_first_pass_results_survive_later_passes(monkeypatch, make):
     rng = np.random.default_rng(4)
     nx, ny = kernel.shape
     g = rng.integers(-3, 4, nx).astype(float)
-    top, family = sup_pass(kernel, g, False, 1e-9)
-    ftop, ffamily = sup_pass(kernel, rng.normal(size=ny), True, 1e-9)
-    table = slice_table(kernel, g, False)
+    top, family = sup_pass(kernel.dual, g, 1e-9)
+    ftop, ffamily = sup_pass(kernel, rng.normal(size=ny), 1e-9)
+    table = slice_table(kernel.dual, g)
     kept = [a.copy() for a in (top, family.indptr, family.indices,
                                ftop, ffamily.indptr, ffamily.indices, table)]
-    sup_pass(kernel, rng.normal(size=nx), False, 0.0)
-    sup_pass(kernel, rng.normal(size=ny), True, 1e-9)
-    sup_pass(kernel, rng.normal(size=nx), False)
+    sup_pass(kernel.dual, rng.normal(size=nx), 0.0)
+    sup_pass(kernel, rng.normal(size=ny), 1e-9)
+    sup_pass(kernel.dual, rng.normal(size=nx))
     for was, now in zip(kept, (top, family.indptr, family.indices,
                                ftop, ffamily.indptr, ffamily.indices, table)):
         assert now.tobytes() == was.tobytes()
@@ -686,12 +680,12 @@ def test_scratch_blocks_are_per_thread(monkeypatch):
     kernel = build_grid_kernel(FenchelDot(), grid, grid)
     g = np.round(np.abs(grid.points()), 1)
     use_cpus(monkeypatch, 1)
-    serial = sup_pass(kernel, g, False, 1e-9)
+    serial = sup_pass(kernel.dual, g, 1e-9)
     use_cpus(monkeypatch, 8)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        threaded = sup_pass(kernel, g, False, 1e-9)
+        threaded = sup_pass(kernel.dual, g, 1e-9)
     finally:
         sys.setswitchinterval(interval)
     for a, b in zip((serial[0], serial[1].indptr, serial[1].indices),
@@ -706,11 +700,11 @@ def test_stored_coupling_table_keeps_both_orientations():
     # an array in Fortran order is stored C-contiguous too
     for table in (build_moreau(bbar.tolist()).table,
                   CouplingTable.stored(np.asfortranarray(bbar))):
-        for by_rows, want in ((True, bbar), (False, bbar.T)):
-            whole = table.fn(slice(None), by_rows)
+        for side, want in ((table, bbar), (table.dual, bbar.T)):
+            whole = side.block(slice(None))
             assert not whole.flags.writeable
             assert whole.flags.c_contiguous
             assert np.array_equal(whole, want)
-            part = table.fn(slice(1, 3), by_rows)
+            part = side.block(slice(1, 3))
             assert not part.flags.writeable and part.flags.c_contiguous
             assert np.array_equal(part, want[1:3])

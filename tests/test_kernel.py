@@ -21,7 +21,8 @@ from galois_solve.kernel import (
     build_moreau,
     build_table,
 )
-from galois_solve.scalar import Affine, Off
+from galois_solve.engine import FunctionOnSpace, apply_adjoint, sup_pass
+from galois_solve.scalar import Affine, Off, SignedPower, TabulatedDecreasing
 
 
 def test_build_moreau_identity_like():
@@ -341,3 +342,59 @@ def test_corner_check_refuses_exactly_the_tables_that_overflow():
         assert isinstance(outcome, str) == (not np.isfinite(table).all()), (family, x_grid)
         refused += isinstance(outcome, str)
     assert 100 < refused < 300
+
+
+# -- the dual: the kernel b° over Y x X whose forward map is the adjoint
+
+
+def _table_of_all_forms():
+    return build_table([
+        [Affine(1.0, 2.5), Off(), SignedPower(0.5, 1.5, -0.25), Affine(0.0, 1.0)],
+        [TabulatedDecreasing(((0.0, 1.0), (1.0, -1.0), (3.0, -2.0))), Affine(-1.0, 1.0),
+         Off(), SignedPower(-2.0, 0.5, 1.0)],
+        [Off(), Affine(2.0, 0.5), TabulatedDecreasing(((-1.0, 0.5), (2.0, -3.0))), Off()],
+    ])
+
+
+DUAL_CASES = [
+    lambda: build_moreau([[1.5, "-inf", 0.0, -2.0], ["-inf", 2.0, -1.0, "-inf"],
+                          [3.0, "-inf", "-inf", 0.25]]),
+    _table_of_all_forms,
+] + [lambda f=f, x=x, y=y: build_grid_kernel(f, x, y) for f, x, y in FAMILY_GRIDS]
+DUAL_IDS = ["moreau", "table"] + FAMILY_IDS
+
+
+@pytest.mark.parametrize("make", DUAL_CASES, ids=DUAL_IDS)
+def test_dual_is_the_adjoint_kernel(make):
+    k = make()
+    d = k.dual
+    assert d is k.dual and d.dual is k
+    assert d.shape == k.shape[::-1]
+    assert (d.x_labels, d.y_labels) == (k.y_labels, k.x_labels)
+    assert (d.is_grid, d.is_moreau) == (k.is_grid, k.is_moreau)
+    line = k.lipschitz_line
+    if line is None:
+        assert d.lipschitz_line is None
+    else:
+        assert (d.lipschitz_line.a, d.lipschitz_line.xp, d.lipschitz_line.yp) == (
+            line.a, line.yp, line.xp)
+    nx, ny = k.shape
+    rng = np.random.default_rng(nx * ny)
+    g = rng.normal(size=nx)
+    g[::5], g[1::7] = math.inf, -math.inf
+    want = apply_adjoint(k, FunctionOnSpace(k.x_labels, g)).values
+    assert want.tobytes() == sup_pass(d, g)[0].tobytes()
+    for i in range(0, nx, max(1, nx // 5)):
+        for j in range(0, ny, max(1, ny // 5)):
+            assert k.adjoint_entry(j, i) == k.entry(i, j).adjoint()
+
+
+@pytest.mark.parametrize("make", DUAL_CASES[:2], ids=DUAL_IDS[:2])
+def test_a_stored_dual_reads_views_made_at_build(make):
+    k = make()
+    first, second = (k.dual.slices().offsets(slice(1, 3)) for _ in range(2))
+    assert np.shares_memory(first, second)
+    assert not (first.flags.writeable or second.flags.writeable)
+    # the same support, transposed
+    assert np.array_equal(np.isfinite(k.dual.slices().offsets(slice(None))),
+                          np.isfinite(k.slices().offsets(slice(None))).T)

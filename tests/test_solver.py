@@ -378,8 +378,8 @@ def _threaded_cases(monkeypatch):
     assert np.isposinf(g[5:9]).all() and np.isneginf(g[11])
     yield moreau, g
     # the same table generated block by block, which the pool runs on
-    lazy = Kernel(moreau.x_labels, moreau.y_labels, CouplingTable(lambda k, by_rows: (
-        bbar[k] if by_rows else bbar[:, k].T).copy(), bbar.shape))
+    lazy = Kernel(moreau.x_labels, moreau.y_labels, CouplingTable(
+        lambda k: bbar[k].copy(), lambda k: bbar[:, k].T.copy(), bbar.shape))
     assert lazy.is_grid
     yield lazy, g
 
