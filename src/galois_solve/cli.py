@@ -16,6 +16,8 @@ import functools
 import sys
 from dataclasses import replace
 
+import numpy as np
+
 from .engine import apply_adjoint, apply_forward, slice_table
 from .errors import ValidationError
 from .extreal import fmt
@@ -37,14 +39,15 @@ EXIT_NO_SOLUTION = 3
 
 def _print_adjoint_table(problem: Problem, sol):
     """Adjoint evaluation table, one row per y, maximisers starred."""
-    kernel = problem.kernel
+    kernel, family = problem.kernel, sol.family
     width = max(len(l) for l in kernel.y_labels)
     table = slice_table(kernel.dual, problem.g.values)
+    marked = np.zeros(table.shape, dtype=bool)
+    marked[np.repeat(family.pool, np.diff(family.indptr)),
+           family.points[family.indices]] = True
     print("adjoint evaluation (rows y, maximisers marked *):")
-    for yl, row in zip(kernel.y_labels, table):
-        members = sol.family.sets.get(yl, frozenset())
-        cells = ("*" + fmt(v) if xl in members else " " + fmt(v)
-                 for xl, v in zip(kernel.x_labels, row.tolist()))
+    for yl, row, marks in zip(kernel.y_labels, table.tolist(), marked.tolist()):
+        cells = (("*" if m else " ") + fmt(v) for v, m in zip(row, marks))
         print(f"  {yl:>{width}}: " + "  ".join(f"{c:>16}" for c in cells))
 
 
@@ -92,11 +95,11 @@ def cmd_apply(args) -> int:
             raise ValidationError("--direction B reads --f, not --g")
         if args.f is None:
             raise ValidationError("--direction B needs --f")
-        result = apply_forward(kernel, parse_function_arg(args.f, kernel.y_labels))
+        result = apply_forward(kernel, parse_function_arg(args.f, kernel.y_space))
     else:
         if args.f is not None:
             raise ValidationError("--direction Bstar reads --g, not --f")
-        gn = problem.g if args.g is None else parse_function_arg(args.g, kernel.x_labels)
+        gn = problem.g if args.g is None else parse_function_arg(args.g, kernel.x_space)
         result = apply_adjoint(kernel, gn)
     if args.json:
         print(render_report(function_to_json(result), sort_keys=False))

@@ -5,9 +5,11 @@ the algebraic kind (an index is essential when some point is covered by
 that index alone).  In a discrete space this coincides with the
 topological notion, which is why the solver can use it directly.
 
-A family is held as one flat array of universe positions with row
-offsets, so a covering test is one count per point; labels are
-attached only in the reports and in the ``sets`` view.  All iteration
+A family is held as positions: its universe and index pool as
+positions into two spaces (a kernel's sides), its sets as one flat
+array of universe positions with row offsets, so a covering test is
+one count per point.  Labels are attached only when a view or a report
+is read.  All iteration
 follows the declared index and universe order, so reports and
 witnesses are reproducible.
 """
@@ -16,12 +18,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, compress
+from itertools import chain
 from typing import Dict, Iterable, Mapping, Optional, Tuple
 
 import numpy as np
 
 from .errors import NotACoverError, ValidationError
+from .kernel import labels_of, space_size
 
 
 def offsets(lengths) -> np.ndarray:
@@ -33,17 +36,28 @@ def offsets(lengths) -> np.ndarray:
 class CoverFamily:
     """A universe of points and an indexed family of subsets of it.
 
-    The set of the k-th index of ``index_pool`` is
-    ``indices[indptr[k]:indptr[k + 1]]``, its sorted universe positions:
-    the row offsets and column indices of a sparse 0/1 matrix (CSR).
-    Indices keep the order of ``index_pool`` and points the order of
-    ``universe``.  ``sets`` is the same family by label.
+    The universe is the points at the ascending positions ``points`` of
+    the space ``universe_space``, and the index pool those at ``pool``
+    of ``pool_space``: a space is a tuple of labels or a grid (see
+    :class:`galois_solve.engine.FunctionOnSpace`), and the positions
+    default to the whole space.  The set of the k-th index of the pool
+    is ``indices[indptr[k]:indptr[k + 1]]``, its sorted positions in
+    the universe: the row offsets and column indices of a sparse 0/1
+    matrix (CSR).  Labels are attached only when read: ``universe``,
+    ``index_pool``, and ``sets``, the same family by label.
     """
 
-    universe: Tuple[str, ...]
-    index_pool: Tuple[str, ...]
+    universe_space: object
+    pool_space: object
     indptr: np.ndarray = field(repr=False)
     indices: np.ndarray = field(repr=False)
+    points: Optional[np.ndarray] = field(default=None, repr=False)
+    pool: Optional[np.ndarray] = field(default=None, repr=False)
+
+    def __post_init__(self):
+        for name, space in (("points", self.universe_space), ("pool", self.pool_space)):
+            if getattr(self, name) is None:
+                object.__setattr__(self, name, np.arange(space_size(space)))
 
     @classmethod
     def build(cls, universe: Iterable, sets: Mapping,
@@ -61,6 +75,22 @@ class CoverFamily:
         return cls(uni, pool, offsets([len(r) for r in rows]),
                    np.fromiter(chain.from_iterable(rows), np.intp))
 
+    def point_labels(self, at) -> Tuple[str, ...]:
+        """The labels of the universe points at the positions ``at``."""
+        return _labels_at(self.universe_space, self.points[at])
+
+    def index_labels(self, at) -> Tuple[str, ...]:
+        """The labels of the pool indices at the positions ``at``."""
+        return _labels_at(self.pool_space, self.pool[at])
+
+    @cached_property
+    def universe(self) -> Tuple[str, ...]:
+        return self.point_labels(slice(None))
+
+    @cached_property
+    def index_pool(self) -> Tuple[str, ...]:
+        return self.index_labels(slice(None))
+
     @cached_property
     def sets(self) -> Dict[str, frozenset]:
         uni, ptr = self.universe, self.indptr.tolist()
@@ -70,7 +100,7 @@ class CoverFamily:
     @cached_property
     def _counts(self) -> np.ndarray:
         """How many indices cover each universe point (read-only)."""
-        out = np.bincount(self.indices, minlength=len(self.universe))
+        out = np.bincount(self.indices, minlength=len(self.points))
         out.flags.writeable = False
         return out
 
@@ -87,7 +117,7 @@ class CoverFamily:
         chosen = set(indices)
         rows = np.array([z in chosen for z in self.index_pool], dtype=bool)
         hits = self.indices[np.repeat(rows, np.diff(self.indptr))]
-        return bool(np.bincount(hits, minlength=len(self.universe)).all())
+        return bool(np.bincount(hits, minlength=len(self.points)).all())
 
     def cut(self, pool: np.ndarray, points: np.ndarray) -> "CoverFamily":
         """The family of the indices where the mask ``pool`` holds, over
@@ -97,58 +127,103 @@ class CoverFamily:
             return self
         keep = np.repeat(pool, np.diff(self.indptr)) & points[self.indices]
         kept = np.concatenate(([0], np.cumsum(keep)))[self.indptr]
-        return CoverFamily(tuple(compress(self.universe, points)),
-                           tuple(compress(self.index_pool, pool)),
+        return CoverFamily(self.universe_space, self.pool_space,
                            offsets(np.diff(kept)[pool]),
-                           (np.cumsum(points) - 1)[self.indices[keep]])
+                           (np.cumsum(points) - 1)[self.indices[keep]],
+                           self.points[points], self.pool[pool])
 
 
-@dataclass(frozen=True)
+def _labels_at(space, at: np.ndarray) -> Tuple[str, ...]:
+    labels = labels_of(space)
+    if np.array_equal(at, np.arange(len(labels))):
+        return labels
+    return tuple(map(labels.__getitem__, at.tolist()))
+
+
+@dataclass(frozen=True, eq=False)
 class CoverReport:
-    """Outcome of a covering test.
+    """Outcome of a covering test, held as positions in ``family``.
 
-    ``essential`` lists the indices whose removal breaks the covering;
-    each comes with a privately covered witness point.  The covering is
-    minimal exactly when it covers and every index is essential.
+    ``uncovered`` lists the points no index covers, and ``essential``
+    the indices whose removal breaks the covering; each comes with a
+    privately covered witness point in ``privately_covered``.  These
+    are labels, attached when first read; reports are equal when they
+    are.  The covering is minimal exactly when it covers and every
+    index is essential.
     """
 
-    is_cover: bool
-    uncovered: Tuple[str, ...]
-    essential: Tuple[str, ...]
-    privately_covered: Dict[str, str]
-    is_minimal: bool
+    family: CoverFamily = field(repr=False)
+    uncovered_at: np.ndarray
+    essential_at: np.ndarray
+    private_at: np.ndarray
+
+    @property
+    def is_cover(self) -> bool:
+        return not len(self.uncovered_at)
+
+    @property
+    def is_minimal(self) -> bool:
+        return self.is_cover and len(self.essential_at) == len(self.family.pool)
+
+    @cached_property
+    def uncovered(self) -> Tuple[str, ...]:
+        return self.family.point_labels(self.uncovered_at)
+
+    @cached_property
+    def essential(self) -> Tuple[str, ...]:
+        return self.family.index_labels(self.essential_at)
+
+    @cached_property
+    def privately_covered(self) -> Dict[str, str]:
+        return dict(zip(self.essential, self.family.point_labels(self.private_at)))
+
+    def __eq__(self, other):
+        if not isinstance(other, CoverReport):
+            return NotImplemented
+        return all(getattr(self, k) == getattr(other, k) for k in (
+            "is_cover", "uncovered", "essential", "privately_covered", "is_minimal"))
 
 
 def check_cover(family: CoverFamily) -> CoverReport:
-    uni, pool = family.universe, family.index_pool
-    uncovered = tuple(uni[k] for k in np.flatnonzero(family._counts == 0))
     rows, points = family._private
-    essential = tuple(pool[k] for k in rows.tolist())
-    is_cover = not uncovered
-    return CoverReport(
-        is_cover=is_cover,
-        uncovered=uncovered,
-        essential=essential,
-        privately_covered={z: uni[k] for z, k in zip(essential, points.tolist())},
-        is_minimal=is_cover and len(essential) == len(pool),
-    )
+    return CoverReport(family, np.flatnonzero(family._counts == 0), rows, points)
 
 
-def irredundant_subcover(family: CoverFamily) -> Tuple[str, ...]:
+#: Members per tried index up to which :func:`irredundant_subcover`
+#: reads its rows as Python integers; longer rows stay in numpy.
+_SHORT_ROWS = 16
+
+
+def irredundant_subcover(family: CoverFamily) -> np.ndarray:
     """Greedy removal in index order, leaving a subcover in which every
-    index is essential.  Deterministic given the declared order.  An
-    index that covers a point alone is never removable, so only the
-    others are tried."""
-    counts = family._counts.copy()
+    index is essential: its positions in the pool, ascending.
+    Deterministic given the declared order.  An index that covers a
+    point alone is never removable, so only the others are tried, and
+    only their rows are read."""
+    counts = family._counts
     if not counts.all():
         raise NotACoverError("family does not cover the universe")
-    keep = np.zeros(len(family.index_pool), dtype=bool)
+    keep = np.zeros(len(family.pool), dtype=bool)
     keep[family._private[0]] = True
-    ptr = family.indptr.tolist()
-    for k in np.flatnonzero(~keep).tolist():
-        m = family.indices[ptr[k]:ptr[k + 1]]
-        if (counts[m] > 1).all():
-            counts[m] -= 1
+    tried = np.flatnonzero(~keep)
+    sizes = np.diff(family.indptr)
+    if sizes[tried].sum() > _SHORT_ROWS * len(tried):  # long rows, in numpy
+        counts, ptr = counts.copy(), family.indptr.tolist()
+        for k in tried.tolist():
+            m = family.indices[ptr[k]:ptr[k + 1]]
+            if (counts[m] > 1).all():
+                counts[m] -= 1
+            else:
+                keep[k] = True
+        return np.flatnonzero(keep)
+    counts = counts.tolist()
+    members = family.indices[np.repeat(~keep, sizes)].tolist()
+    at = offsets(sizes[tried]).tolist()
+    for k, a, b in zip(tried.tolist(), at, at[1:]):
+        m = members[a:b]
+        if all(counts[w] > 1 for w in m):
+            for w in m:
+                counts[w] -= 1
         else:
             keep[k] = True
-    return tuple(compress(family.index_pool, keep))
+    return np.flatnonzero(keep)

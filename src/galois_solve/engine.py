@@ -52,7 +52,7 @@ from .covering import CoverFamily, offsets
 from .errors import ValidationError
 from .extreal import DEFAULT_TOL, INFINITIES, ExtReal, parse
 from . import kernel as kernel_mod
-from .kernel import Kernel, LipschitzLine
+from .kernel import GridSpec, Kernel, LipschitzLine, labels_of, same_space, space_size
 
 _BLOCK = 256
 
@@ -67,29 +67,41 @@ def _cpus() -> int:
 
 @dataclass(frozen=True, eq=False)
 class FunctionOnSpace:
-    """A function on a finite label set, valued in the extended reals."""
+    """A function on a finite space, valued in the extended reals.  The
+    space is a sequence of labels or a :class:`~galois_solve.kernel.GridSpec`
+    (a kernel's ``x_space`` or ``y_space``), whose labels are formatted
+    when ``labels`` is first read."""
 
-    labels: Tuple[str, ...]
+    space: object
     values: np.ndarray
 
     def __post_init__(self):
+        if not isinstance(self.space, GridSpec):
+            object.__setattr__(self, "space", tuple(self.space))
         arr = np.asarray(self.values, dtype=float)
-        if arr.shape != (len(self.labels),):
+        if arr.shape != (space_size(self.space),):
             raise ValidationError("one value per label is required")
         if np.isnan(arr).any():
             raise ValidationError("NaN is not an extended real value")
         arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
-        object.__setattr__(self, "labels", tuple(self.labels))
+
+    @property
+    def labels(self) -> Tuple[str, ...]:
+        return labels_of(self.space)
 
     @cached_property
     def _index(self) -> Dict[str, int]:
         return {l: k for k, l in enumerate(self.labels)}
 
     @classmethod
-    def from_mapping(cls, labels: Iterable[str], mapping: Mapping) -> "FunctionOnSpace":
-        labels = tuple(labels)
+    def from_mapping(cls, space, mapping: Mapping) -> "FunctionOnSpace":
+        """The function on ``space`` (labels or a grid) with the values
+        ``mapping`` gives its labels."""
+        if not isinstance(space, GridSpec):
+            space = tuple(space)
+        labels = labels_of(space)
         missing = [l for l in labels if l not in mapping]
         if missing:
             raise ValidationError(f"missing values for labels: {missing[:4]}")
@@ -97,7 +109,7 @@ class FunctionOnSpace:
         if extra:
             raise ValidationError(f"values for unknown labels: {sorted(extra)[:4]}")
         vals = [parse(mapping[l], f"value at {l!r}", INFINITIES) for l in labels]
-        return cls(labels, np.array(vals))
+        return cls(space, np.array(vals))
 
     def value(self, label: str) -> ExtReal:
         return ExtReal(self.values[self._index[label]])
@@ -108,7 +120,7 @@ class FunctionOnSpace:
     def with_value(self, label: str, value) -> "FunctionOnSpace":
         vals = self.values.copy()
         vals[self._index[label]] = parse(value, f"value at {label!r}", INFINITIES)
-        return FunctionOnSpace(self.labels, vals)
+        return FunctionOnSpace(self.space, vals)
 
     def leq(self, other: "FunctionOnSpace", tol: float = 0.0) -> bool:
         """Pointwise order, with ``tol`` of slack on finite comparisons."""
@@ -116,7 +128,7 @@ class FunctionOnSpace:
         return bool(np.all(self.values <= other.values + tol))
 
     def _require_same_space(self, other: "FunctionOnSpace"):
-        if self.labels != other.labels:
+        if not same_space(self.space, other.space):
             raise ValidationError("functions live on different spaces")
 
     def __repr__(self):
@@ -184,10 +196,15 @@ def slice_table(kernel: Kernel, lam: np.ndarray) -> np.ndarray:
     return _blocks(kernel, lam)(0, kernel.shape[0])
 
 
+#: Points per chunk of :func:`_envelope_pass`.
+_ENVELOPE_CHUNK = 2**16
+
+
 def _prefix_argmax(s: np.ndarray) -> np.ndarray:
     """For every k, the index of a maximum of ``s[:k + 1]``."""
-    at_top = s == np.maximum.accumulate(s)
-    return np.maximum.accumulate(np.where(at_top, np.arange(len(s)), 0))
+    at = np.arange(len(s))
+    at[s != np.maximum.accumulate(s)] = 0
+    return np.maximum.accumulate(at, out=at)
 
 
 def _envelope_pass(line: LipschitzLine, lam: np.ndarray) -> np.ndarray:
@@ -200,23 +217,33 @@ def _envelope_pass(line: LipschitzLine, lam: np.ndarray) -> np.ndarray:
     table entries there, evaluated with the table's own operations.
     Each value is therefore an entry of its row; where the two splits
     round differently it can sit below the row maximum by a few ulps of
-    a*(|x| + |y|) + |lam|.
+    a*(|x| + |y|) + |lam|.  The x points go in chunks of
+    :data:`_ENVELOPE_CHUNK`, so that the pass holds three arrays of its
+    size, the argmaxes and the result, and chunks of the rest.
     """
     x, y, a = line.xp, line.yp, line.a
     m = len(y)
-    left = _prefix_argmax(a * y - lam)
-    right = m - 1 - _prefix_argmax((-a * y - lam)[::-1])[::-1]
-    # y[:n_left] <= x, and y[n_below:] >= x
-    n_left = np.searchsorted(y, x, side="right")
-    n_below = np.searchsorted(y, x, side="left")
-    jr = right[np.minimum(n_below, m - 1)]
-    jl = np.where(n_left > 0, left[np.maximum(n_left - 1, 0)], jr)
-    jr = np.where(n_below < m, jr, jl)
+    left = _prefix_argmax(np.multiply(y, a) - lam)
+    right_rev = _prefix_argmax((np.multiply(y, -a) - lam)[::-1])  # of y reversed
+    out = np.empty(len(x))
+    for lo in range(0, len(x), _ENVELOPE_CHUNK):
+        xs = x[lo:lo + _ENVELOPE_CHUNK]
+        # y[:n_left] <= x, and y[n_below:] >= x
+        n_left = np.searchsorted(y, xs, side="right")
+        n_below = np.searchsorted(y, xs, side="left")
+        jr = m - 1 - right_rev[np.maximum(m - 1 - n_below, 0)]
+        jl = np.where(n_left > 0, left[np.maximum(n_left - 1, 0)], jr)
+        jr = np.where(n_below < m, jr, jl)
+        np.maximum(_entries(line, xs, jl, lam), _entries(line, xs, jr, lam),
+                   out=out[lo:lo + _ENVELOPE_CHUNK])
+    return out
 
-    def value(j: np.ndarray) -> np.ndarray:
-        return line.entries(x, y[j]) - lam[j]
 
-    return np.maximum(value(jl), value(jr))
+def _entries(line: LipschitzLine, x: np.ndarray, j: np.ndarray, lam: np.ndarray):
+    """The slices of the distance kernel at the pairs (x, y[j]) at lam."""
+    out = line.entries(x, line.yp[j])
+    out -= lam[j]
+    return out
 
 
 def sup_pass(kernel: Kernel, lam: np.ndarray, tol: Optional[float] = None):
@@ -225,7 +252,7 @@ def sup_pass(kernel: Kernel, lam: np.ndarray, tol: Optional[float] = None):
 
     For each x it returns the supremum over y of the slices evaluated
     at ``lam``.  With ``tol`` it also returns the sets of y attaining
-    it, one per x as a :class:`CoverFamily` over the y labels: the
+    it, one per x as a :class:`CoverFamily` over the y side: the
     entries with ``value >= sup - tol``, so that ``tol=0`` keeps the
     exact maximisers and a +inf supremum only the entries equal to it.
     A supremum of -inf is attained by the whole support.  Without
@@ -269,23 +296,23 @@ def sup_pass(kernel: Kernel, lam: np.ndarray, tol: Optional[float] = None):
     top = np.concatenate(tops)
     if tol is None:
         return top, None
-    return top, CoverFamily(kernel.y_labels, kernel.x_labels,
+    return top, CoverFamily(kernel.y_space, kernel.x_space,
                             offsets(np.concatenate(lengths)), np.concatenate(cols))
 
 
 def apply_forward(kernel: Kernel, f: FunctionOnSpace) -> FunctionOnSpace:
     """The connection itself: (Bf)(x) = sup_y b(x, y, f(y))."""
-    if f.labels != kernel.y_labels:
+    if not same_space(f.space, kernel.y_space):
         raise ValidationError("function labels do not match the kernel's y side")
-    return FunctionOnSpace(kernel.x_labels, sup_pass(kernel, f.values)[0])
+    return FunctionOnSpace(kernel.x_space, sup_pass(kernel, f.values)[0])
 
 
 def apply_adjoint(kernel: Kernel, g: FunctionOnSpace) -> FunctionOnSpace:
     """The adjoint connection: (B°g)(y) = sup_x b°(y, x, g(x)), the
     forward map of ``kernel.dual``."""
-    if g.labels != kernel.x_labels:
+    if not same_space(g.space, kernel.x_space):
         raise ValidationError("function labels do not match the kernel's x side")
-    return FunctionOnSpace(kernel.y_labels, sup_pass(kernel.dual, g.values)[0])
+    return FunctionOnSpace(kernel.y_space, sup_pass(kernel.dual, g.values)[0])
 
 
 def projector(kernel: Kernel, g: FunctionOnSpace) -> FunctionOnSpace:
@@ -305,6 +332,6 @@ def subdiff_inverse(kernel: Kernel, g: FunctionOnSpace,
     by y over X; these are the covering sets of the existence criterion.
     All near-maximisers within ``tol`` of a finite supremum are
     included; +inf is attained only by the entries equal to it."""
-    if g.labels != kernel.x_labels:
+    if not same_space(g.space, kernel.x_space):
         raise ValidationError("function labels do not match the kernel's x side")
     return sup_pass(kernel.dual, g.values, tol)

@@ -16,7 +16,9 @@ as typed parameter arrays.  The adjoint is the forward map of
 A1 and A2 on every stored table; a grid family is checked at its
 grids' corners, so that its table is finite.  A kernel always spans
 the whole of X and Y: a restriction of either side belongs to the
-problem (see :class:`galois_solve.solver.Problem`).
+problem (see :class:`galois_solve.solver.Problem`).  Each side is a
+space: the tuple of labels given, or the :class:`GridSpec` of a grid
+kernel, which formats its labels only when they are first read.
 """
 
 from __future__ import annotations
@@ -100,28 +102,42 @@ class GridSpec:
         return out
 
     def labels(self) -> Tuple[str, ...]:
+        """Each point's label, formatted when first read: each coordinate
+        to 12 significant digits, ``"(x,y)"`` on a product of axes."""
         return self._labels
 
     @cached_property
     def _labels(self) -> Tuple[str, ...]:
-        # formatted once per grid, however many kernels and targets use it:
-        # each coordinate to 12 significant digits, axis by axis
-        axes = []
-        for k in range(self.ndim):
-            pts = self.axis(k).tolist()
-            labels = [format(v, ".12g") for v in pts]
-            # rounding keeps the order, so points that share a label are adjacent
-            same = list(map(str.__eq__, labels, labels[1:]))
-            if any(same):
-                i = same.index(True)
-                raise ValidationError(
-                    f"grid {self.dims} has a step below label precision: on axis {k} "
-                    f"the points {pts[i]!r} and {pts[i + 1]!r} share the label "
-                    f"{labels[i]!r}")
-            axes.append(labels)
+        # formatted once per grid, however many kernels and targets use it
+        axes = [self._axis_labels(k) for k in range(self.ndim)]
         if self.ndim == 1:
             return tuple(axes[0])
         return tuple("(" + ",".join(c) + ")" for c in itertools.product(*axes))
+
+    def _axis_labels(self, k: int) -> list:
+        """The labels of axis k; two points that share one are refused."""
+        pts = self.axis(k).tolist()
+        labels = [format(v, ".12g") for v in pts]
+        # rounding keeps the order, so points that share a label are adjacent
+        same = list(map(str.__eq__, labels, labels[1:]))
+        if any(same):
+            i = same.index(True)
+            raise ValidationError(
+                f"grid {self.dims} has a step below label precision: on axis {k} "
+                f"the points {pts[i]!r} and {pts[i + 1]!r} share the label "
+                f"{labels[i]!r}")
+        return labels
+
+    def check_labels(self) -> None:
+        """Refuse a grid whose step is below label precision, formatting
+        only the axes that come near it.  Where the step exceeds 2e-11
+        times the largest |point| of its axis, adjacent points differ by
+        more than two units of their 12th significant digit, so their
+        labels differ."""
+        for k, (a, _, s) in enumerate(self.dims):
+            last = a + s * (_axis_count(*self.dims[k]) - 1)
+            if not s > 2e-11 * max(abs(a), abs(last)):
+                self._axis_labels(k)
 
     def size(self) -> int:
         return math.prod(_axis_count(*d) for d in self.dims)
@@ -192,8 +208,9 @@ class LipschitzLine:
 
     def entries(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """The coupling entries at the point pairs (x, y), evaluated with
-        the same float operations as the kernel's table."""
-        return _neg_omega(np.subtract(y, x), self.a, 1.0)
+        the same float operations as the kernel's table; ``y`` is
+        overwritten with them."""
+        return _neg_omega(np.subtract(y, x, out=y), self.a, 1.0)
 
 
 def _neg_omega(dist: np.ndarray, a: float, q: float) -> np.ndarray:
@@ -405,23 +422,43 @@ class CouplingTable:
         return make_affine(float(self.block(i)[j]), 1.0)
 
 
+def labels_of(space) -> Tuple[str, ...]:
+    """The labels of a space: a tuple of labels, or a :class:`GridSpec`,
+    whose labels are formatted when first read."""
+    return space.labels() if isinstance(space, GridSpec) else space
+
+
+def space_size(space) -> int:
+    return space.size() if isinstance(space, GridSpec) else len(space)
+
+
+def same_space(a, b) -> bool:
+    """Whether two spaces are one: the same tuple, equal grids, or else
+    equal labels."""
+    return a is b or (isinstance(a, GridSpec) and a == b) or labels_of(a) == labels_of(b)
+
+
 class Kernel:
     """Immutable kernel over all of X and Y; construct through the
     ``build_*`` helpers."""
 
-    def __init__(self, x_labels: Sequence[str], y_labels: Sequence[str], table, *,
+    def __init__(self, x_labels, y_labels, table, *,
                  line: Optional[LipschitzLine] = None):
         """The kernel of a :class:`FormTable` or :class:`CouplingTable`.
-        A generated table is a grid family's (``is_grid``).  ``line``,
-        kept as ``lipschitz_line``, is the structure of a 1-D Lipschitz
-        distance table (see :class:`LipschitzLine`), which
-        :func:`build_grid_kernel` derives from the family and the grids."""
-        self.x_labels = tuple(map(str, x_labels))
-        self.y_labels = tuple(map(str, y_labels))
-        if not self.x_labels or not self.y_labels:
+        Each side is a sequence of labels or a :class:`GridSpec`, kept as
+        ``x_space`` and ``y_space``; only labels given as a sequence are
+        checked for duplicates.  A generated table is a grid family's
+        (``is_grid``).  ``line``, kept as ``lipschitz_line``, is the
+        structure of a 1-D Lipschitz distance table (see
+        :class:`LipschitzLine`), which :func:`build_grid_kernel` derives
+        from the family and the grids."""
+        self.x_space, self.y_space = (
+            s if isinstance(s, GridSpec) else tuple(map(str, s)) for s in (x_labels, y_labels))
+        self.shape = space_size(self.x_space), space_size(self.y_space)
+        if not all(self.shape):
             raise ValidationError("index sets must be nonempty")
-        for side, labels in (("x", self.x_labels), ("y", self.y_labels)):
-            if len(set(labels)) != len(labels):
+        for side, space in (("x", self.x_space), ("y", self.y_space)):
+            if not isinstance(space, GridSpec) and len(set(space)) != len(space):
                 raise ValidationError(f"duplicate {side} labels")
         self.table = table
         self.is_grid = table.lazy
@@ -443,8 +480,12 @@ class Kernel:
 
     # ------------------------------------------------------------------
     @property
-    def shape(self) -> Tuple[int, int]:
-        return len(self.x_labels), len(self.y_labels)
+    def x_labels(self) -> Tuple[str, ...]:
+        return labels_of(self.x_space)
+
+    @property
+    def y_labels(self) -> Tuple[str, ...]:
+        return labels_of(self.y_space)
 
     @property
     def is_moreau(self) -> bool:
@@ -459,8 +500,8 @@ class Kernel:
         Its table is ``table.dual``, made at build, and is not checked again."""
         dual, line = object.__new__(Kernel), self.lipschitz_line
         vars(dual).update(
-            x_labels=self.y_labels, y_labels=self.x_labels, table=self.table.dual,
-            is_grid=self.is_grid, dual=self,
+            x_space=self.y_space, y_space=self.x_space, shape=self.shape[::-1],
+            table=self.table.dual, is_grid=self.is_grid, dual=self,
             lipschitz_line=line and LipschitzLine(line.a, line.yp, line.xp))
         return dual
 
@@ -588,15 +629,19 @@ def build_grid_kernel(family, x_grid: GridSpec, y_grid: GridSpec) -> Kernel:
         raise ValidationError(
             f"{family!r} overflows on these grids: its table is not finite at their corners")
 
+    if y_grid == x_grid:  # one grid, sampled and labelled once
+        y_grid = x_grid
     xp = x_grid.points()
-    yp = y_grid.points()
+    yp = xp if y_grid is x_grid else y_grid.points()
     line = None
     if isinstance(family, OmegaLipschitz) and family.q == 1 and x_grid.ndim == 1:
         line = LipschitzLine(family.a, xp, yp)
     block = _family_block(family, xp, yp)
     table = CouplingTable(lambda k: block(k, True), lambda k: block(k, False),
                           (x_grid.size(), y_grid.size()))
-    return Kernel(x_grid.labels(), y_grid.labels(), table, line=line)
+    for grid in dict.fromkeys((x_grid, y_grid)):
+        grid.check_labels()
+    return Kernel(x_grid, y_grid, table, line=line)
 
 
 def _corners(grid: GridSpec) -> np.ndarray:

@@ -71,7 +71,7 @@ class GridFunction:
         return cls(grid, vals)
 
     def to_function(self) -> FunctionOnSpace:
-        return FunctionOnSpace(self.grid.labels(), self.samples)
+        return FunctionOnSpace(self.grid, self.samples)
 
 
 @dataclass(frozen=True, eq=False)
@@ -309,6 +309,8 @@ def _exact_route_gap(xpts, ypts, fv, a, route_a, route_b, arg_a, arg_b) -> float
             if va != vb:
                 return math.inf
             continue
+        if arg_a[i] == arg_b[i]:  # one maximiser: the gap is 0 exactly
+            continue
         gap = abs(exact_value(i, int(arg_a[i])) - exact_value(i, int(arg_b[i])))
         if gap > worst:
             worst = gap
@@ -537,7 +539,7 @@ def exgeom_experiment(step: float = 1e-3) -> LabResult:
     tol = 2.0 * step
 
     kernel = build_grid_kernel(OmegaLipschitz(1.0, 1.0), grid, grid)
-    gf = FunctionOnSpace(kernel.x_labels, gv)
+    gf = FunctionOnSpace(kernel.x_space, gv)
     adj = apply_adjoint(kernel, gf)
     proj = apply_forward(kernel, adj).values
 

@@ -11,9 +11,12 @@ from __future__ import annotations
 import itertools
 import json
 from json.encoder import c_make_encoder, encode_basestring_ascii
-from typing import Optional, Tuple
+from typing import Optional
+
+import numpy as np
 
 from . import extreal
+from .covering import CoverFamily
 from .engine import FunctionOnSpace
 from .errors import ValidationError
 from .kernel import (
@@ -54,7 +57,7 @@ def problem_from_dict(doc: dict) -> Problem:
         gmap = doc["g"]
         if not isinstance(gmap, dict):
             raise ValidationError("'g' must map x labels to values")
-        g = FunctionOnSpace.from_mapping(kernel.x_labels, gmap)
+        g = FunctionOnSpace.from_mapping(kernel.x_space, gmap)
     except ValidationError:
         raise
     except KeyError as exc:
@@ -148,7 +151,7 @@ def function_to_json(f: Optional[FunctionOnSpace]):
 def solution_to_report(sol: Solution) -> dict:
     """The wire form of a solution; round-trips through JSON losslessly."""
     cover = {
-        "sets": {y: sorted(sol.family.sets[y]) for y in sol.family.index_pool},
+        "sets": _sorted_sets(sol.family),
         "essential": list(sol.cover.essential),
         "minimal": sol.cover.is_minimal,
         "uncovered": list(sol.cover.uncovered),
@@ -163,6 +166,21 @@ def solution_to_report(sol: Solution) -> dict:
             extreal.to_json(sol.transformed.values))},
         "caveats": list(sol.caveats),
     }
+
+
+def _sorted_sets(family: CoverFamily) -> dict:
+    """Each index's set as the sorted list of its labels: the members
+    are put in order by one sort on (index, rank of their label)."""
+    uni = family.universe
+    order = sorted(range(len(uni)), key=uni.__getitem__)
+    rank = np.empty(len(uni), np.intp)
+    rank[order] = np.arange(len(uni))
+    row = np.repeat(np.arange(len(family.pool)) * len(uni), np.diff(family.indptr))
+    names = list(map(uni.__getitem__, order))
+    members = list(map(names.__getitem__,
+                       (np.sort(row + rank[family.indices]) - row).tolist()))
+    ptr = family.indptr.tolist()
+    return {z: members[a:b] for z, a, b in zip(family.index_pool, ptr, ptr[1:])}
 
 
 def render_report(report, sort_keys: bool = True) -> str:
@@ -235,9 +253,10 @@ def _lists_by_key(text: str, outer: str, ind: str, inner: str) -> str:
     return "{" + ind + text[1:-2] + end + outer + "}"
 
 
-def parse_function_arg(arg: str, labels: Tuple[str, ...]) -> FunctionOnSpace:
-    """A function given inline as JSON, or in a file via an ``@path``
-    argument.  Values are numbers or the infinity strings."""
+def parse_function_arg(arg: str, space) -> FunctionOnSpace:
+    """A function on ``space`` (labels or a grid) given inline as JSON,
+    or in a file via an ``@path`` argument.  Values are numbers or the
+    infinity strings."""
     if arg.startswith("@"):
         doc = _read_json(arg[1:], "function file")
     else:
@@ -247,4 +266,4 @@ def parse_function_arg(arg: str, labels: Tuple[str, ...]) -> FunctionOnSpace:
             raise ValidationError(f"inline function is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ValidationError("a function must be a JSON object of label: value")
-    return FunctionOnSpace.from_mapping(labels, doc)
+    return FunctionOnSpace.from_mapping(space, doc)

@@ -32,7 +32,7 @@ from .covering import CoverFamily, CoverReport, check_cover, irredundant_subcove
 from .engine import FunctionOnSpace, apply_forward, subdiff_inverse
 from .errors import InternalError, NoSolutionError, ValidationError
 from .extreal import DEFAULT_TOL, close
-from .kernel import Kernel
+from .kernel import Kernel, same_space
 
 
 class Status(str, enum.Enum):
@@ -57,15 +57,16 @@ class Problem:
     y_mask: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.g.labels != self.kernel.x_labels:
+        if not same_space(self.g.space, self.kernel.x_space):
             raise ValidationError("target labels do not match the kernel's x side")
-        for side, labels in (("x", self.kernel.x_labels), ("y", self.kernel.y_labels)):
+        for side, n in zip("xy", self.kernel.shape):
             restrict = getattr(self, side + "_restrict")
             if restrict is None:
-                mask = np.ones(len(labels), dtype=bool)
+                mask = np.ones(n, dtype=bool)
             else:
                 restrict = tuple(restrict)
                 keep = set(restrict)
+                labels = getattr(self.kernel, side + "_labels")
                 mask = np.fromiter((l in keep for l in labels), bool, len(labels))
                 if mask.sum() != len(keep):
                     raise ValidationError(
@@ -103,7 +104,7 @@ def solve(problem: Problem) -> Solution:
     kernel, g = problem.kernel, problem.g
     top, family = subdiff_inverse(kernel, g, problem.tolerance)
     top = np.where(problem.y_mask, top, math.inf)
-    f_min = FunctionOnSpace(kernel.y_labels, top)
+    f_min = FunctionOnSpace(kernel.y_space, top)
     family = family.cut(top < math.inf, problem.x_mask & (g.values > -math.inf))
     report = check_cover(family)
 
@@ -137,11 +138,12 @@ def _alternate_witness(problem: Problem, f_min: FunctionOnSpace,
     witness genuinely differs from the minimal solution.  It is
     re-verified by direct application of the forward transform.
     """
-    keep = set(irredundant_subcover(family))
-    if len(keep) == len(family.index_pool):
+    keep = family.pool[irredundant_subcover(family)]
+    if len(keep) == len(family.pool):
         raise InternalError("non-minimal covering produced no removable index")
-    vals = np.where([y in keep for y in f_min.labels], f_min.values, math.inf)
-    witness = FunctionOnSpace(f_min.labels, vals)
+    vals = np.full(len(f_min.values), math.inf)
+    vals[keep] = f_min.values[keep]
+    witness = FunctionOnSpace(f_min.space, vals)
     if not verify(problem, witness).is_solution:
         raise InternalError("constructed witness failed re-verification")
     return witness
@@ -162,10 +164,10 @@ def verify(problem: Problem, f: FunctionOnSpace) -> VerifyReport:
     restricted) problem: the transform must be <= g everywhere and equal
     to g on X'."""
     g, tol, kernel = problem.g, problem.tolerance, problem.kernel
-    if f.labels != kernel.y_labels:
+    if not same_space(f.space, kernel.y_space):
         raise ValidationError("function labels do not match the kernel's y side")
     bf = apply_forward(kernel, FunctionOnSpace(
-        f.labels, np.where(problem.y_mask, f.values, math.inf)))
+        kernel.y_space, np.where(problem.y_mask, f.values, math.inf)))
     holds = np.where(problem.x_mask, close(bf.values, g.values, tol),
                      bf.values <= g.values + tol)
     return VerifyReport(bool(holds.all()), bf, g, holds)

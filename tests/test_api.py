@@ -3,6 +3,7 @@ import importlib.util
 import pathlib
 import re
 import types
+import weakref
 
 import galois_solve
 
@@ -69,3 +70,9 @@ def test_the_tracer_hooks_read_every_kernel_and_its_dual():
         for side in (k, k.dual):
             assert [type(n) for n in side.shape] == [int, int]
             assert isinstance(side.is_grid, bool) and isinstance(side.is_moreau, bool)
+            # _is_lazy keys a WeakKeyDictionary on the kernel
+            hash(side)
+            assert weakref.ref(side)() is side
+    # the covering.build hook sums the sizes of the sets
+    family = _module("covering").CoverFamily.build(["a", "b"], {"y": {"a"}, "z": set()})
+    assert [len(s) for s in family.sets.values()] == [1, 0]

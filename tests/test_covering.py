@@ -43,18 +43,23 @@ def test_non_cover():
     assert not rep.is_minimal
 
 
+def subcover(fam):
+    """The irredundant subcover of ``fam``, by label."""
+    return fam.index_labels(irredundant_subcover(fam))
+
+
 def test_irredundant_demo_order():
-    assert irredundant_subcover(DEMO) == ("y3",)
+    assert subcover(DEMO) == ("y3",)
 
 
 def test_irredundant_keeps_minimal_family():
     fam = CoverFamily.build(["x1", "x2"], {"y1": {"x2"}, "y2": {"x1"}})
-    assert irredundant_subcover(fam) == ("y1", "y2")
+    assert subcover(fam) == ("y1", "y2")
 
 
 def test_irredundant_duplicate_sets_first_removed():
     fam = CoverFamily.build(["1"], {"a": {"1"}, "b": {"1"}}, ["a", "b"])
-    assert irredundant_subcover(fam) == ("b",)
+    assert subcover(fam) == ("b",)
 
 
 def test_irredundant_disjoint_singletons():
@@ -63,7 +68,7 @@ def test_irredundant_disjoint_singletons():
     )
     rep = check_cover(fam)
     assert rep.is_minimal and rep.essential == ("y0", "y1", "y2")
-    assert irredundant_subcover(fam) == ("y0", "y1", "y2")
+    assert subcover(fam) == ("y0", "y1", "y2")
 
 
 def test_irredundant_empty_universe():
@@ -71,14 +76,14 @@ def test_irredundant_empty_universe():
     fam = CoverFamily.build([], {"y1": {"x"}})
     rep = check_cover(fam)
     assert rep.is_cover and rep.essential == () and not rep.is_minimal
-    assert irredundant_subcover(fam) == ()
+    assert subcover(fam) == ()
 
 
 def test_irredundant_many_duplicate_sets_keeps_the_last():
     fam = CoverFamily.build(["p"], {f"y{i}": {"p"} for i in range(25)})
     rep = check_cover(fam)
     assert rep.is_cover and rep.essential == ()
-    assert irredundant_subcover(fam) == ("y24",)
+    assert subcover(fam) == ("y24",)
 
 
 def test_irredundant_requires_cover():
@@ -124,7 +129,7 @@ def test_cover_report_consistency(fam):
 def test_subcover_chain(fam):
     if not check_cover(fam).is_cover:
         return
-    irr = irredundant_subcover(fam)
+    irr = subcover(fam)
     assert len(irr) <= len(fam.index_pool)
     # irredundant means: within the subfamily every index is essential
     sub = CoverFamily.build(fam.universe, {z: fam.sets[z] for z in irr}, irr)
@@ -151,8 +156,14 @@ def _oracle_check_cover(universe, sets, pool):
             essential.append(z)
             witnesses[z] = min(private, key=pos.__getitem__)
     is_cover = not uncovered
-    return CoverReport(is_cover, uncovered, tuple(essential), witnesses,
-                       is_cover and len(essential) == len(pool))
+    return (is_cover, uncovered, tuple(essential), witnesses,
+            is_cover and len(essential) == len(pool))
+
+
+def labelled(rep: CoverReport):
+    """A report's fields, labels attached, as the oracle gives them."""
+    return (rep.is_cover, rep.uncovered, rep.essential, rep.privately_covered,
+            rep.is_minimal)
 
 
 def _oracle_irredundant(universe, sets, pool):
@@ -192,9 +203,9 @@ def test_index_arrays_match_label_set_oracle(data):
     fam = CoverFamily.build(universe, sets, pool)
     clipped = {z: frozenset(sets[z]) & set(universe) for z in pool}
     assert fam.sets == clipped
-    assert check_cover(fam) == _oracle_check_cover(universe, clipped, pool)
-    if _oracle_check_cover(universe, clipped, pool).is_cover:
-        assert irredundant_subcover(fam) == _oracle_irredundant(
+    assert labelled(check_cover(fam)) == _oracle_check_cover(universe, clipped, pool)
+    if check_cover(fam).is_cover:
+        assert subcover(fam) == _oracle_irredundant(
             universe, clipped, pool)
     else:
         with pytest.raises(NotACoverError):
@@ -214,7 +225,46 @@ def test_index_arrays_match_label_set_oracle(data):
     assert np.array_equal(cut.indptr, want.indptr)
     assert np.array_equal(cut.indices, want.indices)
     assert cut.sets == {z: clipped[z] & set(sub_universe) for z in sub_pool}
-    assert check_cover(cut) == _oracle_check_cover(
+    assert labelled(check_cover(cut)) == _oracle_check_cover(
         want.universe, want.sets, sub_pool)
     if in_pool.all() and in_universe.all():
         assert cut is fam
+
+
+# -- the implementation that read every row through numpy, kept as the
+#    oracle of the one that reads short rows as Python integers
+
+
+def _oracle_irredundant_rows(family):
+    counts = family._counts.copy()
+    keep = np.zeros(len(family.index_pool), dtype=bool)
+    keep[family._private[0]] = True
+    ptr = family.indptr.tolist()
+    for k in np.flatnonzero(~keep).tolist():
+        m = family.indices[ptr[k]:ptr[k + 1]]
+        if (counts[m] > 1).all():
+            counts[m] -= 1
+        else:
+            keep[k] = True
+    return np.flatnonzero(keep)
+
+
+# up to 40 points and 12 sets, of up to 2 or up to 40 members, so that
+# both the short-row and the long-row reading run
+covering_families = st.integers(1, 40).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.integers(2, 40).flatmap(lambda width: st.lists(
+        st.frozensets(st.integers(0, n - 1), max_size=width), min_size=1, max_size=12)),
+))
+
+
+@settings(max_examples=300)
+@given(covering_families)
+def test_irredundant_subcover_matches_the_numpy_rows(data):
+    n, raw = data
+    raw = raw + [frozenset(range(n))] * 2  # always a cover, never minimal
+    fam = CoverFamily.build(range(n), dict(enumerate(raw)))
+    got = irredundant_subcover(fam)
+    assert got.tolist() == _oracle_irredundant_rows(fam).tolist()
+    sub = fam.cut(np.isin(np.arange(len(raw)), got), np.ones(n, dtype=bool))
+    assert check_cover(sub).is_minimal

@@ -3,6 +3,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import FAMILY_GRIDS, FAMILY_IDS, random_moreau_kernel, stored_and_generated
 from test_scalar import adjunction_holds
@@ -169,6 +171,50 @@ def test_grid_finer_than_its_labels_is_refused():
     plane = GridSpec(((0, 1, 0.5), (1e6, 1e6 + 1e-5, 1e-7)))
     with pytest.raises(ValidationError, match="on axis 1"):
         plane.labels()
+
+
+def _labels_collide(grid: GridSpec) -> bool:
+    """The check that formats every label: two points of an axis share one."""
+    for k in range(grid.ndim):
+        labels = [format(v, ".12g") for v in grid.axis(k).tolist()]
+        if len(set(labels)) < len(labels):
+            return True
+    return False
+
+
+# an axis whose step is 1.25**k times the bound 2e-11 * |first point|,
+# from 0.01 to 6 times it, at magnitudes from 1e-12 to 1e12 and
+# mantissas up to 10, where the 12th digit rounds over
+axes_near_the_bound = st.tuples(
+    st.sampled_from([-1.0, 1.0]), st.floats(1.0, 10.0), st.integers(-12, 12),
+    st.floats(-20.0, 8.0), st.integers(2, 30))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(axes_near_the_bound, min_size=1, max_size=2))
+def test_label_precision_refuses_exactly_the_grids_whose_labels_collide(axes):
+    dims = []
+    for sign, mantissa, exp, k, n in axes:
+        first = sign * mantissa * 10.0 ** exp
+        step = 1.25 ** k * 2e-11 * abs(first)
+        dims.append((first, first + step * (n - 0.5), step))
+    grid = GridSpec(tuple(dims))
+    other = GridSpec(((0, 1, 0.5),) * grid.ndim)
+    try:
+        build_grid_kernel(FenchelDot(), grid, other)
+        refused = False
+    except ValidationError as exc:
+        assert "step below label precision" in str(exc)
+        refused = True
+    assert refused == _labels_collide(grid)
+
+
+def test_grid_kernels_format_labels_when_first_read():
+    x, y = GridSpec.line(-1, 1, 0.5), GridSpec.line(0, 2, 1)
+    k = build_grid_kernel(FenchelDot(), x, y)
+    assert "_labels" not in vars(x) and "_labels" not in vars(y)
+    assert k.x_space is x and k.dual.y_space is x and k.shape == (5, 3)
+    assert k.x_labels is x.labels() and k.dual.x_labels == ("0", "1", "2")
 
 
 def test_gridspec_validation():

@@ -2,6 +2,7 @@ import importlib.util
 import json
 import math
 import pathlib
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -226,6 +227,32 @@ def test_quadratic_experiment_dyadic_routes_bitwise_equal():
     assert r.details["float_route_gap"] == 0.0
 
 
+def test_exact_route_gap_evaluates_where_the_maximisers_differ():
+    rng = np.random.default_rng(3)
+    xpts, ypts = rng.uniform(-2, 2, 6), rng.uniform(-2, 2, 9)
+    fv, a = rng.uniform(-1, 1, 9), 0.75
+    arg_a = np.array([0, 3, 5, 8, 2, 2])
+    arg_b = np.array([0, 4, 5, 1, 2, 7])  # three pairs differ
+    route = np.zeros(6)  # finite, as maxima are; only the argmaxes are read
+
+    def exact(i, j):
+        x, y = Fraction(float(xpts[i])), Fraction(float(ypts[j]))
+        return x * y - Fraction(a) / 2 * y * y - Fraction(float(fv[j]))
+
+    brute = max(abs(exact(i, int(p)) - exact(i, int(q)))
+                for i, (p, q) in enumerate(zip(arg_a, arg_b)))
+    assert brute > 0
+    assert lab._exact_route_gap(xpts, ypts, fv, a, route, route, arg_a, arg_b) == \
+        float(brute)
+    # a pair still evaluated needs finite samples; an infinite route returns
+    # before any evaluation
+    fv[4] = math.inf
+    with pytest.raises(ValueError, match="finite sample"):
+        lab._exact_route_gap(xpts, ypts, fv, a, route, route, arg_a, arg_b)
+    assert lab._exact_route_gap(xpts, ypts, fv, a, route, np.full(6, math.inf),
+                                arg_a, arg_b) == math.inf
+
+
 # -- modulus fixed point
 
 
@@ -409,3 +436,13 @@ def test_run_experiment_dispatch():
     assert run_experiment("quadratic").passed
     with pytest.raises(ValidationError):
         run_experiment("unknown-name")
+
+
+def test_labs_read_no_labels(monkeypatch):
+    """Every experiment runs on grid positions: no grid label is formatted."""
+    def refuse(grid):
+        raise AssertionError(f"a lab read the labels of {grid}")
+
+    monkeypatch.setattr(GridSpec, "labels", refuse)
+    for name in EXPERIMENTS:
+        assert run_experiment(name).passed, name
