@@ -24,7 +24,7 @@ from typing import Dict, Iterable, Mapping, Optional, Tuple
 import numpy as np
 
 from .errors import NotACoverError, ValidationError
-from .kernel import labels_of, space_size
+from .kernel import labels_of
 
 
 def offsets(lengths) -> np.ndarray:
@@ -39,25 +39,20 @@ class CoverFamily:
     The universe is the points at the ascending positions ``points`` of
     the space ``universe_space``, and the index pool those at ``pool``
     of ``pool_space``: a space is a tuple of labels or a grid (see
-    :class:`galois_solve.engine.FunctionOnSpace`), and the positions
-    default to the whole space.  The set of the k-th index of the pool
-    is ``indices[indptr[k]:indptr[k + 1]]``, its sorted positions in
-    the universe: the row offsets and column indices of a sparse 0/1
-    matrix (CSR).  Labels are attached only when read: ``universe``,
-    ``index_pool``, and ``sets``, the same family by label.
+    :class:`galois_solve.engine.FunctionOnSpace`).  The set of the k-th
+    index of the pool is ``indices[indptr[k]:indptr[k + 1]]``, its
+    sorted positions in the universe: the row offsets and column
+    indices of a sparse 0/1 matrix (CSR).  Labels are attached only
+    when read: ``universe``, ``index_pool``, and ``sets``, the same
+    family by label.
     """
 
     universe_space: object
     pool_space: object
+    points: np.ndarray = field(repr=False)
+    pool: np.ndarray = field(repr=False)
     indptr: np.ndarray = field(repr=False)
     indices: np.ndarray = field(repr=False)
-    points: Optional[np.ndarray] = field(default=None, repr=False)
-    pool: Optional[np.ndarray] = field(default=None, repr=False)
-
-    def __post_init__(self):
-        for name, space in (("points", self.universe_space), ("pool", self.pool_space)):
-            if getattr(self, name) is None:
-                object.__setattr__(self, name, np.arange(space_size(space)))
 
     @classmethod
     def build(cls, universe: Iterable, sets: Mapping,
@@ -72,24 +67,17 @@ class CoverFamily:
             raise ValidationError(f"pool indices without sets: {missing[:4]}")
         pos = {w: k for k, w in enumerate(uni)}
         rows = [sorted(pos[w] for w in set(sets[z]) if w in pos) for z in pool]
-        return cls(uni, pool, offsets([len(r) for r in rows]),
+        return cls(uni, pool, np.arange(len(uni)), np.arange(len(pool)),
+                   offsets([len(r) for r in rows]),
                    np.fromiter(chain.from_iterable(rows), np.intp))
-
-    def point_labels(self, at) -> Tuple[str, ...]:
-        """The labels of the universe points at the positions ``at``."""
-        return _labels_at(self.universe_space, self.points[at])
-
-    def index_labels(self, at) -> Tuple[str, ...]:
-        """The labels of the pool indices at the positions ``at``."""
-        return _labels_at(self.pool_space, self.pool[at])
 
     @cached_property
     def universe(self) -> Tuple[str, ...]:
-        return self.point_labels(slice(None))
+        return _labels_at(self.universe_space, self.points)
 
     @cached_property
     def index_pool(self) -> Tuple[str, ...]:
-        return self.index_labels(slice(None))
+        return _labels_at(self.pool_space, self.pool)
 
     @cached_property
     def sets(self) -> Dict[str, frozenset]:
@@ -128,15 +116,20 @@ class CoverFamily:
         keep = np.repeat(pool, np.diff(self.indptr)) & points[self.indices]
         kept = np.concatenate(([0], np.cumsum(keep)))[self.indptr]
         return CoverFamily(self.universe_space, self.pool_space,
+                           self.points[points], self.pool[pool],
                            offsets(np.diff(kept)[pool]),
-                           (np.cumsum(points) - 1)[self.indices[keep]],
-                           self.points[points], self.pool[pool])
+                           (np.cumsum(points) - 1)[self.indices[keep]])
 
 
 def _labels_at(space, at: np.ndarray) -> Tuple[str, ...]:
+    """The labels of ``space`` at the positions ``at``."""
     labels = labels_of(space)
     if np.array_equal(at, np.arange(len(labels))):
         return labels
+    return _pick(labels, at)
+
+
+def _pick(labels: Tuple[str, ...], at: np.ndarray) -> Tuple[str, ...]:
     return tuple(map(labels.__getitem__, at.tolist()))
 
 
@@ -167,15 +160,15 @@ class CoverReport:
 
     @cached_property
     def uncovered(self) -> Tuple[str, ...]:
-        return self.family.point_labels(self.uncovered_at)
+        return _pick(self.family.universe, self.uncovered_at)
 
     @cached_property
     def essential(self) -> Tuple[str, ...]:
-        return self.family.index_labels(self.essential_at)
+        return _pick(self.family.index_pool, self.essential_at)
 
     @cached_property
     def privately_covered(self) -> Dict[str, str]:
-        return dict(zip(self.essential, self.family.point_labels(self.private_at)))
+        return dict(zip(self.essential, _pick(self.family.universe, self.private_at)))
 
     def __eq__(self, other):
         if not isinstance(other, CoverReport):

@@ -52,7 +52,7 @@ from .covering import CoverFamily, offsets
 from .errors import ValidationError
 from .extreal import DEFAULT_TOL, INFINITIES, ExtReal, parse
 from . import kernel as kernel_mod
-from .kernel import GridSpec, Kernel, LipschitzLine, labels_of, same_space, space_size
+from .kernel import GridSpec, Kernel, LipschitzLine, labels_of, same_space
 
 _BLOCK = 256
 
@@ -79,7 +79,7 @@ class FunctionOnSpace:
         if not isinstance(self.space, GridSpec):
             object.__setattr__(self, "space", tuple(self.space))
         arr = np.asarray(self.values, dtype=float)
-        if arr.shape != (space_size(self.space),):
+        if arr.shape != (len(self.space),):
             raise ValidationError("one value per label is required")
         if np.isnan(arr).any():
             raise ValidationError("NaN is not an extended real value")
@@ -296,8 +296,9 @@ def sup_pass(kernel: Kernel, lam: np.ndarray, tol: Optional[float] = None):
     top = np.concatenate(tops)
     if tol is None:
         return top, None
-    return top, CoverFamily(kernel.y_space, kernel.x_space,
-                            offsets(np.concatenate(lengths)), np.concatenate(cols))
+    return top, CoverFamily(kernel.y_space, kernel.x_space, np.arange(n_in),
+                            np.arange(n_out), offsets(np.concatenate(lengths)),
+                            np.concatenate(cols))
 
 
 def apply_forward(kernel: Kernel, f: FunctionOnSpace) -> FunctionOnSpace:

@@ -56,7 +56,8 @@ MAX_GRID_POINTS = 10**7
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Uniform grid, one (min, max, step) triple per dimension."""
+    """Uniform grid, one (min, max, step) triple per dimension; its
+    length is its number of points."""
 
     dims: Tuple[Tuple[float, float, float], ...]
 
@@ -141,6 +142,8 @@ class GridSpec:
 
     def size(self) -> int:
         return math.prod(_axis_count(*d) for d in self.dims)
+
+    __len__ = size
 
     @classmethod
     def from_dict(cls, d: dict) -> "GridSpec":
@@ -428,10 +431,6 @@ def labels_of(space) -> Tuple[str, ...]:
     return space.labels() if isinstance(space, GridSpec) else space
 
 
-def space_size(space) -> int:
-    return space.size() if isinstance(space, GridSpec) else len(space)
-
-
 def same_space(a, b) -> bool:
     """Whether two spaces are one: the same tuple, equal grids, or else
     equal labels."""
@@ -454,7 +453,7 @@ class Kernel:
         from the family and the grids."""
         self.x_space, self.y_space = (
             s if isinstance(s, GridSpec) else tuple(map(str, s)) for s in (x_labels, y_labels))
-        self.shape = space_size(self.x_space), space_size(self.y_space)
+        self.shape = len(self.x_space), len(self.y_space)
         if not all(self.shape):
             raise ValidationError("index sets must be nonempty")
         for side, space in (("x", self.x_space), ("y", self.y_space)):

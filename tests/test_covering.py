@@ -45,7 +45,7 @@ def test_non_cover():
 
 def subcover(fam):
     """The irredundant subcover of ``fam``, by label."""
-    return fam.index_labels(irredundant_subcover(fam))
+    return tuple(fam.index_pool[k] for k in irredundant_subcover(fam))
 
 
 def test_irredundant_demo_order():
