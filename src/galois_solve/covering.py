@@ -73,11 +73,11 @@ class CoverFamily:
 
     @cached_property
     def universe(self) -> Tuple[str, ...]:
-        return _labels_at(self.universe_space, self.points)
+        return _pick(labels_of(self.universe_space), self.points)
 
     @cached_property
     def index_pool(self) -> Tuple[str, ...]:
-        return _labels_at(self.pool_space, self.pool)
+        return _pick(labels_of(self.pool_space), self.pool)
 
     @cached_property
     def sets(self) -> Dict[str, frozenset]:
@@ -121,15 +121,8 @@ class CoverFamily:
                            (np.cumsum(points) - 1)[self.indices[keep]])
 
 
-def _labels_at(space, at: np.ndarray) -> Tuple[str, ...]:
-    """The labels of ``space`` at the positions ``at``."""
-    labels = labels_of(space)
-    if np.array_equal(at, np.arange(len(labels))):
-        return labels
-    return _pick(labels, at)
-
-
 def _pick(labels: Tuple[str, ...], at: np.ndarray) -> Tuple[str, ...]:
+    """The labels at the positions ``at``."""
     return tuple(map(labels.__getitem__, at.tolist()))
 
 

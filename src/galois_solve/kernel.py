@@ -135,8 +135,8 @@ class GridSpec:
         times the largest |point| of its axis, adjacent points differ by
         more than two units of their 12th significant digit, so their
         labels differ."""
-        for k, (a, _, s) in enumerate(self.dims):
-            last = a + s * (_axis_count(*self.dims[k]) - 1)
+        for k, (a, b, s) in enumerate(self.dims):
+            last = a + s * (_axis_count(a, b, s) - 1)
             if not s > 2e-11 * max(abs(a), abs(last)):
                 self._axis_labels(k)
 
