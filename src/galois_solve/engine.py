@@ -105,9 +105,10 @@ class FunctionOnSpace:
         missing = [l for l in labels if l not in mapping]
         if missing:
             raise ValidationError(f"missing values for labels: {missing[:4]}")
-        extra = set(mapping) - set(labels)
+        known = set(labels)
+        extra = [k for k in mapping if k not in known]
         if extra:
-            raise ValidationError(f"values for unknown labels: {sorted(extra)[:4]}")
+            raise ValidationError(f"values for unknown labels: {extra[:4]}")
         vals = [parse(mapping[l], f"value at {l!r}", INFINITIES) for l in labels]
         return cls(space, np.array(vals))
 

@@ -62,7 +62,12 @@ class GridSpec:
     dims: Tuple[Tuple[float, float, float], ...]
 
     def __post_init__(self):
-        dims = tuple((float(a), float(b), float(s)) for a, b, s in self.dims)
+        try:
+            dims = tuple((float(a), float(b), float(s)) for a, b, s in self.dims)
+        except (TypeError, ValueError):
+            raise ValidationError(
+                f"grid {self.dims!r}: each dimension must be three numbers "
+                "(min, max, step)") from None
         object.__setattr__(self, "dims", dims)
         if not dims:
             raise ValidationError("grid needs at least one dimension")
@@ -193,9 +198,6 @@ class OmegaLipschitz:
             raise ValidationError("omega scale must satisfy a > 0")
         if not (0 < self.q <= 1):
             raise ValidationError("omega exponent must satisfy 0 < q <= 1")
-
-    def omega(self, u):
-        return self.a * np.abs(u) ** self.q
 
 
 @dataclass(frozen=True, eq=False)

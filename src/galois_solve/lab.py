@@ -7,12 +7,17 @@ conjugate values whose argmax lands on the window edge are flagged and
 excluded from pass/fail accounting: a boundary-attained maximum may
 mask divergence.
 
-Every maximum over a grid, with its exact argmax set, comes from the
-engine's reduction (:func:`galois_solve.engine.sup_pass`) over a grid
-kernel, at tie tolerance 0.  Two checks stay independent of it on
-purpose: the Lipschitz experiment's input check and the exgeom
-experiment's nonempty-subdifferential predicate.  The quadratic experiment's two
-routes share only the reduction; their integrands are built apart.
+A :class:`GridFunction` is a :class:`~galois_solve.engine.FunctionOnSpace`
+whose space is a :class:`~galois_solve.kernel.GridSpec`.  Every maximum
+over a grid, with its exact argmax set, comes from the engine's
+reduction (:func:`galois_solve.engine.sup_pass`) over a grid kernel, at
+tie tolerance 0.  The pre-checks read kernel entries, not the
+reduction: the Lipschitz experiment's input check evaluates the modulus
+with the kernel's own per-entry operations, and the exgeom experiment's
+spot subdifferentials read the kernel's rows.  The exgeom
+nonempty-subdifferential predicate stays independent of the reduction
+too.  The quadratic experiment's two routes share only the reduction;
+their integrands are built apart.
 
 Tolerances follow the local-slope model: a C^1 integrand sampled at
 step h attains its supremum up to h times a slope bound, so pass/fail
@@ -39,27 +44,21 @@ from .kernel import (
     OmegaLipschitz,
     Quadratic,
     WeightedPower,
+    _neg_omega,
     build_grid_kernel,
 )
 from .solver import Problem, Status, solve
 
 
 @dataclass(frozen=True, eq=False)
-class GridFunction:
-    """Samples of an extended-real function on a uniform grid."""
-
-    grid: GridSpec
-    samples: np.ndarray
+class GridFunction(FunctionOnSpace):
+    """A function on a grid: a :class:`FunctionOnSpace` whose space is a
+    :class:`GridSpec`, one value per grid point."""
 
     def __post_init__(self):
-        arr = np.asarray(self.samples, dtype=float)
-        if arr.shape != (self.grid.size(),):
-            raise ValidationError("one sample per grid point is required")
-        if np.isnan(arr).any():
-            raise ValidationError("NaN sample")
-        arr = arr.copy()
-        arr.flags.writeable = False
-        object.__setattr__(self, "samples", arr)
+        if not isinstance(self.space, GridSpec):
+            raise ValidationError("a grid function's space must be a GridSpec")
+        super().__post_init__()
 
     @classmethod
     def from_callable(cls, grid: GridSpec, fn: Callable) -> "GridFunction":
@@ -69,9 +68,6 @@ class GridFunction:
         else:
             vals = np.asarray([fn(p) for p in pts], dtype=float)
         return cls(grid, vals)
-
-    def to_function(self) -> FunctionOnSpace:
-        return FunctionOnSpace(self.grid, self.samples)
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,43 +130,38 @@ def _touches(ties, where: np.ndarray) -> np.ndarray:
     return np.logical_or.reduceat(where[ties.indices], ties.indptr[:-1])
 
 
-def _edge_mask(ypts: np.ndarray) -> np.ndarray:
-    if ypts.ndim == 1:
-        edge = np.zeros(len(ypts), dtype=bool)
-        edge[0] = edge[-1] = True
-        return edge
-    lo = ypts.min(axis=0)
-    hi = ypts.max(axis=0)
-    return ((ypts == lo[None, :]) | (ypts == hi[None, :])).any(axis=1)
+def _edge_mask(grid: GridSpec) -> np.ndarray:
+    """Per grid point, whether some coordinate is at its axis's end."""
+    pts = grid.points().reshape(len(grid), -1)
+    return ((pts == pts.min(axis=0)) | (pts == pts.max(axis=0))).any(axis=1)
 
 
 def _pairing(x_grid: GridSpec, y_grid: GridSpec):
     """The kernel <x, y> of the classical conjugate."""
-    if x_grid.ndim != y_grid.ndim:
-        raise ValidationError("conjugate grids must share a dimension")
     if x_grid.ndim > 2:
         raise ValidationError("only 1-D and 2-D grids are supported")
     return build_grid_kernel(FenchelDot(), x_grid, y_grid)
 
 
-def _conjugate(pairing, f: GridFunction, x_grid: GridSpec):
-    """max_y (<x, y> - f(y)) over the ``pairing`` kernel of x_grid and
-    f's grid, the first argmax per x, and a flag for maxima also
-    attained on the y-window edge."""
-    gvals, ties = sup_pass(pairing, f.samples, tol=0.0)
-    boundary = _touches(ties, _edge_mask(f.grid.points()))
-    return GridFunction(x_grid, gvals), ties.indices[ties.indptr[:-1]], boundary
+def _maxima(kernel, f: GridFunction):
+    """max_y (bbar(x, y) - f(y)) over the grid kernel, as a function on
+    its x grid, the first argmax per x, and a flag for maxima also
+    attained on the edge of f's grid."""
+    gvals, ties = sup_pass(kernel, f.values, tol=0.0)
+    boundary = _touches(ties, _edge_mask(f.space))
+    return (GridFunction(kernel.x_space, gvals), ties.indices[ties.indptr[:-1]],
+            boundary)
 
 
 def fenchel_conjugate(f: GridFunction, x_grid: GridSpec) -> GridFunction:
     """The discrete conjugate g(x) = max over grid y of <x,y> - f(y)."""
-    return _conjugate(_pairing(x_grid, f.grid), f, x_grid)[0]
+    return _maxima(_pairing(x_grid, f.space), f)[0]
 
 
 def conjugate_with_flags(f: GridFunction, x_grid: GridSpec):
     """Like :func:`fenchel_conjugate` but also returns the per-point
     argmax index and the boundary-attainment flag."""
-    return _conjugate(_pairing(x_grid, f.grid), f, x_grid)
+    return _maxima(_pairing(x_grid, f.space), f)
 
 
 # ----------------------------------------------------------------------
@@ -192,19 +183,19 @@ def fenchel_experiment(step: float = 0.01) -> LabResult:
 
     pairing = _pairing(x_grid, y_grid)
     f = GridFunction(y_grid, 0.5 * ypts * ypts)
-    g, _, boundary = _conjugate(pairing, f, x_grid)
+    g, _, boundary = _maxima(pairing, f)
     interior = ~boundary
-    err_parabola = float(np.max(np.abs(g.samples[interior]
+    err_parabola = float(np.max(np.abs(g.values[interior]
                                        - 0.5 * xpts[interior] ** 2)))
 
     # product inequality f(y) + g(x) >= x*y, checked against the rows of
     # the kernel the conjugate maximised over, hence exact
-    t = pairing.bbar_row(slice(None)) - f.samples[None, :]
-    fy_violation = float((t - g.samples[:, None]).max())
+    t = pairing.bbar_row(slice(None)) - f.values[None, :]
+    fy_violation = float((t - g.values[:, None]).max())
 
     f_abs = GridFunction(y_grid, np.abs(ypts))
-    g_abs, _, b_abs = _conjugate(pairing, f_abs, x_grid)
-    err_abs = float(np.max(np.abs(g_abs.samples[inside])))
+    g_abs, _, b_abs = _maxima(pairing, f_abs)
+    err_abs = float(np.max(np.abs(g_abs.values[inside])))
     outside_flagged = bool(np.all(b_abs[np.abs(xpts) > 1.0 + step]))
 
     tol = 1e-3
@@ -226,8 +217,8 @@ def fenchel_experiment(step: float = 0.01) -> LabResult:
         max_abs_error=err_parabola,
         tolerance=tol,
         passed=bool(passed),
-        curves={"x": xpts, "conjugate_of_half_square": g.samples,
-                "conjugate_of_abs": g_abs.samples},
+        curves={"x": xpts, "conjugate_of_half_square": g.values,
+                "conjugate_of_abs": g_abs.values},
     )
 
 
@@ -235,8 +226,7 @@ def fenchel_experiment(step: float = 0.01) -> LabResult:
 # experiment: quadratic-kernel reduction
 
 
-def quadratic_reduction_check(f: GridFunction, a: float,
-                              x_grid: Optional[GridSpec] = None) -> LabResult:
+def quadratic_reduction_check(f: GridFunction, a: float) -> LabResult:
     """Two routes to the quadratic-kernel transform of f.
 
     Route one runs the generic engine over the quadratic coupling
@@ -249,25 +239,20 @@ def quadratic_reduction_check(f: GridFunction, a: float,
     can reach one ulp since the two routes associate the subtraction
     differently.
     """
-    if x_grid is None:
-        x_grid = f.grid
-    y_grid = f.grid
-    ypts, xpts = y_grid.points(), x_grid.points()
-    fv = f.samples
+    grid, fv = f.space, f.values
+    pts = grid.points()
 
-    kernel = build_grid_kernel(Quadratic(a), x_grid, y_grid)
-    route_a, ties = sup_pass(kernel, fv, tol=0.0)
-    arg_a = ties.indices[ties.indptr[:-1]]
+    top_a, arg_a, _ = _maxima(build_grid_kernel(Quadratic(a), grid, grid), f)
 
-    if y_grid.ndim == 1:
-        penalty = 0.5 * a * ypts * ypts
+    if grid.ndim == 1:
+        penalty = 0.5 * a * pts * pts
     else:
-        penalty = 0.5 * a * np.sum(ypts * ypts, axis=1)
-    shifted = GridFunction(y_grid, np.where(np.isposinf(fv), np.inf, fv + penalty))
-    route_b_fn, arg_b, _ = conjugate_with_flags(shifted, x_grid)
-    route_b = route_b_fn.samples
+        penalty = 0.5 * a * np.sum(pts * pts, axis=1)
+    shifted = GridFunction(grid, np.where(np.isposinf(fv), np.inf, fv + penalty))
+    top_b, arg_b, _ = conjugate_with_flags(shifted, grid)
+    route_a, route_b = top_a.values, top_b.values
 
-    exact_err = _exact_route_gap(xpts, ypts, fv, a, route_a, route_b, arg_a, arg_b)
+    exact_err = _exact_route_gap(pts, pts, fv, a, route_a, route_b, arg_a, arg_b)
     with np.errstate(invalid="ignore"):
         float_gap = float(
             np.max(np.abs(np.where(route_a == route_b, 0.0, route_a - route_b)))
@@ -278,7 +263,7 @@ def quadratic_reduction_check(f: GridFunction, a: float,
             "a": a,
             "exact_max_gap": exact_err,
             "float_route_gap": float_gap,
-            "n_x": len(xpts),
+            "n_x": len(pts),
         },
         max_abs_error=exact_err,
         tolerance=0.0,
@@ -289,14 +274,12 @@ def quadratic_reduction_check(f: GridFunction, a: float,
 
 def _exact_route_gap(xpts, ypts, fv, a, route_a, route_b, arg_a, arg_b) -> float:
     half_a = Fraction(a) / 2
+    xpts, ypts = xpts.reshape(len(xpts), -1), ypts.reshape(len(ypts), -1)
 
     def exact_value(i: int, j: int) -> Fraction:
         fj = fv[j]
         if not math.isfinite(fj):
             raise ValueError("exact evaluation needs a finite sample")
-        if ypts.ndim == 1:
-            x, y = Fraction(float(xpts[i])), Fraction(float(ypts[j]))
-            return x * y - half_a * y * y - Fraction(float(fj))
         dot = sum(Fraction(float(xc)) * Fraction(float(yc))
                   for xc, yc in zip(xpts[i], ypts[j]))
         sq = sum(Fraction(float(yc)) ** 2 for yc in ypts[j])
@@ -340,31 +323,29 @@ def lipschitz_fixed_point(g: GridFunction, a: float = 1.0,
     the modulus bound is strict off the diagonal the solver must report
     a unique solution.
     """
-    if g.grid.ndim != 1:
+    if g.space.ndim != 1:
         raise ValidationError("this experiment runs on 1-D grids")
     family = OmegaLipschitz(a=a, q=q)
-    pts = g.grid.points()
-    gv = g.samples
+    pts, gv = g.space.points(), g.values
     if not np.all(np.isfinite(gv)):
         raise ValidationError("the target must be finite on the grid")
 
-    worst, (i, j), strict = _modulus_check(pts, gv, family.omega)
+    worst, (i, j), strict = _modulus_check(pts, gv, a, q)
     if worst > 0:
         raise NotLipschitzError(
             f"|g({pts[i]}) - g({pts[j]})| exceeds omega by {worst:.3g}",
             pair=(float(pts[i]), float(pts[j])),
         )
 
-    kernel = build_grid_kernel(family, g.grid, g.grid)
-    gf = g.to_function()
-    adj = apply_adjoint(kernel, gf)
+    kernel = build_grid_kernel(family, g.space, g.space)
+    adj = apply_adjoint(kernel, g)
     err_adjoint = float(np.max(np.abs(adj.values + gv)))
     proj = apply_forward(kernel, adj)
     err_projector = float(np.max(np.abs(proj.values - gv)))
 
     status = None
     if strict:
-        status = solve(Problem(kernel, gf)).status
+        status = solve(Problem(kernel, g)).status
 
     passed = (
         err_adjoint == 0.0
@@ -391,19 +372,21 @@ def lipschitz_fixed_point(g: GridFunction, a: float = 1.0,
 _CHECK_ENTRIES = 2**18
 
 
-def _modulus_check(pts: np.ndarray, gv: np.ndarray, omega: Callable):
-    """The largest |g(x) - g(y)| - omega(x - y) over all pairs of grid
-    points, the first pair in row-major order attaining it, and whether
-    the difference is negative off the diagonal.  Rows go in blocks of
-    about :data:`_CHECK_ENTRIES` entries, so memory stays linear in the
-    grid size."""
+def _modulus_check(pts: np.ndarray, gv: np.ndarray, a: float, q: float):
+    """The largest |g(x) - g(y)| - omega(x - y), omega(u) = a|u|^q, over
+    all pairs of grid points, the first pair in row-major order
+    attaining it, and whether the difference is negative off the
+    diagonal.  -omega is evaluated in place with the kernel's per-entry
+    operations.  Rows go in blocks of about :data:`_CHECK_ENTRIES`
+    entries, so memory stays linear in the grid size."""
     n = len(pts)
     rows = max(1, _CHECK_ENTRIES // n)
     worst, at, strict = -math.inf, (0, 0), True
     for lo in range(0, n, rows):
         hi = min(lo + rows, n)
-        viol = np.abs(gv[lo:hi, None] - gv[None, :])
-        viol -= omega(pts[lo:hi, None] - pts[None, :])
+        viol = _neg_omega(np.subtract(pts[lo:hi, None], pts[None, :]), a, q)
+        dg = np.subtract(gv[lo:hi, None], gv[None, :])
+        viol += np.abs(dg, out=dg)
         k = int(np.argmax(viol))
         if viol.flat[k] > worst:
             worst, at = float(viol.flat[k]), divmod(lo * n + k, n)
@@ -434,15 +417,11 @@ def weighted_power_domain(f: GridFunction, p: float,
     grid but not certified.  The certified region must be an up-set in
     the weight, reflecting the product structure of the inner domain.
     """
-    if f.grid.ndim != 1 or xprime_grid.ndim != 1 or xsecond_grid.ndim != 1:
-        raise ValidationError("weighted-power experiment uses 1-D grids")
     levels = xsecond_grid.points()
     # x' major, x'' minor: the column k of a reshaped result is level k
     x_grid = GridSpec(xprime_grid.dims + xsecond_grid.dims)
-    kernel = build_grid_kernel(WeightedPower(p), x_grid, f.grid)
-    top, ties = sup_pass(kernel, f.samples, tol=0.0)
-    finite = np.isfinite(top).reshape(-1, len(levels)).all(axis=0)
-    at_edge = _touches(ties, _edge_mask(f.grid.points()))
+    top, _, at_edge = _maxima(build_grid_kernel(WeightedPower(p), x_grid, f.space), f)
+    finite = np.isfinite(top.values).reshape(-1, len(levels)).all(axis=0)
     at_edge = at_edge.reshape(-1, len(levels)).any(axis=0)
 
     per_level = [
@@ -539,8 +518,7 @@ def exgeom_experiment(step: float = 1e-3) -> LabResult:
     tol = 2.0 * step
 
     kernel = build_grid_kernel(OmegaLipschitz(1.0, 1.0), grid, grid)
-    gf = FunctionOnSpace(kernel.x_space, gv)
-    adj = apply_adjoint(kernel, gf)
+    adj = apply_adjoint(kernel, GridFunction(grid, gv))
     proj = apply_forward(kernel, adj).values
 
     err_left = float(np.max(np.abs(
@@ -568,17 +546,18 @@ def exgeom_experiment(step: float = 1e-3) -> LabResult:
         (pts >= 3.0 - lin_slack)
     intervals_ok = bool(np.all(fixed_set[inner]) and np.all(outer[fixed_set]))
 
+    def spot_subdiff(x0: float):
+        """The grid point i nearest x0 and the y whose adjoint value is
+        within tol of the kernel's row at x_i minus g(x_i)."""
+        i = int(np.argmin(np.abs(pts - x0)))
+        return i, np.abs(av - (kernel.bbar_row(i) - gv[i])) <= tol
+
     spot = {}
     for x0, lo_y, hi_y in ((0.5, 0.5, 1.0), (3.0, 2.0, 3.0)):
-        members = _spot_subdiff(pts, gv, av, x0, tol)
-        wanted = (pts >= lo_y) & (pts <= hi_y)
-        spot[x0] = bool(np.all(members[wanted]))
-    m4 = _spot_subdiff(pts, gv, av, 4.0, tol)
-    idx4 = np.nonzero(m4)[0]
-    spot_4 = bool(
-        m4[np.argmin(np.abs(pts - 4.0))]
-        and np.all(np.abs(pts[idx4] - 4.0) <= 5 * step)
-    )
+        members = spot_subdiff(x0)[1]
+        spot[x0] = bool(np.all(members[(pts >= lo_y) & (pts <= hi_y)]))
+    i4, m4 = spot_subdiff(4.0)
+    spot_4 = bool(m4[i4] and np.all(np.abs(pts[m4] - 4.0) <= 5 * step))
 
     worst = max(err_left, err_fixed, err_mid)
     passed = (
@@ -616,13 +595,6 @@ def _subdiff_nonempty(pts: np.ndarray, gv: np.ndarray, av: np.ndarray,
     left = np.minimum.accumulate(av - pts) + pts
     right = np.minimum.accumulate((av + pts)[::-1])[::-1] - pts
     return np.minimum(left, right) + gv <= tol
-
-
-def _spot_subdiff(pts: np.ndarray, gv: np.ndarray, adj: np.ndarray,
-                  x0: float, tol: float) -> np.ndarray:
-    i = int(np.argmin(np.abs(pts - x0)))
-    cand = -np.abs(pts[i] - pts) - gv[i]
-    return np.abs(adj - cand) <= tol
 
 
 # ----------------------------------------------------------------------

@@ -195,7 +195,7 @@ class StructureReport:
 _ENUM_LIMIT = 14
 
 
-def solution_structure(problem: Problem, limit: int = _ENUM_LIMIT) -> StructureReport:
+def solution_structure(problem: Problem) -> StructureReport:
     sol = solve(problem)
     if sol.status == Status.NO_SOLUTION:
         raise NoSolutionError("problem has no solution")
@@ -208,7 +208,7 @@ def solution_structure(problem: Problem, limit: int = _ENUM_LIMIT) -> StructureR
         degenerate = "target identically +inf"
 
     pool = family.index_pool
-    if len(pool) > limit:
+    if len(pool) > _ENUM_LIMIT:
         return StructureReport(sol.cover.essential, None, None, degenerate)
 
     admissible = []
@@ -239,16 +239,10 @@ def oracle_check(problem: Problem, trials: int = 200, seed: int = 0) -> bool:
     y_labels = tuple(compress(problem.kernel.y_labels, problem.y_mask))
     if problem.kernel.shape[0] > 6 or len(y_labels) > 6:
         raise ValidationError("oracle check is limited to |X|, |Y'| <= 6")
-    tol = problem.tolerance
     sol = solve(problem)
-    g = problem.g
     f_min = sol.f_min
-
-    pg = apply_forward(problem.kernel, f_min)
-    in_universe = problem.x_mask & (g.values > -math.inf)
-    exists_oracle = pg.leq(g, tol) and bool(
-        close(pg.values, g.values, tol)[in_universe].all()
-    )
+    # f_min is +inf off Y' already, as verify takes it
+    exists_oracle = verify(problem, f_min).is_solution
     if exists_oracle != (sol.status != Status.NO_SOLUTION):
         return False
     if not exists_oracle:

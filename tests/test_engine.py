@@ -166,6 +166,12 @@ def test_label_mismatch_raises(demo_kernel, demo_g):
         apply_forward(demo_kernel, demo_g)  # g lives on the x side
 
 
+def test_from_mapping_lists_unknown_keys_of_any_type():
+    # keys that do not compare with each other are listed in mapping order
+    with pytest.raises(ValidationError, match=r"unknown labels: \[1, 'b'\]"):
+        FunctionOnSpace.from_mapping(("a",), {1: 2, "b": 3, "a": 0})
+
+
 # -- algebraic laws on random kernels (small copies; the acceptance
 #    suite runs the full 1000-instance battery)
 

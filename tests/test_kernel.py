@@ -228,6 +228,12 @@ def test_gridspec_validation():
     for lo, hi, step in ((-1.7e308, 1.7e308, 1.0), (-1, 1, 1e-320), (-math.inf, 0, 1)):
         with pytest.raises(ValidationError, match="over the cap"):
             GridSpec.line(lo, hi, step)
+    # a dimension that is not three numbers names the grid
+    for build in (lambda: GridSpec(((0, 1),)),
+                  lambda: GridSpec.from_dict({"dims": [[0, 1]]}),
+                  lambda: GridSpec(((0, 1, "a"),))):
+        with pytest.raises(ValidationError, match=r"grid .*three numbers"):
+            build()
 
 
 def test_fenchel_dot_grid_kernel():

@@ -35,6 +35,25 @@ def grid_fn(lo, hi, step, fn):
     return GridFunction.from_callable(g, fn)
 
 
+# -- grid functions
+
+
+def test_a_grid_function_is_a_function_on_its_grid():
+    grid = GridSpec.line(-1, 1, 0.5)
+    vals = np.array([0.0, 1.0, math.inf, -math.inf, 2.0])
+    g = GridFunction(grid, vals)
+    assert isinstance(g, FunctionOnSpace) and g.space is grid
+    assert not g.values.flags.writeable and g.values is not vals
+    kernel = build_grid_kernel(OmegaLipschitz(1.0, 0.5), grid, grid)
+    want = apply_forward(kernel, FunctionOnSpace(grid, vals)).values
+    assert np.array_equal(apply_forward(kernel, g).values, want)
+    with pytest.raises(ValidationError, match="GridSpec"):
+        GridFunction(grid.labels(), vals)
+    for bad in (vals[:4], np.full(5, math.nan)):  # FunctionOnSpace's checks
+        with pytest.raises(ValidationError):
+            GridFunction(grid, bad)
+
+
 # -- the plain conjugate
 
 
@@ -43,14 +62,14 @@ def test_half_square_self_dual():
     x_grid = GridSpec.line(-2, 2, 0.01)
     g = fenchel_conjugate(f, x_grid)
     xs = x_grid.points()
-    assert np.max(np.abs(g.samples - 0.5 * xs * xs)) <= 1e-3
+    assert np.max(np.abs(g.values - 0.5 * xs * xs)) <= 1e-3
 
 
 def test_conjugate_of_top_is_bottom():
     grid = GridSpec.line(-1, 1, 0.5)
     f = GridFunction(grid, np.full(grid.size(), math.inf))
     g = fenchel_conjugate(f, GridSpec.line(-1, 1, 0.5))
-    assert np.all(np.isneginf(g.samples))
+    assert np.all(np.isneginf(g.values))
 
 
 def test_abs_conjugate_is_window_indicator():
@@ -59,7 +78,7 @@ def test_abs_conjugate_is_window_indicator():
     g, _, boundary = conjugate_with_flags(f, x_grid)
     xs = x_grid.points()
     inside = np.abs(xs) <= 0.99
-    assert np.max(np.abs(g.samples[inside])) <= 1e-3
+    assert np.max(np.abs(g.values[inside])) <= 1e-3
     assert np.all(boundary[np.abs(xs) > 1.01])
 
 
@@ -67,15 +86,15 @@ def test_product_inequality_exact():
     f = grid_fn(-3, 3, 0.05, lambda y: y ** 4 - y)
     x_grid = GridSpec.line(-2, 2, 0.05)
     g = fenchel_conjugate(f, x_grid)
-    xs, ys = x_grid.points(), f.grid.points()
-    t = xs[:, None] * ys[None, :] - f.samples[None, :]
-    assert (t - g.samples[:, None]).max() <= 0.0
+    xs, ys = x_grid.points(), f.space.points()
+    t = xs[:, None] * ys[None, :] - f.values[None, :]
+    assert (t - g.values[:, None]).max() <= 0.0
 
 
 def test_conjugate_convex_and_lipschitz():
     f = grid_fn(-4, 4, 0.01, lambda y: np.cos(3 * y))
     x_grid = GridSpec.line(-2, 2, 0.01)
-    g = fenchel_conjugate(f, x_grid).samples
+    g = fenchel_conjugate(f, x_grid).values
     second = g[2:] - 2 * g[1:-1] + g[:-2]
     assert second.min() >= -1e-9
     slopes = np.abs(np.diff(g)) / 0.01
@@ -89,10 +108,10 @@ def test_biconjugate_below_and_tight_where_convex():
     f = GridFunction.from_callable(y_grid, lambda y: 0.5 * y * y)
     fstar = fenchel_conjugate(f, x_grid)
     fback = fenchel_conjugate(fstar, y_grid)
-    assert np.all(fback.samples <= f.samples + 1e-12)
+    assert np.all(fback.values <= f.values + 1e-12)
     inner = np.abs(y_grid.points()) <= 1.9
     # slope of the parabola stays under 2 on the window
-    assert np.max(np.abs((fback.samples - f.samples)[inner])) <= 2 * step * 2
+    assert np.max(np.abs((fback.values - f.values)[inner])) <= 2 * step * 2
 
 
 # the lab's own blocked reduction before it went through the engine,
@@ -159,8 +178,8 @@ def test_conjugate_matches_oracle_bitwise_on_lines():
     for y_grid, x_grid, samples in _line_cases():
         f = GridFunction(y_grid, samples)
         g, argmax, boundary = conjugate_with_flags(f, x_grid)
-        want = _oracle_conjugate(y_grid.points(), f.samples, x_grid.points())
-        assert np.array_equal(g.samples, want[0])
+        want = _oracle_conjugate(y_grid.points(), f.values, x_grid.points())
+        assert np.array_equal(g.values, want[0])
         assert np.array_equal(argmax, want[1])
         assert np.array_equal(boundary, want[2])
 
@@ -178,14 +197,14 @@ def test_conjugate_matches_oracle_on_planes():
     for _ in range(20):
         f = GridFunction(y_grid, _random_samples(rng, y_grid.size()))
         g, argmax, _ = conjugate_with_flags(f, x_grid)
-        want = _oracle_conjugate(ypts, f.samples, xpts)[0]
+        want = _oracle_conjugate(ypts, f.values, xpts)[0]
         fin = np.isfinite(want)
-        assert np.array_equal(g.samples[~fin], want[~fin])
-        f_max = np.abs(f.samples[np.isfinite(f.samples)]).max(initial=0.0)
+        assert np.array_equal(g.values[~fin], want[~fin])
+        f_max = np.abs(f.values[np.isfinite(f.values)]).max(initial=0.0)
         bound = 4 * np.finfo(float).eps * (
             np.abs(xpts).sum(axis=1) * np.abs(ypts).max() + f_max)
-        assert np.all(np.abs(g.samples[fin] - want[fin]) <= bound[fin])
-        at = xpts[fin] @ ypts.T - f.samples[None, :]
+        assert np.all(np.abs(g.values[fin] - want[fin]) <= bound[fin])
+        at = xpts[fin] @ ypts.T - f.values[None, :]
         picked = at[np.arange(fin.sum()), argmax[fin]]
         assert np.all(picked >= want[fin] - bound[fin])
 
@@ -289,8 +308,8 @@ def test_lipschitz_prescan_rejects_steep():
 def _dense_modulus_check(pts, gv, a, q):
     """The whole table of |g(x) - g(y)| - omega(x - y) at once: its
     largest entry, the first pair attaining it, and strictness."""
-    viol = np.abs(gv[:, None] - gv[None, :]) - OmegaLipschitz(a, q).omega(
-        pts[:, None] - pts[None, :])
+    omega = a * np.abs(pts[:, None] - pts[None, :]) ** q
+    viol = np.abs(gv[:, None] - gv[None, :]) - omega
     i, j = np.unravel_index(int(np.argmax(viol)), viol.shape)
     strict = bool(np.all(viol[~np.eye(len(pts), dtype=bool)] < 0))
     return viol[i, j], (pts[i], pts[j]), strict
