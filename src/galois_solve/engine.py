@@ -15,17 +15,17 @@ the slopes, when some slope is not 1), then the signed-power and
 tabulated entries of a table of scalar forms overwritten from their
 parameter arrays.  Maxima are order-independent, so data-parallel
 evaluation of the blocks is deterministic.  A pass over more than
-:data:`~galois_solve.kernel.DENSE_LIMIT` entries of a table that a grid
-family generates block by block
-(:attr:`~galois_solve.kernel.Kernel.is_grid`) evaluates its blocks on as
-many threads as the process may use CPUs, capped at the number of
-blocks.  Every other pass runs serially: threads were measured to gain
-nothing on a stored table, of couplings or of forms, and a small pass
-gains little next to the start of a pool.  A pass over a stored table
-writes its blocks into one scratch array per thread, reused from block
-to block; a generated block is a fresh array, evaluated in place.  What
-:func:`sup_pass` and :func:`slice_table` return is fresh and the
-caller's own: it aliases no scratch block and no table.
+:data:`~galois_solve.kernel.DENSE_LIMIT` entries, of any table, runs
+its blocks on as many threads as the process may use CPUs, capped at
+the number of blocks; smaller passes run serially.  The threads come
+from one pool, made at the first threaded pass and kept for the life
+of the process (a forked child makes its own), and the calling thread
+runs its share of the blocks too, so a pass starts no thread.  A pass
+over a stored table writes its blocks into one scratch array per
+thread, reused from block to block; a generated block is a fresh
+array, evaluated in place.  What :func:`sup_pass` and
+:func:`slice_table` return is fresh and the caller's own: it aliases
+no scratch block and no table.
 
 Argmax sets travel as one flat array of sorted indices with row offsets,
 in a :class:`~galois_solve.covering.CoverFamily`, which turns them into
@@ -41,10 +41,10 @@ from __future__ import annotations
 import math
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -63,6 +63,67 @@ def _cpus() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity on this platform
         return os.cpu_count() or 1
+
+
+_pool: Optional[ThreadPoolExecutor] = None
+_pool_lock = threading.Lock()
+
+
+def _forget_pool():
+    """In a forked child, which has none of its parent's threads."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _shared_pool() -> ThreadPoolExecutor:
+    """The process's one pool of threads for passes, made at the first
+    call with one thread per CPU of the machine.  Its threads all start
+    then: an executor otherwise starts one whenever a task finds none
+    idle, which a later pass could."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            n = os.cpu_count() or 1
+            pool = ThreadPoolExecutor(max_workers=n, thread_name_prefix="galois-pass")
+            started = threading.Barrier(n + 1)
+            for _ in range(n):
+                pool.submit(started.wait)
+            started.wait()
+            _pool = pool
+    return _pool
+
+
+def run_spans(run: Callable, spans: Sequence, entries: int) -> List:
+    """``[run(s) for s in spans]``, on threads when the spans hold more
+    than :data:`~galois_solve.kernel.DENSE_LIMIT` entries in all: as
+    many as the process may use CPUs, capped at the number of spans.
+    The calling thread runs every ``threads``-th span from the first and
+    the shared pool the others, in the same stride; the results come
+    back in span order.  An exception in a span is raised here, once
+    every span has stopped."""
+    threads = 1
+    if entries > kernel_mod.DENSE_LIMIT:
+        threads = min(_cpus(), len(spans))
+    if threads <= 1:
+        return [run(s) for s in spans]
+
+    def share(t: int) -> List:
+        return [run(s) for s in spans[t::threads]]
+
+    pool = _shared_pool()
+    futures = [pool.submit(share, t) for t in range(1, threads)]
+    out = [None] * len(spans)
+    try:
+        out[::threads] = share(0)
+    finally:
+        wait(futures)
+    for t, future in enumerate(futures, 1):
+        out[t::threads] = future.result()
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -285,15 +346,7 @@ def sup_pass(kernel: Kernel, lam: np.ndarray, tol: Optional[float] = None):
         return top, np.count_nonzero(hit, axis=1), np.flatnonzero(hit) % n_in
 
     spans = [(lo, min(lo + _BLOCK, n_out)) for lo in range(0, n_out, _BLOCK)]
-    threads = 1
-    if kernel.is_grid and n_out * n_in > kernel_mod.DENSE_LIMIT:
-        threads = min(_cpus(), len(spans))
-    if threads <= 1:
-        parts = [run(s) for s in spans]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(run, spans))
-    tops, lengths, cols = zip(*parts)
+    tops, lengths, cols = zip(*run_spans(run, spans, n_out * n_in))
     top = np.concatenate(tops)
     if tol is None:
         return top, None

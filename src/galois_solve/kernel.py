@@ -45,10 +45,12 @@ from .scalar import (
     tabulated_values,
 )
 
-#: A pass over more than this many entries of a generated table runs on
-#: threads (see :func:`galois_solve.engine.sup_pass`); smaller ones and
-#: every pass over a stored table run serially.
-DENSE_LIMIT = 10**6
+#: A pass over more than this many entries, of any table, runs on
+#: threads (see :func:`galois_solve.engine.run_spans`); smaller ones run
+#: serially.  It sits above one block of 256 rows of a table of a few
+#: hundred columns, which a second thread was measured to slow down, and
+#: near where threads began to gain on a 2-CPU machine.
+DENSE_LIMIT = 2**18
 
 #: Hard cap on grid sizes (per GridSpec, all dimensions multiplied).
 MAX_GRID_POINTS = 10**7

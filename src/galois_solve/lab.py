@@ -35,7 +35,7 @@ from typing import Callable, Dict, Optional
 
 import numpy as np
 
-from .engine import FunctionOnSpace, apply_adjoint, apply_forward, sup_pass
+from .engine import FunctionOnSpace, apply_adjoint, apply_forward, run_spans, sup_pass
 from .errors import NotLipschitzError, ValidationError
 from .extreal import to_json
 from .kernel import (
@@ -378,20 +378,27 @@ def _modulus_check(pts: np.ndarray, gv: np.ndarray, a: float, q: float):
     attaining it, and whether the difference is negative off the
     diagonal.  -omega is evaluated in place with the kernel's per-entry
     operations.  Rows go in blocks of about :data:`_CHECK_ENTRIES`
-    entries, so memory stays linear in the grid size."""
+    entries, so memory stays linear in the grid size, and the blocks
+    run on the engine's threads like the blocks of a pass."""
     n = len(pts)
     rows = max(1, _CHECK_ENTRIES // n)
-    worst, at, strict = -math.inf, (0, 0), True
-    for lo in range(0, n, rows):
+
+    def check(lo: int):
         hi = min(lo + rows, n)
         viol = _neg_omega(np.subtract(pts[lo:hi, None], pts[None, :]), a, q)
         dg = np.subtract(gv[lo:hi, None], gv[None, :])
         viol += np.abs(dg, out=dg)
         k = int(np.argmax(viol))
-        if viol.flat[k] > worst:
-            worst, at = float(viol.flat[k]), divmod(lo * n + k, n)
+        top = float(viol.flat[k])
         viol[np.arange(hi - lo), np.arange(lo, hi)] = -math.inf
-        strict = strict and bool((viol < 0).all())
+        return top, divmod(lo * n + k, n), bool((viol < 0).all())
+
+    worst, at, strict = -math.inf, (0, 0), True
+    # in block order, so that the first block attaining the worst wins
+    for top, pair, below in run_spans(check, range(0, n, rows), n * n):
+        if top > worst:
+            worst, at = top, pair
+        strict = strict and below
     return worst, at, strict
 
 

@@ -1,6 +1,10 @@
 import math
+import os
 import random
+import signal
 import sys
+import threading
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -245,22 +249,18 @@ def test_threaded_pass_gives_same_answer(monkeypatch):
     assert _same_map(threaded[1], serial[1])
 
 
-class _SerialPool:
-    """Stands in for the thread pool: records max_workers, maps in turn."""
+class _RecordingPool:
+    """Stands in for the shared pool: runs each task at once, in the
+    calling thread, and counts them."""
 
-    workers = []
+    def __init__(self):
+        self.tasks = 0
 
-    def __init__(self, max_workers):
-        self.workers.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, items):
-        return map(fn, items)
+    def submit(self, fn, *args):
+        self.tasks += 1
+        future = Future()
+        future.set_result(fn(*args))
+        return future
 
 
 @pytest.mark.parametrize("n_out", [3 * engine._BLOCK, 5 * engine._BLOCK + 1])
@@ -275,19 +275,80 @@ def test_thread_count_is_capped_at_cpus_and_blocks(monkeypatch, n_out):
     gv = rng.normal(size=4)
     use_cpus(monkeypatch, 1)
     serial = [apply_adjoint(k, FunctionOnSpace(k.x_labels, gv)) for k in kernels]
-    monkeypatch.setattr(engine, "ThreadPoolExecutor", _SerialPool)
+    pool = _RecordingPool()
+    monkeypatch.setattr(engine, "_shared_pool", lambda: pool)
     use_cpus(monkeypatch, 4)
     blocks = -(-n_out // engine._BLOCK)
-    # stored tables, of couplings or of forms, run serially at any size; a
-    # generated one on the pool above DENSE_LIMIT entries, read at the call
+    # every table, stored or generated, runs on min(CPUs, blocks) threads
+    # above DENSE_LIMIT entries, read at the call, and serially at or
+    # below it; the calling thread is one of them and the pool the rest
     for limit in (4 * n_out - 1, 4 * n_out):
         monkeypatch.setattr(kernel_mod, "DENSE_LIMIT", limit)
-        pool = [min(4, blocks)] if 4 * n_out > limit else []
-        for k, want, workers in zip(kernels, serial, ([], [], pool)):
-            _SerialPool.workers = []
+        threads = min(4, blocks) if 4 * n_out > limit else 1
+        for k, want in zip(kernels, serial):
+            pool.tasks = 0
             pooled = apply_adjoint(k, FunctionOnSpace(k.x_labels, gv))
-            assert _SerialPool.workers == workers
+            assert pool.tasks == threads - 1
             assert np.array_equal(pooled.values, want.values)
+
+
+def _pooled_case(monkeypatch):
+    """A generated table of 4 blocks each way, on two threads at any size."""
+    monkeypatch.setattr(kernel_mod, "DENSE_LIMIT", 0)
+    use_cpus(monkeypatch, 2)
+    grid = GridSpec.line(-2, 2, 0.005)
+    return build_grid_kernel(FenchelDot(), grid, grid).dual, np.abs(grid.points())
+
+
+def test_passes_share_one_pool_and_survive_a_failing_span(monkeypatch):
+    kernel, g = _pooled_case(monkeypatch)
+    top, family = sup_pass(kernel, g, 1e-9)
+    threads = threading.active_count()
+    for _ in range(5):  # no pass after the first starts a thread
+        again = sup_pass(kernel, g, 1e-9)
+        assert threading.active_count() == threads
+    assert np.array_equal(again[0], top) and again[1].sets == family.sets
+
+    blocks = engine._blocks
+    ran_on = []
+
+    def failing(kernel, lam):
+        block = blocks(kernel, lam)
+
+        def fail(lo, hi, out=None):
+            if lo == engine._BLOCK:  # the second span, which the pool runs
+                ran_on.append(threading.current_thread())
+                raise KeyError("a pooled span")
+            return block(lo, hi, out)
+        return fail
+
+    with monkeypatch.context() as patch:
+        patch.setattr(engine, "_blocks", failing)
+        with pytest.raises(KeyError, match="a pooled span"):
+            sup_pass(kernel, g, 1e-9)
+    assert ran_on and ran_on[0] is not threading.current_thread()
+    after = sup_pass(kernel, g, 1e-9)
+    assert np.array_equal(after[0], top) and after[1].sets == family.sets
+    assert threading.active_count() == threads
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+@pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
+def test_a_forked_child_runs_pooled_passes(monkeypatch):
+    """A child forked after a pooled pass has none of the pool's threads;
+    its own pooled pass must not wait on them."""
+    kernel, g = _pooled_case(monkeypatch)
+    want = sup_pass(kernel, g)[0]
+    pid = os.fork()
+    if pid == 0:  # the child never returns to the test runner
+        code = 1
+        try:
+            signal.alarm(10)  # a hung pass ends the child by SIGALRM
+            code = 0 if np.array_equal(sup_pass(kernel, g)[0], want) else 1
+        finally:
+            os._exit(code)
+    _, status = os.waitpid(pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0
 
 
 # -- generated grid tables and their stored oracles agree, bit for bit
@@ -678,9 +739,9 @@ def test_first_pass_results_survive_later_passes(monkeypatch, make):
 
 
 def test_scratch_blocks_are_per_thread(monkeypatch):
-    """More threads than cores, switching often: every thread writes
-    its blocks and tie masks into its own scratch, so the threaded
-    pass gives the serial one's bytes."""
+    """More shares of the blocks than cores, switching often: every
+    thread writes its blocks and tie masks into its own scratch, so the
+    threaded pass gives the serial one's bytes."""
     monkeypatch.setattr(kernel_mod, "DENSE_LIMIT", 0)
     grid = GridSpec.line(-3, 3, 0.0025)  # 2401 points: 10 blocks
     kernel = build_grid_kernel(FenchelDot(), grid, grid)

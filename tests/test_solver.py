@@ -354,8 +354,7 @@ def test_y_restrict_labels_are_checked_and_may_be_empty(demo_kernel, demo_g):
 
 def _threaded_cases(monkeypatch):
     """Kernels with more than one block of outputs on both sides, so the
-    pool runs in both directions on generated tables, each with a
-    target."""
+    pool runs in both directions, each with a target."""
     monkeypatch.setattr(kernel_mod, "DENSE_LIMIT", 0)  # threads at any size
     rng = np.random.default_rng(23)
     n = engine._BLOCK + 44
@@ -419,13 +418,25 @@ def _threaded_cases(monkeypatch):
 
 
 def test_thread_count_does_not_change_solutions(monkeypatch):
+    pooled = []  # the shares of blocks of one case sent to the pool
+    shared_pool = engine._shared_pool
+
+    class Spy:
+        def submit(self, fn, *args):
+            pooled.append(fn)
+            return shared_pool().submit(fn, *args)
+
+    monkeypatch.setattr(engine, "_shared_pool", Spy)
     for kernel, g in _threaded_cases(monkeypatch):
         assert min(kernel.shape) > engine._BLOCK
         problem = Problem(kernel, FunctionOnSpace(kernel.x_labels, g))
         use_cpus(monkeypatch, 1)
+        pooled.clear()
         one = solve(problem)
+        assert not pooled
         use_cpus(monkeypatch, 2)
         two = solve(problem)
+        assert pooled, "the threaded solve ran serially"
         assert one.status == two.status
         assert np.array_equal(one.f_min.values, two.f_min.values)
         assert one.family.sets == two.family.sets
