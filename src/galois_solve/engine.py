@@ -33,7 +33,11 @@ label sets only when its ``sets`` view is read.
 
 Kernels that record a :class:`LipschitzLine` (the distance kernels
 -a|y - x| on 1-D grids) take a single-threaded O(n + m) path for the
-transforms alone; their argmax sets still use the blocked reduction.
+transforms.  Their argmax sets at a finite input reduce, in each block
+of rows, only the window of columns that can tie there: the columns
+that can tie at a row form an interval of rows around the column's own
+point, bounded from that path's maxima, so the windows of all blocks
+cost O((n + m) log n) and the sets are those of the full-width blocks.
 """
 
 from __future__ import annotations
@@ -308,6 +312,54 @@ def _entries(line: LipschitzLine, x: np.ndarray, j: np.ndarray, lam: np.ndarray)
     return out
 
 
+def _tie_windows(line: LipschitzLine, lam: np.ndarray, tol: float,
+                 spans: Sequence[Tuple[int, int]]) -> Optional[List[Tuple[int, int]]]:
+    """For each span of rows of a pass at ``tol`` over a 1-D Lipschitz
+    distance kernel, with ``lam`` finite and ``tol`` >= 0, a range
+    [jlo, jhi) of columns holding every column of its rows' tie sets;
+    None when the rounding bound below is not finite.
+
+    A row x at or right of a column y holds it only if a*y - lam(y) >=
+    top(x) + a*x - tol, and a row at or left of it only if -a*y - lam(y)
+    >= top(x) - a*x - tol.  The row maxima top are a-Lipschitz in x, so
+    both right-hand sides are monotone over the rows: taken from
+    :func:`_envelope_pass`, which is never above the maxima, lowered by
+    delta and made monotone by running minima, they bound the rows that
+    can hold each column by one interval, which also holds the rows at
+    the column's own point.  delta = 8*eps*scale bounds the rounding of
+    the table's entries, of the tie threshold and of the bounds
+    themselves, each a few ulps of scale = a*(max|x| + max|y|) +
+    max|lam| + tol.
+
+    Columns are ascending, and so are the rows at their points: a span
+    holds every column whose point falls in its rows, and of the
+    columns left of it only those from the first whose interval reaches
+    into the span, and right of it only those up to the last.  Every
+    span costs two binary searches in running extrema of the bounds.
+    """
+    x, y, a = line.xp, line.yp, line.a
+    scale = a * (np.abs(x).max() + np.abs(y).max()) + np.abs(lam).max() + tol
+    if not math.isfinite(2 * scale):  # the entries might overflow
+        return None
+    slack = tol + 8 * np.finfo(float).eps * scale
+    top, ax, ay = _envelope_pass(line, lam), np.multiply(x, a), np.multiply(y, a)
+    right = np.minimum.accumulate((top + ax - slack)[::-1])[::-1]  # ascending
+    left = np.minimum.accumulate(top - ax - slack)  # descending
+    below = np.searchsorted(x, y, side="left")  # rows with x < y, per column
+    upto = np.searchsorted(x, y, side="right")  # rows with x <= y
+    first = np.minimum(np.searchsorted(-left, ay + lam, side="left"), below)
+    end = np.maximum(np.searchsorted(right, ay - lam, side="right"), upto)
+    lo = np.array([s[0] for s in spans])
+    hi = np.array([s[1] for s in spans])
+    n_left = np.searchsorted(upto, lo, side="right")  # columns left of the span
+    n_upto = np.searchsorted(below, hi, side="left")  # columns not right of it
+    jlo = np.minimum(np.searchsorted(np.maximum.accumulate(end), lo, side="right"),
+                     n_left)
+    jhi = np.maximum(np.searchsorted(np.minimum.accumulate(first[::-1])[::-1], hi,
+                                     side="left"), n_upto)
+    return list(zip(jlo.tolist(), jhi.tolist()))
+
+
 def sup_pass(kernel: Kernel, lam: np.ndarray, tol: Optional[float] = None):
     """The one max-plus reduction behind both transforms: the forward
     map of ``kernel``, and the adjoint as the forward map of its dual.
@@ -317,36 +369,59 @@ def sup_pass(kernel: Kernel, lam: np.ndarray, tol: Optional[float] = None):
     it, one per x as a :class:`CoverFamily` over the y side: the
     entries with ``value >= sup - tol``, so that ``tol=0`` keeps the
     exact maximisers and a +inf supremum only the entries equal to it.
-    A supremum of -inf is attained by the whole support.  Without
-    ``tol`` the family is None, and kernels that record a
-    :class:`LipschitzLine` take :func:`_envelope_pass` instead.
+    A supremum of -inf is attained by the whole support.
+
+    Kernels that record a :class:`LipschitzLine` take
+    :func:`_envelope_pass` without ``tol``.  With ``tol`` and a finite
+    ``lam``, each block of their rows reduces only the columns that
+    :func:`_tie_windows` finds can tie in it, evaluated with the
+    table's own operations: the maxima and the sets are those of the
+    full-width blocks, bit for bit.
     """
-    if tol is None and kernel.lipschitz_line is not None:
-        return _envelope_pass(kernel.lipschitz_line, lam), None
+    line = kernel.lipschitz_line
+    if tol is None and line is not None:
+        return _envelope_pass(line, lam), None
     n_out, n_in = kernel.shape
-    block = _blocks(kernel, lam)
+    spans = [(lo, min(lo + _BLOCK, n_out)) for lo in range(0, n_out, _BLOCK)]
+    windows = None
+    if line is not None and tol >= 0 and np.isfinite(lam).all():
+        windows = _tie_windows(line, lam, tol, spans)
+    windowed = windows is not None
+    if not windowed:
+        block, windows = _blocks(kernel, lam), [(0, n_in)] * len(spans)
     rows = min(_BLOCK, n_out)
     scratch = threading.local()  # one value block and tie mask per thread
 
-    def run(span: Tuple[int, int]):
-        lo, hi = span
+    def run(span: Tuple[Tuple[int, int], Tuple[int, int]]):
+        (lo, hi), (jlo, jhi) = span
+        shape = (hi - lo, jhi - jlo)
         if not hasattr(scratch, "vals"):
-            scratch.vals = np.empty((rows, n_in))
-        vals = block(lo, hi, scratch.vals)
+            scratch.vals = np.empty(rows * n_in)
+        vals = scratch.vals[:shape[0] * shape[1]].reshape(shape)
+        if windowed:
+            vals[...] = line.yp[jlo:jhi]
+            line.entries(line.xp[lo:hi, None], vals)
+            np.subtract(vals, lam[jlo:jhi], out=vals)
+        else:
+            vals = block(lo, hi, vals)
         top = vals.max(axis=1)
         if tol is None:
             return top, None, None
         if not hasattr(scratch, "hit"):
-            scratch.hit = np.empty((rows, n_in), dtype=bool)
-        hit = np.greater_equal(vals, (top - tol)[:, None], out=scratch.hit[:hi - lo])
-        for r in np.flatnonzero(np.isneginf(top)):
+            scratch.hit = np.empty(rows * n_in, dtype=bool)
+        hit = np.greater_equal(vals, (top - tol)[:, None],
+                               out=scratch.hit[:vals.size].reshape(shape))
+        for r in np.flatnonzero(np.isneginf(top)):  # never in a window: lam is finite
             hit[r] = False
             hit[r, list(kernel.support_row(lo + r))] = True
         # flat positions in row-major order: each row's columns ascending
-        return top, np.count_nonzero(hit, axis=1), np.flatnonzero(hit) % n_in
+        cols = np.flatnonzero(hit) % shape[1]
+        if jlo:
+            cols += jlo
+        return top, np.count_nonzero(hit, axis=1), cols
 
-    spans = [(lo, min(lo + _BLOCK, n_out)) for lo in range(0, n_out, _BLOCK)]
-    tops, lengths, cols = zip(*run_spans(run, spans, n_out * n_in))
+    entries = sum((hi - lo) * (jhi - jlo) for (lo, hi), (jlo, jhi) in zip(spans, windows))
+    tops, lengths, cols = zip(*run_spans(run, list(zip(spans, windows)), entries))
     top = np.concatenate(tops)
     if tol is None:
         return top, None

@@ -376,10 +376,15 @@ def _modulus_check(pts: np.ndarray, gv: np.ndarray, a: float, q: float):
     """The largest |g(x) - g(y)| - omega(x - y), omega(u) = a|u|^q, over
     all pairs of grid points, the first pair in row-major order
     attaining it, and whether the difference is negative off the
-    diagonal.  -omega is evaluated in place with the kernel's per-entry
-    operations.  Rows go in blocks of about :data:`_CHECK_ENTRIES`
-    entries, so memory stays linear in the grid size, and the blocks
-    run on the engine's threads like the blocks of a pass."""
+    diagonal.  With q = 1 a target certified strict by
+    :func:`_strictly_below_line` takes the diagonal's answer, 0 at the
+    first point, in O(n).  Otherwise -omega is evaluated in place with
+    the kernel's per-entry operations, in blocks of rows of about
+    :data:`_CHECK_ENTRIES` entries, so memory stays linear in the grid
+    size, and the blocks run on the engine's threads like the blocks of
+    a pass."""
+    if q == 1 and _strictly_below_line(pts, gv, a):
+        return 0.0, (0, 0), True
     n = len(pts)
     rows = max(1, _CHECK_ENTRIES // n)
 
@@ -400,6 +405,24 @@ def _modulus_check(pts: np.ndarray, gv: np.ndarray, a: float, q: float):
             worst, at = top, pair
         strict = strict and below
     return worst, at, strict
+
+
+def _strictly_below_line(pts: np.ndarray, gv: np.ndarray, a: float) -> bool:
+    """Whether |g(x) - g(y)| - a|x - y| is certainly negative, as the
+    blocked check evaluates it, at every pair of distinct ascending
+    points.  Over the pairs i < j it is the larger of h[j] - h[i] for
+    h = g - a*x and h = -g - a*x, whose largest is the largest rise of
+    h over its running minimum.  Both evaluations round by at most a
+    few ulps of a*max|x| + max|g|, so a largest rise below 8 eps times
+    that certifies the sign; a tight, violating or overflowing target
+    is not certified."""
+    delta = 8 * np.finfo(float).eps * (a * np.abs(pts).max() + np.abs(gv).max())
+    ax = np.multiply(pts, a)
+    for h in (gv - ax, np.negative(gv) - ax):
+        rise = h[1:] - np.minimum.accumulate(h[:-1])
+        if not rise.max(initial=-math.inf) < -delta:
+            return False
+    return True
 
 
 def lipschitz_experiment(g_name: str = "abs_half", step: float = 0.01) -> LabResult:

@@ -441,23 +441,96 @@ def test_envelope_path_selection(monkeypatch, family, x_grid, y_grid):
     for k in (dense, lazy):
         assert (k.lipschitz_line is not None) == structured
 
-    def refuse(*args):
-        raise AssertionError("took the envelope path")
+    taken = []
 
-    monkeypatch.setattr(engine, "_envelope_pass", refuse)
+    def spy(name):
+        real = getattr(engine, name)
+
+        def record(*args):
+            taken.append(name)
+            return real(*args)
+        monkeypatch.setattr(engine, name, record)
+
+    spy("_envelope_pass")
+    spy("_blocks")
     rng = np.random.default_rng(3)
     for k in (dense, lazy):
         g = FunctionOnSpace(k.x_labels, rng.normal(size=k.shape[0]))
         f = FunctionOnSpace(k.y_labels, rng.normal(size=k.shape[1]))
-        # tie sets always come from the blocked reduction
-        subdiff_inverse(k, g)
-        sup_pass(k, f.values, DEFAULT_TOL)
-        if k.lipschitz_line is None:
-            apply_forward(k, f)
-            apply_adjoint(k, g)
-        else:
-            with pytest.raises(AssertionError, match="envelope"):
-                apply_forward(k, f)
+        # a Lipschitz line's tie sets reduce windows that the envelope
+        # bounds, never a full-width block; other kernels use neither
+        for call in (lambda: subdiff_inverse(k, g), lambda: sup_pass(k, f.values, DEFAULT_TOL),
+                     lambda: apply_forward(k, f), lambda: apply_adjoint(k, g)):
+            taken.clear()
+            call()
+            assert taken == (["_envelope_pass"] if structured else ["_blocks"])
+        # an infinite target keeps the full-width blocks
+        taken.clear()
+        sup_pass(k, np.where(np.arange(k.shape[1]) == 0, math.inf, f.values), DEFAULT_TOL)
+        assert taken == ["_blocks"]
+
+
+# -- tie sets on Lipschitz lines: column windows against full-width
+#    blocks over the same table without the structure
+
+
+def _line_target(rng, kind, grid, a, scale):
+    """A target on ``grid``: normal, quarter-integer (full of exact
+    ties), a-Lipschitz cones (ties along whole slopes), or quarter-
+    integer with both infinities."""
+    pts, n = grid.points(), grid.size()
+    if kind == "normal":
+        return scale * rng.normal(size=n)
+    if kind == "cones":
+        centres = rng.choice(n, min(n, 3), replace=False)
+        base = scale * rng.integers(-4, 5, len(centres)) / 4
+        return np.min(base[:, None] + a * np.abs(pts[None, :] - pts[centres][:, None]),
+                      axis=0)
+    lam = scale * rng.integers(-8, 9, n) / 4
+    if kind == "inf":
+        lam[rng.random(n) < 0.2] = math.inf
+        lam[rng.random(n) < 0.1] = -math.inf
+    return lam
+
+
+def _line_grid(rng, dyadic):
+    n = int(rng.integers(1, 90))
+    if dyadic:
+        step = 2.0 ** -int(rng.integers(0, 4))
+        lo = step * int(rng.integers(-60, 5))
+    else:
+        step = float(rng.uniform(0.01, 0.7))
+        lo = float(rng.uniform(-6.0, 2.0))
+    return GridSpec.line(lo, lo + step * (n - 0.5), step)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([0.0, 1e-9, 1e-3]),
+       st.sampled_from([1 / 3, 0.5, 1.0, 3.0]), st.booleans(), st.booleans(),
+       st.booleans(), st.sampled_from(["normal", "quarter", "cones", "inf"]),
+       st.integers(-3, 3), st.sampled_from([1, 5, 16, 256]))
+def test_tie_windows_match_full_width_blocks(seed, tol, a, dyadic, same, dual, kind,
+                                             exponent, rows):
+    rng = np.random.default_rng(seed)
+    x_grid = _line_grid(rng, dyadic)
+    y_grid = x_grid if same else _line_grid(rng, dyadic)
+    k = build_grid_kernel(OmegaLipschitz(a, 1.0), x_grid, y_grid)
+    oracle = Kernel(x_grid, y_grid, k.table)
+    assert oracle.lipschitz_line is None
+    if dual:
+        k, oracle = k.dual, oracle.dual
+    lam = _line_target(rng, kind, k.y_space, a, 10.0 ** exponent)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "_BLOCK", rows)
+        spans = [(lo, min(lo + rows, k.shape[0])) for lo in range(0, k.shape[0], rows)]
+        if kind != "inf":
+            windows = engine._tie_windows(k.lipschitz_line, lam, tol, spans)
+            assert all(0 <= jlo < jhi <= k.shape[1] for jlo, jhi in windows)
+        top, family = sup_pass(k, lam, tol)
+        want_top, want = sup_pass(oracle, lam, tol)
+    assert np.array_equal(top, want_top)
+    assert np.array_equal(family.indptr, want.indptr)
+    assert np.array_equal(family.indices, want.indices)
 
 
 # -- the block evaluator of tables of scalar forms, against the forms

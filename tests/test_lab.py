@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from galois_solve.engine import FunctionOnSpace, apply_adjoint, apply_forward
 from galois_solve.errors import NotLipschitzError, ValidationError
@@ -341,6 +343,60 @@ def test_blocked_modulus_check_matches_the_dense_table(monkeypatch, entries):
         else:
             r = lipschitz_fixed_point(GridFunction(grid, gv), a, q)
             assert r.details["strict"] is strict
+
+
+def _strict_by_ulps(rng, pts, gv, a):
+    """The tight target gv made strict by about the rounding of the
+    check: lowered by a few ulps of its scale more at every point."""
+    scale = a * np.abs(pts).max() + np.abs(gv).max()
+    return gv - np.finfo(float).eps * scale * rng.choice([0.25, 1, 4]) * np.arange(len(pts))
+
+
+def test_line_certificate_never_certifies_what_the_blocked_check_refuses(monkeypatch):
+    # where rounding decides strictness, the certificate must step aside
+    rng = np.random.default_rng(47)
+    cases = []
+    for k in range(3000):
+        n, a = int(rng.integers(2, 80)), (1 / 3, 0.5, 1.0, 3.0)[k % 4]
+        step, lo = float(rng.uniform(0.01, 0.7)), float(rng.uniform(-6.0, 2.0))
+        pts = GridSpec.line(lo, lo + step * (n - 0.5), step).points()
+        tight = 10.0 ** int(rng.integers(-3, 4)) * rng.normal() + a * pts
+        gv = _strict_by_ulps(rng, pts, tight, a)
+        cases.append((pts, gv, a, lab._modulus_check(pts, gv, a, 1.0)))
+    monkeypatch.setattr(lab, "_strictly_below_line", lambda *args: False)
+    for pts, gv, a, got in cases:
+        assert got == lab._modulus_check(pts, gv, a, 1.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([1 / 3, 0.5, 1.0, 3.0]),
+       st.booleans(), st.sampled_from(["strict", "tight", "near", "violating", "point"]),
+       st.integers(-3, 3))
+def test_line_certificate_matches_the_blocked_check(seed, a, dyadic, kind, exponent):
+    rng = np.random.default_rng(seed)
+    n = 1 if kind == "point" else int(rng.integers(2, 80))
+    if dyadic:
+        step, lo = 2.0 ** -int(rng.integers(0, 4)), float(rng.integers(-40, 5))
+    else:
+        step, lo = float(rng.uniform(0.01, 0.7)), float(rng.uniform(-6.0, 2.0))
+    pts = GridSpec.line(lo, lo + step * (n - 0.5), step).points()
+    offset = 10.0 ** exponent * rng.normal()
+    if kind in ("tight", "near"):  # the bound met, somewhere or everywhere
+        gv = offset + a * (pts if rng.random() < 0.5 else np.abs(pts - pts[n // 2]))
+        if kind == "near":
+            gv = _strict_by_ulps(rng, pts, gv, a)
+    else:  # steps of a fraction of the modulus, some of them steeper when violating
+        slope = rng.uniform(-0.9, 0.9, n)
+        if kind == "violating":
+            slope[rng.integers(1, n)] = rng.choice([-1.5, 1.5])
+        gv = offset + a * np.cumsum(slope * np.diff(pts, prepend=pts[0]))
+    if kind != "near":
+        assert lab._strictly_below_line(pts, gv, a) == (kind in ("strict", "point"))
+    got = lab._modulus_check(pts, gv, a, 1.0)
+    with pytest.MonkeyPatch.context() as mp:  # the blocked check alone
+        mp.setattr(lab, "_strictly_below_line", lambda *args: False)
+        want = lab._modulus_check(pts, gv, a, 1.0)
+    assert got == want and math.copysign(1, got[0]) == math.copysign(1, want[0])
 
 
 # -- weighted-power domains

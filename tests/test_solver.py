@@ -409,12 +409,14 @@ def _threaded_cases(monkeypatch):
     f0 = rng.integers(-2, 3, n + 3).astype(float)
     yield mixed, apply_forward(mixed, FunctionOnSpace(mixed.y_labels, f0)).values
 
-    # grid kernel
+    # grid kernels: full-width generated blocks, and the column windows
+    # of a Lipschitz line
     grid = GridSpec.line(-3.0, 3.0, 0.02)
-    lazy = build_grid_kernel(OmegaLipschitz(1.0, 1.0), grid, grid)
     pts = grid.points()
-    f0 = FunctionOnSpace(lazy.y_labels, 0.5 * np.abs(pts) + 0.1 * np.cos(pts))
-    yield lazy, apply_forward(lazy, f0).values
+    for q in (0.5, 1.0):
+        lazy = build_grid_kernel(OmegaLipschitz(1.0, q), grid, grid)
+        f0 = FunctionOnSpace(lazy.y_labels, 0.5 * np.abs(pts) + 0.1 * np.cos(pts))
+        yield lazy, apply_forward(lazy, f0).values
 
 
 def test_thread_count_does_not_change_solutions(monkeypatch):
