@@ -458,7 +458,8 @@ def test_envelope_path_selection(monkeypatch, family, x_grid, y_grid):
         g = FunctionOnSpace(k.x_labels, rng.normal(size=k.shape[0]))
         f = FunctionOnSpace(k.y_labels, rng.normal(size=k.shape[1]))
         # a Lipschitz line's tie sets reduce windows that the envelope
-        # bounds, never a full-width block; other kernels use neither
+        # bounds, never a full-width block; other kernels reduce
+        # full-width blocks and never take the envelope
         for call in (lambda: subdiff_inverse(k, g), lambda: sup_pass(k, f.values, DEFAULT_TOL),
                      lambda: apply_forward(k, f), lambda: apply_adjoint(k, g)):
             taken.clear()
@@ -493,17 +494,6 @@ def _line_target(rng, kind, grid, a, scale):
     return lam
 
 
-def _line_grid(rng, dyadic):
-    n = int(rng.integers(1, 90))
-    if dyadic:
-        step = 2.0 ** -int(rng.integers(0, 4))
-        lo = step * int(rng.integers(-60, 5))
-    else:
-        step = float(rng.uniform(0.01, 0.7))
-        lo = float(rng.uniform(-6.0, 2.0))
-    return GridSpec.line(lo, lo + step * (n - 0.5), step)
-
-
 @settings(max_examples=300, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.sampled_from([0.0, 1e-9, 1e-3]),
        st.sampled_from([1 / 3, 0.5, 1.0, 3.0]), st.booleans(), st.booleans(),
@@ -512,8 +502,8 @@ def _line_grid(rng, dyadic):
 def test_tie_windows_match_full_width_blocks(seed, tol, a, dyadic, same, dual, kind,
                                              exponent, rows):
     rng = np.random.default_rng(seed)
-    x_grid = _line_grid(rng, dyadic)
-    y_grid = x_grid if same else _line_grid(rng, dyadic)
+    x_grid = _random_line(rng, dyadic)
+    y_grid = x_grid if same else _random_line(rng, dyadic)
     k = build_grid_kernel(OmegaLipschitz(a, 1.0), x_grid, y_grid)
     oracle = Kernel(x_grid, y_grid, k.table)
     assert oracle.lipschitz_line is None
