@@ -27,7 +27,7 @@ from .serialize import (
     load_problem,
     parse_function_arg,
     render_report,
-    solution_to_report,
+    report_text,
 )
 from .solver import Problem, Status, solve
 
@@ -65,7 +65,7 @@ def cmd_solve(args) -> int:
     sol = solve(problem)
 
     if args.json:
-        print(render_report(solution_to_report(sol)))
+        print(report_text(sol))
     else:
         _print_adjoint_table(problem, sol)
         print(f"status: {sol.status.value}")

@@ -167,15 +167,23 @@ class FunctionOnSpace:
         if not isinstance(space, GridSpec):
             space = tuple(space)
         labels = labels_of(space)
-        missing = [l for l in labels if l not in mapping]
-        if missing:
-            raise ValidationError(f"missing values for labels: {missing[:4]}")
         known = set(labels)
-        extra = [k for k in mapping if k not in known]
-        if extra:
+        if not mapping.keys() >= known:
+            missing = [l for l in labels if l not in mapping]
+            raise ValidationError(f"missing values for labels: {missing[:4]}")
+        if len(mapping) > len(known):
+            extra = [k for k in mapping if k not in known]
             raise ValidationError(f"values for unknown labels: {extra[:4]}")
-        vals = [parse(mapping[l], f"value at {l!r}", INFINITIES) for l in labels]
-        return cls(space, np.array(vals))
+        vals = list(map(mapping.__getitem__, labels))
+        if set(map(type, vals)) <= {float, int}:  # no bool, str or None
+            try:
+                arr = np.array(vals, dtype=float)
+            except OverflowError:  # an int beyond the floats: parse names it
+                arr = None
+            if arr is not None and not np.isnan(arr).any():
+                return cls(space, arr)
+        return cls(space, np.array([parse(v, f"value at {l!r}", INFINITIES)
+                                    for l, v in zip(labels, vals)]))
 
     def value(self, label: str) -> ExtReal:
         return ExtReal(self.values[self._index[label]])

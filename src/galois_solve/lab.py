@@ -193,9 +193,15 @@ def fenchel_experiment(step: float = 0.01) -> LabResult:
     t = pairing.bbar_row(slice(None)) - f.values[None, :]
     fy_violation = float((t - g.values[:, None]).max())
 
+    # on |x| <= 0.99 the conjugate of |y| over the grid is attained at the
+    # grid points y+ >= 0 and y- <= 0 nearest 0, not at 0 itself unless
+    # the grid holds it: max(-y+ (1 - x), y- (1 + x))
     f_abs = GridFunction(y_grid, np.abs(ypts))
     g_abs, _, b_abs = _maxima(pairing, f_abs)
-    err_abs = float(np.max(np.abs(g_abs.values[inside])))
+    y_pos, y_neg = ypts[ypts >= 0].min(), ypts[ypts <= 0].max()
+    x_in = xpts[inside]
+    err_abs = float(np.max(np.abs(g_abs.values[inside] - np.maximum(
+        -y_pos * (1 - x_in), y_neg * (1 + x_in)))))
     outside_flagged = bool(np.all(b_abs[np.abs(xpts) > 1.0 + step]))
 
     tol = 1e-3

@@ -29,6 +29,8 @@ from .kernel import (
     build_grid_kernel,
     build_moreau,
     build_table,
+    labels_of,
+    same_space,
 )
 from .solver import Problem, Solution
 
@@ -169,18 +171,122 @@ def solution_to_report(sol: Solution) -> dict:
 
 
 def _sorted_sets(family: CoverFamily) -> dict:
-    """Each index's set as the sorted list of its labels: the members
-    are put in order by one sort on (index, rank of their label)."""
-    uni = family.universe
-    order = sorted(range(len(uni)), key=uni.__getitem__)
-    rank = np.empty(len(uni), np.intp)
-    rank[order] = np.arange(len(uni))
-    row = np.repeat(np.arange(len(family.pool)) * len(uni), np.diff(family.indptr))
-    names = list(map(uni.__getitem__, order))
-    members = list(map(names.__getitem__,
-                       (np.sort(row + rank[family.indices]) - row).tolist()))
+    """Each index's set as the sorted list of its labels."""
+    labels = labels_of(family.universe_space)
+    order, rank = _label_order(labels)
+    names = list(map(labels.__getitem__, order))
+    members = list(map(names.__getitem__, _member_ranks(family, rank).tolist()))
     ptr = family.indptr.tolist()
     return {z: members[a:b] for z, a, b in zip(family.index_pool, ptr, ptr[1:])}
+
+
+def _label_order(labels):
+    """The positions of ``labels`` in sorted order, and each one's rank."""
+    order = sorted(range(len(labels)), key=labels.__getitem__)
+    rank = np.empty(len(labels), np.intp)
+    rank[order] = np.arange(len(labels))
+    return order, rank
+
+
+def _member_ranks(family: CoverFamily, rank: np.ndarray) -> np.ndarray:
+    """The members of each set, set after set, as their ranks ``rank``
+    over the universe space, ascending within each set: one sort on
+    (index, rank)."""
+    row = np.repeat(np.arange(len(family.pool)) * len(rank), np.diff(family.indptr))
+    return np.sort(row + rank[family.points[family.indices]]) - row
+
+
+def report_text(sol: Solution) -> str:
+    """``render_report(solution_to_report(sol))``, byte for byte, written
+    from the solution's positions without building the report.
+
+    Each side's labels are JSON-encoded once and sorted once; each array
+    of values is encoded once, as ``json`` writes floats (infinities as
+    "+inf" and "-inf"), and ``transformed`` and ``witness_alt`` reuse
+    the text of ``target`` and ``f_min`` wherever they are bitwise equal.
+    """
+    family, cover = sol.family, sol.cover
+    x_text, x_order, x_rank = _encoded_side(family.universe_space)
+    y_text, y_order, y_rank = (
+        (x_text, x_order, x_rank) if same_space(family.pool_space, family.universe_space)
+        else _encoded_side(family.pool_space))
+
+    members = list(map(x_text.__getitem__, _member_ranks(family, x_rank).tolist()))
+    at = y_rank[family.pool]
+    rows = np.argsort(at)
+    # each set as _indented(members, 3, "[]") writes it, inlined: there are many
+    sets = [y_text[k] + (": [\n        " + ",\n        ".join(members[a:b]) + "\n      ]"
+                         if a < b else ": []")
+            for k, a, b in zip(at[rows].tolist(), family.indptr[rows].tolist(),
+                               family.indptr[rows + 1].tolist())]
+
+    target = _numbers(sol.target.values)
+    transformed = _numbers_like(sol.transformed.values, sol.target.values, target)
+    f_min = _numbers(sol.f_min.values)
+    witness = "null"
+    if sol.witness_alt is not None:
+        witness = _function(y_text, y_order, _numbers_like(
+            sol.witness_alt.values, sol.f_min.values, f_min))
+    residual = list(map("{}: [\n      {},\n      {}\n    ]".format, x_text,
+                        map(target.__getitem__, x_order),
+                        map(transformed.__getitem__, x_order)))
+    essential = y_rank[cover.family.pool[cover.essential_at]].tolist()
+    uncovered = x_rank[cover.family.points[cover.uncovered_at]].tolist()
+    return _indented([
+        '"caveats": ' + _indented(list(map(encode_basestring_ascii, sol.caveats)), 1, "[]"),
+        '"cover": ' + _indented([
+            '"essential": ' + _indented(list(map(y_text.__getitem__, essential)), 2, "[]"),
+            '"minimal": ' + ("true" if cover.is_minimal else "false"),
+            '"sets": ' + _indented(sets, 2),
+            '"uncovered": ' + _indented(list(map(x_text.__getitem__, uncovered)), 2, "[]"),
+        ], 1),
+        '"f_min": ' + _function(y_text, y_order, f_min),
+        '"residual": ' + _indented(residual, 1),
+        '"status": ' + encode_basestring_ascii(sol.status.value),
+        '"witness_alt": ' + witness,
+    ], 0)
+
+
+def _encoded_side(space):
+    """The labels of a space as JSON text, in sorted order, the
+    positions they come from and the rank of each position."""
+    labels = labels_of(space)
+    order, rank = _label_order(labels)
+    return [encode_basestring_ascii(labels[k]) for k in order], order, rank
+
+
+def _numbers(values: np.ndarray) -> list:
+    """Each value as ``json`` writes a float, infinities as the strings
+    "+inf" and "-inf"."""
+    out = list(map(float.__repr__, values.tolist()))
+    for k in np.flatnonzero(np.isinf(values)).tolist():
+        out[k] = '"+inf"' if values[k] > 0 else '"-inf"'
+    return out
+
+
+def _numbers_like(values: np.ndarray, base: np.ndarray, base_text: list) -> list:
+    """``_numbers(values)``, reusing ``base_text``, the text of ``base``,
+    wherever ``values`` equals ``base`` bit for bit."""
+    out = list(base_text)
+    at = np.flatnonzero(values.view(np.uint64) != base.view(np.uint64))
+    for k, text in zip(at.tolist(), _numbers(values[at])):
+        out[k] = text
+    return out
+
+
+def _function(text: list, order: list, values: list) -> str:
+    """A function's object at depth 1: sorted labels and their values."""
+    return _indented(list(map("{}: {}".format, text, map(values.__getitem__, order))), 1)
+
+
+def _indented(items: list, depth: int, brackets: str = "{}") -> str:
+    """A JSON object of encoded ``"key": value`` items, or with the
+    brackets "[]" an array of encoded items, as ``json.dumps`` with
+    ``indent=2`` writes it at ``depth``."""
+    if not items:
+        return brackets
+    ind = "\n" + "  " * (depth + 1)
+    return brackets[0] + ind + ("," + ind).join(items) + ind[:-2] + brackets[1]
 
 
 def render_report(report, sort_keys: bool = True) -> str:

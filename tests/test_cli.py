@@ -7,13 +7,19 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import galois_solve.cli as cli
 from galois_solve.cli import main
-from galois_solve.engine import FunctionOnSpace
-from galois_solve.kernel import GridSpec, build_table
+from galois_solve.engine import FunctionOnSpace, apply_forward
+from galois_solve.kernel import (
+    FenchelDot,
+    GridSpec,
+    build_grid_kernel,
+    build_moreau,
+    build_table,
+)
 from galois_solve.lab import EXPERIMENTS, run_experiment
 from galois_solve.scalar import Affine, Off
 from galois_solve.serialize import (
@@ -21,6 +27,7 @@ from galois_solve.serialize import (
     load_problem,
     problem_from_dict,
     render_report,
+    report_text,
     solution_to_report,
 )
 from galois_solve.errors import ValidationError
@@ -815,18 +822,20 @@ def test_render_report_on_lab_reports(name):
 
 
 def test_render_report_on_solve_reports():
-    docs = [solution_to_report(solve(load_problem(p))) for p in (DEMO, DEMO_BAD)]
+    sols = [solve(load_problem(p)) for p in (DEMO, DEMO_BAD)]
     # infinities in g, f_min and the residual, non-ASCII labels, an
     # empty pool: no covering sets, no essential or uncovered points
     kernel = build_table([[Affine(0, 1), Off()], [Off(), Affine(1, 2)]],
                          ["ξ₁", "naïve \"x\""], ["y∞", "\u0000y"])
     for g in ([math.inf, -math.inf], [0.0, -math.inf], [-math.inf, -math.inf]):
         problem = Problem(kernel, FunctionOnSpace(kernel.x_labels, np.array(g)))
-        docs.append(solution_to_report(solve(problem)))
+        sols.append(solve(problem))
+    docs = [solution_to_report(sol) for sol in sols]
     assert docs[-1]["cover"] == {"essential": [], "minimal": True, "sets": {},
                                  "uncovered": []}
-    for doc in docs:
+    for sol, doc in zip(sols, docs):
         assert render_report(doc) == _dumps(doc)
+        assert report_text(sol) == render_report(doc)
     flat = function_to_json(solve(Problem(kernel, FunctionOnSpace(
         kernel.x_labels, np.array([-math.inf, 2.0])))).f_min)
     assert "+inf" in flat.values()
@@ -848,6 +857,50 @@ json_docs = st.recursive(
     lambda inner: st.one_of(st.lists(inner, max_size=4),
                             st.dictionaries(tricky_text, inner, max_size=4)),
     max_leaves=30)
+
+
+# labels that need escaping, and small values with infinities among them
+tricky_labels = st.lists(st.text(st.sampled_from('"\\\x00\x01\x1f\n\u2028\xa0é∞],: ab'),
+                                 max_size=3), min_size=1, max_size=5, unique=True)
+small_values = st.sampled_from([-1.0, -0.0, 0.0, 0.5, 1.0, 2.0, 1 / 3, math.inf, -math.inf])
+# 1-D and 2-D grids for FenchelDot, whose 2-D labels are "(x,y)"
+report_grids = [(((-1.0, 1.0, 0.5),), ((-2.0, 2.0, 1.0),)),
+                (((-1.0, 1.0, 0.5), (0.0, 1.0, 0.5)), ((-1.0, 1.0, 1.0), (-0.5, 0.5, 0.5)))]
+
+
+@st.composite
+def report_problems(draw):
+    """A small moreau table with tricky labels or a small grid kernel,
+    a planted or drawn target, X' and Y' restrictions and a tolerance."""
+    if draw(st.booleans()):
+        xl, yl = draw(tricky_labels), draw(tricky_labels)
+        entries = st.sampled_from([-1.0, 0.0, 0.5, 2.0, -math.inf])
+        bbar = [[draw(entries) for _ in yl] for _ in xl]
+        for k in range(max(len(xl), len(yl))):  # a finite entry in every row and column
+            bbar[k % len(xl)][k % len(yl)] = 0.0
+        kernel = build_moreau(bbar, xl, yl)
+    else:
+        xg, yg = draw(st.sampled_from(report_grids))
+        kernel = build_grid_kernel(FenchelDot(), GridSpec(xg), GridSpec(yg))
+    nx, ny = kernel.shape
+    if draw(st.booleans()):
+        f = FunctionOnSpace(kernel.y_space, draw(st.lists(small_values, min_size=ny,
+                                                          max_size=ny)))
+        g = apply_forward(kernel, f).values
+    else:
+        g = draw(st.lists(small_values, min_size=nx, max_size=nx))
+    restrict = [draw(st.none() | st.lists(st.sampled_from(labels), unique=True))
+                for labels in (kernel.x_labels, kernel.y_labels)]
+    return Problem(kernel, FunctionOnSpace(kernel.x_space, g), x_restrict=restrict[0],
+                   y_restrict=restrict[1], tolerance=draw(st.sampled_from([0.0, 1e-9])))
+
+
+@settings(max_examples=300, deadline=None)
+@given(report_problems())
+def test_report_writer_matches_the_dict_renderer(problem):
+    sol = solve(problem)
+    event(f"{sol.status.value}, witness {sol.witness_alt is not None}")
+    assert report_text(sol) == render_report(solution_to_report(sol))
 
 
 @settings(max_examples=200, deadline=None)

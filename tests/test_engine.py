@@ -34,7 +34,7 @@ from galois_solve.engine import (
     sup_pass,
 )
 from galois_solve.errors import ValidationError
-from galois_solve.extreal import DEFAULT_TOL
+from galois_solve.extreal import DEFAULT_TOL, INFINITIES, parse
 from galois_solve.kernel import (
     CouplingTable,
     FenchelDot,
@@ -174,6 +174,27 @@ def test_from_mapping_lists_unknown_keys_of_any_type():
     # keys that do not compare with each other are listed in mapping order
     with pytest.raises(ValidationError, match=r"unknown labels: \[1, 'b'\]"):
         FunctionOnSpace.from_mapping(("a",), {1: 2, "b": 3, "a": 0})
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(
+    st.floats(), st.integers(-2**1100, 2**1100), st.booleans(), st.none(),
+    st.sampled_from(["+inf", "inf", "-inf", "1.5", -0.0, math.nan, math.inf]),
+    st.floats().map(np.float64)), min_size=1, max_size=4))
+def test_from_mapping_converts_as_parse_does(values):
+    """Values convert as ``extreal.parse`` takes each one, bit for bit,
+    and a refused one raises its message, whichever path converts it."""
+    labels = [f"l{k}" for k in range(len(values))]
+    mapping = dict(zip(labels, values))
+    try:
+        want = [parse(v, f"value at {l!r}", INFINITIES) for l, v in zip(labels, values)]
+    except ValidationError as exc:
+        with pytest.raises(ValidationError) as got:
+            FunctionOnSpace.from_mapping(labels, mapping)
+        assert str(got.value) == str(exc)
+        return
+    got = FunctionOnSpace.from_mapping(labels, mapping).values
+    assert got.tobytes() == np.array(want).tobytes()
 
 
 # -- algebraic laws on random kernels (small copies; the acceptance

@@ -218,6 +218,16 @@ def test_fenchel_experiment_passes():
     assert r.details["product_inequality_violation"] <= 0.0
 
 
+@pytest.mark.parametrize("step", [0.003, 0.007, 0.0123])
+def test_fenchel_passes_when_the_y_grid_misses_zero(step):
+    """The conjugate of |y| is measured against the one its grid
+    attains, which is not 0 when the grid misses 0."""
+    assert np.abs(GridSpec.line(-4.0, 4.0, step).points()).min() > 1e-4
+    r = fenchel_experiment(step)
+    assert r.passed
+    assert r.details["err_abs_indicator"] <= 1e-15
+
+
 # -- quadratic reduction
 
 
