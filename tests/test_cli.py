@@ -863,8 +863,10 @@ json_docs = st.recursive(
 tricky_labels = st.lists(st.text(st.sampled_from('"\\\x00\x01\x1f\n\u2028\xa0é∞],: ab'),
                                  max_size=3), min_size=1, max_size=5, unique=True)
 small_values = st.sampled_from([-1.0, -0.0, 0.0, 0.5, 1.0, 2.0, 1 / 3, math.inf, -math.inf])
-# 1-D and 2-D grids for FenchelDot, whose 2-D labels are "(x,y)"
-report_grids = [(((-1.0, 1.0, 0.5),), ((-2.0, 2.0, 1.0),)),
+# 1-D and 2-D grids for FenchelDot, whose 2-D labels are "(x,y)", the
+# first with one grid on both sides
+report_grids = [(((-1.0, 1.0, 0.5),), ((-1.0, 1.0, 0.5),)),
+                (((-1.0, 1.0, 0.5),), ((-2.0, 2.0, 1.0),)),
                 (((-1.0, 1.0, 0.5), (0.0, 1.0, 0.5)), ((-1.0, 1.0, 1.0), (-0.5, 0.5, 0.5)))]
 
 
