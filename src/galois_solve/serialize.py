@@ -8,7 +8,6 @@ problem files are rejected rather than ignored, so typos fail loudly.
 
 from __future__ import annotations
 
-import itertools
 import json
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import Optional
@@ -293,20 +292,21 @@ def render_report(report, sort_keys: bool = True) -> str:
     """``json.dumps(report, indent=2, sort_keys=sort_keys)``, byte for byte.
 
     With an indent, the json module encodes in pure Python.  Here a list
-    or dict of scalars, and a dict of such lists, goes through its C
-    encoder in one call, with the line break and indent of its depth as
-    the item separator; only the other containers are joined in Python,
-    and their keys are strings, as every report's are.
+    or dict of scalars goes through its C encoder in one call, with the
+    line break and indent of its depth as the item separator; only the
+    other containers are joined in Python, and their keys are strings,
+    as every report's are.  ``solve --json`` reports are written by
+    :func:`report_text`, for which this is the reference.
     """
     if c_make_encoder is None:  # an interpreter without the C encoder
         return json.dumps(report, indent=2, sort_keys=sort_keys)
     encoders = {}
 
-    def c_encode(o, item_sep: str, key_sep: str = ": ") -> str:
-        enc = encoders.get((item_sep, key_sep))
+    def c_encode(o, item_sep: str) -> str:
+        enc = encoders.get(item_sep)
         if enc is None:
-            enc = encoders[item_sep, key_sep] = c_make_encoder(
-                None, _SCALAR.default, encode_basestring_ascii, None, key_sep,
+            enc = encoders[item_sep] = c_make_encoder(
+                None, _SCALAR.default, encode_basestring_ascii, None, ": ",
                 item_sep, sort_keys, False, True)
         return "".join(enc(o, 0))
 
@@ -320,14 +320,9 @@ def render_report(report, sort_keys: bool = True) -> str:
         if not o:
             return "{}" if isinstance(o, dict) else "[]"
         outer, ind = "\n" + "  " * depth, "\n" + "  " * (depth + 1)
-        types = set(map(type, values))
-        if types <= _SCALARS:
+        if set(map(type, values)) <= _SCALARS:
             text = c_encode(o, "," + ind)
             return text[0] + ind + text[1:-1] + outer + text[-1]
-        if (types == {list} and isinstance(o, dict) and set(
-                map(type, itertools.chain.from_iterable(values))) <= _SCALARS):
-            return _lists_by_key(c_encode(o, ",\0", "\1"), outer, ind,
-                                 ind + "  ")
         if isinstance(o, dict):
             items = sorted(o.items()) if sort_keys else o.items()
             body = ("," + ind).join(
@@ -342,21 +337,6 @@ def render_report(report, sort_keys: bool = True) -> str:
 
 _SCALAR = json.JSONEncoder()
 _SCALARS = frozenset((str, int, float, bool, type(None)))
-
-
-def _lists_by_key(text: str, outer: str, ind: str, inner: str) -> str:
-    """Indent a dict of lists of scalars, encoded with the item separator
-    ",\\0" and the key separator "\\1".  Encoded strings escape every
-    control character, so the markers occur nowhere else, and a list
-    ends wherever "]" precedes a separator or the closing brace."""
-    text = (text.replace("[],\0", "[]\2")      # an empty list, next key
-                .replace("],\0", ind + "]\2")  # a list's end, next key
-                .replace("\1[]", ": []")
-                .replace("\1[", ": [" + inner)
-                .replace("\0", inner)           # within a list
-                .replace("\2", "," + ind))
-    end = "]" if text[-3] == "[" else ind + "]"
-    return "{" + ind + text[1:-2] + end + outer + "}"
 
 
 def parse_function_arg(arg: str, space) -> FunctionOnSpace:

@@ -842,9 +842,9 @@ def test_render_report_on_solve_reports():
     assert render_report(flat, sort_keys=False) == _dumps(flat, False)
 
 
-# text that needs escaping or could be taken for the markers and brackets
-# that render_report splits on: quotes, backslashes, control characters,
-# "]", ",", ":" and non-ASCII
+# text that needs escaping or sits next to the brackets and separators
+# render_report writes: quotes, backslashes, control characters, "]",
+# ",", ":" and non-ASCII
 tricky_text = st.text(st.one_of(st.sampled_from('"\\\x00\x01\x02\n\x1f],[: é∞\u2028a0'),
                                 st.characters()), max_size=6)
 json_scalars = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(),
