@@ -859,10 +859,13 @@ json_docs = st.recursive(
     max_leaves=30)
 
 
-# labels that need escaping, and small values with infinities among them
+# labels that need escaping, and small values with infinities among them;
+# 1/3 only at tol 1e-9, since at tol 0 a target that rounds can make the
+# witness fail `verify` by one rounding, the InternalError that
+# test_witness_of_a_signed_power_table_passes_verify pins
 tricky_labels = st.lists(st.text(st.sampled_from('"\\\x00\x01\x1f\n\u2028\xa0é∞],: ab'),
                                  max_size=3), min_size=1, max_size=5, unique=True)
-small_values = st.sampled_from([-1.0, -0.0, 0.0, 0.5, 1.0, 2.0, 1 / 3, math.inf, -math.inf])
+dyadic_values = [-1.0, -0.0, 0.0, 0.5, 1.0, 2.0, math.inf, -math.inf]
 # 1-D and 2-D grids for FenchelDot, whose 2-D labels are "(x,y)", the
 # first with one grid on both sides
 report_grids = [(((-1.0, 1.0, 0.5),), ((-1.0, 1.0, 0.5),)),
@@ -885,6 +888,8 @@ def report_problems(draw):
         xg, yg = draw(st.sampled_from(report_grids))
         kernel = build_grid_kernel(FenchelDot(), GridSpec(xg), GridSpec(yg))
     nx, ny = kernel.shape
+    tol = draw(st.sampled_from([0.0, 1e-9]))
+    small_values = st.sampled_from(dyadic_values + ([1 / 3] if tol else []))
     if draw(st.booleans()):
         f = FunctionOnSpace(kernel.y_space, draw(st.lists(small_values, min_size=ny,
                                                           max_size=ny)))
@@ -894,7 +899,7 @@ def report_problems(draw):
     restrict = [draw(st.none() | st.lists(st.sampled_from(labels), unique=True))
                 for labels in (kernel.x_labels, kernel.y_labels)]
     return Problem(kernel, FunctionOnSpace(kernel.x_space, g), x_restrict=restrict[0],
-                   y_restrict=restrict[1], tolerance=draw(st.sampled_from([0.0, 1e-9])))
+                   y_restrict=restrict[1], tolerance=tol)
 
 
 @settings(max_examples=300, deadline=None)
