@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Compare the ``solve --json`` writer with the dict renderer.
+"""Compare the ``solve --json`` and ``apply --json`` writers with ``json.dumps``.
 
 Usage:
     PYTHONPATH=src python scripts/report_bytes_check.py [--seed N]
@@ -9,17 +9,24 @@ and grid-lab workloads of ``perfbench/gen.py`` at the seed (default
 11): the coupling and form tables, up to 900 x 900 and 2000 x 500, the
 desk fixtures and files, and the grid-family files, among them a
 2001-point Lipschitz line whose tie family has tens of thousands of
-members.  Each is solved once, and
-``serialize.report_text`` of the solution is compared with
-``render_report(solution_to_report(...))``, the bytes ``json.dumps(...,
-indent=2, sort_keys=True)`` writes.  The exit code is 1 unless every
-report is byte-identical.
+members.  Each is solved once, and ``serialize.report_text`` of the
+solution is compared with ``json.dumps(solution_to_report(...),
+indent=2, sort_keys=True)``.  Each is also given to ``apply --json`` as
+``scripts/output_digests.py`` calls it, ``--direction Bstar`` on the
+file's own g and ``--direction B`` with f = 0 on every y, and what it
+prints is compared with ``json.dumps(function_to_json(result),
+indent=2)``.  The exit code is 1 unless every output is byte-identical.
 """
 
 import argparse
+import contextlib
+import io
+import json
 import pathlib
 import sys
 import tempfile
+
+import numpy as np
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -44,26 +51,45 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=11)
     args = parser.parse_args(argv)
 
-    from galois_solve.serialize import (load_problem, render_report, report_text,
+    from galois_solve.cli import main as cli_main
+    from galois_solve.engine import FunctionOnSpace, apply_adjoint, apply_forward
+    from galois_solve.serialize import (function_to_json, load_problem, report_text,
                                         solution_to_report)
     from galois_solve.solver import solve
+
+    def printed(argv) -> str:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            cli_main(argv)
+        return out.getvalue()
 
     differ = []
     with tempfile.TemporaryDirectory() as inputs:
         paths = solve_inputs(args.seed, inputs)
         for path in paths:
-            sol = solve(load_problem(path))
+            problem = load_problem(path)
+            kernel, name = problem.kernel, pathlib.Path(path).name
+            sol = solve(problem)
             text = report_text(sol)
-            same = text == render_report(solution_to_report(sol))
-            name = pathlib.Path(path).name
+            same = text == json.dumps(solution_to_report(sol), indent=2, sort_keys=True)
             print(f"{name}: {len(text)} bytes, {len(sol.family.indices)} members"
                   + ("" if same else ", DIFFERENT"))
             if not same:
                 differ.append(name)
+            zero = FunctionOnSpace(kernel.y_space, np.zeros(kernel.shape[1]))
+            applied = {
+                "Bstar": (["--direction", "Bstar"], apply_adjoint(kernel, problem.g)),
+                "B": (["--direction", "B", "--f", json.dumps(dict.fromkeys(
+                    kernel.y_labels, 0))], apply_forward(kernel, zero))}
+            for direction, (flags, result) in applied.items():
+                want = json.dumps(function_to_json(result), indent=2) + "\n"
+                if printed(["apply", path, *flags, "--json"]) != want:
+                    print(f"{name}: apply --direction {direction} --json, DIFFERENT")
+                    differ.append(f"{name} apply {direction}")
     if differ:
-        print("the writer differs from the dict renderer on: " + ", ".join(differ))
+        print("the writers differ from json.dumps on: " + ", ".join(differ))
         return 1
-    print(f"the same bytes on all {len(paths)} problem files")
+    print(f"the same bytes on all {len(paths)} problem files, solved and applied both ways")
     return 0
 
 

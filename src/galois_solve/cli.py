@@ -23,7 +23,7 @@ from .errors import ValidationError
 from .extreal import fmt
 from .lab import EXPERIMENTS, run_experiment, write_curves_csv
 from .serialize import (
-    function_to_json,
+    function_text,
     load_problem,
     parse_function_arg,
     render_report,
@@ -102,7 +102,7 @@ def cmd_apply(args) -> int:
         gn = problem.g if args.g is None else parse_function_arg(args.g, kernel.x_space)
         result = apply_adjoint(kernel, gn)
     if args.json:
-        print(render_report(function_to_json(result), sort_keys=False))
+        print(function_text(result))
     else:
         print("\n".join(_assignments(result)))
     return EXIT_OK

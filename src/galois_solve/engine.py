@@ -31,13 +31,10 @@ Argmax sets travel as one flat array of sorted indices with row offsets,
 in a :class:`~galois_solve.covering.CoverFamily`, which turns them into
 label sets only when its ``sets`` view is read.
 
-Kernels that record a :class:`LipschitzLine` (the distance kernels
--a|y - x| on 1-D grids) take a single-threaded O(n + m) path for the
-transforms.  Their argmax sets at a finite input reduce, in each block
-of rows, only the window of columns that can tie there: the columns
-that can tie at a row form an interval of rows around the column's own
-point, bounded from that path's maxima, so the windows of all blocks
-cost O((n + m) log n) and the sets are those of the full-width blocks.
+A kernel that records a ``structure`` (see
+:class:`~galois_solve.kernel.Kernel`) takes its fast path for the
+transforms, and its argmax sets reduce, in each block of rows, only the
+columns that the structure finds can tie there.
 """
 
 from __future__ import annotations
@@ -56,7 +53,7 @@ from .covering import CoverFamily, offsets
 from .errors import ValidationError
 from .extreal import DEFAULT_TOL, INFINITIES, ExtReal, parse
 from . import kernel as kernel_mod
-from .kernel import GridSpec, Kernel, LipschitzLine, labels_of, same_space
+from .kernel import GridSpec, Kernel, labels_of, same_space
 
 _BLOCK = 256
 
@@ -270,104 +267,6 @@ def slice_table(kernel: Kernel, lam: np.ndarray) -> np.ndarray:
     return _blocks(kernel, lam)(0, kernel.shape[0])
 
 
-#: Points per chunk of :func:`_envelope_pass`.
-_ENVELOPE_CHUNK = 2**16
-
-
-def _prefix_argmax(s: np.ndarray) -> np.ndarray:
-    """For every k, the index of a maximum of ``s[:k + 1]``."""
-    at = np.arange(len(s))
-    at[s != np.maximum.accumulate(s)] = 0
-    return np.maximum.accumulate(at, out=at)
-
-
-def _envelope_pass(line: LipschitzLine, lam: np.ndarray) -> np.ndarray:
-    """The forward map of a 1-D Lipschitz distance kernel in O(n + m).
-
-    With bbar = -a|y - x| over ascending points, the supremum at an x
-    splits at that point: to its left the entries are (a*y - lam) - a*x,
-    to its right (-a*y - lam) + a*x.  A prefix and a suffix argmax pick
-    one maximiser per side, and the result is the larger of the two
-    table entries there, evaluated with the table's own operations.
-    Each value is therefore an entry of its row; where the two splits
-    round differently it can sit below the row maximum by a few ulps of
-    a*(|x| + |y|) + |lam|.  The x points go in chunks of
-    :data:`_ENVELOPE_CHUNK`, so that the pass holds three arrays of its
-    size, the argmaxes and the result, and chunks of the rest.
-    """
-    x, y, a = line.xp, line.yp, line.a
-    m = len(y)
-    left = _prefix_argmax(np.multiply(y, a) - lam)
-    right_rev = _prefix_argmax((np.multiply(y, -a) - lam)[::-1])  # of y reversed
-    out = np.empty(len(x))
-    for lo in range(0, len(x), _ENVELOPE_CHUNK):
-        xs = x[lo:lo + _ENVELOPE_CHUNK]
-        # y[:n_left] <= x, and y[n_below:] >= x
-        n_left = np.searchsorted(y, xs, side="right")
-        n_below = np.searchsorted(y, xs, side="left")
-        jr = m - 1 - right_rev[np.maximum(m - 1 - n_below, 0)]
-        jl = np.where(n_left > 0, left[np.maximum(n_left - 1, 0)], jr)
-        jr = np.where(n_below < m, jr, jl)
-        np.maximum(_entries(line, xs, jl, lam), _entries(line, xs, jr, lam),
-                   out=out[lo:lo + _ENVELOPE_CHUNK])
-    return out
-
-
-def _entries(line: LipschitzLine, x: np.ndarray, j: np.ndarray, lam: np.ndarray):
-    """The slices of the distance kernel at the pairs (x, y[j]) at lam."""
-    out = line.entries(x, line.yp[j])
-    out -= lam[j]
-    return out
-
-
-def _tie_windows(line: LipschitzLine, lam: np.ndarray, tol: float,
-                 spans: Sequence[Tuple[int, int]]) -> Optional[List[Tuple[int, int]]]:
-    """For each span of rows of a pass at ``tol`` over a 1-D Lipschitz
-    distance kernel, with ``lam`` finite and ``tol`` >= 0, a range
-    [jlo, jhi) of columns holding every column of its rows' tie sets;
-    None when the rounding bound below is not finite.
-
-    A row x at or right of a column y holds it only if a*y - lam(y) >=
-    top(x) + a*x - tol, and a row at or left of it only if -a*y - lam(y)
-    >= top(x) - a*x - tol.  The row maxima top are a-Lipschitz in x, so
-    both right-hand sides are monotone over the rows: taken from
-    :func:`_envelope_pass`, which is never above the maxima, lowered by
-    delta and made monotone by running minima, they bound the rows that
-    can hold each column by one interval, which also holds the rows at
-    the column's own point.  delta = 8*eps*scale bounds the rounding of
-    the table's entries, of the tie threshold and of the bounds
-    themselves, each a few ulps of scale = a*(max|x| + max|y|) +
-    max|lam| + tol.
-
-    Columns are ascending, and so are the rows at their points: a span
-    holds every column whose point falls in its rows, and of the
-    columns left of it only those from the first whose interval reaches
-    into the span, and right of it only those up to the last.  Every
-    span costs two binary searches in running extrema of the bounds.
-    """
-    x, y, a = line.xp, line.yp, line.a
-    scale = a * (np.abs(x).max() + np.abs(y).max()) + np.abs(lam).max() + tol
-    if not math.isfinite(2 * scale):  # the entries might overflow
-        return None
-    slack = tol + 8 * np.finfo(float).eps * scale
-    top, ax, ay = _envelope_pass(line, lam), np.multiply(x, a), np.multiply(y, a)
-    right = np.minimum.accumulate((top + ax - slack)[::-1])[::-1]  # ascending
-    left = np.minimum.accumulate(top - ax - slack)  # descending
-    below = np.searchsorted(x, y, side="left")  # rows with x < y, per column
-    upto = np.searchsorted(x, y, side="right")  # rows with x <= y
-    first = np.minimum(np.searchsorted(-left, ay + lam, side="left"), below)
-    end = np.maximum(np.searchsorted(right, ay - lam, side="right"), upto)
-    lo = np.array([s[0] for s in spans])
-    hi = np.array([s[1] for s in spans])
-    n_left = np.searchsorted(upto, lo, side="right")  # columns left of the span
-    n_upto = np.searchsorted(below, hi, side="left")  # columns not right of it
-    jlo = np.minimum(np.searchsorted(np.maximum.accumulate(end), lo, side="right"),
-                     n_left)
-    jhi = np.maximum(np.searchsorted(np.minimum.accumulate(first[::-1])[::-1], hi,
-                                     side="left"), n_upto)
-    return list(zip(jlo.tolist(), jhi.tolist()))
-
-
 def sup_pass(kernel: Kernel, lam: np.ndarray, tol: Optional[float] = None):
     """The one max-plus reduction behind both transforms: the forward
     map of ``kernel``, and the adjoint as the forward map of its dual.
@@ -379,24 +278,23 @@ def sup_pass(kernel: Kernel, lam: np.ndarray, tol: Optional[float] = None):
     exact maximisers and a +inf supremum only the entries equal to it.
     A supremum of -inf is attained by the whole support.
 
-    Kernels that record a :class:`LipschitzLine` take
-    :func:`_envelope_pass` without ``tol``.  With ``tol`` and a finite
-    ``lam``, each block of their rows reduces only the columns that
-    :func:`_tie_windows` finds can tie in it, evaluated with the
-    table's own operations: the maxima and the sets are those of the
-    full-width blocks, bit for bit.
+    A kernel's ``structure``, when it has one, gives the transform
+    without ``tol``.  With ``tol``, each block of rows reduces only the
+    columns of its window, when the structure bounds them, evaluated by
+    the structure's block with the table's own operations: the maxima
+    and the sets are those of the full-width blocks, bit for bit.
     """
-    line = kernel.lipschitz_line
-    if tol is None and line is not None:
-        return _envelope_pass(line, lam), None
+    structure = kernel.structure
+    if structure is not None and tol is None:
+        return structure.transform(lam), None
     n_out, n_in = kernel.shape
     spans = [(lo, min(lo + _BLOCK, n_out)) for lo in range(0, n_out, _BLOCK)]
-    windows = None
-    if line is not None and tol >= 0 and np.isfinite(lam).all():
-        windows = _tie_windows(line, lam, tol, spans)
-    windowed = windows is not None
-    if not windowed:
-        block, windows = _blocks(kernel, lam), [(0, n_in)] * len(spans)
+    windows = None if structure is None else structure.windows(lam, tol, spans)
+    if windows is None:
+        full, windows = _blocks(kernel, lam), [(0, n_in)] * len(spans)
+        block = lambda lo, hi, jlo, jhi, out: full(lo, hi, out)
+    else:
+        block = structure.block(lam)
     rows = min(_BLOCK, n_out)
     scratch = threading.local()  # one value block and tie mask per thread
 
@@ -405,13 +303,7 @@ def sup_pass(kernel: Kernel, lam: np.ndarray, tol: Optional[float] = None):
         shape = (hi - lo, jhi - jlo)
         if not hasattr(scratch, "vals"):
             scratch.vals = np.empty(rows * n_in)
-        vals = scratch.vals[:shape[0] * shape[1]].reshape(shape)
-        if windowed:
-            vals[...] = line.yp[jlo:jhi]
-            line.entries(line.xp[lo:hi, None], vals)
-            np.subtract(vals, lam[jlo:jhi], out=vals)
-        else:
-            vals = block(lo, hi, vals)
+        vals = block(lo, hi, jlo, jhi, scratch.vals[:shape[0] * shape[1]].reshape(shape))
         top = vals.max(axis=1)
         if tol is None:
             return top, None, None
@@ -419,7 +311,7 @@ def sup_pass(kernel: Kernel, lam: np.ndarray, tol: Optional[float] = None):
             scratch.hit = np.empty(rows * n_in, dtype=bool)
         hit = np.greater_equal(vals, (top - tol)[:, None],
                                out=scratch.hit[:vals.size].reshape(shape))
-        for r in np.flatnonzero(np.isneginf(top)):  # never in a window: lam is finite
+        for r in np.flatnonzero(np.isneginf(top)):  # full width: windows need a finite lam
             hit[r] = False
             hit[r, list(kernel.support_row(lo + r))] = True
         # flat positions in row-major order: each row's columns ascending

@@ -27,7 +27,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -206,18 +206,126 @@ class OmegaLipschitz:
 class LipschitzLine:
     """Structure of an ``OmegaLipschitz`` kernel with q = 1 on 1-D grids:
     bbar(x, y) = -a|y - x| with ascending x points ``xp`` and y points
-    ``yp``; the dual's swaps them.  The engine reads it to reduce the
-    transforms in O(n + m)."""
+    ``yp``.  Its transforms take O(n + m), the windows of its tie passes
+    O((n + m) log n)."""
 
     a: float
     xp: np.ndarray
     yp: np.ndarray
+
+    @property
+    def dual(self) -> "LipschitzLine":
+        """The structure of the dual kernel: the points swapped."""
+        return LipschitzLine(self.a, self.yp, self.xp)
 
     def entries(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """The coupling entries at the point pairs (x, y), evaluated with
         the same float operations as the kernel's table; ``y`` is
         overwritten with them."""
         return _neg_omega(np.subtract(y, x, out=y), self.a, 1.0)
+
+    def transform(self, lam: np.ndarray) -> np.ndarray:
+        """The forward map at ``lam`` in O(n + m).
+
+        The supremum at an x splits at that point: to its left the
+        entries are (a*y - lam) - a*x, to its right (-a*y - lam) + a*x.
+        A prefix and a suffix argmax pick one maximiser per side, and the
+        result is the larger of the two table entries there, evaluated
+        with the table's own operations.  Each value is therefore an
+        entry of its row; where the two splits round differently it can
+        sit below the row maximum by a few ulps of a*(|x| + |y|) + |lam|.
+        The x points go in chunks of :data:`_ENVELOPE_CHUNK`, so that the
+        pass holds three arrays of its size, the argmaxes and the result,
+        and chunks of the rest.
+        """
+        x, y, a = self.xp, self.yp, self.a
+        m = len(y)
+        left = _prefix_argmax(np.multiply(y, a) - lam)
+        right_rev = _prefix_argmax((np.multiply(y, -a) - lam)[::-1])  # of y reversed
+        out = np.empty(len(x))
+        for lo in range(0, len(x), _ENVELOPE_CHUNK):
+            xs = x[lo:lo + _ENVELOPE_CHUNK]
+            # y[:n_left] <= x, and y[n_below:] >= x
+            n_left = np.searchsorted(y, xs, side="right")
+            n_below = np.searchsorted(y, xs, side="left")
+            jr = m - 1 - right_rev[np.maximum(m - 1 - n_below, 0)]
+            jl = np.where(n_left > 0, left[np.maximum(n_left - 1, 0)], jr)
+            jr = np.where(n_below < m, jr, jl)
+            # the slices at the pairs (x, y[j]) evaluated at lam, in place
+            at_l, at_r = self.entries(xs, y[jl]), self.entries(xs, y[jr])
+            at_l -= lam[jl]
+            at_r -= lam[jr]
+            np.maximum(at_l, at_r, out=out[lo:lo + _ENVELOPE_CHUNK])
+        return out
+
+    def windows(self, lam: np.ndarray, tol: float,
+                spans: Sequence[Tuple[int, int]]) -> Optional[List[Tuple[int, int]]]:
+        """For each span of rows of a pass at ``tol``, a range [jlo, jhi)
+        of columns holding every column of its rows' tie sets; None when
+        ``tol`` < 0 or the rounding bound below is not finite (as where
+        ``lam`` is).
+
+        A row x at or right of a column y holds it only if a*y - lam(y) >=
+        top(x) + a*x - tol, and a row at or left of it only if -a*y -
+        lam(y) >= top(x) - a*x - tol.  The row maxima top are a-Lipschitz
+        in x, so both right-hand sides are monotone over the rows: taken
+        from :meth:`transform`, which is never above the maxima, lowered
+        by delta and made monotone by running minima, they bound the rows
+        that can hold each column by one interval, which also holds the
+        rows at the column's own point.  delta = 8*eps*scale bounds the
+        rounding of the table's entries, of the tie threshold and of the
+        bounds themselves, each a few ulps of scale = a*(max|x| +
+        max|y|) + max|lam| + tol.
+
+        Columns are ascending, and so are the rows at their points: a
+        span holds every column whose point falls in its rows, and of the
+        columns left of it only those from the first whose interval
+        reaches into the span, and right of it only those up to the last.
+        Every span costs two binary searches in running extrema of the
+        bounds.
+        """
+        x, y, a = self.xp, self.yp, self.a
+        scale = a * (np.abs(x).max() + np.abs(y).max()) + np.abs(lam).max() + tol
+        if not (tol >= 0 and math.isfinite(2 * scale)):  # the entries might overflow
+            return None
+        slack = tol + 8 * np.finfo(float).eps * scale
+        top, ax, ay = self.transform(lam), np.multiply(x, a), np.multiply(y, a)
+        right = np.minimum.accumulate((top + ax - slack)[::-1])[::-1]  # ascending
+        left = np.minimum.accumulate(top - ax - slack)  # descending
+        below = np.searchsorted(x, y, side="left")  # rows with x < y, per column
+        upto = np.searchsorted(x, y, side="right")  # rows with x <= y
+        first = np.minimum(np.searchsorted(-left, ay + lam, side="left"), below)
+        end = np.maximum(np.searchsorted(right, ay - lam, side="right"), upto)
+        lo = np.array([s[0] for s in spans])
+        hi = np.array([s[1] for s in spans])
+        n_left = np.searchsorted(upto, lo, side="right")  # columns left of the span
+        n_upto = np.searchsorted(below, hi, side="left")  # columns not right of it
+        jlo = np.minimum(np.searchsorted(np.maximum.accumulate(end), lo, side="right"),
+                         n_left)
+        jhi = np.maximum(np.searchsorted(np.minimum.accumulate(first[::-1])[::-1], hi,
+                                         side="left"), n_upto)
+        return list(zip(jlo.tolist(), jhi.tolist()))
+
+    def block(self, lam: np.ndarray) -> Callable[..., np.ndarray]:
+        """The slices at ``lam`` on a window, as ``block(lo, hi, jlo, jhi,
+        out)``: rows lo:hi and columns jlo:jhi, written into ``out``, the
+        caller's scratch array of that shape, which is returned."""
+        def block(lo: int, hi: int, jlo: int, jhi: int, out: np.ndarray) -> np.ndarray:
+            out[...] = self.yp[jlo:jhi]
+            self.entries(self.xp[lo:hi, None], out)
+            return np.subtract(out, lam[jlo:jhi], out=out)
+        return block
+
+
+#: Points per chunk of :meth:`LipschitzLine.transform`.
+_ENVELOPE_CHUNK = 2**16
+
+
+def _prefix_argmax(s: np.ndarray) -> np.ndarray:
+    """For every k, the index of a maximum of ``s[:k + 1]``."""
+    at = np.arange(len(s))
+    at[s != np.maximum.accumulate(s)] = 0
+    return np.maximum.accumulate(at, out=at)
 
 
 def _neg_omega(dist: np.ndarray, a: float, q: float) -> np.ndarray:
@@ -445,16 +553,15 @@ class Kernel:
     """Immutable kernel over all of X and Y; construct through the
     ``build_*`` helpers."""
 
-    def __init__(self, x_labels, y_labels, table, *,
-                 line: Optional[LipschitzLine] = None):
+    def __init__(self, x_labels, y_labels, table, *, structure=None):
         """The kernel of a :class:`FormTable` or :class:`CouplingTable`.
         Each side is a sequence of labels or a :class:`GridSpec`, kept as
         ``x_space`` and ``y_space``; only labels given as a sequence are
         checked for duplicates.  A generated table is a grid family's
-        (``is_grid``).  ``line``, kept as ``lipschitz_line``, is the
-        structure of a 1-D Lipschitz distance table (see
-        :class:`LipschitzLine`), which :func:`build_grid_kernel` derives
-        from the family and the grids."""
+        (``is_grid``).  ``structure``, None or what :func:`build_grid_kernel`
+        derives from the family and grids (a :class:`LipschitzLine`), gives
+        the table's fast paths: ``transform(lam)``, the column ``windows(lam,
+        tol, spans)`` of a tie pass, their ``block(lam)``, and ``dual``."""
         self.x_space, self.y_space = (
             s if isinstance(s, GridSpec) else tuple(map(str, s)) for s in (x_labels, y_labels))
         self.shape = len(self.x_space), len(self.y_space)
@@ -465,7 +572,7 @@ class Kernel:
                 raise ValidationError(f"duplicate {side} labels")
         self.table = table
         self.is_grid = table.lazy
-        self.lipschitz_line = line
+        self.structure = structure
         if table.shape != self.shape:
             what = "coupling" if self.is_moreau else "entry"
             raise ValidationError(f"{what} table shape does not match labels")
@@ -500,12 +607,13 @@ class Kernel:
     def dual(self) -> "Kernel":
         """The kernel b° over Y x X, b°(y, x, .) the inverse of b(x, y, .),
         whose forward map is this kernel's adjoint; ``k.dual.dual is k``.
-        Its table is ``table.dual``, made at build, and is not checked again."""
-        dual, line = object.__new__(Kernel), self.lipschitz_line
+        Its table is ``table.dual``, made at build, and is not checked
+        again, and its structure ``structure.dual``."""
+        dual = object.__new__(Kernel)
         vars(dual).update(
             x_space=self.y_space, y_space=self.x_space, shape=self.shape[::-1],
             table=self.table.dual, is_grid=self.is_grid, dual=self,
-            lipschitz_line=line and LipschitzLine(line.a, line.yp, line.xp))
+            structure=self.structure and self.structure.dual)
         return dual
 
     # ------------------------------------------------------------------
@@ -636,15 +744,15 @@ def build_grid_kernel(family, x_grid: GridSpec, y_grid: GridSpec) -> Kernel:
         y_grid = x_grid
     xp = x_grid.points()
     yp = xp if y_grid is x_grid else y_grid.points()
-    line = None
+    structure = None
     if isinstance(family, OmegaLipschitz) and family.q == 1 and x_grid.ndim == 1:
-        line = LipschitzLine(family.a, xp, yp)
+        structure = LipschitzLine(family.a, xp, yp)
     block = _family_block(family, xp, yp)
     table = CouplingTable(lambda k: block(k, True), lambda k: block(k, False),
                           (x_grid.size(), y_grid.size()))
     for grid in dict.fromkeys((x_grid, y_grid)):
         grid.check_labels()
-    return Kernel(x_grid, y_grid, table, line=line)
+    return Kernel(x_grid, y_grid, table, structure=structure)
 
 
 def _corners(grid: GridSpec) -> np.ndarray:

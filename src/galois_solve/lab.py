@@ -184,9 +184,13 @@ def fenchel_experiment(step: float = 0.01) -> LabResult:
     pairing = _pairing(x_grid, y_grid)
     f = GridFunction(y_grid, 0.5 * ypts * ypts)
     g, _, boundary = _maxima(pairing, f)
+    # the grid attains 1/2 x^2 - 1/2 d(x)^2, d(x) the distance from x to
+    # the nearest grid y, which is 0 only where the y grid holds x
+    near = np.clip(np.searchsorted(ypts, xpts), 1, len(ypts) - 1)
+    d = np.minimum(np.abs(xpts - ypts[near - 1]), np.abs(ypts[near] - xpts))
     interior = ~boundary
     err_parabola = float(np.max(np.abs(g.values[interior]
-                                       - 0.5 * xpts[interior] ** 2)))
+                                       - 0.5 * (xpts ** 2 - d ** 2)[interior])))
 
     # product inequality f(y) + g(x) >= x*y, checked against the rows of
     # the kernel the conjugate maximised over, hence exact

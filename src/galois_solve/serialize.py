@@ -9,7 +9,7 @@ problem files are rejected rather than ignored, so typos fail loudly.
 from __future__ import annotations
 
 import json
-from json.encoder import c_make_encoder, encode_basestring_ascii
+from json.encoder import encode_basestring_ascii
 from typing import Optional
 
 import numpy as np
@@ -288,55 +288,18 @@ def _indented(items: list, depth: int, brackets: str = "{}") -> str:
     return brackets[0] + ind + ("," + ind).join(items) + ind[:-2] + brackets[1]
 
 
-def render_report(report, sort_keys: bool = True) -> str:
-    """``json.dumps(report, indent=2, sort_keys=sort_keys)``, byte for byte.
-
-    With an indent, the json module encodes in pure Python.  Here a list
-    or dict of scalars goes through its C encoder in one call, with the
-    line break and indent of its depth as the item separator; only the
-    other containers are joined in Python, and their keys are strings,
-    as every report's are.  ``solve --json`` reports are written by
-    :func:`report_text`, for which this is the reference.
-    """
-    if c_make_encoder is None:  # an interpreter without the C encoder
-        return json.dumps(report, indent=2, sort_keys=sort_keys)
-    encoders = {}
-
-    def c_encode(o, item_sep: str) -> str:
-        enc = encoders.get(item_sep)
-        if enc is None:
-            enc = encoders[item_sep] = c_make_encoder(
-                None, _SCALAR.default, encode_basestring_ascii, None, ": ",
-                item_sep, sort_keys, False, True)
-        return "".join(enc(o, 0))
-
-    def encode(o, depth: int) -> str:
-        if isinstance(o, dict):
-            values = o.values()
-        elif isinstance(o, (list, tuple)):
-            values = o
-        else:
-            return _SCALAR.encode(o)
-        if not o:
-            return "{}" if isinstance(o, dict) else "[]"
-        outer, ind = "\n" + "  " * depth, "\n" + "  " * (depth + 1)
-        if set(map(type, values)) <= _SCALARS:
-            text = c_encode(o, "," + ind)
-            return text[0] + ind + text[1:-1] + outer + text[-1]
-        if isinstance(o, dict):
-            items = sorted(o.items()) if sort_keys else o.items()
-            body = ("," + ind).join(
-                encode_basestring_ascii(k) + ": " + encode(v, depth + 1)
-                for k, v in items)
-            return "{" + ind + body + outer + "}"
-        body = ("," + ind).join(encode(v, depth + 1) for v in o)
-        return "[" + ind + body + outer + "]"
-
-    return encode(report, 0)
+def render_report(report) -> str:
+    """A report as JSON, its keys sorted and indented by two spaces.
+    ``solve --json`` reports are written by :func:`report_text`, and
+    ``apply --json`` functions by :func:`function_text`."""
+    return json.dumps(report, indent=2, sort_keys=True)
 
 
-_SCALAR = json.JSONEncoder()
-_SCALARS = frozenset((str, int, float, bool, type(None)))
+def function_text(f: FunctionOnSpace) -> str:
+    """``json.dumps(function_to_json(f), indent=2)``, byte for byte, in
+    label order, written from the function's positions."""
+    return _indented(list(map("{}: {}".format, map(encode_basestring_ascii, f.labels),
+                              _numbers(f.values))), 0)
 
 
 def parse_function_arg(arg: str, space) -> FunctionOnSpace:

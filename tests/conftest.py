@@ -119,10 +119,10 @@ def use_cpus(monkeypatch, n):
 def stored_and_generated(family, x_grid, y_grid):
     """The family's kernel with its table stored, the oracle, and as
     built, its table generated in blocks.  The oracle keeps the
-    kernel's Lipschitz line, so that both take the same transforms."""
+    kernel's structure, so that both take the same transforms."""
     generated = build_grid_kernel(family, x_grid, y_grid)
     stored = Kernel(generated.x_labels, generated.y_labels,
                     CouplingTable.stored(generated.bbar_row(slice(None))),
-                    line=generated.lipschitz_line)
+                    structure=generated.structure)
     assert generated.table.lazy and not stored.table.lazy
     return stored, generated

@@ -23,6 +23,7 @@ from galois_solve.kernel import (
 from galois_solve.lab import EXPERIMENTS, run_experiment
 from galois_solve.scalar import Affine, Off
 from galois_solve.serialize import (
+    function_text,
     function_to_json,
     load_problem,
     problem_from_dict,
@@ -331,7 +332,7 @@ def test_lab_step_that_empties_a_measured_region_is_refused(capsys, argv, larges
 
 
 @pytest.mark.parametrize("argv,expected", [
-    (["fenchel", "--step", "1.5"], 1), (["fenchel", "--step", "2.98"], 1),
+    (["fenchel", "--step", "1.5"], 0), (["fenchel", "--step", "2.98"], 0),
     (["exgeom", "--step", "0.5"], 0),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else str(v))
 def test_lab_coarse_step_that_leaves_every_region_runs(capsys, argv, expected):
@@ -707,7 +708,7 @@ def test_malformed_grid_kernels_are_validation_errors(tmp_path_factory, docs):
     _solve_exits_2(tmp_path_factory, bad, "malformed_grid.json")
 
 
-# -- the report renderer writes what json.dumps writes
+# -- the report writers write what json.dumps writes
 
 
 def _dumps(doc, sort_keys=True):
@@ -816,9 +817,10 @@ def test_one_accept_rule_at_every_input_site(tmp_path_factory, value):
 
 
 @pytest.mark.parametrize("name", EXPERIMENTS)
-def test_render_report_on_lab_reports(name):
+def test_render_report_on_lab_reports(capsys, name):
     doc = run_experiment(name).to_dict()
-    assert render_report(doc) == _dumps(doc)
+    code, out, _ = run(capsys, "lab", name, "--json")
+    assert code == 0 and out == render_report(doc) + "\n" == _dumps(doc) + "\n"
 
 
 def test_render_report_on_solve_reports():
@@ -834,35 +836,17 @@ def test_render_report_on_solve_reports():
     assert docs[-1]["cover"] == {"essential": [], "minimal": True, "sets": {},
                                  "uncovered": []}
     for sol, doc in zip(sols, docs):
-        assert render_report(doc) == _dumps(doc)
-        assert report_text(sol) == render_report(doc)
-    flat = function_to_json(solve(Problem(kernel, FunctionOnSpace(
-        kernel.x_labels, np.array([-math.inf, 2.0])))).f_min)
-    assert "+inf" in flat.values()
-    assert render_report(flat, sort_keys=False) == _dumps(flat, False)
-
-
-# text that needs escaping or sits next to the brackets and separators
-# render_report writes: quotes, backslashes, control characters, "]",
-# ",", ":" and non-ASCII
-tricky_text = st.text(st.one_of(st.sampled_from('"\\\x00\x01\x02\n\x1f],[: é∞\u2028a0'),
-                                st.characters()), max_size=6)
-json_scalars = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(),
-                         tricky_text)
-# nested reports, with dicts of lists of scalars (empty lists among them),
-# as a report's covering sets are
-json_docs = st.recursive(
-    st.one_of(json_scalars,
-              st.dictionaries(tricky_text, st.lists(json_scalars, max_size=4), max_size=5)),
-    lambda inner: st.one_of(st.lists(inner, max_size=4),
-                            st.dictionaries(tricky_text, inner, max_size=4)),
-    max_leaves=30)
+        assert report_text(sol) == _dumps(doc)
+    f_min = solve(Problem(kernel, FunctionOnSpace(
+        kernel.x_labels, np.array([-math.inf, 2.0])))).f_min
+    assert "+inf" in function_to_json(f_min).values()
+    assert function_text(f_min) == _dumps(function_to_json(f_min), sort_keys=False)
 
 
 # labels that need escaping, and small values with infinities among them;
 # 1/3 only at tol 1e-9, since at tol 0 a target that rounds can make the
 # witness fail `verify` by one rounding, the InternalError that
-# test_witness_of_a_signed_power_table_passes_verify pins
+# test_witness_of_a_fenchel_grid_passes_verify pins
 tricky_labels = st.lists(st.text(st.sampled_from('"\\\x00\x01\x1f\n\u2028\xa0é∞],: ab'),
                                  max_size=3), min_size=1, max_size=5, unique=True)
 dyadic_values = [-1.0, -0.0, 0.0, 0.5, 1.0, 2.0, math.inf, -math.inf]
@@ -907,19 +891,15 @@ def report_problems(draw):
 def test_report_writer_matches_the_dict_renderer(problem):
     sol = solve(problem)
     event(f"{sol.status.value}, witness {sol.witness_alt is not None}")
-    assert report_text(sol) == render_report(solution_to_report(sol))
+    assert report_text(sol) == _dumps(solution_to_report(sol))
 
 
-@settings(max_examples=200, deadline=None)
-@given(json_docs)
-def test_render_report_matches_json_dumps(doc):
-    for sort_keys in (False, True):
-        assert render_report(doc, sort_keys) == _dumps(doc, sort_keys)
-
-
-def test_render_report_without_the_c_encoder(monkeypatch):
-    import galois_solve.serialize as serialize
-    monkeypatch.setattr(serialize, "c_make_encoder", None)
-    doc = {"b": [1.5, "a", None], "a": {"y": [], "x": {"k": [True, 2]}}}
-    assert render_report(doc) == _dumps(doc)
-    assert render_report(doc, sort_keys=False) == _dumps(doc, sort_keys=False)
+@settings(max_examples=100, deadline=None)
+@given(report_problems())
+def test_function_writer_matches_json_dumps(problem):
+    """``apply --json`` writes a function in label order, as
+    ``json.dumps`` without ``sort_keys`` does."""
+    sol = solve(problem)
+    for f in (problem.g, sol.f_min, sol.transformed, sol.witness_alt):
+        if f is not None:
+            assert function_text(f) == _dumps(function_to_json(f), sort_keys=False)

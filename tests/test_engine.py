@@ -393,8 +393,8 @@ def test_lazy_and_dense_transforms_agree(family, x_grid, y_grid):
     assert np.array_equal(inv[0], apply_adjoint(dense, g).values)
 
 
-# -- the O(n + m) envelope path for 1-D Lipschitz kernels, against the
-#    blocked reduction over the same table without the structure
+# -- structures: each kernel's fast paths against the blocked reduction
+#    of the same table without the structure, for the kernel and its dual
 
 
 def _random_line(rng, dyadic):
@@ -406,94 +406,6 @@ def _random_line(rng, dyadic):
         step = float(rng.uniform(0.01, 0.7))
         lo = float(rng.uniform(-6.0, 2.0))
     return GridSpec.line(lo, lo + step * (n - 0.5), step)
-
-
-def _random_lam(rng, n, kind):
-    if kind == "normal":
-        return rng.normal(scale=3.0, size=n)
-    lam = rng.integers(-6, 7, size=n).astype(float)
-    if kind == "inf":
-        lam[rng.random(n) < 0.2] = math.inf
-        lam[rng.random(n) < 0.1] = -math.inf
-    return lam
-
-
-@pytest.mark.parametrize("a", [1.0, 0.5, 2.0, 1.0 / 3.0])
-def test_envelope_path_matches_blocked_reduction(a):
-    rng = np.random.default_rng(int(a * 96) + 1)
-    eps = np.finfo(float).eps
-    for case in range(120):
-        dyadic = case % 2 == 0
-        x_grid = _random_line(rng, dyadic)
-        y_grid = x_grid if case % 4 < 2 else _random_line(rng, dyadic)
-        k = build_grid_kernel(OmegaLipschitz(a, 1.0), x_grid, y_grid)
-        assert k.lipschitz_line is not None
-        table = np.array(k.bbar_row(slice(None)))
-        oracle = Kernel(k.x_labels, k.y_labels, CouplingTable.stored(table))
-        assert oracle.lipschitz_line is None
-        for kind in ("integer", "normal", "inf"):
-            # the adjoint is the forward map of the dual
-            for fk, dk, rows in ((k, oracle, table), (k.dual, oracle.dual, table.T)):
-                f = FunctionOnSpace(fk.y_labels, _random_lam(rng, rows.shape[1], kind))
-                lam = f.values
-                fast = apply_forward(fk, f).values
-                dense = apply_forward(dk, f).values
-                vals = rows - lam[None, :]
-                assert np.all((vals == fast[:, None]).any(axis=1))
-                assert np.all(fast <= dense)
-                fin = np.isfinite(dense)
-                assert np.array_equal(fast[~fin], dense[~fin])
-                finite_lam = lam[np.isfinite(lam)]
-                scale = a * (np.abs(x_grid.points()).max()
-                             + np.abs(y_grid.points()).max())
-                if finite_lam.size:
-                    scale += np.abs(finite_lam).max()
-                assert np.all(fast[fin] >= dense[fin] - 8 * eps * scale)
-                if dyadic and kind != "normal" and a != 1.0 / 3.0:
-                    # every operation is exact on these grids
-                    assert np.array_equal(fast, dense)
-
-
-@pytest.mark.parametrize("family,x_grid,y_grid", FAMILY_GRIDS, ids=FAMILY_IDS)
-def test_envelope_path_selection(monkeypatch, family, x_grid, y_grid):
-    dense, lazy = stored_and_generated(family, x_grid, y_grid)
-    structured = (isinstance(family, OmegaLipschitz) and family.q == 1
-                  and x_grid.ndim == 1)
-    for k in (dense, lazy):
-        assert (k.lipschitz_line is not None) == structured
-
-    taken = []
-
-    def spy(name):
-        real = getattr(engine, name)
-
-        def record(*args):
-            taken.append(name)
-            return real(*args)
-        monkeypatch.setattr(engine, name, record)
-
-    spy("_envelope_pass")
-    spy("_blocks")
-    rng = np.random.default_rng(3)
-    for k in (dense, lazy):
-        g = FunctionOnSpace(k.x_labels, rng.normal(size=k.shape[0]))
-        f = FunctionOnSpace(k.y_labels, rng.normal(size=k.shape[1]))
-        # a Lipschitz line's tie sets reduce windows that the envelope
-        # bounds, never a full-width block; other kernels reduce
-        # full-width blocks and never take the envelope
-        for call in (lambda: subdiff_inverse(k, g), lambda: sup_pass(k, f.values, DEFAULT_TOL),
-                     lambda: apply_forward(k, f), lambda: apply_adjoint(k, g)):
-            taken.clear()
-            call()
-            assert taken == (["_envelope_pass"] if structured else ["_blocks"])
-        # an infinite target keeps the full-width blocks
-        taken.clear()
-        sup_pass(k, np.where(np.arange(k.shape[1]) == 0, math.inf, f.values), DEFAULT_TOL)
-        assert taken == ["_blocks"]
-
-
-# -- tie sets on Lipschitz lines: column windows against full-width
-#    blocks over the same table without the structure
 
 
 def _line_target(rng, kind, grid, a, scale):
@@ -515,33 +427,128 @@ def _line_target(rng, kind, grid, a, scale):
     return lam
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.sampled_from([0.0, 1e-9, 1e-3]),
-       st.sampled_from([1 / 3, 0.5, 1.0, 3.0]), st.booleans(), st.booleans(),
-       st.booleans(), st.sampled_from(["normal", "quarter", "cones", "inf"]),
-       st.integers(-3, 3), st.sampled_from([1, 5, 16, 256]))
-def test_tie_windows_match_full_width_blocks(seed, tol, a, dyadic, same, dual, kind,
-                                             exponent, rows):
-    rng = np.random.default_rng(seed)
+def _lipschitz_line(rng, dyadic, same):
+    """-a|y - x| on random 1-D grids; its targets by kind and scale; the
+    rounding bound of its transform, a few ulps of a*(max|x| + max|y|)
+    + max|lam| over the finite lam; and whether every operation is
+    exact on targets of quarter-integers times an integer: on dyadic
+    grids, at a slope other than 1/3."""
+    a = float(rng.choice([1 / 3, 0.5, 1.0, 2.0, 3.0]))
     x_grid = _random_line(rng, dyadic)
     y_grid = x_grid if same else _random_line(rng, dyadic)
-    k = build_grid_kernel(OmegaLipschitz(a, 1.0), x_grid, y_grid)
-    oracle = Kernel(x_grid, y_grid, k.table)
-    assert oracle.lipschitz_line is None
-    if dual:
+
+    def bound(k, lam):
+        finite = np.abs(lam[np.isfinite(lam)])
+        return 8 * np.finfo(float).eps * (
+            a * (np.abs(k.x_space.points()).max() + np.abs(k.y_space.points()).max())
+            + finite.max(initial=0.0))
+
+    return (build_grid_kernel(OmegaLipschitz(a, 1.0), x_grid, y_grid),
+            lambda rng, kind, grid, scale: _line_target(rng, kind, grid, a, scale),
+            bound, dyadic and a != 1 / 3)
+
+
+#: name -> rng, dyadic, same -> (a kernel with that structure, its
+#: targets, the rounding bound of its transform, whether it is exact)
+STRUCTURES = {"lipschitz_line": _lipschitz_line}
+
+structure_draws = dict(
+    seed=st.integers(0, 2**32 - 1), dyadic=st.booleans(), same=st.booleans(),
+    kind=st.sampled_from(["normal", "quarter", "cones", "inf"]),
+    exponent=st.integers(-3, 3))
+
+
+def _structured(name, side, seed, dyadic, same, kind, exponent):
+    """A drawn kernel with a structure, or its dual, the same table
+    without it, and a target."""
+    rng = np.random.default_rng(seed)
+    k, target, bound, exact = STRUCTURES[name](rng, dyadic, same)
+    oracle = Kernel(k.x_space, k.y_space, k.table)
+    assert k.structure is not None and oracle.structure is None
+    if side == "dual":
         k, oracle = k.dual, oracle.dual
-    lam = _line_target(rng, kind, k.y_space, a, 10.0 ** exponent)
+    lam = target(rng, kind, k.y_space, 10.0 ** exponent)
+    return k, oracle, lam, bound(k, lam), exact and kind != "normal" and exponent >= 0
+
+
+@pytest.mark.parametrize("side", ["kernel", "dual"])
+@pytest.mark.parametrize("name", STRUCTURES)
+@settings(max_examples=150, deadline=None)
+@given(**structure_draws)
+def test_structure_transform_matches_blocked_reduction(name, side, **draw):
+    k, oracle, lam, bound, exact = _structured(name, side, **draw)
+    fast, _ = sup_pass(k, lam)
+    want, _ = sup_pass(oracle, lam)
+    # each value is an entry of its row, within the bound below its maximum
+    assert np.all((slice_table(oracle, lam) == fast[:, None]).any(axis=1))
+    assert np.all(fast <= want)
+    fin = np.isfinite(want)
+    assert np.array_equal(fast[~fin], want[~fin])
+    assert np.all(fast[fin] >= want[fin] - bound)
+    if exact:
+        assert np.array_equal(fast, want)
+
+
+@pytest.mark.parametrize("side", ["kernel", "dual"])
+@pytest.mark.parametrize("name", STRUCTURES)
+@settings(max_examples=150, deadline=None)
+@given(tol=st.sampled_from([0.0, 1e-9, 1e-3]), rows=st.sampled_from([1, 5, 16, 256]),
+       **structure_draws)
+def test_structure_ties_match_full_width_blocks(name, side, tol, rows, **draw):
+    k, oracle, lam, _, _ = _structured(name, side, **draw)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(engine, "_BLOCK", rows)
         spans = [(lo, min(lo + rows, k.shape[0])) for lo in range(0, k.shape[0], rows)]
-        if kind != "inf":
-            windows = engine._tie_windows(k.lipschitz_line, lam, tol, spans)
+        windows = k.structure.windows(lam, tol, spans)
+        if np.isfinite(lam).all():
             assert all(0 <= jlo < jhi <= k.shape[1] for jlo, jhi in windows)
         top, family = sup_pass(k, lam, tol)
         want_top, want = sup_pass(oracle, lam, tol)
     assert np.array_equal(top, want_top)
     assert np.array_equal(family.indptr, want.indptr)
     assert np.array_equal(family.indices, want.indices)
+
+
+@pytest.mark.parametrize("family,x_grid,y_grid", FAMILY_GRIDS, ids=FAMILY_IDS)
+def test_envelope_path_selection(monkeypatch, family, x_grid, y_grid):
+    dense, lazy = stored_and_generated(family, x_grid, y_grid)
+    structured = (isinstance(family, OmegaLipschitz) and family.q == 1
+                  and x_grid.ndim == 1)
+    for k in (dense, lazy):
+        assert (k.structure is not None) == (k.dual.structure is not None) == structured
+
+    taken = []
+
+    def spy(owner, name):
+        real = getattr(owner, name)
+
+        def record(*args):
+            taken.append(name)
+            return real(*args)
+        monkeypatch.setattr(owner, name, record)
+
+    for name in ("transform", "windows", "block"):
+        spy(kernel_mod.LipschitzLine, name)
+    spy(engine, "_blocks")
+    # a structure's tie sets reduce the windows its transform bounds,
+    # never a full-width block; other kernels reduce full-width blocks
+    ties = ["windows", "transform", "block"] if structured else ["_blocks"]
+    transform = ["transform"] if structured else ["_blocks"]
+    rng = np.random.default_rng(3)
+    for k in (dense, lazy):
+        g = FunctionOnSpace(k.x_labels, rng.normal(size=k.shape[0]))
+        f = FunctionOnSpace(k.y_labels, rng.normal(size=k.shape[1]))
+        for call, path in ((lambda: subdiff_inverse(k, g), ties),
+                           (lambda: sup_pass(k, f.values, DEFAULT_TOL), ties),
+                           (lambda: apply_forward(k, f), transform),
+                           (lambda: apply_adjoint(k, g), transform)):
+            taken.clear()
+            call()
+            assert taken == path
+        # an infinite target keeps the full-width blocks
+        taken.clear()
+        sup_pass(k, np.where(np.arange(k.shape[1]) == 0, math.inf, f.values), DEFAULT_TOL)
+        assert taken == (["windows", "_blocks"] if structured else ["_blocks"])
 
 
 # -- the block evaluator of tables of scalar forms, against the forms

@@ -424,11 +424,11 @@ def test_dual_is_the_adjoint_kernel(make):
     assert d.shape == k.shape[::-1]
     assert (d.x_labels, d.y_labels) == (k.y_labels, k.x_labels)
     assert (d.is_grid, d.is_moreau) == (k.is_grid, k.is_moreau)
-    line = k.lipschitz_line
+    line = k.structure
     if line is None:
-        assert d.lipschitz_line is None
+        assert d.structure is None
     else:
-        assert (d.lipschitz_line.a, d.lipschitz_line.xp, d.lipschitz_line.yp) == (
+        assert (d.structure.a, d.structure.xp, d.structure.yp) == (
             line.a, line.yp, line.xp)
     nx, ny = k.shape
     rng = np.random.default_rng(nx * ny)

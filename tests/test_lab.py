@@ -218,14 +218,17 @@ def test_fenchel_experiment_passes():
     assert r.details["product_inequality_violation"] <= 0.0
 
 
-@pytest.mark.parametrize("step", [0.003, 0.007, 0.0123])
+@pytest.mark.parametrize("step", [0.003, 0.007, 0.0123, 0.15, 0.3])
 def test_fenchel_passes_when_the_y_grid_misses_zero(step):
-    """The conjugate of |y| is measured against the one its grid
-    attains, which is not 0 when the grid misses 0."""
+    """The conjugates of |y| and y^2/2 are measured against those the
+    grid attains: for |y| not 0 when the grid misses 0, and for y^2/2
+    x^2/2 - d(x)^2/2, d(x) the distance from x to the nearest grid y,
+    which is not 0 at steps 0.15 and 0.3, where 2/step is no integer."""
     assert np.abs(GridSpec.line(-4.0, 4.0, step).points()).min() > 1e-4
     r = fenchel_experiment(step)
     assert r.passed
     assert r.details["err_abs_indicator"] <= 1e-15
+    assert r.details["err_half_square_selfdual"] <= 1e-15
 
 
 # -- quadratic reduction

@@ -475,7 +475,7 @@ def test_solve_on_lipschitz_line_matches_blocked_reduction(tol, offset):
         k = build_grid_kernel(OmegaLipschitz(a, 1.0), grid, grid)
         plain = Kernel(k.x_labels, k.y_labels,
                        CouplingTable.stored(k.bbar_row(slice(None))))
-        assert k.lipschitz_line is not None and plain.lipschitz_line is None
+        assert k.structure is not None and plain.structure is None
         # a sparse f leaves stretches of slope a in g: many solutions
         f0 = offset + 3.0 * rng.normal(size=n)
         f0[rng.random(n) < 0.6] = math.inf
@@ -711,6 +711,22 @@ def test_witness_of_a_signed_power_table_passes_verify(rows, g, tol):
     kernel = build_table(rows)
     problem = Problem(kernel, FunctionOnSpace(kernel.x_labels, np.array(g)),
                       tolerance=tol)
+    sol = solve(problem)
+    assert verify(problem, sol.f_min).is_solution
+    assert sol.witness_alt is None or verify(problem, sol.witness_alt).is_solution
+
+
+# The same miss on a grid kernel.  At tol 0, f_min rounds on the adjoint
+# side so that B f_min reads 0.16666666666666674 at x = 1 on the forward
+# side, above g = 0.16666666666666669 there, and the witness fails
+# re-verification.  At the default tol the solve gives `multiple`.
+@pytest.mark.xfail(strict=True, raises=InternalError,
+                   reason="the tie test and verify measure ties on different sides")
+def test_witness_of_a_fenchel_grid_passes_verify():
+    grid = GridSpec.line(-1, 1, 0.5)
+    kernel = build_grid_kernel(FenchelDot(), grid, grid)
+    g = np.array([2, 1.5, 1, 0.5, 0.16666666666666669])
+    problem = Problem(kernel, FunctionOnSpace(kernel.x_space, g), tolerance=0.0)
     sol = solve(problem)
     assert verify(problem, sol.f_min).is_solution
     assert sol.witness_alt is None or verify(problem, sol.witness_alt).is_solution
