@@ -34,7 +34,7 @@ label sets only when its ``sets`` view is read.
 A kernel that records a ``structure`` (see
 :class:`~galois_solve.kernel.Kernel`) takes its fast path for the
 transforms, and its argmax sets reduce, in each block of rows, only the
-columns that the structure finds can tie there.
+columns that the structure finds can tie there, read from the table.
 """
 
 from __future__ import annotations
@@ -213,7 +213,8 @@ class FunctionOnSpace:
 
 def _blocks(kernel: Kernel, lam: np.ndarray):
     """Blocks of the kernel's slices evaluated at ``lam``, one row per
-    x, as ``block(lo, hi, out=None)``.
+    x, as ``block(lo, hi, jlo=0, jhi=n_in, out=None)``: rows lo:hi and
+    columns jlo:jhi, bit for bit those of the full-width block.
 
     Every entry is first taken as c - m*lam, with -inf absorbing: c
     never holds +inf, so a +inf in ``lam`` already yields -inf, and only
@@ -222,40 +223,43 @@ def _blocks(kernel: Kernel, lam: np.ndarray):
     their own closed forms.
 
     A block the table hands out fresh (a generated table's) is evaluated
-    in place and returned.  Otherwise the block is written into the
-    leading ``hi - lo`` rows of ``out``, a scratch array of the caller's
-    with at least that many rows, and that view of it is returned; the
-    caller owns it, and the next block written there overwrites it.
-    Without ``out`` every block is a fresh array.  The offsets a table
-    hands out read-only are never written to.
+    in place and returned.  Otherwise it is written into ``out``, the
+    caller's scratch array of its shape, and returned; the next block
+    written there overwrites it.  Without ``out`` every block is a fresh
+    array.  The offsets a table hands out read-only are never written to.
     """
     slices = kernel.slices()
     n_in = len(lam)
-    neg = np.flatnonzero(np.isneginf(lam))
+    mend = np.isneginf(lam).any()
 
-    def block(lo: int, hi: int, out: Optional[np.ndarray] = None) -> np.ndarray:
-        src = slices.offsets(slice(lo, hi))
+    def block(lo: int, hi: int, jlo: int = 0, jhi: int = n_in,
+              out: Optional[np.ndarray] = None) -> np.ndarray:
+        rows = slice(lo, hi)  # full width: the table is asked for rows alone
+        src = slices.offsets(rows if jhi - jlo == n_in else (rows, slice(jlo, jhi)))
         if src.flags.writeable:
             out = src
         elif out is None:
             out = np.empty(src.shape)
-        else:
-            out = out[:hi - lo]
         with np.errstate(invalid="ignore", over="ignore"):
             if slices.m is None:
-                np.subtract(src, lam, out=out)
+                np.subtract(src, lam[jlo:jhi], out=out)
             else:  # only read-only offsets come with slopes, so out is not src
-                np.multiply(slices.m[lo:hi], lam, out=out)
+                np.multiply(slices.m[rows, jlo:jhi], lam[jlo:jhi], out=out)
                 np.subtract(src, out, out=out)
-            if neg.size:
-                sub = out[:, neg]
+            if mend:
+                cols = np.flatnonzero(np.isneginf(lam[jlo:jhi]))
+                sub = out[:, cols]
                 sub[np.isnan(sub)] = -math.inf
-                out[:, neg] = sub
+                out[:, cols] = sub
             for forms in slices.forms:
                 a, b = np.searchsorted(forms.at, (lo * n_in, hi * n_in))
                 pos = forms.at[a:b] - lo * n_in
-                np.put(out, pos, forms.values(
-                    lam[pos % n_in], *(p[a:b] for p in forms.params)))
+                col, params = pos % n_in, [p[a:b] for p in forms.params]
+                if jhi - jlo < n_in:  # the entries in the window, at their places in it
+                    keep = (col >= jlo) & (col < jhi)
+                    pos = (pos - pos // n_in * (n_in - jhi + jlo) - jlo)[keep]
+                    col, params = col[keep], [p[keep] for p in params]
+                np.put(out, pos, forms.values(lam[col], *params))
         return out
 
     return block
@@ -280,21 +284,17 @@ def sup_pass(kernel: Kernel, lam: np.ndarray, tol: Optional[float] = None):
 
     A kernel's ``structure``, when it has one, gives the transform
     without ``tol``.  With ``tol``, each block of rows reduces only the
-    columns of its window, when the structure bounds them, evaluated by
-    the structure's block with the table's own operations: the maxima
-    and the sets are those of the full-width blocks, bit for bit.
+    columns of its window, when the structure bounds them: the maxima
+    and the sets are those of the full-width blocks, bit for bit.  Every
+    block comes from the kernel's table, by :func:`_blocks`.
     """
     structure = kernel.structure
     if structure is not None and tol is None:
         return structure.transform(lam), None
     n_out, n_in = kernel.shape
     spans = [(lo, min(lo + _BLOCK, n_out)) for lo in range(0, n_out, _BLOCK)]
-    windows = None if structure is None else structure.windows(lam, tol, spans)
-    if windows is None:
-        full, windows = _blocks(kernel, lam), [(0, n_in)] * len(spans)
-        block = lambda lo, hi, jlo, jhi, out: full(lo, hi, out)
-    else:
-        block = structure.block(lam)
+    windows = structure and structure.windows(lam, tol, spans) or [(0, n_in)] * len(spans)
+    block = _blocks(kernel, lam)
     rows = min(_BLOCK, n_out)
     scratch = threading.local()  # one value block and tie mask per thread
 
@@ -315,7 +315,8 @@ def sup_pass(kernel: Kernel, lam: np.ndarray, tol: Optional[float] = None):
             hit[r] = False
             hit[r, list(kernel.support_row(lo + r))] = True
         # flat positions in row-major order: each row's columns ascending
-        cols = np.flatnonzero(hit) % shape[1]
+        cols = np.flatnonzero(hit)
+        cols %= shape[1]  # in place: no second array of the members
         if jlo:
             cols += jlo
         return top, np.count_nonzero(hit, axis=1), cols

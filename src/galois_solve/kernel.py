@@ -261,9 +261,9 @@ class LipschitzLine:
     def windows(self, lam: np.ndarray, tol: float,
                 spans: Sequence[Tuple[int, int]]) -> Optional[List[Tuple[int, int]]]:
         """For each span of rows of a pass at ``tol``, a range [jlo, jhi)
-        of columns holding every column of its rows' tie sets; None when
-        ``tol`` < 0 or the rounding bound below is not finite (as where
-        ``lam`` is).
+        of columns holding every column of its rows' tie sets, which the
+        pass reads from the kernel's table; None when ``tol`` < 0 or the
+        rounding bound below is not finite (as where ``lam`` is).
 
         A row x at or right of a column y holds it only if a*y - lam(y) >=
         top(x) + a*x - tol, and a row at or left of it only if -a*y -
@@ -305,16 +305,6 @@ class LipschitzLine:
         jhi = np.maximum(np.searchsorted(np.minimum.accumulate(first[::-1])[::-1], hi,
                                          side="left"), n_upto)
         return list(zip(jlo.tolist(), jhi.tolist()))
-
-    def block(self, lam: np.ndarray) -> Callable[..., np.ndarray]:
-        """The slices at ``lam`` on a window, as ``block(lo, hi, jlo, jhi,
-        out)``: rows lo:hi and columns jlo:jhi, written into ``out``, the
-        caller's scratch array of that shape, which is returned."""
-        def block(lo: int, hi: int, jlo: int, jhi: int, out: np.ndarray) -> np.ndarray:
-            out[...] = self.yp[jlo:jhi]
-            self.entries(self.xp[lo:hi, None], out)
-            return np.subtract(out, lam[jlo:jhi], out=out)
-        return block
 
 
 #: Points per chunk of :meth:`LipschitzLine.transform`.
@@ -368,10 +358,11 @@ class FormSet:
 class Slices:
     """The slices of a kernel: one row per x, one column per y.
 
-    ``offsets(index)`` gives those rows of the offsets c, which are -inf
-    off the support.  Every entry evaluates to c - m*lam, with ``m``
-    None when every slope is 1 (as in a coupling table), except the
-    entries of ``forms``, which their own closed forms overwrite.
+    ``offsets(index)`` gives those rows of the offsets c (a pair of
+    slices, that window), which are -inf off the support.  Every entry
+    evaluates to c - m*lam, with ``m`` None when every slope is 1 (as in
+    a coupling table), except the entries of ``forms``, which their own
+    closed forms overwrite.
     """
 
     offsets: Callable[[object], np.ndarray]
@@ -495,11 +486,12 @@ def _reversed(rows: np.ndarray, n: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class CouplingTable:
     """A coupling table bbar(x, y), every slope 1: for a slice or an
-    integer array of x (y) indices, ``rows`` (``cols``) gives a 2-D
-    array with one row per index.  A stored table keeps its array and a
-    C-contiguous copy of its transpose and gives read-only views of
-    them, which the table owns; a generated one (``lazy``) gives fresh
-    arrays, which the caller owns and may overwrite."""
+    integer array of x (y) indices, ``rows`` (``cols``) gives a 2-D array
+    with one row per index, and for two slices, x and y (y and x), that
+    window, which only structured tie passes ask.  A stored table keeps
+    its array and a C-contiguous copy of its transpose and gives read-only
+    views of them, which the table owns; a generated one (``lazy``) gives
+    fresh arrays, which the caller owns and may overwrite."""
 
     rows: Callable[[object], np.ndarray]
     cols: Callable[[object], np.ndarray]
@@ -561,7 +553,7 @@ class Kernel:
         (``is_grid``).  ``structure``, None or what :func:`build_grid_kernel`
         derives from the family and grids (a :class:`LipschitzLine`), gives
         the table's fast paths: ``transform(lam)``, the column ``windows(lam,
-        tol, spans)`` of a tie pass, their ``block(lam)``, and ``dual``."""
+        tol, spans)`` of a tie pass, whose entries the table gives, and ``dual``."""
         self.x_space, self.y_space = (
             s if isinstance(s, GridSpec) else tuple(map(str, s)) for s in (x_labels, y_labels))
         self.shape = len(self.x_space), len(self.y_space)
@@ -624,8 +616,8 @@ class Kernel:
         return self.table.slices()
 
     def bbar_row(self, i) -> np.ndarray:
-        """Row i of the coupling table; a slice gives those rows as one
-        2-D block (read-only when the table is stored)."""
+        """Row i of the coupling table; a slice, or a pair of slices (rows,
+        columns), gives that 2-D block (read-only when the table is stored)."""
         return self.table.block(i)
 
     def bbar_col(self, j) -> np.ndarray:
@@ -766,22 +758,29 @@ def _family_block(family, xp, yp):
     """The family's coupling table as ``block(index, by_rows)``.
 
     Rows pair the x points ``xp[index]`` with every y point; columns pair
-    ``yp[index]`` with every x point, one row per column.  One broadcast
-    formula per family builds either orientation as a fresh array,
-    updated in place, with the same per-entry operations in both.
+    ``yp[index]`` with every x point, one row per column; an index and a
+    slice of the other points give that window.  One broadcast formula
+    per family builds each as a fresh array, updated in place, with the
+    same per-entry operations in all.
     """
+    def split(k):
+        return k if isinstance(k, tuple) else (k, slice(None))
+
     def pair(k, by_rows):
         # the block's outer points vary along axis 0, the others along axis 1
+        k, w = split(k)
         if by_rows:
-            return xp[k][:, None], yp[None, :]
-        return xp[None, :], yp[k][:, None]
+            return xp[k][:, None], yp[w][None, :]
+        return xp[w][None, :], yp[k][:, None]
 
     def dot(k, by_rows):
         if xp.ndim == 1:
             return np.multiply(*pair(k, by_rows))
         # one matrix-vector product per outer point, as a stacked matmul
+        k, w = split(k)
         outer, inner = (xp, yp) if by_rows else (yp, xp)
-        return np.matmul(inner, outer[k][:, :, None])[..., 0]
+        # whole rows, then the window: a one-row matmul is a dot, rounded otherwise
+        return np.matmul(inner, outer[k][:, :, None])[:, w, 0]
 
     if isinstance(family, FenchelDot):
         return dot
@@ -791,7 +790,7 @@ def _family_block(family, xp, yp):
 
         def quadratic(k, by_rows):
             out = dot(k, by_rows)
-            out -= pen[None, :] if by_rows else pen[k][:, None]
+            out -= pen[None, split(k)[1]] if by_rows else pen[split(k)[0]][:, None]
             return out
         return quadratic
     if isinstance(family, OmegaLipschitz):

@@ -12,9 +12,9 @@ whose space is a :class:`~galois_solve.kernel.GridSpec`.  Every maximum
 over a grid, with its exact argmax set, comes from the engine's
 reduction (:func:`galois_solve.engine.sup_pass`) over a grid kernel, at
 tie tolerance 0.  The pre-checks read kernel entries, not the
-reduction: the Lipschitz experiment's input check evaluates the modulus
-with the kernel's own per-entry operations, and the exgeom experiment's
-spot subdifferentials read the kernel's rows.  The exgeom
+reduction: the Lipschitz experiment's input check reads the modulus
+from the rows of the kernel it then transforms, and the exgeom
+experiment's spot subdifferentials read the kernel's rows.  The exgeom
 nonempty-subdifferential predicate stays independent of the reduction
 too.  The quadratic experiment's two routes share only the reduction;
 their integrands are built apart.
@@ -41,10 +41,10 @@ from .extreal import to_json
 from .kernel import (
     FenchelDot,
     GridSpec,
+    LipschitzLine,
     OmegaLipschitz,
     Quadratic,
     WeightedPower,
-    _neg_omega,
     build_grid_kernel,
 )
 from .solver import Problem, Status, solve
@@ -335,19 +335,18 @@ def lipschitz_fixed_point(g: GridFunction, a: float = 1.0,
     """
     if g.space.ndim != 1:
         raise ValidationError("this experiment runs on 1-D grids")
-    family = OmegaLipschitz(a=a, q=q)
     pts, gv = g.space.points(), g.values
     if not np.all(np.isfinite(gv)):
         raise ValidationError("the target must be finite on the grid")
 
-    worst, (i, j), strict = _modulus_check(pts, gv, a, q)
+    kernel = build_grid_kernel(OmegaLipschitz(a=a, q=q), g.space, g.space)
+    worst, (i, j), strict = _modulus_check(kernel, gv)
     if worst > 0:
         raise NotLipschitzError(
             f"|g({pts[i]}) - g({pts[j]})| exceeds omega by {worst:.3g}",
             pair=(float(pts[i]), float(pts[j])),
         )
 
-    kernel = build_grid_kernel(family, g.space, g.space)
     adj = apply_adjoint(kernel, g)
     err_adjoint = float(np.max(np.abs(adj.values + gv)))
     proj = apply_forward(kernel, adj)
@@ -382,27 +381,27 @@ def lipschitz_fixed_point(g: GridFunction, a: float = 1.0,
 _CHECK_ENTRIES = 2**18
 
 
-def _modulus_check(pts: np.ndarray, gv: np.ndarray, a: float, q: float):
-    """The largest |g(x) - g(y)| - omega(x - y), omega(u) = a|u|^q, over
-    all pairs of grid points, the first pair in row-major order
-    attaining it, and whether the difference is negative off the
-    diagonal.  With q = 1 a target certified strict by
-    :func:`_strictly_below_line` takes the diagonal's answer, 0 at the
-    first point, in O(n).  Otherwise -omega is evaluated in place with
-    the kernel's per-entry operations, in blocks of rows of about
+def _modulus_check(kernel, gv: np.ndarray):
+    """The largest |g(x) - g(y)| - omega(x - y) over all pairs of points
+    of the ``OmegaLipschitz`` kernel -omega(y - x) on g's grid, the first
+    pair in row-major order attaining it, and whether the difference is
+    negative off the diagonal.  On a Lipschitz line a target certified
+    strict by :func:`_strictly_below_line` takes the diagonal's answer,
+    0 at the first point, in O(n).  Otherwise -omega is read from the
+    kernel's rows (|y - x| is |x - y| bit for bit), in blocks of about
     :data:`_CHECK_ENTRIES` entries, so memory stays linear in the grid
-    size, and the blocks run on the engine's threads like the blocks of
-    a pass."""
-    if q == 1 and _strictly_below_line(pts, gv, a):
+    size, and the blocks run on the engine's threads like a pass's."""
+    line = kernel.structure
+    if isinstance(line, LipschitzLine) and _strictly_below_line(line.xp, gv, line.a):
         return 0.0, (0, 0), True
-    n = len(pts)
+    n = len(gv)
     rows = max(1, _CHECK_ENTRIES // n)
 
     def check(lo: int):
         hi = min(lo + rows, n)
-        viol = _neg_omega(np.subtract(pts[lo:hi, None], pts[None, :]), a, q)
-        dg = np.subtract(gv[lo:hi, None], gv[None, :])
-        viol += np.abs(dg, out=dg)
+        viol = np.subtract(gv[lo:hi, None], gv[None, :])
+        np.abs(viol, out=viol)
+        viol += kernel.bbar_row(slice(lo, hi))
         k = int(np.argmax(viol))
         top = float(viol.flat[k])
         viol[np.arange(hi - lo), np.arange(lo, hi)] = -math.inf

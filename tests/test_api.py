@@ -5,6 +5,8 @@ import re
 import types
 import weakref
 
+import numpy as np
+
 import galois_solve
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
@@ -76,3 +78,26 @@ def test_the_tracer_hooks_read_every_kernel_and_its_dual():
     # the covering.build hook sums the sizes of the sets
     family = _module("covering").CoverFamily.build(["a", "b"], {"y": {"a"}, "z": set()})
     assert [len(s) for s in family.sets.values()] == [1, 0]
+
+
+def test_the_tracer_sees_every_entry_a_windowed_tie_pass_reads(monkeypatch):
+    """``Kernel.bbar_row``, wrapped as ``spans.install`` wraps it, is
+    handed every block of a tie pass: on a Lipschitz line at a finite
+    target, exactly the windows that the structure bounds."""
+    kernel, engine = _module("kernel"), _module("engine")
+    sizes = []
+    traced = _spans().Tracer().wrap(vars(kernel.Kernel)["bbar_row"], "kernel.bbar_access",
+                                    lambda args, block: sizes.append(block.size))
+    monkeypatch.setattr(kernel.Kernel, "bbar_row", traced)
+    grid = kernel.GridSpec.line(-3, 3, 0.01)  # 601 points: 3 blocks of rows
+    k = kernel.build_grid_kernel(kernel.OmegaLipschitz(1.0, 1.0), grid, grid)
+    lam = 0.5 * np.abs(grid.points())
+    for side in (k, k.dual):
+        n_out, n_in = side.shape
+        rows = [(lo, min(lo + engine._BLOCK, n_out)) for lo in range(0, n_out, engine._BLOCK)]
+        windows = side.structure.windows(lam, 1e-9, rows)
+        sizes.clear()
+        engine.sup_pass(side, lam, 1e-9)
+        assert len(sizes) == len(rows)
+        assert sum(sizes) == sum((hi - lo) * (jhi - jlo) for (lo, hi), (jlo, jhi)
+                                 in zip(rows, windows)) < n_out * n_in

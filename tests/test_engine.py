@@ -336,11 +336,11 @@ def test_passes_share_one_pool_and_survive_a_failing_span(monkeypatch):
     def failing(kernel, lam):
         block = blocks(kernel, lam)
 
-        def fail(lo, hi, out=None):
+        def fail(lo, hi, *window):
             if lo == engine._BLOCK:  # the second span, which the pool runs
                 ran_on.append(threading.current_thread())
                 raise KeyError("a pooled span")
-            return block(lo, hi, out)
+            return block(lo, hi, *window)
         return fail
 
     with monkeypatch.context() as patch:
@@ -527,12 +527,12 @@ def test_envelope_path_selection(monkeypatch, family, x_grid, y_grid):
             return real(*args)
         monkeypatch.setattr(owner, name, record)
 
-    for name in ("transform", "windows", "block"):
+    for name in ("transform", "windows"):
         spy(kernel_mod.LipschitzLine, name)
     spy(engine, "_blocks")
-    # a structure's tie sets reduce the windows its transform bounds,
-    # never a full-width block; other kernels reduce full-width blocks
-    ties = ["windows", "transform", "block"] if structured else ["_blocks"]
+    # a structure's tie sets reduce the table's blocks in the windows its
+    # transform bounds; other kernels reduce full-width blocks
+    ties = ["windows", "transform", "_blocks"] if structured else ["_blocks"]
     transform = ["transform"] if structured else ["_blocks"]
     rng = np.random.default_rng(3)
     for k in (dense, lazy):
@@ -652,6 +652,57 @@ def test_table_blocks_call_no_scalar_form(monkeypatch):
     monkeypatch.setattr(Kernel, "adjoint_entry", refuse)
     assert subdiff_inverse(kernel, g)[1].sets == want
     apply_forward(kernel, apply_adjoint(kernel, g))
+
+
+# -- a window of a block is that block's columns, bit for bit
+
+
+#: a 2-D product whose dot products round, unlike those of the dyadic
+#: planes of FAMILY_GRIDS
+ROUNDING_PLANE = GridSpec(((-1.0, 1.0, 0.3), (-0.7, 0.9, 0.1)))
+WINDOW_SOURCES = FAMILY_GRIDS + [(FenchelDot(), ROUNDING_PLANE, ROUNDING_PLANE),
+                                 "moreau", "forms"]
+WINDOW_IDS = FAMILY_IDS + ["FenchelDot()-rounding-2d", "moreau", "forms"]
+
+
+@st.composite
+def windowed_blocks(draw, source):
+    """A kernel of ``source`` (a family on its grids, stored or
+    generated, a random coupling table with -inf entries, or a table of
+    all four kinds of forms) or its dual, an input on its y side with
+    both infinities, and a window."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dual = draw(st.booleans())
+    if source == "moreau":
+        k, lam = random_moreau_kernel(random.Random(int(rng.integers(2**32))), 9), None
+    elif source == "forms":
+        rows, lam_y, lam_x, _ = draw(form_tables())
+        k, lam = build_table(rows), (lam_x if dual else lam_y)
+    else:
+        k, lam = stored_and_generated(*source)[draw(st.integers(0, 1))], None
+    if dual:
+        k = k.dual
+    n_out, n_in = k.shape
+    if lam is None:
+        lam = rng.integers(-8, 9, n_in) / 4 * 10.0 ** int(rng.integers(-2, 3))
+    lam[rng.random(n_in) < 0.2] = math.inf
+    lam[rng.random(n_in) < 0.2] = -math.inf
+    lo = draw(st.integers(0, n_out - 1))
+    jlo = draw(st.integers(0, n_in - 1))
+    width = draw(st.one_of(st.just(1), st.integers(1, n_in - jlo)))  # one column often
+    return k, lam, (lo, draw(st.integers(lo + 1, n_out)), jlo, jlo + width)
+
+
+@pytest.mark.parametrize("source", WINDOW_SOURCES, ids=WINDOW_IDS)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_a_window_is_the_full_width_block_cut(source, data):
+    k, lam, (lo, hi, jlo, jhi) = data.draw(windowed_blocks(source))
+    block = engine._blocks(k, lam)
+    want = block(lo, hi)[:, jlo:jhi]
+    for out in (None, np.full(want.shape, np.nan)):  # fresh, or the caller's scratch
+        got = block(lo, hi, jlo, jhi, out)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 # -- the one tie rule of sup_pass, against the scalar forms entry by entry

@@ -372,13 +372,15 @@ def test_line_certificate_never_certifies_what_the_blocked_check_refuses(monkeyp
     for k in range(3000):
         n, a = int(rng.integers(2, 80)), (1 / 3, 0.5, 1.0, 3.0)[k % 4]
         step, lo = float(rng.uniform(0.01, 0.7)), float(rng.uniform(-6.0, 2.0))
-        pts = GridSpec.line(lo, lo + step * (n - 0.5), step).points()
+        grid = GridSpec.line(lo, lo + step * (n - 0.5), step)
+        pts = grid.points()
         tight = 10.0 ** int(rng.integers(-3, 4)) * rng.normal() + a * pts
         gv = _strict_by_ulps(rng, pts, tight, a)
-        cases.append((pts, gv, a, lab._modulus_check(pts, gv, a, 1.0)))
+        kernel = build_grid_kernel(OmegaLipschitz(a, 1.0), grid, grid)
+        cases.append((kernel, gv, lab._modulus_check(kernel, gv)))
     monkeypatch.setattr(lab, "_strictly_below_line", lambda *args: False)
-    for pts, gv, a, got in cases:
-        assert got == lab._modulus_check(pts, gv, a, 1.0)
+    for kernel, gv, got in cases:
+        assert got == lab._modulus_check(kernel, gv)
 
 
 @settings(max_examples=200, deadline=None)
@@ -392,7 +394,8 @@ def test_line_certificate_matches_the_blocked_check(seed, a, dyadic, kind, expon
         step, lo = 2.0 ** -int(rng.integers(0, 4)), float(rng.integers(-40, 5))
     else:
         step, lo = float(rng.uniform(0.01, 0.7)), float(rng.uniform(-6.0, 2.0))
-    pts = GridSpec.line(lo, lo + step * (n - 0.5), step).points()
+    grid = GridSpec.line(lo, lo + step * (n - 0.5), step)
+    pts = grid.points()
     offset = 10.0 ** exponent * rng.normal()
     if kind in ("tight", "near"):  # the bound met, somewhere or everywhere
         gv = offset + a * (pts if rng.random() < 0.5 else np.abs(pts - pts[n // 2]))
@@ -405,10 +408,11 @@ def test_line_certificate_matches_the_blocked_check(seed, a, dyadic, kind, expon
         gv = offset + a * np.cumsum(slope * np.diff(pts, prepend=pts[0]))
     if kind != "near":
         assert lab._strictly_below_line(pts, gv, a) == (kind in ("strict", "point"))
-    got = lab._modulus_check(pts, gv, a, 1.0)
+    k = build_grid_kernel(OmegaLipschitz(a, 1.0), grid, grid)
+    got = lab._modulus_check(k, gv)
     with pytest.MonkeyPatch.context() as mp:  # the blocked check alone
         mp.setattr(lab, "_strictly_below_line", lambda *args: False)
-        want = lab._modulus_check(pts, gv, a, 1.0)
+        want = lab._modulus_check(k, gv)
     assert got == want and math.copysign(1, got[0]) == math.copysign(1, want[0])
 
 

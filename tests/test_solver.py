@@ -28,6 +28,7 @@ from galois_solve.kernel import (
     build_table,
 )
 from galois_solve.scalar import Affine, Off, SignedPower, TabulatedDecreasing, make_affine
+from galois_solve.serialize import solution_to_report
 from galois_solve.solver import (
     Problem,
     Status,
@@ -690,6 +691,32 @@ def test_permuting_and_relabelling_changes_no_verdict(kind, tols, seed):
             two = solve(Problem(moved, FunctionOnSpace(moved.x_labels, g[px]),
                                 restrict_moved, tolerance=tol))
         assert _by_label(one, x_name, y_name) == _by_label(two, same_x, same_y)
+
+
+# -- a common shift of the table and the target changes no verdict
+
+
+@pytest.mark.parametrize("kind", ["moreau", "dyadic affine"])
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       shift=st.sampled_from([0.5, -3.25, 1024.0, 2.0 ** -10, 7.0]))
+def test_a_common_shift_changes_no_verdict(kind, seed, shift):
+    """Adding a dyadic s to every finite entry and to g keeps every
+    difference bbar - g exact, so the verdict, the covering, f_min and
+    the witness are the same, at tol 0 and above it."""
+    rng = np.random.default_rng(seed)
+    build, rows, g, x_restrict = _permutable_case(rng, kind)
+    if kind == "moreau":
+        moved = [[v + shift for v in row] for row in rows]  # -inf stays
+    else:
+        moved = [[Affine(e.c + shift, e.m) if isinstance(e, Affine) else e for e in row]
+                 for row in rows]
+    for tol in (0.0, 1e-9):
+        one, two = (solution_to_report(solve(Problem(
+            k, FunctionOnSpace(k.x_labels, target), x_restrict, tolerance=tol)))
+            for k, target in ((build(rows), g), (build(moved), g + shift)))
+        for key in ("status", "cover", "f_min", "witness_alt"):
+            assert one[key] == two[key], key
 
 
 # The tie test compares fl(b°(y, x, g(x))) with f_min(y) - tol on the
