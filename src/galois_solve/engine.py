@@ -234,8 +234,8 @@ def _blocks(kernel: Kernel, lam: np.ndarray):
 
     def block(lo: int, hi: int, jlo: int = 0, jhi: int = n_in,
               out: Optional[np.ndarray] = None) -> np.ndarray:
-        rows = slice(lo, hi)  # full width: the table is asked for rows alone
-        src = slices.offsets(rows if jhi - jlo == n_in else (rows, slice(jlo, jhi)))
+        rows = slice(lo, hi)
+        src = slices.offsets((rows, slice(jlo, jhi)))
         if src.flags.writeable:
             out = src
         elif out is None:

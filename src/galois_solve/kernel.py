@@ -488,7 +488,7 @@ class CouplingTable:
     """A coupling table bbar(x, y), every slope 1: for a slice or an
     integer array of x (y) indices, ``rows`` (``cols``) gives a 2-D array
     with one row per index, and for two slices, x and y (y and x), that
-    window, which only structured tie passes ask.  A stored table keeps
+    window, as the engine asks for every block.  A stored table keeps
     its array and a C-contiguous copy of its transpose and gives read-only
     views of them, which the table owns; a generated one (``lazy``) gives
     fresh arrays, which the caller owns and may overwrite."""

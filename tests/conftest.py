@@ -94,6 +94,9 @@ LINE_Y = GridSpec.line(-2.0, 2.0, 0.125)
 PLANE_X = GridSpec(((-1.0, 1.0, 0.25), (-0.5, 1.0, 0.25)))
 PLANE_Y = GridSpec(((-1.5, 1.5, 0.375), (-1.0, 0.75, 0.25)))
 WEIGHTED_X = GridSpec(((-1.0, 1.0, 0.2), (0.5, 2.0, 0.5)))
+#: a 2-D product whose dot products round, unlike those of the dyadic
+#: planes above, so that a change in rounding order shows
+ROUNDING_PLANE = GridSpec(((-1.0, 1.0, 0.3), (-0.7, 0.9, 0.1)))
 
 FAMILY_GRIDS = [
     (FenchelDot(), LINE_X, LINE_Y),
@@ -106,8 +109,12 @@ FAMILY_GRIDS = [
     (OmegaLipschitz(0.8, 0.3), PLANE_X, PLANE_Y),
     (WeightedPower(1.5), WEIGHTED_X, LINE_Y),
     (WeightedPower(1.0), WEIGHTED_X, LINE_Y),
+    (FenchelDot(), ROUNDING_PLANE, ROUNDING_PLANE),
+    (Quadratic(0.7), ROUNDING_PLANE, PLANE_Y),
+    (OmegaLipschitz(1.0, 1.0), PLANE_X, ROUNDING_PLANE),
 ]
-FAMILY_IDS = [f"{f!r}-{x.ndim}d" for f, x, _ in FAMILY_GRIDS]
+FAMILY_IDS = [f"{f!r}-{'rounding-' * (ROUNDING_PLANE in (x, y))}{x.ndim}d"
+              for f, x, y in FAMILY_GRIDS]
 
 
 def use_cpus(monkeypatch, n):

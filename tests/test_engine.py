@@ -657,12 +657,8 @@ def test_table_blocks_call_no_scalar_form(monkeypatch):
 # -- a window of a block is that block's columns, bit for bit
 
 
-#: a 2-D product whose dot products round, unlike those of the dyadic
-#: planes of FAMILY_GRIDS
-ROUNDING_PLANE = GridSpec(((-1.0, 1.0, 0.3), (-0.7, 0.9, 0.1)))
-WINDOW_SOURCES = FAMILY_GRIDS + [(FenchelDot(), ROUNDING_PLANE, ROUNDING_PLANE),
-                                 "moreau", "forms"]
-WINDOW_IDS = FAMILY_IDS + ["FenchelDot()-rounding-2d", "moreau", "forms"]
+WINDOW_SOURCES = FAMILY_GRIDS + ["moreau", "forms"]
+WINDOW_IDS = FAMILY_IDS + ["moreau", "forms"]
 
 
 @st.composite

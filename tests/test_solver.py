@@ -379,7 +379,7 @@ def _threaded_cases(monkeypatch):
     yield moreau, g
     # the same table generated block by block, which the pool runs on
     lazy = Kernel(moreau.x_labels, moreau.y_labels, CouplingTable(
-        lambda k: bbar[k].copy(), lambda k: bbar[:, k].T.copy(), bbar.shape))
+        lambda k: bbar[k].copy(), lambda k: bbar.T[k].copy(), bbar.shape))
     assert lazy.is_grid
     yield lazy, g
 
