@@ -3,7 +3,7 @@ projector, and the inverse subdifferentials of a target, which are the
 covering sets of the existence criterion.
 
 All operations are pure functions of immutable inputs.  Every argmax
-set, and every transform of a kernel without recorded structure, comes
+set, and every transform but a recorded structure's closed form, comes
 from one blocked max-plus reduction, :func:`sup_pass`, which the grid
 experiments in :mod:`galois_solve.lab` call too: a block holds the
 slices evaluated at one x per row, and its rows are reduced to their
@@ -32,9 +32,12 @@ in a :class:`~galois_solve.covering.CoverFamily`, which turns them into
 label sets only when its ``sets`` view is read.
 
 A kernel that records a ``structure`` (see
-:class:`~galois_solve.kernel.Kernel`) takes its fast path for the
-transforms, and its argmax sets reduce, in each block of rows, only the
-columns that the structure finds can tie there, read from the table.
+:class:`~galois_solve.kernel.Kernel`), as a supermodular 1-D grid
+family does, reduces in each block of rows only the columns that the
+structure finds can tie there, read from the table: for its argmax
+sets, and for its transforms unless the structure has a closed form of
+its own.  The structure finds those columns from the block's two
+boundary rows, which it reads through the same block reader.
 """
 
 from __future__ import annotations
@@ -283,18 +286,23 @@ def sup_pass(kernel: Kernel, lam: np.ndarray, tol: Optional[float] = None):
     A supremum of -inf is attained by the whole support.
 
     A kernel's ``structure``, when it has one, gives the transform
-    without ``tol``.  With ``tol``, each block of rows reduces only the
-    columns of its window, when the structure bounds them: the maxima
+    without ``tol`` if it has a ``transform``.  Otherwise each block of
+    rows reduces only the columns of its window, when the structure
+    bounds them (at ``tol``, or at 0 for the transform alone): the maxima
     and the sets are those of the full-width blocks, bit for bit.  Every
-    block comes from the kernel's table, by :func:`_blocks`.
+    block, the structure's boundary rows included, comes from the
+    kernel's table, by :func:`_blocks`.  The sets' members are copied
+    block by block into one array, each block let go once copied, so
+    that they are held once.
     """
     structure = kernel.structure
-    if structure is not None and tol is None:
+    if tol is None and structure is not None and structure.transform is not None:
         return structure.transform(lam), None
     n_out, n_in = kernel.shape
     spans = [(lo, min(lo + _BLOCK, n_out)) for lo in range(0, n_out, _BLOCK)]
-    windows = structure and structure.windows(lam, tol, spans) or [(0, n_in)] * len(spans)
     block = _blocks(kernel, lam)
+    windows = (structure and structure.windows(block, lam, 0.0 if tol is None else tol, spans)
+               or [(0, n_in)] * len(spans))
     rows = min(_BLOCK, n_out)
     scratch = threading.local()  # one value block and tie mask per thread
 
@@ -322,13 +330,17 @@ def sup_pass(kernel: Kernel, lam: np.ndarray, tol: Optional[float] = None):
         return top, np.count_nonzero(hit, axis=1), cols
 
     entries = sum((hi - lo) * (jhi - jlo) for (lo, hi), (jlo, jhi) in zip(spans, windows))
-    tops, lengths, cols = zip(*run_spans(run, list(zip(spans, windows)), entries))
-    top = np.concatenate(tops)
+    done = run_spans(run, list(zip(spans, windows)), entries)
+    top = np.concatenate([d[0] for d in done])
     if tol is None:
         return top, None
+    indptr = offsets(np.concatenate([d[1] for d in done]))
+    indices = np.empty(indptr[-1], dtype=np.intp)
+    for k, (lo, hi) in enumerate(spans):  # each block's members are let go once copied
+        indices[indptr[lo]:indptr[hi]] = done[k][2]
+        done[k] = None
     return top, CoverFamily(kernel.y_space, kernel.x_space, np.arange(n_in),
-                            np.arange(n_out), offsets(np.concatenate(lengths)),
-                            np.concatenate(cols))
+                            np.arange(n_out), indptr, indices)
 
 
 def apply_forward(kernel: Kernel, f: FunctionOnSpace) -> FunctionOnSpace:

@@ -203,11 +203,65 @@ class OmegaLipschitz:
 
 
 @dataclass(frozen=True, eq=False)
-class LipschitzLine:
+class MongeLine:
+    """Structure of a supermodular (Monge) coupling table on ascending
+    1-D grids: A[i1, j1] + A[i2, j2] >= A[i1, j2] + A[i2, j1] for
+    i1 < i2 and j1 < j2, as x*y, x*y - (a/2)y^2 (either sign of a) and
+    -a|y - x| are.  Subtracting lam(y) adds a term per column, which
+    keeps the property, and the transposed table is supermodular too, so
+    ``dual`` is the same rule.  ``scale`` is the part of the entries'
+    magnitude that does not depend on lam, by which their rounding is
+    bounded.  It has no closed-form ``transform``: the engine takes the
+    maxima from a windowed pass at tol 0, bit for bit those of full
+    width."""
+
+    scale: float
+    transform = None
+
+    @property
+    def dual(self) -> "MongeLine":
+        return self
+
+    def windows(self, block: Callable, lam: np.ndarray, tol: float,
+                spans: Sequence[Tuple[int, int]]) -> Optional[List[Tuple[int, int]]]:
+        """For each span of rows lo:hi of a pass at ``tol``, a range
+        [jlo, jhi) of columns holding every column of its rows' tie sets,
+        which the pass reads from the table; None when ``tol`` < 0 or the
+        rounding bound below is not finite (as where ``lam`` is).
+
+        delta = 16*eps*(scale + max|lam| + tol) bounds the rounding of
+        each entry c - lam and of the tie thresholds.  Take a row i in
+        the span, a maximiser p of row lo and a column j < p that ties in
+        row i.  Supermodularity of the exact entries E gives E[lo, j] -
+        E[lo, p] >= E[i, j] - E[i, p] >= -tol - 2*delta, so the float
+        entry at (lo, j) is at or above top_lo - tol - 4*delta.  The tie
+        columns of the span therefore start at or after the first column
+        of row lo at or above that bound, and likewise end at or before
+        the last column of row hi - 1 at or above top_{hi-1} - tol -
+        4*delta.  Both boundary rows are read in full through ``block``,
+        the engine's reader of the pass's blocks, with adjacent boundary
+        rows (one span's last and the next one's first) in one block.
+        """
+        bound = self.scale + np.abs(lam).max() + tol
+        if not (tol >= 0 and math.isfinite(2 * bound)):  # the entries might overflow
+            return None
+        slack = tol + 64 * np.finfo(float).eps * bound
+        rows = np.unique([r for lo, hi in spans for r in (lo, hi - 1)])
+        first, end = {}, {}
+        for run in np.split(rows, np.flatnonzero(np.diff(rows) > 1) + 1):
+            vals = block(int(run[0]), int(run[-1]) + 1)
+            near = vals >= (vals.max(axis=1) - slack)[:, None]
+            first.update(zip(run.tolist(), near.argmax(axis=1).tolist()))
+            end.update(zip(run.tolist(), (near.shape[1] - near[:, ::-1].argmax(axis=1)).tolist()))
+        return [(first[lo], end[hi - 1]) for lo, hi in spans]
+
+
+@dataclass(frozen=True, eq=False)
+class LipschitzLine(MongeLine):
     """Structure of an ``OmegaLipschitz`` kernel with q = 1 on 1-D grids:
     bbar(x, y) = -a|y - x| with ascending x points ``xp`` and y points
-    ``yp``.  Its transforms take O(n + m), the windows of its tie passes
-    O((n + m) log n)."""
+    ``yp``, and scale a*(max|x| + max|y|).  Its transforms take
+    O(n + m)."""
 
     a: float
     xp: np.ndarray
@@ -216,7 +270,7 @@ class LipschitzLine:
     @property
     def dual(self) -> "LipschitzLine":
         """The structure of the dual kernel: the points swapped."""
-        return LipschitzLine(self.a, self.yp, self.xp)
+        return LipschitzLine(self.scale, self.a, self.yp, self.xp)
 
     def entries(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """The coupling entries at the point pairs (x, y), evaluated with
@@ -257,54 +311,6 @@ class LipschitzLine:
             at_r -= lam[jr]
             np.maximum(at_l, at_r, out=out[lo:lo + _ENVELOPE_CHUNK])
         return out
-
-    def windows(self, lam: np.ndarray, tol: float,
-                spans: Sequence[Tuple[int, int]]) -> Optional[List[Tuple[int, int]]]:
-        """For each span of rows of a pass at ``tol``, a range [jlo, jhi)
-        of columns holding every column of its rows' tie sets, which the
-        pass reads from the kernel's table; None when ``tol`` < 0 or the
-        rounding bound below is not finite (as where ``lam`` is).
-
-        A row x at or right of a column y holds it only if a*y - lam(y) >=
-        top(x) + a*x - tol, and a row at or left of it only if -a*y -
-        lam(y) >= top(x) - a*x - tol.  The row maxima top are a-Lipschitz
-        in x, so both right-hand sides are monotone over the rows: taken
-        from :meth:`transform`, which is never above the maxima, lowered
-        by delta and made monotone by running minima, they bound the rows
-        that can hold each column by one interval, which also holds the
-        rows at the column's own point.  delta = 8*eps*scale bounds the
-        rounding of the table's entries, of the tie threshold and of the
-        bounds themselves, each a few ulps of scale = a*(max|x| +
-        max|y|) + max|lam| + tol.
-
-        Columns are ascending, and so are the rows at their points: a
-        span holds every column whose point falls in its rows, and of the
-        columns left of it only those from the first whose interval
-        reaches into the span, and right of it only those up to the last.
-        Every span costs two binary searches in running extrema of the
-        bounds.
-        """
-        x, y, a = self.xp, self.yp, self.a
-        scale = a * (np.abs(x).max() + np.abs(y).max()) + np.abs(lam).max() + tol
-        if not (tol >= 0 and math.isfinite(2 * scale)):  # the entries might overflow
-            return None
-        slack = tol + 8 * np.finfo(float).eps * scale
-        top, ax, ay = self.transform(lam), np.multiply(x, a), np.multiply(y, a)
-        right = np.minimum.accumulate((top + ax - slack)[::-1])[::-1]  # ascending
-        left = np.minimum.accumulate(top - ax - slack)  # descending
-        below = np.searchsorted(x, y, side="left")  # rows with x < y, per column
-        upto = np.searchsorted(x, y, side="right")  # rows with x <= y
-        first = np.minimum(np.searchsorted(-left, ay + lam, side="left"), below)
-        end = np.maximum(np.searchsorted(right, ay - lam, side="right"), upto)
-        lo = np.array([s[0] for s in spans])
-        hi = np.array([s[1] for s in spans])
-        n_left = np.searchsorted(upto, lo, side="right")  # columns left of the span
-        n_upto = np.searchsorted(below, hi, side="left")  # columns not right of it
-        jlo = np.minimum(np.searchsorted(np.maximum.accumulate(end), lo, side="right"),
-                         n_left)
-        jhi = np.maximum(np.searchsorted(np.minimum.accumulate(first[::-1])[::-1], hi,
-                                         side="left"), n_upto)
-        return list(zip(jlo.tolist(), jhi.tolist()))
 
 
 #: Points per chunk of :meth:`LipschitzLine.transform`.
@@ -551,9 +557,11 @@ class Kernel:
         ``x_space`` and ``y_space``; only labels given as a sequence are
         checked for duplicates.  A generated table is a grid family's
         (``is_grid``).  ``structure``, None or what :func:`build_grid_kernel`
-        derives from the family and grids (a :class:`LipschitzLine`), gives
-        the table's fast paths: ``transform(lam)``, the column ``windows(lam,
-        tol, spans)`` of a tie pass, whose entries the table gives, and ``dual``."""
+        derives from the family and grids (a :class:`MongeLine`, or its
+        :class:`LipschitzLine` with a closed form), gives the table's fast
+        paths: ``transform(lam)`` or None, the column ``windows(block, lam,
+        tol, spans)`` of a pass, which reads the table only through the
+        engine's ``block`` reader, and ``dual``."""
         self.x_space, self.y_space = (
             s if isinstance(s, GridSpec) else tuple(map(str, s)) for s in (x_labels, y_labels))
         self.shape = len(self.x_space), len(self.y_space)
@@ -737,8 +745,14 @@ def build_grid_kernel(family, x_grid: GridSpec, y_grid: GridSpec) -> Kernel:
     xp = x_grid.points()
     yp = xp if y_grid is x_grid else y_grid.points()
     structure = None
-    if isinstance(family, OmegaLipschitz) and family.q == 1 and x_grid.ndim == 1:
-        structure = LipschitzLine(family.a, xp, yp)
+    if x_grid.ndim == 1:  # the supermodular families, with their entries' scale
+        ax, ay = np.abs(xp).max(), np.abs(yp).max()
+        if isinstance(family, FenchelDot):
+            structure = MongeLine(ax * ay)
+        elif isinstance(family, Quadratic):
+            structure = MongeLine(ax * ay + 0.5 * abs(family.a) * ay * ay)
+        elif isinstance(family, OmegaLipschitz) and family.q == 1:
+            structure = LipschitzLine(family.a * (ax + ay), family.a, xp, yp)
     block = _family_block(family, xp, yp)
     table = CouplingTable(lambda k: block(k, True), lambda k: block(k, False),
                           (x_grid.size(), y_grid.size()))

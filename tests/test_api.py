@@ -83,7 +83,8 @@ def test_the_tracer_hooks_read_every_kernel_and_its_dual():
 def test_the_tracer_sees_every_entry_a_windowed_tie_pass_reads(monkeypatch):
     """``Kernel.bbar_row``, wrapped as ``spans.install`` wraps it, is
     handed every block of a tie pass: on a Lipschitz line at a finite
-    target, exactly the windows that the structure bounds."""
+    target, the two boundary rows of each span of rows that its structure
+    reads, and exactly the windows that they bound."""
     kernel, engine = _module("kernel"), _module("engine")
     sizes = []
     traced = _spans().Tracer().wrap(vars(kernel.Kernel)["bbar_row"], "kernel.bbar_access",
@@ -95,9 +96,11 @@ def test_the_tracer_sees_every_entry_a_windowed_tie_pass_reads(monkeypatch):
     for side in (k, k.dual):
         n_out, n_in = side.shape
         rows = [(lo, min(lo + engine._BLOCK, n_out)) for lo in range(0, n_out, engine._BLOCK)]
-        windows = side.structure.windows(lam, 1e-9, rows)
+        windows = side.structure.windows(engine._blocks(side, lam), lam, 1e-9, rows)
         sizes.clear()
         engine.sup_pass(side, lam, 1e-9)
-        assert len(sizes) == len(rows)
-        assert sum(sizes) == sum((hi - lo) * (jhi - jlo) for (lo, hi), (jlo, jhi)
-                                 in zip(rows, windows)) < n_out * n_in
+        # the boundary rows 0, 255:257, 511:513 and 600, then one block per span
+        assert len(sizes) == 2 * len(rows) + 1
+        assert sum(sizes) == 2 * len(rows) * n_in + sum(
+            (hi - lo) * (jhi - jlo) for (lo, hi), (jlo, jhi) in zip(rows, windows))
+        assert sum(sizes) < n_out * n_in

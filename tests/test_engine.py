@@ -41,6 +41,7 @@ from galois_solve.kernel import (
     GridSpec,
     Kernel,
     OmegaLipschitz,
+    Quadratic,
     build_grid_kernel,
     build_moreau,
     build_table,
@@ -290,8 +291,10 @@ def test_thread_count_is_capped_at_cpus_and_blocks(monkeypatch, n_out):
     bbar = rng.integers(-3, 3, (4, n_out)).astype(float)
     moreau = build_moreau(bbar.tolist())
     forms = build_table([[Affine(v, 2.0) for v in row] for row in bbar.tolist()])
+    # a generated table without a structure, whose passes read full width
     lazy = build_grid_kernel(FenchelDot(), GridSpec.line(0, 3, 1),
                              GridSpec.line(0, n_out - 1, 1))
+    lazy = Kernel(lazy.x_space, lazy.y_space, lazy.table)
     kernels = (moreau, forms, lazy)
     gv = rng.normal(size=4)
     use_cpus(monkeypatch, 1)
@@ -398,12 +401,14 @@ def test_lazy_and_dense_transforms_agree(family, x_grid, y_grid):
 
 
 def _random_line(rng, dyadic):
+    """A line of up to 40 points: on a dyadic step from a multiple of it,
+    or else on a step whose products round (0.003, 0.0123 or drawn)."""
     n = int(rng.integers(1, 40))
     if dyadic:
         step = 2.0 ** -int(rng.integers(0, 4))
         lo = step * int(rng.integers(-30, 5))
     else:
-        step = float(rng.uniform(0.01, 0.7))
+        step = float(rng.choice([0.003, 0.0123, rng.uniform(0.01, 0.7)]))
         lo = float(rng.uniform(-6.0, 2.0))
     return GridSpec.line(lo, lo + step * (n - 0.5), step)
 
@@ -448,9 +453,25 @@ def _lipschitz_line(rng, dyadic, same):
             bound, dyadic and a != 1 / 3)
 
 
+def _monge_line(family, slope):
+    """``family`` on random 1-D grids, with the Lipschitz line's targets
+    (cones of slope ``slope``).  Its structure has no transform of its
+    own: the windowed pass at tol 0 gives the maxima bit for bit."""
+    def make(rng, dyadic, same):
+        x_grid = _random_line(rng, dyadic)
+        y_grid = x_grid if same else _random_line(rng, dyadic)
+        return (build_grid_kernel(family, x_grid, y_grid),
+                lambda rng, kind, grid, scale: _line_target(rng, kind, grid, slope, scale),
+                lambda k, lam: 0.0, True)
+    return make
+
+
 #: name -> rng, dyadic, same -> (a kernel with that structure, its
 #: targets, the rounding bound of its transform, whether it is exact)
-STRUCTURES = {"lipschitz_line": _lipschitz_line}
+STRUCTURES = {"lipschitz_line": _lipschitz_line,
+              "fenchel_line": _monge_line(FenchelDot(), 1.0),
+              "quadratic_line": _monge_line(Quadratic(0.7), 0.7),
+              "concave_quadratic_line": _monge_line(Quadratic(-1.3), 1.3)}
 
 structure_draws = dict(
     seed=st.integers(0, 2**32 - 1), dyadic=st.booleans(), same=st.booleans(),
@@ -499,9 +520,11 @@ def test_structure_ties_match_full_width_blocks(name, side, tol, rows, **draw):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(engine, "_BLOCK", rows)
         spans = [(lo, min(lo + rows, k.shape[0])) for lo in range(0, k.shape[0], rows)]
-        windows = k.structure.windows(lam, tol, spans)
+        windows = k.structure.windows(engine._blocks(k, lam), lam, tol, spans)
         if np.isfinite(lam).all():
             assert all(0 <= jlo < jhi <= k.shape[1] for jlo, jhi in windows)
+        else:  # read full width
+            assert windows is None
         top, family = sup_pass(k, lam, tol)
         want_top, want = sup_pass(oracle, lam, tol)
     assert np.array_equal(top, want_top)
@@ -512,8 +535,10 @@ def test_structure_ties_match_full_width_blocks(name, side, tol, rows, **draw):
 @pytest.mark.parametrize("family,x_grid,y_grid", FAMILY_GRIDS, ids=FAMILY_IDS)
 def test_envelope_path_selection(monkeypatch, family, x_grid, y_grid):
     dense, lazy = stored_and_generated(family, x_grid, y_grid)
-    structured = (isinstance(family, OmegaLipschitz) and family.q == 1
-                  and x_grid.ndim == 1)
+    # the supermodular 1-D families; only the Lipschitz line has a transform
+    structured = x_grid.ndim == 1 and (isinstance(family, (FenchelDot, Quadratic))
+                                       or isinstance(family, OmegaLipschitz) and family.q == 1)
+    closed_form = structured and isinstance(family, OmegaLipschitz)
     for k in (dense, lazy):
         assert (k.structure is not None) == (k.dual.structure is not None) == structured
 
@@ -527,13 +552,14 @@ def test_envelope_path_selection(monkeypatch, family, x_grid, y_grid):
             return real(*args)
         monkeypatch.setattr(owner, name, record)
 
-    for name in ("transform", "windows"):
-        spy(kernel_mod.LipschitzLine, name)
+    spy(kernel_mod.LipschitzLine, "transform")
+    spy(kernel_mod.MongeLine, "windows")
     spy(engine, "_blocks")
-    # a structure's tie sets reduce the table's blocks in the windows its
-    # transform bounds; other kernels reduce full-width blocks
-    ties = ["windows", "transform", "_blocks"] if structured else ["_blocks"]
-    transform = ["transform"] if structured else ["_blocks"]
+    # a structure's tie sets reduce the table's blocks in the windows that
+    # its boundary rows bound, and so does its transform, unless it has a
+    # closed form; other kernels reduce full-width blocks
+    ties = ["_blocks", "windows"] if structured else ["_blocks"]
+    transform = ["transform"] if closed_form else ties
     rng = np.random.default_rng(3)
     for k in (dense, lazy):
         g = FunctionOnSpace(k.x_labels, rng.normal(size=k.shape[0]))
@@ -548,7 +574,7 @@ def test_envelope_path_selection(monkeypatch, family, x_grid, y_grid):
         # an infinite target keeps the full-width blocks
         taken.clear()
         sup_pass(k, np.where(np.arange(k.shape[1]) == 0, math.inf, f.values), DEFAULT_TOL)
-        assert taken == (["windows", "_blocks"] if structured else ["_blocks"])
+        assert taken == ties
 
 
 # -- the block evaluator of tables of scalar forms, against the forms

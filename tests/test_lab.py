@@ -560,3 +560,25 @@ def test_labs_read_every_kernel_in_blocks(monkeypatch):
         assert not whole, (name, whole)
     assert fenchel_experiment(step=0.003).passed
     assert not whole, whole
+
+
+def test_fenchel_lab_reads_a_small_share_of_its_pairing(monkeypatch):
+    """The pairing <x, y> is supermodular on its lines, so each pass of
+    the fenchel lab reads two boundary rows per block of rows and the
+    columns those rows bound, not the whole table."""
+    bbar_row, sup_pass = Kernel.bbar_row, lab.sup_pass
+    read, nominal = [], []
+
+    def count_read(kernel, i):
+        out = bbar_row(kernel, i)
+        read.append(out.size)
+        return out
+
+    def count_pass(kernel, lam, tol=None):
+        nominal.append(kernel.shape[0] * kernel.shape[1])
+        return sup_pass(kernel, lam, tol)
+
+    monkeypatch.setattr(Kernel, "bbar_row", count_read)
+    monkeypatch.setattr(lab, "sup_pass", count_pass)
+    assert fenchel_experiment(step=1e-3).passed
+    assert nominal and sum(read) < 0.1 * sum(nominal)
