@@ -246,13 +246,15 @@ class MongeLine:
         if not (tol >= 0 and math.isfinite(2 * bound)):  # the entries might overflow
             return None
         slack = tol + 64 * np.finfo(float).eps * bound
-        rows = np.unique([r for lo, hi in spans for r in (lo, hi - 1)])
+        rows = sorted({r for lo, hi in spans for r in (lo, hi - 1)})
+        starts = [r for k, r in enumerate(rows) if k == 0 or rows[k - 1] < r - 1]
+        stops = [r + 1 for k, r in enumerate(rows) if r == rows[-1] or rows[k + 1] > r + 1]
         first, end = {}, {}
-        for run in np.split(rows, np.flatnonzero(np.diff(rows) > 1) + 1):
-            vals = block(int(run[0]), int(run[-1]) + 1)
+        for a, b in zip(starts, stops):
+            vals = block(a, b)
             near = vals >= (vals.max(axis=1) - slack)[:, None]
-            first.update(zip(run.tolist(), near.argmax(axis=1).tolist()))
-            end.update(zip(run.tolist(), (near.shape[1] - near[:, ::-1].argmax(axis=1)).tolist()))
+            first.update(zip(range(a, b), near.argmax(axis=1).tolist()))
+            end.update(zip(range(a, b), (near.shape[1] - near[:, ::-1].argmax(axis=1)).tolist()))
         return [(first[lo], end[hi - 1]) for lo, hi in spans]
 
 
