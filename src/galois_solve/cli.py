@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import json
 import sys
 from dataclasses import replace
 
@@ -23,7 +24,7 @@ from .errors import ValidationError
 from .extreal import fmt
 from .lab import EXPERIMENTS, run_experiment, write_curves_csv
 from .serialize import (
-    function_text,
+    function_to_json,
     load_problem,
     parse_function_arg,
     render_report,
@@ -102,7 +103,7 @@ def cmd_apply(args) -> int:
         gn = problem.g if args.g is None else parse_function_arg(args.g, kernel.x_space)
         result = apply_adjoint(kernel, gn)
     if args.json:
-        print(function_text(result))
+        print(json.dumps(function_to_json(result), indent=2))
     else:
         print("\n".join(_assignments(result)))
     return EXIT_OK

@@ -11,7 +11,7 @@ maxima and, on request, near-maximisers.  The adjoint is the forward
 map of the dual kernel (:attr:`~galois_solve.kernel.Kernel.dual`).
 Every kernel builds its blocks the same way from its
 :class:`~galois_solve.kernel.Slices`: offsets minus the input (times
-the slopes, when some slope is not 1), then the signed-power and
+the slopes, in a table of scalar forms), then the signed-power and
 tabulated entries of a table of scalar forms overwritten from their
 parameter arrays.  Maxima are order-independent, so data-parallel
 evaluation of the blocks is deterministic.  A pass over more than
@@ -174,16 +174,8 @@ class FunctionOnSpace:
         if len(mapping) > len(known):
             extra = [k for k in mapping if k not in known]
             raise ValidationError(f"values for unknown labels: {extra[:4]}")
-        vals = list(map(mapping.__getitem__, labels))
-        if set(map(type, vals)) <= {float, int}:  # no bool, str or None
-            try:
-                arr = np.array(vals, dtype=float)
-            except OverflowError:  # an int beyond the floats: parse names it
-                arr = None
-            if arr is not None and not np.isnan(arr).any():
-                return cls(space, arr)
-        return cls(space, np.array([parse(v, f"value at {l!r}", INFINITIES)
-                                    for l, v in zip(labels, vals)]))
+        return cls(space, np.array([parse(mapping[l], f"value at {l!r}", INFINITIES)
+                                    for l in labels]))
 
     def value(self, label: str) -> ExtReal:
         return ExtReal(self.values[self._index[label]])
@@ -286,18 +278,19 @@ def sup_pass(kernel: Kernel, lam: np.ndarray, tol: Optional[float] = None):
     A supremum of -inf is attained by the whole support.
 
     A kernel's ``structure``, when it has one, gives the transform
-    without ``tol`` if it has a ``transform``.  Otherwise each block of
-    rows reduces only the columns of its window, when the structure
-    bounds them (at ``tol``, or at 0 for the transform alone): the maxima
-    and the sets are those of the full-width blocks, bit for bit.  Every
-    block, the structure's boundary rows included, comes from the
-    kernel's table, by :func:`_blocks`.  The sets' members are copied
-    block by block into one array, each block let go once copied, so
-    that they are held once.
+    without ``tol`` if its ``transform`` returns one.  Otherwise each
+    block of rows reduces only the columns of its window, when the
+    structure bounds them (at ``tol``, or at 0 for the transform alone):
+    the maxima and the sets are those of the full-width blocks, bit for
+    bit.  Every block, the structure's boundary rows included, comes
+    from the kernel's table, by :func:`_blocks`.  The sets' members are
+    copied block by block into one array, each block let go once copied,
+    so that they are held once.
     """
     structure = kernel.structure
-    if tol is None and structure is not None and structure.transform is not None:
-        return structure.transform(lam), None
+    top = structure.transform(lam) if tol is None and structure is not None else None
+    if top is not None:
+        return top, None
     n_out, n_in = kernel.shape
     spans = [(lo, min(lo + _BLOCK, n_out)) for lo in range(0, n_out, _BLOCK)]
     block = _blocks(kernel, lam)

@@ -211,23 +211,27 @@ class MongeLine:
     keeps the property, and the transposed table is supermodular too, so
     ``dual`` is the same rule.  ``scale`` is the part of the entries'
     magnitude that does not depend on lam, by which their rounding is
-    bounded.  It has no closed-form ``transform``: the engine takes the
-    maxima from a windowed pass at tol 0, bit for bit those of full
-    width."""
+    bounded."""
 
     scale: float
-    transform = None
 
     @property
     def dual(self) -> "MongeLine":
         return self
+
+    def transform(self, lam: np.ndarray) -> None:
+        """None: the table has no closed-form forward map, so the engine
+        takes the maxima from a windowed pass at tol 0, bit for bit those
+        of full width."""
+        return None
 
     def windows(self, block: Callable, lam: np.ndarray, tol: float,
                 spans: Sequence[Tuple[int, int]]) -> Optional[List[Tuple[int, int]]]:
         """For each span of rows lo:hi of a pass at ``tol``, a range
         [jlo, jhi) of columns holding every column of its rows' tie sets,
         which the pass reads from the table; None when ``tol`` < 0 or the
-        rounding bound below is not finite (as where ``lam`` is).
+        rounding bound below is not finite (as where ``lam`` is, or where
+        twice it overflows: the pass then reads full-width blocks).
 
         delta = 16*eps*(scale + max|lam| + tol) bounds the rounding of
         each entry c - lam and of the tie thresholds.  Take a row i in
@@ -242,7 +246,8 @@ class MongeLine:
         the engine's reader of the pass's blocks, with adjacent boundary
         rows (one span's last and the next one's first) in one block.
         """
-        bound = self.scale + np.abs(lam).max() + tol
+        # in Python floats, so that an overflow reads inf and warns of nothing
+        bound = self.scale + float(np.abs(lam).max()) + tol
         if not (tol >= 0 and math.isfinite(2 * bound)):  # the entries might overflow
             return None
         slack = tol + 64 * np.finfo(float).eps * bound
@@ -292,8 +297,13 @@ class LipschitzLine(MongeLine):
         sit below the row maximum by a few ulps of a*(|x| + |y|) + |lam|.
         The x points go in chunks of :data:`_ENVELOPE_CHUNK`, so that the
         pass holds three arrays of its size, the argmaxes and the result,
-        and chunks of the rest.
+        and chunks of the rest.  None when twice the scale plus the
+        largest finite |lam| overflows: the argmax keys might round to
+        inf, and the engine then reads the table's blocks instead.
         """
+        big = float(np.max(np.abs(lam), initial=0.0, where=np.isfinite(lam)))
+        if not math.isfinite(2 * (self.scale + big)):
+            return None
         x, y, a = self.xp, self.yp, self.a
         m = len(y)
         left = _prefix_argmax(np.multiply(y, a) - lam)
@@ -368,8 +378,8 @@ class Slices:
 
     ``offsets(index)`` gives those rows of the offsets c (a pair of
     slices, that window), which are -inf off the support.  Every entry
-    evaluates to c - m*lam, with ``m`` None when every slope is 1 (as in
-    a coupling table), except the entries of ``forms``, which their own
+    evaluates to c - m*lam, with ``m`` None in a coupling table, whose
+    slopes are all 1, except the entries of ``forms``, which their own
     closed forms overwrite.
     """
 
@@ -389,6 +399,8 @@ class FormTable:
     +inf.  ``dual`` is the table of the closed-form adjoints, one row
     per y: affine (c/m, 1/m), signed power (shift, 1/p, c), tabulated
     breakpoints swapped and reversed.  It is made here, unless given.
+    Its slices always carry ``m``, unit slopes too: c - 1.0*lam is
+    c - lam bit for bit.
     """
 
     lazy = False
@@ -399,11 +411,10 @@ class FormTable:
         self.kind, self.c, self.m, self.shift = kind, c, m, shift
         self.s, self.t, self.n = s, t, n
         self.shape = kind.shape
-        unit = not (m[kind == AFFINE] != 1.0).any()
         power = np.flatnonzero(kind == POWER)
         self._tab = np.flatnonzero(kind == TABULATED)
         self._slices = Slices(
-            c.__getitem__, None if unit else m,
+            c.__getitem__, m,
             _form_sets(power, (c.flat[power], m.flat[power], shift.flat[power]),
                        self._tab, (s, t, n)))
         if dual is not None:
@@ -748,7 +759,7 @@ def build_grid_kernel(family, x_grid: GridSpec, y_grid: GridSpec) -> Kernel:
     yp = xp if y_grid is x_grid else y_grid.points()
     structure = None
     if x_grid.ndim == 1:  # the supermodular families, with their entries' scale
-        ax, ay = np.abs(xp).max(), np.abs(yp).max()
+        ax, ay = float(np.abs(xp).max()), float(np.abs(yp).max())
         if isinstance(family, FenchelDot):
             structure = MongeLine(ax * ay)
         elif isinstance(family, Quadratic):

@@ -24,9 +24,6 @@ from .extreal import parse
 class ScalarConnection:
     """Base class for the scalar forms.  Immutable after construction."""
 
-    #: True when the form is a decreasing bijection of the extended reals.
-    bijective: bool = True
-
     def eval_float(self, lam: float) -> float:
         raise NotImplementedError
 
@@ -42,8 +39,6 @@ class Off(ScalarConnection):
     so Off is self-adjoint.  Support membership is tracked at the
     kernel level and never inferred from the map itself.
     """
-
-    bijective = False
 
     def eval_float(self, lam: float) -> float:
         return -math.inf

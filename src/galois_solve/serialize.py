@@ -290,16 +290,8 @@ def _indented(items: list, depth: int, brackets: str = "{}") -> str:
 
 def render_report(report) -> str:
     """A report as JSON, its keys sorted and indented by two spaces.
-    ``solve --json`` reports are written by :func:`report_text`, and
-    ``apply --json`` functions by :func:`function_text`."""
+    ``solve --json`` reports are written by :func:`report_text`."""
     return json.dumps(report, indent=2, sort_keys=True)
-
-
-def function_text(f: FunctionOnSpace) -> str:
-    """``json.dumps(function_to_json(f), indent=2)``, byte for byte, in
-    label order, written from the function's positions."""
-    return _indented(list(map("{}: {}".format, map(encode_basestring_ascii, f.labels),
-                              _numbers(f.values))), 0)
 
 
 def parse_function_arg(arg: str, space) -> FunctionOnSpace:

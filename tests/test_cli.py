@@ -7,12 +7,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 import galois_solve.cli as cli
 from galois_solve.cli import main
-from galois_solve.engine import FunctionOnSpace, apply_forward
+from galois_solve.engine import FunctionOnSpace, apply_adjoint, apply_forward
 from galois_solve.kernel import (
     FenchelDot,
     GridSpec,
@@ -23,7 +23,6 @@ from galois_solve.kernel import (
 from galois_solve.lab import EXPERIMENTS, run_experiment
 from galois_solve.scalar import Affine, Off
 from galois_solve.serialize import (
-    function_text,
     function_to_json,
     load_problem,
     problem_from_dict,
@@ -782,6 +781,7 @@ def _cli(argv):
 
 @settings(max_examples=80, deadline=None)
 @given(value=json_value)
+@example(value=8.98846567431158e+307)  # a grid param whose windows' bound overflows
 def test_one_accept_rule_at_every_input_site(tmp_path_factory, value):
     """Every field that holds an extended real takes exactly the values
     of ``extreal.parse`` with its own infinity strings; a refused value
@@ -823,7 +823,7 @@ def test_render_report_on_lab_reports(capsys, name):
     assert code == 0 and out == render_report(doc) + "\n" == _dumps(doc) + "\n"
 
 
-def test_render_report_on_solve_reports():
+def test_render_report_on_solve_reports(tmp_path):
     sols = [solve(load_problem(p)) for p in (DEMO, DEMO_BAD)]
     # infinities in g, f_min and the residual, non-ASCII labels, an
     # empty pool: no covering sets, no essential or uncovered points
@@ -837,10 +837,18 @@ def test_render_report_on_solve_reports():
                                  "uncovered": []}
     for sol, doc in zip(sols, docs):
         assert report_text(sol) == _dumps(doc)
-    f_min = solve(Problem(kernel, FunctionOnSpace(
-        kernel.x_labels, np.array([-math.inf, 2.0])))).f_min
+    # apply --json on the same kernel, through a problem file
+    path = tmp_path / "apply.json"
+    path.write_text(json.dumps({
+        "x": list(kernel.x_labels), "y": list(kernel.y_labels), "g": {
+            l: v for l, v in zip(kernel.x_labels, ["-inf", 2.0])},
+        "kernel": {"type": "table", "entries": [
+            [{"type": "affine", "c": 0, "m": 1}, {"type": "off"}],
+            [{"type": "off"}, {"type": "affine", "c": 1, "m": 2}]]}}))
+    f_min = solve(load_problem(str(path))).f_min
     assert "+inf" in function_to_json(f_min).values()
-    assert function_text(f_min) == _dumps(function_to_json(f_min), sort_keys=False)
+    code, out, _ = _cli(["apply", str(path), "--direction", "Bstar", "--json"])
+    assert code == 0 and out == _dumps(function_to_json(f_min), sort_keys=False) + "\n"
 
 
 # labels that need escaping, and small values with infinities among them;
@@ -858,9 +866,10 @@ report_grids = [(((-1.0, 1.0, 0.5),), ((-1.0, 1.0, 0.5),)),
 
 
 @st.composite
-def report_problems(draw):
+def report_cases(draw):
     """A small moreau table with tricky labels or a small grid kernel,
-    a planted or drawn target, X' and Y' restrictions and a tolerance."""
+    a planted or drawn target, X' and Y' restrictions and a tolerance,
+    and a problem file of its kernel and target."""
     if draw(st.booleans()):
         xl, yl = draw(tricky_labels), draw(tricky_labels)
         entries = st.sampled_from([-1.0, 0.0, 0.5, 2.0, -math.inf])
@@ -868,9 +877,13 @@ def report_problems(draw):
         for k in range(max(len(xl), len(yl))):  # a finite entry in every row and column
             bbar[k % len(xl)][k % len(yl)] = 0.0
         kernel = build_moreau(bbar, xl, yl)
+        doc = {"x": xl, "y": yl, "kernel": {"type": "moreau", "bbar": [
+            [v if v > -math.inf else "-inf" for v in row] for row in bbar]}}
     else:
         xg, yg = draw(st.sampled_from(report_grids))
         kernel = build_grid_kernel(FenchelDot(), GridSpec(xg), GridSpec(yg))
+        doc = {"kernel": {"type": "grid", "family": "fenchel_dot", "params": {},
+                          "x_grid": {"dims": xg}, "y_grid": {"dims": yg}}}
     nx, ny = kernel.shape
     tol = draw(st.sampled_from([0.0, 1e-9]))
     small_values = st.sampled_from(dyadic_values + ([1 / 3] if tol else []))
@@ -882,24 +895,32 @@ def report_problems(draw):
         g = draw(st.lists(small_values, min_size=nx, max_size=nx))
     restrict = [draw(st.none() | st.lists(st.sampled_from(labels), unique=True))
                 for labels in (kernel.x_labels, kernel.y_labels)]
-    return Problem(kernel, FunctionOnSpace(kernel.x_space, g), x_restrict=restrict[0],
-                   y_restrict=restrict[1], tolerance=tol)
+    problem = Problem(kernel, FunctionOnSpace(kernel.x_space, g), x_restrict=restrict[0],
+                      y_restrict=restrict[1], tolerance=tol)
+    return problem, {**doc, "g": function_to_json(problem.g)}
 
 
 @settings(max_examples=300, deadline=None)
-@given(report_problems())
-def test_report_writer_matches_the_dict_renderer(problem):
-    sol = solve(problem)
+@given(report_cases())
+def test_report_writer_matches_the_dict_renderer(case):
+    sol = solve(case[0])
     event(f"{sol.status.value}, witness {sol.witness_alt is not None}")
     assert report_text(sol) == _dumps(solution_to_report(sol))
 
 
 @settings(max_examples=100, deadline=None)
-@given(report_problems())
-def test_function_writer_matches_json_dumps(problem):
-    """``apply --json`` writes a function in label order, as
-    ``json.dumps`` without ``sort_keys`` does."""
-    sol = solve(problem)
-    for f in (problem.g, sol.f_min, sol.transformed, sol.witness_alt):
-        if f is not None:
-            assert function_text(f) == _dumps(function_to_json(f), sort_keys=False)
+@given(report_cases())
+def test_apply_json_is_json_dumps(tmp_path_factory, case):
+    """``apply --json`` writes the transformed function in label order,
+    as ``json.dumps`` without ``sort_keys`` does: the adjoint of the
+    file's target, and the forward map of f_min and of the witness."""
+    problem, doc = case
+    path = tmp_path_factory.getbasetemp() / "apply.json"
+    path.write_text(json.dumps(doc))
+    kernel, sol = problem.kernel, solve(problem)
+    runs = [(["--direction", "Bstar"], apply_adjoint(kernel, problem.g))]
+    runs += [(["--direction", "B", "--f", json.dumps(function_to_json(f))],
+              apply_forward(kernel, f)) for f in (sol.f_min, sol.witness_alt) if f is not None]
+    for args, want in runs:
+        code, out, _ = _cli(["apply", str(path), "--json", *args])
+        assert code == 0 and out == _dumps(function_to_json(want), sort_keys=False) + "\n"

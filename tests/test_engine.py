@@ -8,7 +8,7 @@ from concurrent.futures import Future
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -528,6 +528,50 @@ def test_structure_ties_match_full_width_blocks(name, side, tol, rows, **draw):
         top, family = sup_pass(k, lam, tol)
         want_top, want = sup_pass(oracle, lam, tol)
     assert np.array_equal(top, want_top)
+    assert np.array_equal(family.indptr, want.indptr)
+    assert np.array_equal(family.indices, want.indices)
+
+
+@pytest.mark.parametrize("side", ["kernel", "dual"])
+@settings(max_examples=150, deadline=None)
+@given(a=st.floats(1e300, 8e307), n=st.integers(2, 8), m=st.integers(2, 8),
+       lam=st.lists(st.floats(-1.7e308, 1.7e308) | st.sampled_from([-1.7e308, 1e308, 1.7e308]),
+                    min_size=8, max_size=8))
+@example(a=8e307, n=3, m=3, lam=[1e308, 1.7e308, 1.7e308] + [0.0] * 5)
+def test_lipschitz_transform_reads_blocks_where_its_keys_overflow(side, a, n, m, lam):
+    """At a up to 8e307 and |lam| up to 1.7e308, on lines of 2 to 8
+    points, the transform's argmax keys a*y - lam can overflow.  Where
+    twice the scale plus the largest |lam| does, the structured pass
+    reads the table's blocks, and its maxima are those of full-width
+    blocks bit for bit; elsewhere they are within the transform's
+    rounding bound below them."""
+    k = build_grid_kernel(OmegaLipschitz(a, 1.0), GridSpec.line(-1.0, -1 + 0.25 * (n - 1), 0.25),
+                          GridSpec.line(-1.0, -1 + 0.25 * (m - 1), 0.25))
+    oracle = Kernel(k.x_space, k.y_space, k.table)
+    if side == "dual":
+        k, oracle = k.dual, oracle.dual
+    lam = np.array(lam[:k.shape[1]])
+    fast, _ = sup_pass(k, lam)
+    want, _ = sup_pass(oracle, lam)
+    bound = k.structure.scale + float(np.abs(lam).max())
+    if math.isfinite(2 * bound):
+        assert np.all((fast <= want) & (fast >= want - 8 * np.finfo(float).eps * bound))
+    else:
+        assert fast.tobytes() == want.tobytes()
+
+
+def test_a_structure_scale_that_overflows_reads_full_width_blocks():
+    """On lines far from 0 the entries -|y - x| are finite while the
+    structure's scale max|x| + max|y| overflows: the kernel builds
+    without a warning, and its passes read full-width blocks."""
+    line = GridSpec.line(1e308, 1.7e308, 1e306)
+    k = build_grid_kernel(OmegaLipschitz(1.0, 1.0), line, line)
+    assert k.structure.scale == math.inf
+    oracle = Kernel(k.x_space, k.y_space, k.table)
+    lam = np.linspace(-1.0, 1.0, k.shape[1])
+    assert sup_pass(k, lam)[0].tobytes() == sup_pass(oracle, lam)[0].tobytes()
+    (top, family), (want_top, want) = sup_pass(k, lam, 0.0), sup_pass(oracle, lam, 0.0)
+    assert top.tobytes() == want_top.tobytes()
     assert np.array_equal(family.indptr, want.indptr)
     assert np.array_equal(family.indices, want.indices)
 

@@ -177,7 +177,7 @@ def test_nonincreasing(conn):
 @settings(max_examples=100)
 @given(form_strategy)
 def test_bijective_round_trip(conn):
-    if not conn.bijective:
+    if isinstance(conn, Off):
         return
     inv = conn.adjoint()
     # probe away from the power form's centre: the round trip through
