@@ -34,10 +34,11 @@ label sets only when its ``sets`` view is read.
 A kernel that records a ``structure`` (see
 :class:`~galois_solve.kernel.Kernel`), as a supermodular 1-D grid
 family does, reduces in each block of rows only the columns that the
-structure finds can tie there, read from the table: for its argmax
-sets, and for its transforms unless the structure has a closed form of
-its own.  The structure finds those columns from the block's two
-boundary rows, which it reads through the same block reader.
+structure finds can tie there, read from its coupling table: for its
+argmax sets, and for its transforms unless the structure has a closed
+form of its own.  The structure finds those columns from the block's
+two boundary rows, which it reads through the same block reader.  A
+table of forms has no structure, and is always read at full width.
 """
 
 from __future__ import annotations
@@ -209,13 +210,15 @@ class FunctionOnSpace:
 def _blocks(kernel: Kernel, lam: np.ndarray):
     """Blocks of the kernel's slices evaluated at ``lam``, one row per
     x, as ``block(lo, hi, jlo=0, jhi=n_in, out=None)``: rows lo:hi and
-    columns jlo:jhi, bit for bit those of the full-width block.
+    columns jlo:jhi, bit for bit those of the full-width block.  Only a
+    coupling table is read in column windows, as a structure's passes
+    ask; a table of forms is read at full width.
 
     Every entry is first taken as c - m*lam, with -inf absorbing: c
-    never holds +inf, so a +inf in ``lam`` already yields -inf, and only
-    -inf - (-inf) needs mending, in the columns where ``lam`` is -inf.
-    The signed-power and tabulated entries are then overwritten by
-    their own closed forms.
+    never holds +inf and every slope is finite and positive, so the one
+    NaN an entry can take is an Off entry's -inf - (-inf), mended to
+    -inf where ``lam`` holds -inf.  The signed-power and tabulated
+    entries are then overwritten by their own closed forms.
 
     A block the table hands out fresh (a generated table's) is evaluated
     in place and returned.  Otherwise it is written into ``out``, the
@@ -239,22 +242,15 @@ def _blocks(kernel: Kernel, lam: np.ndarray):
             if slices.m is None:
                 np.subtract(src, lam[jlo:jhi], out=out)
             else:  # only read-only offsets come with slopes, so out is not src
-                np.multiply(slices.m[rows, jlo:jhi], lam[jlo:jhi], out=out)
+                np.multiply(slices.m[rows], lam, out=out)
                 np.subtract(src, out, out=out)
             if mend:
-                cols = np.flatnonzero(np.isneginf(lam[jlo:jhi]))
-                sub = out[:, cols]
-                sub[np.isnan(sub)] = -math.inf
-                out[:, cols] = sub
+                np.copyto(out, -math.inf, where=np.isnan(out))
             for forms in slices.forms:
                 a, b = np.searchsorted(forms.at, (lo * n_in, hi * n_in))
-                pos = forms.at[a:b] - lo * n_in
-                col, params = pos % n_in, [p[a:b] for p in forms.params]
-                if jhi - jlo < n_in:  # the entries in the window, at their places in it
-                    keep = (col >= jlo) & (col < jhi)
-                    pos = (pos - pos // n_in * (n_in - jhi + jlo) - jlo)[keep]
-                    col, params = col[keep], [p[keep] for p in params]
-                np.put(out, pos, forms.values(lam[col], *params))
+                at = forms.at[a:b]
+                np.put(out, at - lo * n_in,
+                       forms.values(lam[at % n_in], *(p[a:b] for p in forms.params)))
         return out
 
     return block
@@ -318,8 +314,7 @@ def sup_pass(kernel: Kernel, lam: np.ndarray, tol: Optional[float] = None):
         # flat positions in row-major order: each row's columns ascending
         cols = np.flatnonzero(hit)
         cols %= shape[1]  # in place: no second array of the members
-        if jlo:
-            cols += jlo
+        cols += jlo
         return top, np.count_nonzero(hit, axis=1), cols
 
     entries = sum((hi - lo) * (jhi - jlo) for (lo, hi), (jlo, jhi) in zip(spans, windows))

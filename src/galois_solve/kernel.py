@@ -9,16 +9,17 @@ slices off the support are Off.
 A :class:`Kernel` holds one table, stored (read from a file) or
 generated (a grid family's): a :class:`FormTable` of scalar forms as
 typed parameter arrays, or a :class:`CouplingTable` bbar(x, y), every
-slope 1.  Both give the engine their slices as :class:`Slices`: blocks
-of offsets c with the slices c - m*lam, plus the entries of other forms
-as typed parameter arrays.  The adjoint is the forward map of
-:attr:`Kernel.dual`, whose table is made at build.  The kernel checks
-A1 and A2 on every stored table; a grid family is checked at its
-grids' corners, so that its table is finite.  A kernel always spans
-the whole of X and Y: a restriction of either side belongs to the
-problem (see :class:`galois_solve.solver.Problem`).  Each side is a
-space: the tuple of labels given, or the :class:`GridSpec` of a grid
-kernel, which formats its labels only when they are first read.
+slope 1.  :meth:`Kernel.slices`, the one read path of both, gives their
+slices as :class:`Slices`: blocks of offsets c with the slices
+c - m*lam, plus the entries of other forms as typed parameter arrays.
+The adjoint is the forward map of :attr:`Kernel.dual`, whose table is
+made at build.  The kernel checks A1 and A2 on every stored table; a
+grid family is checked at its grids' corners, so that its table is
+finite.  A kernel always spans the whole of X and Y: a restriction of
+either side belongs to the problem (see
+:class:`galois_solve.solver.Problem`).  Each side is a space: the tuple
+of labels given, or the :class:`GridSpec` of a grid kernel, which
+formats its labels only when they are first read.
 """
 
 from __future__ import annotations
@@ -377,10 +378,11 @@ class Slices:
     """The slices of a kernel: one row per x, one column per y.
 
     ``offsets(index)`` gives those rows of the offsets c (a pair of
-    slices, that window), which are -inf off the support.  Every entry
-    evaluates to c - m*lam, with ``m`` None in a coupling table, whose
-    slopes are all 1, except the entries of ``forms``, which their own
-    closed forms overwrite.
+    slices, that window: a coupling table's only), which are -inf off
+    the support.  Every entry evaluates to c - m*lam, with ``m`` None in
+    a coupling table, whose slopes are all 1, except the entries of
+    ``forms``, which their own closed forms overwrite.  The engine reads
+    every table through it, without asking its kind.
     """
 
     offsets: Callable[[object], np.ndarray]
@@ -507,10 +509,12 @@ class CouplingTable:
     """A coupling table bbar(x, y), every slope 1: for a slice or an
     integer array of x (y) indices, ``rows`` (``cols``) gives a 2-D array
     with one row per index, and for two slices, x and y (y and x), that
-    window, as the engine asks for every block.  A stored table keeps
-    its array and a C-contiguous copy of its transpose and gives read-only
-    views of them, which the table owns; a generated one (``lazy``) gives
-    fresh arrays, which the caller owns and may overwrite."""
+    window, as the engine asks for every block; :meth:`Kernel.slices`
+    reads them through :meth:`Kernel.bbar_row`.  A stored table keeps
+    its array and a C-contiguous copy of its transpose and gives
+    read-only views of them, which the table owns; a generated one
+    (``lazy``) gives fresh arrays, which the caller owns and may
+    overwrite."""
 
     rows: Callable[[object], np.ndarray]
     cols: Callable[[object], np.ndarray]
@@ -540,9 +544,6 @@ class CouplingTable:
         if isinstance(k, (int, np.integer)):
             return self.rows(slice(k, k + 1))[0]
         return self.rows(k)
-
-    def slices(self) -> Slices:
-        return Slices(self.block)
 
     def entry(self, i: int, j: int) -> ScalarConnection:
         return make_affine(float(self.block(i)[j]), 1.0)
@@ -594,7 +595,7 @@ class Kernel:
         # A1 and A2 on the support mask.  A3 holds by construction: the
         # supported slices are affine, signed-power or tabulated forms,
         # which are bijections, and off-support entries are Off.
-        finite = np.isfinite(table.slices().offsets(slice(None)))
+        finite = np.isfinite(self.slices().offsets(slice(None)))
         for ok, labels, what in ((finite.any(axis=1), self.x_labels, "A1 violated: row"),
                                  (finite.any(axis=0), self.y_labels, "A2 violated: column")):
             if not ok.all():
@@ -631,7 +632,8 @@ class Kernel:
 
     # ------------------------------------------------------------------
     def slices(self) -> Slices:
-        """The slices of the forward map."""
+        """The slices of the forward map, which the engine and the A1/A2
+        check at build read."""
         if self.is_moreau:  # read through bbar_row, which perfbench wraps
             return Slices(self.bbar_row)
         return self.table.slices()

@@ -763,6 +763,20 @@ SITES = {
         {"type": "table", "points": [[0, 1], [1, v]]}), None),
 }
 
+
+def _grid_points(doc) -> int:
+    """The number of points of a problem's y grid, 0 if it is refused;
+    a refusal names a value that is not a number exactly when
+    ``_parses`` refuses one of its bounds."""
+    grid = doc["kernel"]["y_grid"]
+    try:
+        return GridSpec.from_dict(grid).size()
+    except ValidationError as exc:
+        refused = not all(_parses(v, ()) for v in grid.values())
+        assert ("is not a number" in str(exc)) == refused, (grid, exc)
+        return 0
+
+
 json_value = st.one_of(
     st.integers(-10**6, 10**6), st.floats(allow_nan=False),
     st.integers(2**1024, 2**1100).flatmap(lambda n: st.sampled_from([n, -n])),
@@ -791,6 +805,11 @@ def test_one_accept_rule_at_every_input_site(tmp_path_factory, value):
     replaced by one array conversion, so they are not a site here."""
     path = tmp_path_factory.getbasetemp() / "site.json"
     for site, (infinities, doc, valid) in SITES.items():
+        if site == "grid-bound" and _grid_points(doc(value)) > 10**4:
+            # solving and printing a finer grid takes seconds (a step of
+            # 1e-6 took this test to about 20 s), so the grid alone is read
+            assert _parses(value, infinities), site
+            continue
         if site == "apply-f":
             code, text, err = _cli(["apply", DEMO, "--direction", "B",
                                     "--f", json.dumps(doc(value))])
@@ -814,6 +833,101 @@ def test_one_accept_rule_at_every_input_site(tmp_path_factory, value):
         else:
             with pytest.raises(ValidationError):
                 build()
+
+
+# -- the accept rule of a moreau table, entry by entry and as a whole
+
+
+def _bbar_accepted(bbar) -> bool:
+    """The rule, written out: a nonempty list of nonempty rows of one
+    length, each entry a number that is not a bool, NaN, +inf or an
+    integer beyond the float range, or the string "-inf", and a finite
+    entry in every row and every column (A1 and A2)."""
+    def entry(v):
+        if isinstance(v, str):
+            return v == "-inf"
+        return _parses(v, ()) and float(v) < math.inf
+
+    if not (isinstance(bbar, list) and bbar and all(isinstance(r, list) and r for r in bbar)):
+        return False
+    if len({len(r) for r in bbar}) > 1 or not all(entry(v) for r in bbar for v in r):
+        return False
+    finite = [[v != "-inf" and math.isfinite(v) for v in r] for r in bbar]
+    return all(map(any, finite)) and all(map(any, zip(*finite)))
+
+
+BBAR_ENTRIES = ["+inf", "inf", "nan", "1.5", "abc", "-inf", None, True, False,
+                math.nan, math.inf, -math.inf, 2**1024, -2**1024, 10**308, [1], [],
+                {"a": 1}, {}, 0, -0.0, 2.5]
+NOT_A_LIST = [None, 0, 1.5, True, "abc", "-inf", {"a": [0]}, {}]
+
+
+@st.composite
+def moreau_tables(draw):
+    """A small rectangular table of numbers with one perturbation: an
+    entry from ``BBAR_ENTRIES``, a row or column of -inf, a ragged, empty
+    or non-list row, an empty or non-list table, or none."""
+    nx, ny = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    number = st.one_of(st.integers(-9, 9), st.floats(-1e3, 1e3))
+    bbar = [[draw(number) for _ in range(ny)] for _ in range(nx)]
+    i, j = draw(st.integers(0, nx - 1)), draw(st.integers(0, ny - 1))
+    kind = draw(st.sampled_from(["entry"] * 4 + ["line", "ragged", "empty-row", "row",
+                                                  "empty", "table", "none"]))
+    event(kind)
+    if kind == "entry":
+        bbar[i][j] = draw(st.sampled_from(BBAR_ENTRIES))
+    elif kind == "line":  # JSON's -Infinity or the string
+        v = draw(st.sampled_from(["-inf", -math.inf]))
+        if draw(st.booleans()):
+            bbar[i] = [v] * ny
+        else:
+            for row in bbar:
+                row[j] = v
+    elif kind == "ragged":
+        if draw(st.booleans()):
+            bbar[i].append(0)
+        else:
+            del bbar[i][j]
+    elif kind == "empty-row":
+        bbar[i] = []
+    elif kind == "row":
+        bbar[i] = draw(st.sampled_from(NOT_A_LIST))
+    elif kind == "empty":
+        bbar = []
+    elif kind == "table":
+        bbar = draw(st.sampled_from(NOT_A_LIST))
+    return bbar
+
+
+def _check_moreau_table(tmp_path_factory, bbar):
+    """A moreau table is solved (exit 0 or 3) exactly when the rule
+    above takes it; otherwise ``solve`` exits 2 with no traceback, and
+    ``build_moreau`` raises a ValidationError on the same tables."""
+    ok = _bbar_accepted(bbar)
+    path = tmp_path_factory.getbasetemp() / "moreau.json"
+    rows = len(bbar) if isinstance(bbar, list) else 1
+    path.write_text(json.dumps({"kernel": {"type": "moreau", "bbar": bbar},
+                                "g": {f"x{k + 1}": 0 for k in range(rows)}}))
+    code, text, err = _cli(["solve", str(path)])
+    assert "Traceback" not in text
+    if ok:
+        assert code in (0, 3), err
+        build_moreau(bbar)
+    else:
+        assert code == 2 and err.startswith("validation error:"), (code, err)
+        with pytest.raises(ValidationError):
+            build_moreau(bbar)
+
+
+@settings(max_examples=200, deadline=None)
+@given(bbar=moreau_tables())
+def test_one_accept_rule_for_moreau_tables(tmp_path_factory, bbar):
+    _check_moreau_table(tmp_path_factory, bbar)
+
+
+def test_every_moreau_entry_value_at_one_site(tmp_path_factory):
+    for v in BBAR_ENTRIES:  # where its row and column hold finite entries
+        _check_moreau_table(tmp_path_factory, [[0, v], [1, 0]])
 
 
 @pytest.mark.parametrize("name", EXPERIMENTS)

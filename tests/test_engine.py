@@ -727,30 +727,25 @@ def test_table_blocks_call_no_scalar_form(monkeypatch):
 # -- a window of a block is that block's columns, bit for bit
 
 
-WINDOW_SOURCES = FAMILY_GRIDS + ["moreau", "forms"]
-WINDOW_IDS = FAMILY_IDS + ["moreau", "forms"]
+# only coupling tables are read in windows: a table of forms at full width
+WINDOW_SOURCES = FAMILY_GRIDS + ["moreau"]
+WINDOW_IDS = FAMILY_IDS + ["moreau"]
 
 
 @st.composite
 def windowed_blocks(draw, source):
     """A kernel of ``source`` (a family on its grids, stored or
-    generated, a random coupling table with -inf entries, or a table of
-    all four kinds of forms) or its dual, an input on its y side with
-    both infinities, and a window."""
+    generated, or a random coupling table with -inf entries) or its
+    dual, an input on its y side with both infinities, and a window."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    dual = draw(st.booleans())
     if source == "moreau":
-        k, lam = random_moreau_kernel(random.Random(int(rng.integers(2**32))), 9), None
-    elif source == "forms":
-        rows, lam_y, lam_x, _ = draw(form_tables())
-        k, lam = build_table(rows), (lam_x if dual else lam_y)
+        k = random_moreau_kernel(random.Random(int(rng.integers(2**32))), 9)
     else:
-        k, lam = stored_and_generated(*source)[draw(st.integers(0, 1))], None
-    if dual:
+        k = stored_and_generated(*source)[draw(st.integers(0, 1))]
+    if draw(st.booleans()):
         k = k.dual
     n_out, n_in = k.shape
-    if lam is None:
-        lam = rng.integers(-8, 9, n_in) / 4 * 10.0 ** int(rng.integers(-2, 3))
+    lam = rng.integers(-8, 9, n_in) / 4 * 10.0 ** int(rng.integers(-2, 3))
     lam[rng.random(n_in) < 0.2] = math.inf
     lam[rng.random(n_in) < 0.2] = -math.inf
     lo = draw(st.integers(0, n_out - 1))
