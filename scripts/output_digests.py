@@ -12,9 +12,10 @@ moreau and table file of cli-files is also given to ``apply``, with
 ``--json`` and as text: ``--direction Bstar`` on the file's own g, and
 ``--direction B`` with f = 0 on every y.  Every call runs in this
 process through ``galois_solve.cli.main``, once with the process
-pinned to one CPU and once on every CPU it may use, which sets the
-thread count of the passes over large tables, stored or generated.
-Each output line is
+pinned to one CPU, where every pass runs serially, and once on every
+CPU it may use with ``kernel.DENSE_LIMIT`` at 0, so that every pass of
+more than one block, over a stored or a generated table, runs on the
+shared pool.  Each output line is
 
     RUN CALL EXIT_CODE SHA256_OF_STDOUT
 
@@ -71,14 +72,15 @@ def main(argv=None) -> int:
     parser.add_argument("--src", default=str(ROOT / "src"))
     args = parser.parse_args(argv)
     sys.path.insert(0, os.path.abspath(args.src))
-    from galois_solve import cli
+    from galois_solve import cli, kernel
 
-    cpus = os.sched_getaffinity(0)
+    cpus, limit = os.sched_getaffinity(0), kernel.DENSE_LIMIT
     try:
         with tempfile.TemporaryDirectory() as inputs:
             todo = calls(args.seed, inputs)
-            for run, pinned in (("1", {min(cpus)}), ("2", cpus)):
+            for run, pinned, threads_above in (("1", {min(cpus)}, limit), ("2", cpus, 0)):
                 os.sched_setaffinity(0, pinned)
+                kernel.DENSE_LIMIT = threads_above
                 for name, call in todo:
                     out = io.StringIO()
                     with contextlib.redirect_stdout(out):
@@ -87,6 +89,7 @@ def main(argv=None) -> int:
                     print(run, name.replace(" ", "_"), code, digest)
     finally:
         os.sched_setaffinity(0, cpus)
+        kernel.DENSE_LIMIT = limit
     return 0
 
 

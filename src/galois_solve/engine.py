@@ -17,15 +17,15 @@ parameter arrays.  Maxima are order-independent, so data-parallel
 evaluation of the blocks is deterministic.  A pass over more than
 :data:`~galois_solve.kernel.DENSE_LIMIT` entries, of any table, runs
 its blocks on as many threads as the process may use CPUs, capped at
-the number of blocks; smaller passes run serially.  The threads come
-from one pool, made at the first threaded pass and kept for the life
-of the process (a forked child makes its own), and the calling thread
-runs its share of the blocks too, so a pass starts no thread.  A pass
-over a stored table writes its blocks into one scratch array per
-thread, reused from block to block; a generated block is a fresh
-array, evaluated in place.  What :func:`sup_pass` and
-:func:`slice_table` return is fresh and the caller's own: it aliases
-no scratch block and no table.
+the number of blocks; smaller passes, which threads were measured to
+slow down, run serially.  The threads come from one pool, made at the
+first threaded pass and kept for the life of the process (a forked
+child makes its own); the calling thread runs its share of the blocks
+too, so a pass starts no thread.  A pass over a stored table writes
+its blocks into one scratch array per thread, reused from block to
+block; a generated block is a fresh array, evaluated in place.  What
+:func:`sup_pass` and :func:`slice_table` return is fresh and the
+caller's own: it aliases no scratch block and no table.
 
 Argmax sets travel as one flat array of sorted indices with row offsets,
 in a :class:`~galois_solve.covering.CoverFamily`, which turns them into
@@ -175,8 +175,11 @@ class FunctionOnSpace:
         if len(mapping) > len(known):
             extra = [k for k in mapping if k not in known]
             raise ValidationError(f"values for unknown labels: {extra[:4]}")
-        return cls(space, np.array([parse(mapping[l], f"value at {l!r}", INFINITIES)
-                                    for l in labels]))
+        try:
+            values = [parse(mapping[l], "a value", INFINITIES) for l in labels]
+        except ValidationError:  # again, to name the label refused
+            values = [parse(mapping[l], f"value at {l!r}", INFINITIES) for l in labels]
+        return cls(space, np.array(values))
 
     def value(self, label: str) -> ExtReal:
         return ExtReal(self.values[self._index[label]])
@@ -281,7 +284,8 @@ def sup_pass(kernel: Kernel, lam: np.ndarray, tol: Optional[float] = None):
     bit.  Every block, the structure's boundary rows included, comes
     from the kernel's table, by :func:`_blocks`.  The sets' members are
     copied block by block into one array, each block let go once copied,
-    so that they are held once.
+    so that they are held once; each row's count is read from the sorted
+    positions of its block's members.
     """
     structure = kernel.structure
     top = structure.transform(lam) if tol is None and structure is not None else None
@@ -311,11 +315,12 @@ def sup_pass(kernel: Kernel, lam: np.ndarray, tol: Optional[float] = None):
         for r in np.flatnonzero(np.isneginf(top)):  # full width: windows need a finite lam
             hit[r] = False
             hit[r, list(kernel.support_row(lo + r))] = True
-        # flat positions in row-major order: each row's columns ascending
+        # flat positions in row-major order, row r's from r*width on, columns ascending
         cols = np.flatnonzero(hit)
+        counts = np.diff(np.searchsorted(cols, np.arange(shape[0] + 1) * shape[1]))
         cols %= shape[1]  # in place: no second array of the members
         cols += jlo
-        return top, np.count_nonzero(hit, axis=1), cols
+        return top, counts, cols
 
     entries = sum((hi - lo) * (jhi - jlo) for (lo, hi), (jlo, jhi) in zip(spans, windows))
     done = run_spans(run, list(zip(spans, windows)), entries)

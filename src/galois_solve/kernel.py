@@ -48,10 +48,9 @@ from .scalar import (
 
 #: A pass over more than this many entries, of any table, runs on
 #: threads (see :func:`galois_solve.engine.run_spans`); smaller ones run
-#: serially.  It sits above one block of 256 rows of a table of a few
-#: hundred columns, which a second thread was measured to slow down, and
-#: near where threads began to gain on a 2-CPU machine.
-DENSE_LIMIT = 2**18
+#: serially.  On 2 CPUs threads slowed every pass of a 900 x 900 or
+#: 2000 x 500 table and won at 16 M entries; at 4 M it varied by run.
+DENSE_LIMIT = 2**21
 
 #: Hard cap on grid sizes (per GridSpec, all dimensions multiplied).
 MAX_GRID_POINTS = 10**7

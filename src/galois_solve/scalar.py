@@ -180,16 +180,12 @@ def _power(x: float, p: float) -> float:
 
 def signed_power_values(lam: np.ndarray, c: np.ndarray, p: np.ndarray,
                         shift: np.ndarray) -> np.ndarray:
-    """:meth:`SignedPower.eval_float` of the k-th form at ``lam[k]``, bit
-    for bit: the same float operations, with each power taken by
-    Python's ``**`` (numpy's ``power`` can round differently) and
-    +inf where it overflows."""
+    """:meth:`SignedPower.eval_float` of the k-th form at ``lam[k]``, bit for
+    bit: each power by ``float_power``, which calls C's ``pow`` as ``**``
+    does (numpy's ``power`` can round differently), +inf past the range."""
     d = lam - shift
-    base, exponent = np.abs(d).tolist(), p.tolist()
-    try:
-        mag = np.fromiter(map(pow, base, exponent), float, len(d))
-    except OverflowError:
-        mag = np.fromiter(map(_power, base, exponent), float, len(d))
+    with np.errstate(over="ignore"):
+        mag = np.float_power(np.abs(d), p)
     # an infinite lam needs no case of its own: d and the power are
     # infinite too; a zero d keeps c, even when c is -0.0 and d is -0.0
     return np.where(d == 0.0, c, c - np.copysign(mag, d))
@@ -202,10 +198,10 @@ def tabulated_values(lam: np.ndarray, s: np.ndarray, t: np.ndarray,
     ``n[k]`` breakpoints, padded with +inf.  The segment is the one the
     bisection picks: the last breakpoint at or below ``lam``, kept
     inside the table so the end segments extend."""
-    rows = np.arange(len(lam))
     seg = np.clip(np.count_nonzero(s <= lam[:, None], axis=1) - 1, 0, n - 2)
-    s0, s1 = s[rows, seg], s[rows, seg + 1]
-    t0, t1 = t[rows, seg], t[rows, seg + 1]
+    seg += np.arange(0, s.size, s.shape[1])  # flat positions, row by row
+    s0, s1 = s.take(seg), s.take(seg + 1)
+    t0, t1 = t.take(seg), t.take(seg + 1)
     out = t0 + (lam - s0) * (t1 - t0) / (s1 - s0)
     # an infinite lam over a segment wider than the float range would
     # give inf/inf; the form sends it to the opposite infinity

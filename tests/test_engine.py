@@ -24,6 +24,7 @@ from conftest import (
 )
 import galois_solve.engine as engine
 import galois_solve.kernel as kernel_mod
+from galois_solve.covering import offsets
 from galois_solve.engine import (
     FunctionOnSpace,
     apply_adjoint,
@@ -907,6 +908,74 @@ def test_sup_pass_matches_numpy_reduction_of_whole_table(shape, make, dual):
             assert np.array_equal(family.indptr, indptr)
             assert np.array_equal(family.indices, indices)
         assert np.array_equal(sup_pass(kernel, lam)[0], want_top)
+
+
+@st.composite
+def tie_count_cases(draw):
+    """A kernel, an input and a tolerance of one of three kinds: a stored
+    coupling table with -inf entries at an input mostly +inf, whose rows
+    of -inf supremum take their support; a 1-D grid family or its dual,
+    read in Monge windows; a dense 0/1 table at a 0/1 input, full of
+    exact ties."""
+    kind = draw(st.sampled_from(["support", "monge", "zero_one"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    tol = draw(st.sampled_from([0.0, 1e-9, 1e-3]))
+    if kind == "monge":
+        make = STRUCTURES[draw(st.sampled_from(sorted(STRUCTURES)))]
+        kernel, target, _, _ = make(rng, draw(st.booleans()), draw(st.booleans()))
+        if draw(st.booleans()):
+            kernel = kernel.dual
+        kind = draw(st.sampled_from(["normal", "quarter", "cones"]))
+        return kernel, target(rng, kind, kernel.y_space, 1.0), tol
+    nx, ny = draw(st.integers(1, 300)), draw(st.integers(1, 300))
+    if kind == "support":
+        kernel = _coupling_case(rng, nx, ny)
+        lam = rng.integers(-3, 4, ny).astype(float)
+        lam[rng.random(ny) < draw(st.sampled_from([0.5, 0.95]))] = math.inf
+        return kernel, lam, tol
+    kernel = build_moreau(rng.integers(0, 2, (nx, ny)).astype(float).tolist())
+    return kernel, rng.integers(0, 2, ny).astype(float), tol
+
+
+@settings(max_examples=120, deadline=None)
+@given(case=tie_count_cases(), rows=st.sampled_from([1, 5, 256]))
+def test_tie_counts_match_the_full_width_mask(case, rows):
+    """Each row's tie count, taken from the sorted positions of the
+    block's members, is the count of its full-width mask: the entries
+    within ``tol`` of the row's supremum, or its support at -inf."""
+    kernel, lam, tol = case
+    vals = slice_table(kernel, lam)
+    top = vals.max(axis=1)
+    mask = vals >= (top - tol)[:, None]
+    for r in np.flatnonzero(np.isneginf(top)):
+        mask[r] = False
+        mask[r, list(kernel.support_row(r))] = True
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "_BLOCK", rows)
+        got_top, family = sup_pass(kernel, lam, tol)
+    assert np.array_equal(got_top, top)
+    assert np.array_equal(family.indptr, offsets(np.count_nonzero(mask, axis=1)))
+    assert np.array_equal(family.indices, np.nonzero(mask)[1])
+
+
+def test_default_limit_keeps_a_900_square_off_the_pool(monkeypatch):
+    """At the default DENSE_LIMIT a pass over a stored 900 x 900 table,
+    the benchmark's largest square, runs serially on any number of
+    CPUs; a pass over more entries than the limit still takes the pool."""
+    pool = _RecordingPool()
+    monkeypatch.setattr(engine, "_shared_pool", lambda: pool)
+    use_cpus(monkeypatch, 4)
+    rng = np.random.default_rng(10)
+    labels = [f"p{k}" for k in range(900)]
+    square = Kernel(labels, labels, CouplingTable.stored(rng.normal(size=(900, 900))))
+    subdiff_inverse(square, FunctionOnSpace(labels, rng.normal(size=900)))
+    sup_pass(square, rng.normal(size=900))
+    assert pool.tasks == 0
+    line = build_grid_kernel(FenchelDot(), GridSpec.line(0, 1499, 1), GridSpec.line(0, 1499, 1))
+    wide = Kernel(line.x_space, line.y_space, line.table)  # full width, no structure
+    assert wide.shape[0] * wide.shape[1] > kernel_mod.DENSE_LIMIT
+    sup_pass(wide, rng.normal(size=1500))
+    assert pool.tasks == 3
 
 
 def _grid_lazy(monkeypatch):
