@@ -14,15 +14,18 @@ moreau and table file of cli-files is also given to ``apply``, with
 process through ``galois_solve.cli.main``, once with the process
 pinned to one CPU, where every pass runs serially, and once on every
 CPU it may use with ``kernel.DENSE_LIMIT`` at 0, so that every pass of
-more than one block, over a stored or a generated table, runs on the
-shared pool.  Each output line is
+more than one block, over a stored or a generated table, runs on
+threads.  Each output line is
 
     RUN CALL EXIT_CODE SHA256_OF_STDOUT
 
 with RUN 1 for the one-CPU run and 2 for the other, so two checkouts
 produce byte-identical outputs exactly when their digest files do not
-differ.  ``--src`` names the source tree to import ``galois_solve``
-from (default: this checkout's ``src``).
+differ.  The number of thread executors that run 2 opened goes to
+stderr, and the script exits with status 1 when run 2 opened none on
+a process that may use more than one CPU, where the comparison of the
+runs would show nothing.  ``--src`` names the source tree to import
+``galois_solve`` from (default: this checkout's ``src``).
 """
 
 import argparse
@@ -72,9 +75,17 @@ def main(argv=None) -> int:
     parser.add_argument("--src", default=str(ROOT / "src"))
     args = parser.parse_args(argv)
     sys.path.insert(0, os.path.abspath(args.src))
-    from galois_solve import cli, kernel
+    from galois_solve import cli, engine, kernel
 
-    cpus, limit = os.sched_getaffinity(0), kernel.DENSE_LIMIT
+    cpus, limit, executor = os.sched_getaffinity(0), kernel.DENSE_LIMIT, engine.ThreadPoolExecutor
+    opened = []  # for each executor opened, the run that opened it
+
+    class Counted(executor):
+        def __init__(self, *args, **kwargs):
+            opened.append(run)
+            super().__init__(*args, **kwargs)
+
+    engine.ThreadPoolExecutor = Counted
     try:
         with tempfile.TemporaryDirectory() as inputs:
             todo = calls(args.seed, inputs)
@@ -90,7 +101,10 @@ def main(argv=None) -> int:
     finally:
         os.sched_setaffinity(0, cpus)
         kernel.DENSE_LIMIT = limit
-    return 0
+        engine.ThreadPoolExecutor = executor
+    threaded = opened.count("2")
+    print(f"run 2 opened {threaded} thread executors", file=sys.stderr)
+    return 1 if threaded == 0 and len(cpus) > 1 else 0
 
 
 if __name__ == "__main__":

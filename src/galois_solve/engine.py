@@ -18,10 +18,10 @@ evaluation of the blocks is deterministic.  A pass over more than
 :data:`~galois_solve.kernel.DENSE_LIMIT` entries, of any table, runs
 its blocks on as many threads as the process may use CPUs, capped at
 the number of blocks; smaller passes, which threads were measured to
-slow down, run serially.  The threads come from one pool, made at the
-first threaded pass and kept for the life of the process (a forked
-child makes its own); the calling thread runs its share of the blocks
-too, so a pass starts no thread.  A pass over a stored table writes
+slow down, run serially.  The calling thread runs its share of the
+blocks, and a threaded pass starts the other threads it uses and ends
+them before it returns, so no thread outlives a pass and a forked
+child inherits none.  A pass over a stored table writes
 its blocks into one scratch array per thread, reused from block to
 block; a generated block is a fresh array, evaluated in place.  What
 :func:`sup_pass` and :func:`slice_table` return is fresh and the
@@ -46,7 +46,7 @@ from __future__ import annotations
 import math
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
@@ -70,46 +70,15 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
-_pool: Optional[ThreadPoolExecutor] = None
-_pool_lock = threading.Lock()
-
-
-def _forget_pool():
-    """In a forked child, which has none of its parent's threads."""
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
-
-
-def _shared_pool() -> ThreadPoolExecutor:
-    """The process's one pool of threads for passes, made at the first
-    call with one thread per CPU of the machine.  Its threads all start
-    then: an executor otherwise starts one whenever a task finds none
-    idle, which a later pass could."""
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            n = os.cpu_count() or 1
-            pool = ThreadPoolExecutor(max_workers=n, thread_name_prefix="galois-pass")
-            started = threading.Barrier(n + 1)
-            for _ in range(n):
-                pool.submit(started.wait)
-            started.wait()
-            _pool = pool
-    return _pool
-
-
 def run_spans(run: Callable, spans: Sequence, entries: int) -> List:
     """``[run(s) for s in spans]``, on threads when the spans hold more
     than :data:`~galois_solve.kernel.DENSE_LIMIT` entries in all: as
     many as the process may use CPUs, capped at the number of spans.
-    The calling thread runs every ``threads``-th span from the first and
-    the shared pool the others, in the same stride; the results come
-    back in span order.  An exception in a span is raised here, once
-    every span has stopped."""
+    The calling thread runs every ``threads``-th span from the first,
+    and an executor opened for this call runs the others, in the same
+    stride, on ``threads - 1`` threads that end with the call; the
+    results come back in span order.  An exception in a span is raised
+    here, once every span has stopped."""
     threads = 1
     if entries > kernel_mod.DENSE_LIMIT:
         threads = min(_cpus(), len(spans))
@@ -119,13 +88,10 @@ def run_spans(run: Callable, spans: Sequence, entries: int) -> List:
     def share(t: int) -> List:
         return [run(s) for s in spans[t::threads]]
 
-    pool = _shared_pool()
-    futures = [pool.submit(share, t) for t in range(1, threads)]
     out = [None] * len(spans)
-    try:
+    with ThreadPoolExecutor(threads - 1, thread_name_prefix="galois-pass") as pool:
+        futures = [pool.submit(share, t) for t in range(1, threads)]
         out[::threads] = share(0)
-    finally:
-        wait(futures)
     for t, future in enumerate(futures, 1):
         out[t::threads] = future.result()
     return out

@@ -47,9 +47,10 @@ from .scalar import (
 )
 
 #: A pass over more than this many entries, of any table, runs on
-#: threads (see :func:`galois_solve.engine.run_spans`); smaller ones run
-#: serially.  On 2 CPUs threads slowed every pass of a 900 x 900 or
-#: 2000 x 500 table and won at 16 M entries; at 4 M it varied by run.
+#: threads started for that pass (see
+#: :func:`galois_solve.engine.run_spans`); smaller ones run serially.
+#: On 2 CPUs threads slowed every pass of a 900 x 900 or 2000 x 500
+#: table and won at 16 M entries; at 4 M it varied by run.
 DENSE_LIMIT = 2**21
 
 #: Hard cap on grid sizes (per GridSpec, all dimensions multiplied).

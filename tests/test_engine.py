@@ -4,6 +4,7 @@ import random
 import signal
 import sys
 import threading
+import time
 from concurrent.futures import Future
 
 import numpy as np
@@ -272,12 +273,26 @@ def test_threaded_pass_gives_same_answer(monkeypatch):
     assert _same_map(threaded[1], serial[1])
 
 
+def test_cpus_without_affinity_are_the_machines(monkeypatch):
+    monkeypatch.delattr(engine.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(engine.os, "cpu_count", lambda: 3)
+    assert engine._cpus() == 3
+    monkeypatch.setattr(engine.os, "cpu_count", lambda: None)  # undeterminable
+    assert engine._cpus() == 1
+
+
 class _RecordingPool:
-    """Stands in for the shared pool: runs each task at once, in the
+    """Stands in for a pass's executor: runs each task at once, in the
     calling thread, and counts them."""
 
     def __init__(self):
         self.tasks = 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
 
     def submit(self, fn, *args):
         self.tasks += 1
@@ -301,12 +316,12 @@ def test_thread_count_is_capped_at_cpus_and_blocks(monkeypatch, n_out):
     use_cpus(monkeypatch, 1)
     serial = [apply_adjoint(k, FunctionOnSpace(k.x_labels, gv)) for k in kernels]
     pool = _RecordingPool()
-    monkeypatch.setattr(engine, "_shared_pool", lambda: pool)
+    monkeypatch.setattr(engine, "ThreadPoolExecutor", lambda *args, **kw: pool)
     use_cpus(monkeypatch, 4)
     blocks = -(-n_out // engine._BLOCK)
     # every table, stored or generated, runs on min(CPUs, blocks) threads
     # above DENSE_LIMIT entries, read at the call, and serially at or
-    # below it; the calling thread is one of them and the pool the rest
+    # below it; the calling thread is one of them and the executor the rest
     for limit in (4 * n_out - 1, 4 * n_out):
         monkeypatch.setattr(kernel_mod, "DENSE_LIMIT", limit)
         threads = min(4, blocks) if 4 * n_out > limit else 1
@@ -325,33 +340,44 @@ def _pooled_case(monkeypatch):
     return build_grid_kernel(FenchelDot(), grid, grid).dual, np.abs(grid.points())
 
 
-def test_passes_share_one_pool_and_survive_a_failing_span(monkeypatch):
+@pytest.mark.parametrize("share", [0, 1], ids=["calling-thread", "pooled"])
+def test_no_pass_leaves_a_thread_behind(monkeypatch, share):
+    """Every threaded pass ends the threads it starts, a pass with a
+    failing span too; the failure is raised once the other share of the
+    spans has run."""
     kernel, g = _pooled_case(monkeypatch)
-    top, family = sup_pass(kernel, g, 1e-9)
     threads = threading.active_count()
-    for _ in range(5):  # no pass after the first starts a thread
+    top, family = sup_pass(kernel, g, 1e-9)
+    for _ in range(5):
         again = sup_pass(kernel, g, 1e-9)
         assert threading.active_count() == threads
     assert np.array_equal(again[0], top) and again[1].sets == family.sets
 
-    blocks = engine._blocks
-    ran_on = []
+    caller, blocks = threading.current_thread(), engine._blocks
+    ran = []  # (first row, thread) of each span the pass read
 
     def failing(kernel, lam):
         block = blocks(kernel, lam)
 
-        def fail(lo, hi, *window):
-            if lo == engine._BLOCK:  # the second span, which the pool runs
-                ran_on.append(threading.current_thread())
-                raise KeyError("a pooled span")
+        def read(lo, hi, *window):
+            if window:  # a span of the pass, not a structure's boundary rows
+                if threading.current_thread() is not caller:
+                    time.sleep(0.02)  # so the executor's spans end last
+                ran.append((lo, threading.current_thread()))
+                if lo == share * engine._BLOCK:
+                    raise KeyError("a failing span")
             return block(lo, hi, *window)
-        return fail
+        return read
 
     with monkeypatch.context() as patch:
         patch.setattr(engine, "_blocks", failing)
-        with pytest.raises(KeyError, match="a pooled span"):
+        with pytest.raises(KeyError, match="a failing span"):
             sup_pass(kernel, g, 1e-9)
-    assert ran_on and ran_on[0] is not threading.current_thread()
+        assert threading.active_count() == threads
+    on = dict(ran)
+    assert (on[share * engine._BLOCK] is caller) == (share == 0)
+    other = range((1 - share) * engine._BLOCK, kernel.shape[0], 2 * engine._BLOCK)
+    assert len(other) == 2 and set(other) <= set(on)
     after = sup_pass(kernel, g, 1e-9)
     assert np.array_equal(after[0], top) and after[1].sets == family.sets
     assert threading.active_count() == threads
@@ -360,8 +386,8 @@ def test_passes_share_one_pool_and_survive_a_failing_span(monkeypatch):
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 @pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
 def test_a_forked_child_runs_pooled_passes(monkeypatch):
-    """A child forked after a pooled pass has none of the pool's threads;
-    its own pooled pass must not wait on them."""
+    """A child forked after a threaded pass runs threaded passes of its
+    own: no thread of the parent's passes is left for them to wait on."""
     kernel, g = _pooled_case(monkeypatch)
     want = sup_pass(kernel, g)[0]
     pid = os.fork()
@@ -961,9 +987,9 @@ def test_tie_counts_match_the_full_width_mask(case, rows):
 def test_default_limit_keeps_a_900_square_off_the_pool(monkeypatch):
     """At the default DENSE_LIMIT a pass over a stored 900 x 900 table,
     the benchmark's largest square, runs serially on any number of
-    CPUs; a pass over more entries than the limit still takes the pool."""
+    CPUs; a pass over more entries than the limit still takes threads."""
     pool = _RecordingPool()
-    monkeypatch.setattr(engine, "_shared_pool", lambda: pool)
+    monkeypatch.setattr(engine, "ThreadPoolExecutor", lambda *args, **kw: pool)
     use_cpus(monkeypatch, 4)
     rng = np.random.default_rng(10)
     labels = [f"p{k}" for k in range(900)]

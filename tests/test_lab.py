@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import use_cpus
 from galois_solve import engine
 from galois_solve.engine import FunctionOnSpace, apply_adjoint, apply_forward
 from galois_solve.errors import NotLipschitzError, ValidationError
@@ -416,6 +417,41 @@ def test_line_certificate_matches_the_blocked_check(seed, a, dyadic, kind, expon
         mp.setattr(lab, "_strictly_below_line", lambda *args: False)
         want = lab._modulus_check(k, gv)
     assert got == want and math.copysign(1, got[0]) == math.copysign(1, want[0])
+
+
+def test_threaded_modulus_check_matches_the_serial_one(monkeypatch):
+    """The check's blocks on four threads give the serial answer: where
+    several blocks reach the worst excess, the first pair in row-major
+    order wins across the threads' shares."""
+    monkeypatch.setattr("galois_solve.kernel.DENSE_LIMIT", 0)  # threads at any size
+    monkeypatch.setattr(lab, "_strictly_below_line", lambda *args: False)
+    monkeypatch.setattr(lab, "_CHECK_ENTRIES", 64)  # a few rows per block
+    opened = []
+
+    class Counted(engine.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            opened.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "ThreadPoolExecutor", Counted)
+    rng = np.random.default_rng(53)
+    for n in (21, 33):  # blocks of 3 rows and of 1
+        grid = GridSpec.line(-4, -4 + 0.25 * (n - 0.5), 0.25)  # dyadic: exact excesses
+        pts = grid.points()
+        for k in range(30):
+            a = (0.5, 1.0, 2.0)[k % 3]
+            gv = rng.choice([0.0, 1.0, 3.0], n)
+            for i in (rng.integers(0, n // 2 - 1), rng.integers(n // 2, n - 1)):
+                gv[i:i + 2] = rng.permutation([0.0, 3.0])  # steepest steps, tied for the worst
+            viol = np.abs(gv[:, None] - gv[None, :]) - a * np.abs(pts[:, None] - pts[None, :])
+            worst_rows = np.flatnonzero((viol == viol.max()).any(axis=1))
+            assert viol.max() > 0 and len(np.unique(worst_rows // (64 // n))) > 1
+            kernel = build_grid_kernel(OmegaLipschitz(a, 1.0), grid, grid)
+            use_cpus(monkeypatch, 1)
+            serial = lab._modulus_check(kernel, gv)
+            use_cpus(monkeypatch, 4)
+            assert lab._modulus_check(kernel, gv) == serial
+    assert len(opened) == 60
 
 
 # -- weighted-power domains

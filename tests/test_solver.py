@@ -421,15 +421,14 @@ def _threaded_cases(monkeypatch):
 
 
 def test_thread_count_does_not_change_solutions(monkeypatch):
-    pooled = []  # the shares of blocks of one case sent to the pool
-    shared_pool = engine._shared_pool
+    pooled = []  # the shares of blocks of one case sent to an executor
 
-    class Spy:
+    class Spy(engine.ThreadPoolExecutor):
         def submit(self, fn, *args):
             pooled.append(fn)
-            return shared_pool().submit(fn, *args)
+            return super().submit(fn, *args)
 
-    monkeypatch.setattr(engine, "_shared_pool", Spy)
+    monkeypatch.setattr(engine, "ThreadPoolExecutor", Spy)
     for kernel, g in _threaded_cases(monkeypatch):
         assert min(kernel.shape) > engine._BLOCK
         problem = Problem(kernel, FunctionOnSpace(kernel.x_labels, g))
