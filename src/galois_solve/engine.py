@@ -23,7 +23,11 @@ blocks, and a threaded pass starts the other threads it uses and ends
 them before it returns, so no thread outlives a pass and a forked
 child inherits none.  A pass over a stored table writes
 its blocks into one scratch array per thread, reused from block to
-block; a generated block is a fresh array, evaluated in place.  What
+block; a generated block is a fresh array, evaluated in place.
+A stored coupling table whose finite entries are at most
+:data:`~galois_solve.kernel.SPARSE_SHARE` of it is read in no block:
+its passes reduce those entries alone, kept in compressed sparse rows,
+and run on threads above ``DENSE_LIMIT`` of them.  What
 :func:`sup_pass` and :func:`slice_table` return is fresh and the
 caller's own: it aliases no scratch block and no table.
 
@@ -248,10 +252,20 @@ def sup_pass(kernel: Kernel, lam: np.ndarray, tol: Optional[float] = None):
     structure bounds them (at ``tol``, or at 0 for the transform alone):
     the maxima and the sets are those of the full-width blocks, bit for
     bit.  Every block, the structure's boundary rows included, comes
-    from the kernel's table, by :func:`_blocks`.  The sets' members are
-    copied block by block into one array, each block let go once copied,
-    so that they are held once; each row's count is read from the sorted
-    positions of its block's members.
+    from the kernel's table, by :func:`_blocks`.
+
+    A sparse stored coupling table, whose :class:`~galois_solve.kernel.Slices`
+    carry its ``support``, is read in no block: each span of rows
+    reduces only its finite entries.  Those go through the same
+    subtraction as in a block, and every other entry of a block is -inf,
+    which beats no finite maximum and meets no finite or +inf threshold;
+    where the maximum is -inf, the threshold takes the whole support.
+    So the maxima and the sets are again those of the full-width blocks,
+    bit for bit.
+
+    The sets' members are copied span by span into one array, each
+    span's let go once copied, so that they are held once; each row's
+    count is read from the sorted positions of its span's members.
     """
     structure = kernel.structure
     top = structure.transform(lam) if tol is None and structure is not None else None
@@ -259,6 +273,53 @@ def sup_pass(kernel: Kernel, lam: np.ndarray, tol: Optional[float] = None):
         return top, None
     n_out, n_in = kernel.shape
     spans = [(lo, min(lo + _BLOCK, n_out)) for lo in range(0, n_out, _BLOCK)]
+    support = kernel.slices().support
+    if support is None:
+        done = _block_pass(kernel, lam, tol, spans)
+    else:
+        done = _support_pass(support, lam, tol, spans)
+    top = np.concatenate([d[0] for d in done])
+    if tol is None:
+        return top, None
+    indptr = offsets(np.concatenate([d[1] for d in done]))
+    indices = np.empty(indptr[-1], dtype=np.intp)
+    for k, (lo, hi) in enumerate(spans):  # each span's members are let go once copied
+        indices[indptr[lo]:indptr[hi]] = done[k][2]
+        done[k] = None
+    return top, CoverFamily(kernel.y_space, kernel.x_space, np.arange(n_in),
+                            np.arange(n_out), indptr, indices)
+
+
+def _support_pass(support: kernel_mod.Csr, lam: np.ndarray, tol: Optional[float],
+                  spans: List[Tuple[int, int]]) -> List:
+    """The reduced spans of a pass over the finite entries ``support``
+    of a table alone: each entry taken as c - lam, each row reduced from
+    its start in the support, which A1/A2 keep nonempty, and the
+    near-maximisers selected there, as in a block."""
+    data, cols, indptr = support
+
+    def run(span: Tuple[int, int]):
+        lo, hi = span
+        a = indptr[lo]
+        starts = indptr[lo:hi + 1] - a
+        at = cols[a:indptr[hi]]
+        with np.errstate(over="ignore"):
+            vals = data[a:indptr[hi]] - lam[at]
+        top = np.maximum.reduceat(vals, starts[:-1])
+        if tol is None:
+            return top, None, None
+        hit = np.flatnonzero(vals >= np.repeat(top - tol, np.diff(starts)))
+        return top, np.diff(np.searchsorted(hit, starts)), at[hit]
+
+    return run_spans(run, spans, int(indptr[-1]))
+
+
+def _block_pass(kernel: Kernel, lam: np.ndarray, tol: Optional[float],
+                spans: List[Tuple[int, int]]) -> List:
+    """The reduced spans of a pass over blocks of the kernel's table,
+    each read in its structure's window, if it has one."""
+    n_out, n_in = kernel.shape
+    structure = kernel.structure
     block = _blocks(kernel, lam)
     windows = (structure and structure.windows(block, lam, 0.0 if tol is None else tol, spans)
                or [(0, n_in)] * len(spans))
@@ -289,17 +350,7 @@ def sup_pass(kernel: Kernel, lam: np.ndarray, tol: Optional[float] = None):
         return top, counts, cols
 
     entries = sum((hi - lo) * (jhi - jlo) for (lo, hi), (jlo, jhi) in zip(spans, windows))
-    done = run_spans(run, list(zip(spans, windows)), entries)
-    top = np.concatenate([d[0] for d in done])
-    if tol is None:
-        return top, None
-    indptr = offsets(np.concatenate([d[1] for d in done]))
-    indices = np.empty(indptr[-1], dtype=np.intp)
-    for k, (lo, hi) in enumerate(spans):  # each block's members are let go once copied
-        indices[indptr[lo]:indptr[hi]] = done[k][2]
-        done[k] = None
-    return top, CoverFamily(kernel.y_space, kernel.x_space, np.arange(n_in),
-                            np.arange(n_out), indptr, indices)
+    return run_spans(run, list(zip(spans, windows)), entries)
 
 
 def apply_forward(kernel: Kernel, f: FunctionOnSpace) -> FunctionOnSpace:

@@ -28,7 +28,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -52,6 +52,14 @@ from .scalar import (
 #: On 2 CPUs threads slowed every pass of a 900 x 900 or 2000 x 500
 #: table and won at 16 M entries; at 4 M it varied by run.
 DENSE_LIMIT = 2**21
+
+#: A stored coupling table whose finite entries are at most this share
+#: of it also keeps them as a :class:`Csr`, and every pass over it
+#: reduces only them (see :func:`galois_solve.engine.sup_pass`).  On 2
+#: CPUs, over 900 x 900 and 2000 x 500 integer tables, that was 2.4-3x
+#: faster at this share, about even at 0.5, and 1.7-2.3x slower on a
+#: full table.
+SPARSE_SHARE = 0.25
 
 #: Hard cap on grid sizes (per GridSpec, all dimensions multiplied).
 MAX_GRID_POINTS = 10**7
@@ -381,13 +389,16 @@ class Slices:
     slices, that window: a coupling table's only), which are -inf off
     the support.  Every entry evaluates to c - m*lam, with ``m`` None in
     a coupling table, whose slopes are all 1, except the entries of
-    ``forms``, which their own closed forms overwrite.  The engine reads
-    every table through it, without asking its kind.
+    ``forms``, which their own closed forms overwrite.  ``support``,
+    None or a :class:`Csr`, holds the finite offsets of a sparse stored
+    coupling table, the only entries its passes reduce.  The engine
+    reads every table through it, without asking its kind.
     """
 
     offsets: Callable[[object], np.ndarray]
     m: Optional[np.ndarray] = None
     forms: Tuple[FormSet, ...] = ()
+    support: Optional["Csr"] = None
 
 
 class FormTable:
@@ -504,6 +515,26 @@ def _reversed(rows: np.ndarray, n: np.ndarray) -> np.ndarray:
                     math.inf)
 
 
+class Csr(NamedTuple):
+    """The finite entries of a table, row by row (compressed sparse
+    rows): row i's values are ``data[indptr[i]:indptr[i + 1]]``, at the
+    columns ``indices`` there, ascending.  Its arrays are read-only."""
+
+    data: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+
+    @classmethod
+    def of(cls, arr: np.ndarray) -> "Csr":
+        """The finite entries of the 2-D array ``arr``."""
+        at = np.flatnonzero(np.isfinite(arr))
+        indptr = np.searchsorted(at, np.arange(arr.shape[0] + 1) * arr.shape[1])
+        csr = cls(arr.ravel()[at], at % arr.shape[1], indptr)
+        for a in csr:
+            a.flags.writeable = False
+        return csr
+
+
 @dataclass(frozen=True, eq=False)
 class CouplingTable:
     """A coupling table bbar(x, y), every slope 1: for a slice or an
@@ -514,18 +545,27 @@ class CouplingTable:
     its array and a C-contiguous copy of its transpose and gives
     read-only views of them, which the table owns; a generated one
     (``lazy``) gives fresh arrays, which the caller owns and may
-    overwrite."""
+    overwrite.  ``support`` and ``dual_support`` are None, or the finite
+    entries of the table and of its transpose as a :class:`Csr`, which
+    only a sparse stored table keeps (see :meth:`stored`)."""
 
     rows: Callable[[object], np.ndarray]
     cols: Callable[[object], np.ndarray]
     shape: Tuple[int, int]
     lazy: bool = True
+    support: Optional[Csr] = None
+    dual_support: Optional[Csr] = None
 
     @classmethod
     def stored(cls, values) -> "CouplingTable":
-        """The table of ``values``, copied into a float array of its own;
-        refuses +inf and NaN."""
+        """The table of ``values``, copied into a float array of its own,
+        with -0.0 read as 0.0; refuses +inf and NaN.  When its finite
+        entries are at most :data:`SPARSE_SHARE` of it, it also keeps
+        them, and those of its transpose, as a :class:`Csr`; the dense
+        arrays stay, for the A1/A2 check, :meth:`Kernel.support_row` and
+        whole-table reads."""
         arr = np.array(values, dtype=float, order="C")
+        arr += 0.0  # -0.0 to 0.0, so that no maximum's sign hangs on its order
         top = arr.max(initial=-math.inf)  # NaN if an entry is, else +inf if one is
         if not top < math.inf:
             if np.isposinf(arr).any():
@@ -533,11 +573,15 @@ class CouplingTable:
             raise ValidationError("coupling entries may not be NaN")
         cols = arr.T.copy()  # columns read as contiguous rows
         arr.flags.writeable = cols.flags.writeable = False
-        return cls(arr.__getitem__, cols.__getitem__, arr.shape, False)
+        finite = np.count_nonzero(np.isfinite(arr))
+        sparse = arr.ndim == 2 and finite <= SPARSE_SHARE * arr.size
+        return cls(arr.__getitem__, cols.__getitem__, arr.shape, False,
+                   *((Csr.of(arr), Csr.of(cols)) if sparse else ()))
 
     @property
     def dual(self) -> "CouplingTable":
-        return CouplingTable(self.cols, self.rows, self.shape[::-1], self.lazy)
+        return CouplingTable(self.cols, self.rows, self.shape[::-1], self.lazy,
+                             self.dual_support, self.support)
 
     def block(self, k) -> np.ndarray:
         """Rows ``k``; an integer gives one row."""
@@ -635,7 +679,7 @@ class Kernel:
         """The slices of the forward map, which the engine and the A1/A2
         check at build read."""
         if self.is_moreau:  # read through bbar_row, which perfbench wraps
-            return Slices(self.bbar_row)
+            return Slices(self.bbar_row, support=self.table.support)
         return self.table.slices()
 
     def bbar_row(self, i) -> np.ndarray:

@@ -1014,7 +1014,8 @@ def _grid_lazy(monkeypatch):
     lambda mp: _coupling_case(np.random.default_rng(1), 600, 40),
     lambda mp: _form_case(np.random.default_rng(2), 40, 600),
     _grid_lazy,
-], ids=["coupling", "forms", "lazy"])
+    lambda mp: _sparse_case(np.random.default_rng(3), 600, 40),
+], ids=["coupling", "forms", "lazy", "sparse"])
 def test_first_pass_results_survive_later_passes(monkeypatch, make):
     """No result of a pass aliases a scratch block that a later pass
     writes to, nor a block that the table hands out."""
@@ -1073,3 +1074,140 @@ def test_stored_coupling_table_keeps_both_orientations():
             part = side.block(slice(1, 3))
             assert not part.flags.writeable and part.flags.c_contiguous
             assert np.array_equal(part, want[1:3])
+
+
+# -- the support pass of a sparse stored coupling table against the same
+#    table without its CSR, read in full-width blocks
+
+
+def _sparse_case(rng, nx, ny, integer=True):
+    """A stored coupling table whose finite entries are at most
+    SPARSE_SHARE of it, or every entry of a 1-row or 1-column table,
+    which A1/A2 ask for.  Rows drawn empty and columns cleared are
+    repaired to hold one entry each; the last row holds only column 0,
+    and the last column only row 0."""
+    if min(nx, ny) == 1:
+        mask = np.ones((nx, ny), dtype=bool)
+    else:
+        mask = rng.random((nx, ny)) < rng.choice([0.0, 0.05, 0.2], nx)[:, None]
+        mask[:, rng.random(ny) < 0.2] = False
+        mask[-1] = mask[:, -1] = False
+        mask[-1, 0] = mask[0, -1] = True
+        for i in np.flatnonzero(~mask.any(axis=1)):
+            mask[i, rng.integers(ny - 1)] = True
+        for j in np.flatnonzero(~mask.any(axis=0)):
+            mask[rng.integers(nx - 1), j] = True
+    values = rng.integers(-3, 4, (nx, ny)) if integer else rng.normal(size=(nx, ny))
+    return build_moreau(np.where(mask, values, -math.inf).tolist())
+
+
+def _without_csr(kernel):
+    table = kernel.table
+    return Kernel(kernel.x_space, kernel.y_space,
+                  CouplingTable(table.rows, table.cols, table.shape, False))
+
+
+@pytest.mark.parametrize("shape", [(1, 9), (9, 1), (2, 2), (300, 257), (257, 300),
+                                   (40, 700), (513, 20)])
+@pytest.mark.parametrize("integer", [True, False], ids=["integer", "normal"])
+@pytest.mark.parametrize("dual", [False, True], ids=["forward", "adjoint"])
+def test_support_pass_matches_the_full_width_blocks(monkeypatch, shape, integer, dual):
+    """Maxima bitwise, and the same tie sets, at tol 0 and 1e-9, at
+    inputs mixing finite values and both infinities.  A table of 1 or 2
+    rows or columns meets A1/A2 only above the share, so it gets its
+    CSR with the share raised to 1."""
+    if min(shape) <= 2:
+        monkeypatch.setattr(kernel_mod, "SPARSE_SHARE", 1.0)
+    rng = np.random.default_rng(shape[0] * 1000 + shape[1] + integer)
+    kernel = _sparse_case(rng, *shape, integer)
+    oracle = _without_csr(kernel)
+    if dual:
+        kernel, oracle = kernel.dual, oracle.dual
+    assert kernel.slices().support is not None and oracle.slices().support is None
+    n_out, n_in = kernel.shape
+    draws = [np.full(n_in, math.inf), np.full(n_in, -math.inf)]
+    for _ in range(4):
+        lam = rng.integers(-3, 4, n_in) + rng.choice([0.0, 5e-10, 1e-9, 1.5e-9], n_in)
+        lam[rng.random(n_in) < 0.15] = math.inf
+        lam[rng.random(n_in) < 0.05] = -math.inf
+        # the last row meets column 0 only, and row 0 meets the last column
+        lam[0], lam[-1] = math.inf, -math.inf
+        draws.append(lam)
+    for k, lam in enumerate(draws):
+        want = sup_pass(oracle, lam)[0]
+        assert sup_pass(kernel, lam)[0].tobytes() == want.tobytes()
+        for tol in (0.0, 1e-9):
+            top, family = sup_pass(kernel, lam, tol)
+            want_top, want_family = sup_pass(oracle, lam, tol)
+            assert top.tobytes() == want_top.tobytes() == want.tobytes()
+            assert np.array_equal(family.indptr, want_family.indptr)
+            assert np.array_equal(family.indices, want_family.indices)
+        if k >= 2 and min(shape) > 1:
+            assert np.isneginf(want[-1]) and np.isposinf(want[0])
+
+
+def test_a_table_keeps_its_support_up_to_the_share():
+    """A stored table whose finite entries are exactly SPARSE_SHARE of
+    it keeps them as CSR, for itself and its transpose, and the dual
+    swaps the two; one more finite entry, and it keeps none."""
+    rng = np.random.default_rng(12)
+    bbar = np.full((8, 6), -math.inf)
+    bbar[np.arange(8), np.arange(8) % 6] = 1.0
+    bbar[[0, 2, 5, 7], [3, 5, 0, 4]] = rng.integers(-3, 4, 4)
+    assert np.isfinite(bbar).sum() == kernel_mod.SPARSE_SHARE * bbar.size
+    table = build_moreau(bbar.tolist()).table
+    for csr, want in ((table.support, bbar), (table.dual_support, bbar.T),
+                      (table.dual.support, bbar.T), (table.dual.dual_support, bbar)):
+        rows, cols = np.nonzero(np.isfinite(want))
+        assert np.array_equal(csr.data, want[rows, cols])
+        assert np.array_equal(csr.indices, cols)
+        assert np.array_equal(csr.indptr, offsets(np.isfinite(want).sum(axis=1)))
+        assert not any(a.flags.writeable for a in csr)
+    bbar[1, 4] = 0.0
+    table = build_moreau(bbar.tolist()).table
+    assert table.support is None and table.dual_support is None
+    # a generated table and a table of forms never keep one
+    grid = GridSpec.line(0, 3, 1)
+    sparse = build_table([[Affine(0.0, 1.0) if i == j else Off() for j in range(4)]
+                          for i in range(4)])
+    for k in (build_grid_kernel(FenchelDot(), grid, grid), sparse):
+        assert k.slices().support is None and k.dual.slices().support is None
+
+
+def test_a_zero_maximum_has_one_sign_on_both_paths():
+    """A stored table reads -0.0 as 0.0, so that no zero maximum takes
+    its sign from the order of a row's entries, which differs between a
+    full-width block and the support."""
+    rng = np.random.default_rng(13)
+    bbar = np.where(rng.random((40, 40)) < 0.1, rng.choice([-0.0, 0.0], (40, 40)), -math.inf)
+    bbar[np.arange(40), np.arange(40)] = -0.0
+    kernel = build_moreau(bbar.tolist())
+    assert kernel.table.support is not None
+    assert not np.signbit(kernel.table.support.data).any()
+    for k, oracle in ((kernel, _without_csr(kernel)), (kernel.dual, _without_csr(kernel).dual)):
+        top = sup_pass(k, np.zeros(40), 0.0)[0]
+        assert top.tobytes() == sup_pass(oracle, np.zeros(40), 0.0)[0].tobytes()
+        assert not np.signbit(top).any()
+
+
+def test_support_pass_threads_above_the_limit_in_support_entries(monkeypatch):
+    """A support pass takes threads above DENSE_LIMIT finite entries,
+    not entries of the whole table, and gives the serial pass's bytes."""
+    rng = np.random.default_rng(14)
+    kernel = _sparse_case(rng, 3 * engine._BLOCK, 50)
+    entries = int(kernel.table.support.indptr[-1])
+    assert entries < kernel.shape[0] * kernel.shape[1]
+    lam = rng.integers(-3, 4, 50).astype(float)
+    use_cpus(monkeypatch, 1)
+    serial = sup_pass(kernel, lam, 1e-9)
+    pool = _RecordingPool()
+    monkeypatch.setattr(engine, "ThreadPoolExecutor", lambda *args, **kw: pool)
+    use_cpus(monkeypatch, 4)
+    for limit, tasks in ((entries - 1, 2), (entries, 0)):
+        monkeypatch.setattr(kernel_mod, "DENSE_LIMIT", limit)
+        pool.tasks = 0
+        got = sup_pass(kernel, lam, 1e-9)
+        assert pool.tasks == tasks
+        for a, b in zip((serial[0], serial[1].indptr, serial[1].indices),
+                        (got[0], got[1].indptr, got[1].indices)):
+            assert a.tobytes() == b.tobytes()

@@ -359,29 +359,42 @@ def _threaded_cases(monkeypatch):
     monkeypatch.setattr(kernel_mod, "DENSE_LIMIT", 0)  # threads at any size
     rng = np.random.default_rng(23)
     n = engine._BLOCK + 44
-    # dense coupling table with -inf entries, and a planted target with
-    # both infinities: f0 = -inf on a column met by rows 5..8 only makes g
-    # +inf there, and row 11 meets only columns where f0 = +inf
+
+    def planted(bbar):
+        """The coupling table with a planted target with both
+        infinities: f0 = -inf on a column met by rows 5..8 only makes g
+        +inf there, and row 11 meets only columns where f0 = +inf."""
+        bbar[np.arange(n), np.arange(n)] = 0.0
+        bbar[0, n:] = 1.0
+        bbar[:, n] = -math.inf
+        bbar[5:9, n] = 1.0
+        bbar[11] = -math.inf
+        bbar[11, :3] = 0.0
+        moreau = build_moreau(bbar)
+        f0 = rng.integers(0, 3, n + 5).astype(float)
+        f0[:3] = math.inf
+        f0[n] = -math.inf
+        g = apply_forward(moreau, FunctionOnSpace(moreau.y_labels, f0)).values
+        assert np.isposinf(g[5:9]).all() and np.isneginf(g[11])
+        return moreau, g
+
+    # dense coupling table with -inf entries
     bbar = rng.integers(-4, 5, (n, n + 5)).astype(float)
     bbar[rng.random(bbar.shape) < 0.3] = -math.inf
-    bbar[np.arange(n), np.arange(n)] = 0.0
-    bbar[0, n:] = 1.0
-    bbar[:, n] = -math.inf
-    bbar[5:9, n] = 1.0
-    bbar[11] = -math.inf
-    bbar[11, :3] = 0.0
-    moreau = build_moreau(bbar)
-    f0 = rng.integers(0, 3, n + 5).astype(float)
-    f0[:3] = math.inf
-    f0[n] = -math.inf
-    g = apply_forward(moreau, FunctionOnSpace(moreau.y_labels, f0)).values
-    assert np.isposinf(g[5:9]).all() and np.isneginf(g[11])
+    moreau, g = planted(bbar)
+    assert moreau.table.support is None
     yield moreau, g
     # the same table generated block by block, which the pool runs on
     lazy = Kernel(moreau.x_labels, moreau.y_labels, CouplingTable(
         lambda k: bbar[k].copy(), lambda k: bbar.T[k].copy(), bbar.shape))
     assert lazy.is_grid
     yield lazy, g
+    # a sparse stored table, whose passes reduce its support alone
+    sparse = rng.integers(-4, 5, (n, n + 5)).astype(float)
+    sparse[rng.random(sparse.shape) >= 0.1] = -math.inf
+    stored, g = planted(sparse)
+    assert stored.table.support is not None
+    yield stored, g
 
     # table of scalar forms, mostly off the support
     rows = []
