@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Solve three large problems twice each and compare the answers.
+"""Solve three large problems twice each and compare the answers, and
+check the witness of a fourth.
 
 Usage:
     PYTHONPATH=src python scripts/lipschitz_scale_check.py
@@ -25,6 +26,14 @@ time and its peak resident set (``ru_maxrss``).  The exit code is 1
 unless, for each problem, both give the same status and the same bytes
 of ``f_min`` and of the tie family's ``indptr`` and ``indices``, and,
 for ``moreau``, of the ``solve --json`` report (``report_text``).
+
+The fourth, ``witness``, is a dense stored 2000 x 2000 table of 0 and
+1 with a constant target, whose solutions are ``multiple`` and whose
+tie sets are rows of about 1000 members.  It is solved once, and the
+exit code is 1 unless its witness is +inf somewhere, the witness's
+forward transform, which reads only the columns where it is finite,
+equals the maximum over the full-width table of its slices bit for
+bit, and the subcover the witness keeps is minimal.
 """
 
 import argparse
@@ -37,8 +46,8 @@ import time
 
 # each problem's two sides: its fast path, then full-width blocks
 PROBLEMS = {"lipschitz": ("windowed", "blocked"), "quadratic": ("windowed", "blocked"),
-            "moreau": ("support", "blocked")}
-SIDES = ("windowed", "support", "blocked")
+            "moreau": ("support", "blocked"), "witness": ("kept",)}
+SIDES = ("windowed", "support", "blocked", "kept")
 
 
 def moreau_kernel(n: int = 2000, share: float = 0.05):
@@ -57,6 +66,36 @@ def moreau_kernel(n: int = 2000, share: float = 0.05):
     f0[rng.random(n) < 0.1] = np.inf
     labels = [f"p{k}" for k in range(n)]
     return Kernel(labels, labels, CouplingTable.stored(bbar)), f0
+
+
+def check_witness() -> dict:
+    """Solve the ``witness`` problem and check its witness."""
+    import numpy as np
+
+    from galois_solve import FunctionOnSpace, Problem, check_cover, solve, verify
+    from galois_solve.engine import slice_table
+    from galois_solve.kernel import CouplingTable, Kernel
+
+    n = 2000
+    rng = np.random.default_rng(2001)
+    labels = [f"p{k}" for k in range(n)]
+    kernel = Kernel(labels, labels, CouplingTable.stored(rng.integers(0, 2, (n, n))))
+    problem = Problem(kernel, FunctionOnSpace(kernel.x_space, np.zeros(n)))
+    start = time.perf_counter()
+    sol = solve(problem)
+    wall = time.perf_counter() - start
+    witness = sol.witness_alt.values
+    got = verify(problem, sol.witness_alt).transformed.values
+    want = slice_table(kernel, witness).max(axis=1)
+    family = sol.family
+    kept = np.isin(family.pool, np.flatnonzero(witness < np.inf))
+    minimal = check_cover(family.cut(kept, np.ones(len(family.points), dtype=bool))).is_minimal
+    return {"problem": "witness", "side": "kept", "status": sol.status.value,
+            "members": int(family.indptr[-1]), "kept": int(kept.sum()),
+            "some_inf": bool(np.isposinf(witness).any()),
+            "same_bytes": got.tobytes() == want.tobytes(), "minimal": bool(minimal),
+            "wall_s": round(wall, 3),
+            "ru_maxrss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)}
 
 
 def solve_once(problem: str, side: str) -> dict:
@@ -109,7 +148,10 @@ def main(argv=None) -> int:
     parser.add_argument("--side", choices=SIDES, help="... on one side, in this process")
     args = parser.parse_args(argv)
     if args.problem and args.side:
-        print(json.dumps(solve_once(args.problem, args.side)))
+        if args.problem == "witness":
+            print(json.dumps(check_witness()))
+        else:
+            print(json.dumps(solve_once(args.problem, args.side)))
         return 0
 
     failed = False
@@ -123,6 +165,14 @@ def main(argv=None) -> int:
         for r in reports:
             print(f"{problem} {r['side']:>8}: {r['status']}, {r['members']} members, "
                   f"wall {r['wall_s']:.3f} s, ru_maxrss {r['ru_maxrss_mb']:.1f} MB")
+        if problem == "witness":
+            r = reports[0]
+            ok = r["status"] == "multiple" and r["some_inf"] and r["same_bytes"] and r["minimal"]
+            print(f"witness: keeps {r['kept']} of 2000 columns, a minimal subcover: "
+                  f"{r['minimal']}, its transform the full-width table's bytes: "
+                  f"{r['same_bytes']}")
+            failed |= not ok
+            continue
         keys = [k for k in ("status", "f_min", "indptr", "indices", "report")
                 if k in reports[0]]
         differ = [k for k in keys if reports[0][k] != reports[1][k]]

@@ -176,8 +176,10 @@ def check_cover(family: CoverFamily) -> CoverReport:
 
 
 #: Members per tried index up to which :func:`irredundant_subcover`
-#: reads its rows as Python integers; longer rows stay in numpy.
+#: reads its rows as Python integers; longer rows stay in numpy, which
+#: removes the tried indices in batches of up to :data:`_BATCH`.
 _SHORT_ROWS = 16
+_BATCH = 64
 
 
 def irredundant_subcover(family: CoverFamily) -> np.ndarray:
@@ -185,7 +187,17 @@ def irredundant_subcover(family: CoverFamily) -> np.ndarray:
     index is essential: its positions in the pool, ascending.
     Deterministic given the declared order.  An index that covers a
     point alone is never removable, so only the others are tried, and
-    only their rows are read."""
+    only their rows are read.
+
+    Long rows are tried in consecutive batches, each read from the
+    family's ``indices`` (one slice when no kept row lies between its
+    rows), so no copy of every tried row is made.  A batch whose members,
+    counted with multiplicity ``d``, all keep ``counts > d`` is exactly
+    one that the greedy would remove whole, one index at a time, so it
+    is removed at once.  Batches double after each removal, up to
+    ``_BATCH``, and shrink by a factor of 4 when one fails; a failed
+    batch of one index is kept (exponential search, Bentley and Yao
+    1976).  The result is the one-at-a-time greedy's."""
     counts = family._counts
     if not counts.all():
         raise NotACoverError("family does not cover the universe")
@@ -193,14 +205,33 @@ def irredundant_subcover(family: CoverFamily) -> np.ndarray:
     keep[family._private[0]] = True
     tried = np.flatnonzero(~keep)
     sizes = np.diff(family.indptr)
-    if sizes[tried].sum() > _SHORT_ROWS * len(tried):  # long rows, in numpy
-        counts, ptr = counts.copy(), family.indptr.tolist()
-        for k in tried.tolist():
-            m = family.indices[ptr[k]:ptr[k + 1]]
-            if (counts[m] > 1).all():
-                counts[m] -= 1
+    if sizes[tried].sum() > _SHORT_ROWS * len(tried):  # long rows, in numpy, in batches
+        counts, ptr, ks = counts.copy(), family.indptr.tolist(), tried.tolist()
+        i, size = 0, 1
+        while i < len(ks):
+            size = min(size, len(ks) - i)
+            lo, hi = ks[i], ks[i + size - 1]
+            if hi - lo == size - 1:  # no kept row between: one slice of the rows
+                m = family.indices[ptr[lo]:ptr[hi + 1]]
             else:
-                keep[k] = True
+                m = np.concatenate([family.indices[ptr[k]:ptr[k + 1]] for k in ks[i:i + size]])
+            if size == 1:  # no multiplicities to count
+                removable = (counts[m] > 1).all()
+                if removable:
+                    counts[m] -= 1
+            else:
+                d = np.bincount(m)
+                removable = (counts[m] > d[m]).all()
+                if removable:
+                    counts[:len(d)] -= d
+            if removable:
+                i += size
+                size = min(2 * size, _BATCH)
+            elif size == 1:
+                keep[lo] = True
+                i += 1
+            else:
+                size = max(1, size // 4)
         return np.flatnonzero(keep)
     counts = counts.tolist()
     members = family.indices[np.repeat(~keep, sizes)].tolist()

@@ -27,7 +27,14 @@ block; a generated block is a fresh array, evaluated in place.
 A stored coupling table whose finite entries are at most
 :data:`~galois_solve.kernel.SPARSE_SHARE` of it is read in no block:
 its passes reduce those entries alone, kept in compressed sparse rows,
-and run on threads above ``DENSE_LIMIT`` of them.  What
+and run on threads above ``DENSE_LIMIT`` of them.  A pass without
+structure or support reads spans of 16 to 256 rows, of at most 2^16
+entries each, which stay in cache while they are reduced; the spans of
+a structure, which bound its windows, and of a support keep 256 rows.
+A transform of a coupling table without either, at an input that is
++inf on some columns, reads only the other columns, as rows of the
+dual's table, since a +inf column raises no maximum: verifying a
+witness that is +inf off a small subcover costs what it keeps.  What
 :func:`sup_pass` and :func:`slice_table` return is fresh and the
 caller's own: it aliases no scratch block and no table.
 
@@ -254,6 +261,10 @@ def sup_pass(kernel: Kernel, lam: np.ndarray, tol: Optional[float] = None):
     bit.  Every block, the structure's boundary rows included, comes
     from the kernel's table, by :func:`_blocks`.
 
+    A coupling table with neither a structure nor a support gives the
+    transform at a ``lam`` that is +inf on some columns from the other
+    columns alone, by :func:`_kept_pass`, again bit for bit.
+
     A sparse stored coupling table, whose :class:`~galois_solve.kernel.Slices`
     carry its ``support``, is read in no block: each span of rows
     reduces only its finite entries.  Those go through the same
@@ -272,12 +283,16 @@ def sup_pass(kernel: Kernel, lam: np.ndarray, tol: Optional[float] = None):
     if top is not None:
         return top, None
     n_out, n_in = kernel.shape
-    spans = [(lo, min(lo + _BLOCK, n_out)) for lo in range(0, n_out, _BLOCK)]
-    support = kernel.slices().support
-    if support is None:
+    slices = kernel.slices()
+    plain = structure is None and slices.support is None
+    if plain and tol is None and slices.m is None and np.isposinf(lam).any():
+        return _kept_pass(kernel, lam), None
+    rows = _span_rows(n_in) if plain else _BLOCK
+    spans = [(lo, min(lo + rows, n_out)) for lo in range(0, n_out, rows)]
+    if slices.support is None:
         done = _block_pass(kernel, lam, tol, spans)
     else:
-        done = _support_pass(support, lam, tol, spans)
+        done = _support_pass(slices.support, lam, tol, spans)
     top = np.concatenate([d[0] for d in done])
     if tol is None:
         return top, None
@@ -288,6 +303,55 @@ def sup_pass(kernel: Kernel, lam: np.ndarray, tol: Optional[float] = None):
         done[k] = None
     return top, CoverFamily(kernel.y_space, kernel.x_space, np.arange(n_in),
                             np.arange(n_out), indptr, indices)
+
+
+def _span_rows(width: int) -> int:
+    """Rows per span of a pass read at full ``width``: 16 to 256, and at
+    most 2^16 entries (512 KB of values), so that a block stays in cache
+    while it is reduced."""
+    return max(16, min(_BLOCK, 2**16 // width))
+
+
+def _kept_pass(kernel: Kernel, lam: np.ndarray) -> np.ndarray:
+    """The transform of a coupling table at a ``lam`` that is +inf on
+    some columns, read in the columns K where it is not.
+
+    An entry at a +inf column is c - inf = -inf, which raises no
+    maximum, so each x's supremum is the maximum over K alone (-inf
+    when K is empty).  K is read as rows of the dual's table, in spans
+    of cache size, each entry the same IEEE subtraction as in a block,
+    its one NaN (-inf - (-inf)) mended to -inf likewise.  Each span is
+    reduced over its columns and the spans are merged by ``np.maximum``
+    in span order, so the result does not depend on the thread count.
+
+    Only a zero maximum can hang on the order of the reduction: -0.0 and
+    0.0 tie, and a generated table may hold -0.0.  Those rows of such a
+    table are reduced again at full width, as a block reduces them."""
+    n_out = kernel.shape[0]
+    kept = np.flatnonzero(lam < math.inf)
+    read = kernel.dual.slices().offsets
+    mend = np.isneginf(lam).any()
+    step = _span_rows(n_out)
+
+    def run(cols: np.ndarray) -> np.ndarray:
+        src = read(cols)
+        with np.errstate(invalid="ignore", over="ignore"):
+            vals = np.subtract(src, lam[cols][:, None],
+                               out=src if src.flags.writeable else None)
+        if mend:
+            np.copyto(vals, -math.inf, where=np.isnan(vals))
+        return vals.max(axis=0)
+
+    top = np.full(n_out, -math.inf)
+    spans = [kept[a:a + step] for a in range(0, len(kept), step)]
+    for part in run_spans(run, spans, len(kept) * n_out):
+        np.maximum(top, part, out=top)
+    zero = np.flatnonzero(top == 0)
+    if kernel.is_grid and len(zero):  # only c = -0.0 gives c - lam = -0.0
+        block = _blocks(kernel, lam)
+        for r in zero.tolist():
+            top[r] = block(r, r + 1).max()
+    return top
 
 
 def _support_pass(support: kernel_mod.Csr, lam: np.ndarray, tol: Optional[float],
@@ -323,7 +387,7 @@ def _block_pass(kernel: Kernel, lam: np.ndarray, tol: Optional[float],
     block = _blocks(kernel, lam)
     windows = (structure and structure.windows(block, lam, 0.0 if tol is None else tol, spans)
                or [(0, n_in)] * len(spans))
-    rows = min(_BLOCK, n_out)
+    rows = spans[0][1] - spans[0][0]
     scratch = threading.local()  # one value block and tie mask per thread
 
     def run(span: Tuple[Tuple[int, int], Tuple[int, int]]):

@@ -198,7 +198,10 @@ def tabulated_values(lam: np.ndarray, s: np.ndarray, t: np.ndarray,
     ``n[k]`` breakpoints, padded with +inf.  The segment is the one the
     bisection picks: the last breakpoint at or below ``lam``, kept
     inside the table so the end segments extend."""
-    seg = np.clip(np.count_nonzero(s <= lam[:, None], axis=1) - 1, 0, n - 2)
+    seg = np.zeros(len(lam), dtype=np.intp)
+    for col in s.T:  # column by column, with no mask of the whole table
+        seg += col <= lam
+    seg = np.clip(seg - 1, 0, n - 2)
     seg += np.arange(0, s.size, s.shape[1])  # flat positions, row by row
     s0, s1 = s.take(seg), s.take(seg + 1)
     t0, t1 = t.take(seg), t.take(seg + 1)

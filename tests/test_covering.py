@@ -231,8 +231,9 @@ def test_index_arrays_match_label_set_oracle(data):
         assert cut is fam
 
 
-# -- the implementation that read every row through numpy, kept as the
-#    oracle of the one that reads short rows as Python integers
+# -- the implementation that read every row through numpy, one index
+#    at a time, kept as the oracle of the one that reads short rows as
+#    Python integers and long rows in batches
 
 
 def _oracle_irredundant_rows(family):
@@ -249,22 +250,40 @@ def _oracle_irredundant_rows(family):
     return np.flatnonzero(keep)
 
 
-# up to 40 points and 12 sets, of up to 2 or up to 40 members, so that
-# both the short-row and the long-row reading run
-covering_families = st.integers(1, 40).flatmap(lambda n: st.tuples(
-    st.just(n),
-    st.integers(2, 40).flatmap(lambda width: st.lists(
-        st.frozensets(st.integers(0, n - 1), max_size=width), min_size=1, max_size=12)),
-))
+@st.composite
+def covering_families(draw):
+    """Up to 200 sets over up to 60 points, short or long rows, so that
+    both readings run and the batches of the long rows reach their cap
+    and fail at varied positions.  Some sets own a point of their own,
+    between the tried rows; when every set does, none is tried."""
+    n = draw(st.one_of(st.integers(1, 60), st.integers(40, 60)))
+    count = draw(st.integers(1, 200))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    density = draw(st.sampled_from([0.05, 0.2, 0.6, 0.9, 1.0]))
+    sets = rng.random((count, n)) < density
+    owned = draw(st.integers(0, min(n, count)))
+    owners = rng.choice(count, owned, replace=False)
+    sets[:, :owned] = False
+    sets[owners, np.arange(owned)] = True  # point k belongs to set owners[k] alone
+    if owned < n and draw(st.booleans()):  # two copies of the set of the rest
+        sets = np.vstack((sets, np.repeat([np.arange(n) >= owned], 2, axis=0)))
+    for w in np.flatnonzero(~sets.any(axis=0)):  # cover every point
+        sets[rng.integers(len(sets)), w] = True
+    return n, [frozenset(np.flatnonzero(r).tolist()) for r in sets]
 
 
-@settings(max_examples=300)
-@given(covering_families)
+@settings(max_examples=300, deadline=None)
+@given(covering_families())
 def test_irredundant_subcover_matches_the_numpy_rows(data):
     n, raw = data
-    raw = raw + [frozenset(range(n))] * 2  # always a cover, never minimal
     fam = CoverFamily.build(range(n), dict(enumerate(raw)))
     got = irredundant_subcover(fam)
     assert got.tolist() == _oracle_irredundant_rows(fam).tolist()
     sub = fam.cut(np.isin(np.arange(len(raw)), got), np.ones(n, dtype=bool))
     assert check_cover(sub).is_minimal
+
+
+def test_a_family_whose_every_set_owns_a_point_tries_none():
+    shared = set(range(30, 70))  # long rows, none of them read
+    fam = CoverFamily.build(range(70), {k: shared | {k} for k in range(30)})
+    assert irredundant_subcover(fam).tolist() == list(range(30))

@@ -15,6 +15,9 @@ from hypothesis import strategies as st
 from conftest import (
     FAMILY_GRIDS,
     FAMILY_IDS,
+    LINE_Y,
+    ROUNDING_PLANE,
+    WEIGHTED_X,
     approx_eq,
     constant,
     dirac,
@@ -44,6 +47,7 @@ from galois_solve.kernel import (
     Kernel,
     OmegaLipschitz,
     Quadratic,
+    WeightedPower,
     build_grid_kernel,
     build_moreau,
     build_table,
@@ -626,6 +630,7 @@ def test_envelope_path_selection(monkeypatch, family, x_grid, y_grid):
     spy(kernel_mod.LipschitzLine, "transform")
     spy(kernel_mod.MongeLine, "windows")
     spy(engine, "_blocks")
+    spy(engine, "_kept_pass")
     # a structure's tie sets reduce the table's blocks in the windows that
     # its boundary rows bound, and so does its transform, unless it has a
     # closed form; other kernels reduce full-width blocks
@@ -642,10 +647,15 @@ def test_envelope_path_selection(monkeypatch, family, x_grid, y_grid):
             taken.clear()
             call()
             assert taken == path
-        # an infinite target keeps the full-width blocks
+        # an infinite target keeps the full-width blocks for its ties; a
+        # transform without a structure reads only the columns not at +inf
+        lam = np.where(np.arange(k.shape[1]) == 0, math.inf, f.values)
         taken.clear()
-        sup_pass(k, np.where(np.arange(k.shape[1]) == 0, math.inf, f.values), DEFAULT_TOL)
+        sup_pass(k, lam, DEFAULT_TOL)
         assert taken == ties
+        taken.clear()
+        sup_pass(k, lam)
+        assert taken == (transform if structured else ["_kept_pass"])
 
 
 # -- the block evaluator of tables of scalar forms, against the forms
@@ -1211,3 +1221,106 @@ def test_support_pass_threads_above_the_limit_in_support_entries(monkeypatch):
         for a, b in zip((serial[0], serial[1].indptr, serial[1].indices),
                         (got[0], got[1].indptr, got[1].indices)):
             assert a.tobytes() == b.tobytes()
+
+
+# -- a transform at an input that is +inf on some columns reads only the
+#    others, as rows of the dual's table; the full-width table is its
+#    oracle
+
+
+def _kept_table(rng, shape, lam):
+    """The kernel of a stored coupling table of small integers with -inf entries, its
+    support repaired.  With more than one row, at a ``lam`` that is +inf
+    somewhere, row 0 is finite only at the first such column, so that its
+    maximum over the other columns is -inf (a NaN mended, where lam is
+    -inf)."""
+    nx, ny = shape
+    bbar = rng.integers(-3, 4, shape).astype(float)
+    bbar[rng.random(shape) < 0.4] = -math.inf
+    rows = np.arange(nx)
+    if nx > 1 and np.isposinf(lam).any():
+        bbar[0] = -math.inf
+        bbar[0, np.argmax(np.isposinf(lam))] = 2.0
+        rows = rows[1:]
+    bbar[rows, rng.integers(0, ny, len(rows))] = 0.0
+    bbar[rng.choice(rows, ny), np.arange(ny)] = 1.0
+    return Kernel(range(nx), range(ny), CouplingTable.stored(bbar))
+
+
+@st.composite
+def kept_cases(draw):
+    """A coupling table without structure or support and an input that
+    is mostly +inf, with some -inf and finite values, or +inf alone."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    source = draw(st.sampled_from(["stored", "fenchel-plane", "weighted-power"]))
+    kernel = None
+    if source == "stored":
+        # one row, one column, a few of each, and more kept columns than
+        # one span of the dual's rows holds (16 at 4200 entries a row)
+        shape = draw(st.sampled_from([(1, 12), (12, 1), (7, 9), (9, 40), (4200, 80)]))
+    elif source == "fenchel-plane":
+        kernel = build_grid_kernel(FenchelDot(), ROUNDING_PLANE, ROUNDING_PLANE)
+    else:  # holds -0.0 where y = x'
+        kernel = build_grid_kernel(WeightedPower(1.5), WEIGHTED_X, LINE_Y)
+    n = shape[1] if kernel is None else kernel.shape[1]
+    lam = np.full(n, math.inf)
+    if draw(st.booleans()):
+        pick = rng.random(n)
+        lam[pick < 0.35] = rng.integers(-2, 3, n)[pick < 0.35]
+        lam[pick < 0.05] = -math.inf
+        lam[draw(st.integers(0, n - 1))] = draw(st.sampled_from([0.0, -0.0, -math.inf, 1.5]))
+    if kernel is None:
+        kernel = _kept_table(rng, shape, lam)
+    return kernel, lam
+
+
+@settings(max_examples=150, deadline=None)
+@given(kept_cases())
+def test_kept_column_transform_matches_the_full_width_table(case):
+    kernel, lam = case
+    assert kernel.structure is None and kernel.slices().support is None
+    want = slice_table(kernel, lam).max(axis=1)
+    assert engine._kept_pass(kernel, lam).tobytes() == want.tobytes()
+    top, family = sup_pass(kernel, lam)
+    assert family is None and top.tobytes() == want.tobytes()
+
+
+def test_a_zero_maximum_of_kept_columns_takes_the_full_rows_sign():
+    """A weighted-power entry at y = x' is -0.0, so at 0 there and at
+    another entry of its row elsewhere, that row's maximum is a tie of
+    -0.0 and 0.0, whose sign the full-width row decides."""
+    kernel = build_grid_kernel(WeightedPower(1.5), WEIGHTED_X, LINE_Y)
+    table = kernel.bbar_row(slice(None))
+    ties = 0
+    for i, j in zip(*np.nonzero((table == 0) & np.signbit(table))):
+        for other in range(kernel.shape[1]):
+            if other == j:
+                continue
+            lam = np.full(kernel.shape[1], math.inf)
+            lam[j], lam[other] = 0.0, table[i, other]
+            want = slice_table(kernel, lam).max(axis=1)
+            top = sup_pass(kernel, lam)[0]
+            assert top.tobytes() == want.tobytes()
+            ties += top[i] == 0
+    assert ties > 100
+
+
+def test_kept_columns_are_read_in_spans_on_threads(monkeypatch):
+    """Above DENSE_LIMIT kept entries the spans of kept columns run on
+    threads, and give the serial pass's bytes."""
+    rng = np.random.default_rng(15)
+    lam = np.where(rng.random(60) < 0.8, rng.integers(-2, 3, 60), math.inf)
+    lam[0] = math.inf
+    kernel = _kept_table(rng, (3000, 60), lam)
+    entries = int((lam < math.inf).sum()) * 3000
+    use_cpus(monkeypatch, 1)
+    serial = sup_pass(kernel, lam)[0]
+    assert serial.tobytes() == slice_table(kernel, lam).max(axis=1).tobytes()
+    pool = _RecordingPool()
+    monkeypatch.setattr(engine, "ThreadPoolExecutor", lambda *args, **kw: pool)
+    use_cpus(monkeypatch, 2)
+    for limit, tasks in ((entries - 1, 1), (entries, 0)):
+        monkeypatch.setattr(kernel_mod, "DENSE_LIMIT", limit)
+        pool.tasks = 0
+        assert sup_pass(kernel, lam)[0].tobytes() == serial.tobytes()
+        assert pool.tasks == tasks

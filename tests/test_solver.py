@@ -395,6 +395,16 @@ def _threaded_cases(monkeypatch):
     stored, g = planted(sparse)
     assert stored.table.support is not None
     yield stored, g
+    # a dense table whose witness keeps every column but the first, more
+    # than one span of them, which the pass that verifies it reads
+    bbar = rng.integers(-4, 0, (n, n + 1)).astype(float)
+    bbar[np.arange(n), np.arange(n)] = 0.0
+    bbar[:, n] = bbar[:, 0]
+    assert engine._span_rows(n) < n
+    dense = build_moreau(bbar)
+    witness = solve(Problem(dense, FunctionOnSpace(dense.x_labels, np.zeros(n)))).witness_alt
+    assert np.isposinf(witness.values).tolist() == [True] + [False] * n
+    yield dense, np.zeros(n)
 
     # table of scalar forms, mostly off the support
     rows = []
